@@ -7,9 +7,9 @@ matches back to the graph.
 """
 
 from .encode import (GenerationError, IlpProblem, LinearTerm, MappingTable,
-                     ObjectiveFunc, Row, Variable, build_objective, dump_problem,
-                     expand_contexts, generate, instantiate_mappings, linearize,
-                     lower_sets, to_cnf)
+                     ObjectiveFunc, Row, Variable, apply_solution,
+                     build_objective, dump_problem, expand_contexts, generate,
+                     instantiate_mappings, linearize, lower_sets, to_cnf)
 from .lang.parser import DslSyntaxError, parse, parse_expression
 from .lang.printer import pretty, pretty_expr
 from .lang.typecheck import TypecheckError, TypedSpec, typecheck

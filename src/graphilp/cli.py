@@ -5,7 +5,10 @@ Subcommands mirror the pipeline stages: `check` (parse + typecheck),
 write the modified model), `export-lp` (construct and write an LP file), and
 `vne` (scenario generator + incremental embedding + verification).
 
-Exit codes: 0 success, 1 spec/model error, 2 infeasible, 3 timeout.
+Exit codes: 0 success, 1 bad input, 2 infeasible, 3 timeout. Bad input is
+any model, spec, scenario or generation error, an unreadable or non-UTF-8
+input file, or an unwritable output path; `main` turns each into `error:`
+lines on stderr (one per diagnostic for a type error), never a traceback.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ import json
 import sys
 
 from . import vne as vne_mod
-from .encode import GenerationError, dump_problem, generate
+from .encode import GenerationError, apply_solution, dump_problem, generate
 from .lang.parser import DslSyntaxError, parse
 from .lang.typecheck import TypecheckError, typecheck
 from .lpformat import export_lp
-from .model import ModelError, apply_delta, load_model, serialize_model
-from .pattern import PatternError, apply_rule
+# unused here, but perfbench/tracing.py wraps apply_rule and apply_delta by these names
+from .model import ModelError, apply_delta, load_model, serialize_model  # noqa: F401
+from .pattern import PatternError, apply_rule  # noqa: F401
 from .solve import solve
 
 EXIT_OK = 0
@@ -31,29 +35,24 @@ EXIT_TIMEOUT = 3
 REPORT_FORMAT = "graphilp-solve-report/1"
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_SPEC_ERROR
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
-def _load_inputs(model_path: str, spec_path: str):
-    with open(model_path, encoding="utf-8") as fh:
-        mm, graph = load_model(fh.read())
-    with open(spec_path, encoding="utf-8") as fh:
-        spec_ast = parse(fh.read())
-    spec = typecheck(spec_ast, mm)
+def _write(path: str, text: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _load_inputs(args):
+    mm, graph = load_model(_read(args.model))
+    spec = typecheck(parse(_read(args.spec)), mm)
     return mm, graph, spec
 
 
 def cmd_check(args) -> int:
-    try:
-        _, _, spec = _load_inputs(args.model, args.spec)
-    except (ModelError, DslSyntaxError, OSError) as exc:
-        return _fail(str(exc))
-    except TypecheckError as exc:
-        for d in exc.diagnostics:
-            print(f"error: {args.spec}:{d}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
+    _, _, spec = _load_inputs(args)
     for w in spec.warnings:
         print(f"warning: {args.spec}:{w}", file=sys.stderr)
     print("ok")
@@ -61,37 +60,18 @@ def cmd_check(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        _, graph, spec = _load_inputs(args.model, args.spec)
-        problem, table = generate(spec, graph)
-    except (ModelError, DslSyntaxError, TypecheckError, GenerationError,
-            OSError) as exc:
-        return _fail(str(exc))
-    text = dump_problem(problem, table)
+    _, graph, spec = _load_inputs(args)
+    text = dump_problem(*generate(spec, graph))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         print(text, end="")
     return EXIT_OK
 
 
-def _write_lp(problem, table, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(export_lp(problem, table))
-
-
 def cmd_solve(args) -> int:
-    try:
-        mm, graph, spec = _load_inputs(args.model, args.spec)
-        problem, table = generate(spec, graph)
-    except (ModelError, DslSyntaxError, TypecheckError, GenerationError,
-            OSError) as exc:
-        return _fail(str(exc))
-    if args.export_lp:
-        _write_lp(problem, table, args.export_lp)
-        print(f"wrote {args.export_lp}")
-        return EXIT_OK
+    mm, graph, spec = _load_inputs(args)
+    problem, table = generate(spec, graph)
     sol = solve(problem, time_limit=args.time_limit)
     if sol.status == "infeasible":
         print("infeasible", file=sys.stderr)
@@ -101,79 +81,49 @@ def cmd_solve(args) -> int:
             else f"{sol.objective_value:.6g}"
         print(f"timeout (incumbent: {incumbent})", file=sys.stderr)
         return EXIT_TIMEOUT
-    applied = graph
-    chosen = sorted(v for v, value in sol.assignment.items()
-                    if v in table and value == 1)
-    touched = set()
-    try:
-        for vid in chosen:
-            mapping, match = table.match_of(vid)
-            rule = spec.rule_of_mapping(mapping)
-            delta = apply_rule(applied, rule, match,
-                               assume_valid=touched.isdisjoint(match.bound_ids()))
-            applied = apply_delta(applied, delta)
-            touched |= delta.touched_ids()
-    except (PatternError, ModelError) as exc:
-        return _fail(str(exc))
+    applied, n_applied = apply_solution(graph, spec, table, sol.assignment)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_model(mm, applied))
+        _write(args.out, serialize_model(mm, applied))
     report = {
         "format": REPORT_FORMAT,
         "status": sol.status,
         "objective": sol.objective_value,
         "vars": len(problem.variables),
         "rows": len(problem.constraints),
-        "applied_matches": len(chosen),
+        "applied_matches": n_applied,
         "nodes": sol.stats.get("nodes"),
     }
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write(args.report, json.dumps(report, indent=2) + "\n")
     print(f"optimal objective {sol.objective_value:.6g}, "
-          f"{len(chosen)} match(es) applied")
+          f"{n_applied} match(es) applied")
     return EXIT_OK
 
 
 def cmd_export_lp(args) -> int:
-    try:
-        _, graph, spec = _load_inputs(args.model, args.spec)
-        problem, table = generate(spec, graph)
-        _write_lp(problem, table, args.out)
-    except (ModelError, DslSyntaxError, TypecheckError, GenerationError,
-            OSError) as exc:
-        return _fail(str(exc))
+    _, graph, spec = _load_inputs(args)
+    _write(args.out, export_lp(*generate(spec, graph)))
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_vne(args) -> int:
-    try:
-        if args.config:
-            with open(args.config, encoding="utf-8") as fh:
-                cfg = vne_mod.parse_scenario_config(fh.read())
-        else:
-            cfg = vne_mod.ScenarioConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        cfg.validate()
-        from .vne_model import embedding_spec
-        spec = embedding_spec()
-        substrate, vnrs = vne_mod.generate_scenario(cfg)
-        report = vne_mod.embed_incremental(substrate, vnrs, spec,
-                                           time_limit=args.time_limit)
-        violations = vne_mod.verify_embedding(report, substrate, report.final)
-    except (vne_mod.ScenarioError, ModelError, TypecheckError,
-            GenerationError, OSError) as exc:
-        return _fail(str(exc))
+    cfg = vne_mod.parse_scenario_config(_read(args.config)) if args.config \
+        else vne_mod.ScenarioConfig()
+    if args.seed is not None:
+        cfg.seed = args.seed
+    cfg.validate()
+    from .vne_model import embedding_spec
+    spec = embedding_spec()
+    substrate, vnrs = vne_mod.generate_scenario(cfg)
+    report = vne_mod.embed_incremental(substrate, vnrs, spec,
+                                       time_limit=args.time_limit)
+    violations = vne_mod.verify_embedding(report, substrate, report.final)
     print(vne_mod.render_report(report, violations), end="")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(vne_mod.report_json(report, violations))
+        _write(args.report, vne_mod.report_json(report, violations))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_model(report.final.mm, report.final))
+        _write(args.out, serialize_model(report.final.mm, report.final))
     return EXIT_OK if not violations else EXIT_SPEC_ERROR
 
 
@@ -202,8 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="construct, solve, and apply the chosen matches")
     add_io(p)
-    p.add_argument("--export-lp", metavar="PATH",
-                   help="write the LP file instead of solving")
     p.add_argument("--time-limit", type=float, default=None, metavar="S")
     p.add_argument("--report", help="write a JSON run report")
     p.set_defaults(func=cmd_solve)
@@ -224,7 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TypecheckError as exc:
+        # `vne` typechecks its built-in spec, which has no file name
+        source = getattr(args, "spec", "embedding spec")
+        for d in exc.diagnostics:
+            print(f"error: {source}:{d}", file=sys.stderr)
+    except (ModelError, DslSyntaxError, GenerationError, PatternError,
+            vne_mod.ScenarioError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return EXIT_SPEC_ERROR
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from .lang import ast as A
 from .lang.eval import EvalError, NodeRef, eval_expr, values_equal
 from .lang.typecheck import TypedConstraint, TypedObjective, TypedSpec
-from .model import Graph
-from .pattern import Match, find_matches
+from .model import Graph, apply_delta
+from .pattern import Match, apply_rule, find_matches
 
 BINARY = "binary"
 AUX_BINARY = "auxiliary-binary"
@@ -63,15 +63,6 @@ class Row:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _clean(self.coeffs))
 
-    def as_leq(self) -> list[tuple[dict, float]]:
-        """Equivalent `<=` rows (an equality splits, a `>=` negates)."""
-        if self.rel == "<=":
-            return [(dict(self.coeffs), self.rhs)]
-        if self.rel == ">=":
-            return [({v: -c for v, c in self.coeffs.items()}, -self.rhs)]
-        return [(dict(self.coeffs), self.rhs),
-                ({v: -c for v, c in self.coeffs.items()}, -self.rhs)]
-
 
 @dataclass(frozen=True)
 class ObjectiveFunc:
@@ -88,21 +79,6 @@ class IlpProblem:
     variables: list[Variable]
     constraints: list[Row]
     objective: ObjectiveFunc
-
-    def variable(self, var_id: str) -> Variable:
-        return next(v for v in self.variables if v.id == var_id)
-
-    def binary_ids(self) -> list[str]:
-        return [v.id for v in self.variables if v.is_binary()]
-
-    def canonical(self) -> tuple[dict, list[tuple[dict, float]]]:
-        """(minimization objective terms, `<=` rows) - the canonical form."""
-        sign = 1 if self.objective.sense == "min" else -1
-        obj = {v: sign * c for v, c in self.objective.terms.items()}
-        rows: list[tuple[dict, float]] = []
-        for r in self.constraints:
-            rows.extend(r.as_leq())
-        return obj, rows
 
 
 class MappingTable:
@@ -133,6 +109,28 @@ class MappingTable:
 
     def items(self):
         return self._by_var.items()
+
+
+def apply_solution(g: Graph, spec: TypedSpec, table: MappingTable,
+                   assignment: dict) -> tuple[Graph, int]:
+    """Apply every match whose mapping variable is 1 in `assignment`.
+
+    Matches go one at a time in variable-id order, each as its own delta, so
+    a later match's attribute expressions see the earlier deltas. A match
+    whose binding no applied delta has touched is still valid (specs have no
+    negative conditions) and skips the recheck. Returns the new graph and the
+    number of matches applied.
+    """
+    chosen = sorted(vid for vid, value in assignment.items()
+                    if vid in table and value == 1)
+    touched: set[str] = set()
+    for vid in chosen:
+        mapping, match = table.match_of(vid)
+        delta = apply_rule(g, spec.rule_of_mapping(mapping), match,
+                           assume_valid=touched.isdisjoint(match.bound_ids()))
+        g = apply_delta(g, delta)
+        touched |= delta.touched_ids()
+    return g, len(chosen)
 
 
 @dataclass(frozen=True)

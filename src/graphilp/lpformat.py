@@ -140,18 +140,13 @@ def _parse_terms(tokens, start, stop_kinds):
         tok, ln = tokens[i]
         if tok in stop_kinds:
             break
-        if tok == "+":
-            if pending is not None:
+        if tok in ("+", "-"):
+            if pending is not None:  # the number before was a constant term
                 const += sign * pending
                 pending = None
-            sign = 1.0
-            i += 1
-            continue
-        if tok == "-":
-            if pending is not None:
-                const += sign * pending
-                pending = None
-            sign = -sign if pending is None and tok == "-" else sign
+                sign = 1.0
+            if tok == "-":
+                sign = -sign
             i += 1
             continue
         if _NUM_RE.fullmatch(tok):

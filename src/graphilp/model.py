@@ -139,9 +139,6 @@ class Metamodel:
             cur = self.node_types[cur].supertype
         return False
 
-    def subtypes_of(self, sup: str) -> list[str]:
-        return [t for t in self.node_types if self.conforms(t, sup)]
-
     def __eq__(self, other):
         return (isinstance(other, Metamodel)
                 and self.node_types == other.node_types
@@ -228,10 +225,6 @@ class Graph:
 
     def structurally_equal(self, other: "Graph") -> bool:
         return self.nodes == other.nodes and self.edges == other.edges
-
-    def copy(self) -> "Graph":
-        return Graph(self.mm, list(self.nodes.values()), list(self.edges.values()),
-                     validate=False)
 
 
 @dataclass(frozen=True)

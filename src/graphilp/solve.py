@@ -20,6 +20,7 @@ from .encode import IlpProblem
 
 FEAS_TOL = 1e-9
 INT_TOL = 1e-7
+BRUTE_CHUNK_BITS = 16  # brute_force scores 2^16 assignments per numpy batch
 
 
 class SolveError(Exception):
@@ -334,35 +335,25 @@ def solve(p: IlpProblem, time_limit: float | None = None,
             root_relax = None if value is None else ar.sign * value + ar.constant
         if value is not None and value >= incumbent_val - FEAS_TOL:
             continue
+        free = [j for j in range(ar.n) if ar.binary[j] and j not in fixed]
+        frac = free
         if x is not None:
-            frac = [j for j in range(ar.n)
-                    if ar.binary[j] and j not in fixed
-                    and abs(x[j] - round(x[j])) > INT_TOL]
-        else:
-            frac = [j for j in range(ar.n) if ar.binary[j] and j not in fixed]
-        if x is not None:
+            frac = [j for j in free if abs(x[j] - round(x[j])) > INT_TOL]
             # rounding the relaxation is free and often lands on the optimum,
             # which lets the equal-bound pruning bite much earlier
             cand = x.copy()
-            for j in range(ar.n):
-                if ar.binary[j]:
-                    cand[j] = float(round(cand[j]))
-            if ar.feasible_point(cand):
+            cand[ar.binary] = np.round(cand[ar.binary])
+            cand_feasible = ar.feasible_point(cand)
+            if cand_feasible:
                 cand_val = float(ar.c @ cand)
                 if cand_val < incumbent_val - FEAS_TOL:
                     incumbent_val = cand_val
                     incumbent_x = cand
-        if x is not None and not frac:
-            cand = x.copy()
-            for j in range(ar.n):
-                if ar.binary[j]:
-                    cand[j] = float(round(cand[j]))
-            if ar.feasible_point(cand):
-                continue
-            # rounding broke feasibility; branch on the first free binary
-            frac = [j for j in range(ar.n) if ar.binary[j] and j not in fixed]
             if not frac:
-                continue
+                if cand_feasible or not free:
+                    continue
+                # rounding broke feasibility; branch on the first free binary
+                frac = free
         if not frac:
             raise SolveError("cannot bound or branch: unbounded continuous part")
         if x is not None:
@@ -398,7 +389,7 @@ def lp_relaxation(p: IlpProblem) -> tuple[str, float | None]:
     return "optimal", ar.sign * value + ar.constant
 
 
-def brute_force(p: IlpProblem, chunk_bits: int = 16) -> Solution:
+def brute_force(p: IlpProblem) -> Solution:
     """Enumerate every assignment of the binary variables (oracle).
 
     Continuous variables, when present, are resolved per assignment with the
@@ -421,8 +412,8 @@ def brute_force(p: IlpProblem, chunk_bits: int = 16) -> Solution:
         shifts = np.array([nb - 1 - i for i in range(nb)], dtype=np.uint32)
         A_bin = ar.A[:, bin_idx] if ar.A.size else np.zeros((0, nb))
         c_bin = ar.c[bin_idx] * ar.sign
-        for lo in range(0, total, 1 << chunk_bits):
-            hi = min(total, lo + (1 << chunk_bits))
+        for lo in range(0, total, 1 << BRUTE_CHUNK_BITS):
+            hi = min(total, lo + (1 << BRUTE_CHUNK_BITS))
             ks = np.arange(lo, hi, dtype=np.uint32)
             X = ((ks[:, None] >> shifts[None, :]) & 1).astype(float)
             feas = np.ones(len(ks), dtype=bool)

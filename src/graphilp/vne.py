@@ -23,12 +23,13 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .encode import GenerationError, generate
+from .encode import GenerationError, apply_solution, generate
 from .lang.typecheck import TypedSpec
 from .model import ConformanceError, Edge, Graph, Node, serialize_graph, serialize_model
-from .pattern import PatternError, apply_rule
-from .model import apply_delta
-from .solve import Solution, solve
+# unused here, but perfbench/tracing.py wraps apply_rule and apply_delta by these names
+from .model import apply_delta  # noqa: F401
+from .pattern import PatternError, apply_rule  # noqa: F401
+from .solve import solve
 
 REPORT_FORMAT = "graphilp-vne-report/1"
 
@@ -266,7 +267,7 @@ def embed_incremental(substrate: Graph, vnrs: list[Graph], spec: TypedSpec,
             working = snapshot
             continue
         try:
-            applied = _apply_solution(merged, spec, sol, table)
+            applied, _ = apply_solution(merged, spec, table, sol.assignment)
             _check_all_mapped(applied, vnr)
         except (PatternError, ConformanceError, ScenarioError) as exc:
             rec.reason = f"error: {exc}"
@@ -278,22 +279,6 @@ def embed_incremental(substrate: Graph, vnrs: list[Graph], spec: TypedSpec,
         records.append(rec)
         working = applied
     return EmbeddingReport(records, substrate, working)
-
-
-def _apply_solution(g: Graph, spec: TypedSpec, sol: Solution, table) -> Graph:
-    # matches whose bindings were not touched by the deltas applied so far are
-    # still valid (no negative conditions exist), so only the others recheck
-    chosen = sorted(vid for vid, value in sol.assignment.items()
-                    if vid in table and value == 1)
-    touched: set[str] = set()
-    for vid in chosen:
-        mapping, match = table.match_of(vid)
-        rule = spec.rule_of_mapping(mapping)
-        untouched = touched.isdisjoint(match.bound_ids())
-        delta = apply_rule(g, rule, match, assume_valid=untouched)
-        g = apply_delta(g, delta)
-        touched |= delta.touched_ids()
-    return g
 
 
 def _check_all_mapped(g: Graph, vnr: Graph):

@@ -103,26 +103,59 @@ def test_solve_timeout_exit_code(tmp_path, capsys):
     assert "timeout" in capsys.readouterr().err
 
 
-def test_export_lp_flag_short_circuits(two_links, tmp_path):
-    model, spec = two_links
-    lp = tmp_path / "out.lp"
-    rc = main(["solve", "--model", str(model), "--spec", str(spec),
-               "--export-lp", str(lp)])
-    assert rc == 0
-    text = lp.read_text()
-    assert text.startswith("Minimize")
-    assert "Binary" in text and text.rstrip().endswith("End")
-
-
 def test_export_lp_subcommand(two_links, tmp_path):
     model, spec = two_links
     lp = tmp_path / "out.lp"
     rc = main(["export-lp", "--model", str(model), "--spec", str(spec),
                "--out", str(lp)])
     assert rc == 0
+    text = lp.read_text()
+    assert text.startswith("Minimize")
+    assert "Binary" in text and text.rstrip().endswith("End")
     from graphilp import import_lp
-    p = import_lp(lp.read_text())
+    p = import_lp(text)
     assert len(p.constraints) == 3
+
+
+@pytest.mark.parametrize("command", ["check", "generate", "solve", "export-lp"])
+def test_typecheck_errors_one_line_each(command, two_links, tmp_path, capsys):
+    model, _ = two_links
+    bad = tmp_path / "bad.gipsl"
+    bad.write_text(TWO_LINKS_SPEC.replace("sl.resBw", "sl.resBandwidth"))
+    argv = [command, "--model", str(model), "--spec", str(bad)]
+    if command == "export-lp":
+        argv += ["--out", str(tmp_path / "out.lp")]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) > 1
+    assert all(line.startswith(f"error: {bad}:") for line in lines)
+
+
+TINY_SCENARIO = "racks = 1\nservers_per_rack = 1\nvnr_count = 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--model", "{not_utf8}", "--spec", "{spec}"],
+    ["solve", "--model", "{model}", "--spec", "{not_utf8}"],
+    ["vne", "--config", "{not_utf8}"],
+    ["generate", "--model", "{model}", "--spec", "{spec}", "--out", "{unwritable}"],
+    ["solve", "--model", "{model}", "--spec", "{spec}", "--out", "{unwritable}"],
+    ["solve", "--model", "{model}", "--spec", "{spec}", "--report", "{unwritable}"],
+    ["vne", "--config", "{tiny}", "--out", "{unwritable}"],
+], ids=["generate-model-not-utf8", "solve-spec-not-utf8", "vne-config-not-utf8",
+        "generate-out", "solve-out", "solve-report", "vne-out"])
+def test_bad_input_exits_1_with_error_line(argv, two_links, tmp_path, capsys):
+    model, spec = two_links
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes("r\u00e9sum\u00e9 = 1\n".encode("latin-1"))
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(TINY_SCENARIO)
+    paths = {"model": model, "spec": spec, "not_utf8": not_utf8, "tiny": tiny,
+             "unwritable": tmp_path / "no-such-dir" / "out"}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_missing_file_is_spec_error(tmp_path):

@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from graphilp import (Edge, Graph, Node, dump_problem, find_matches, generate,
-                      load_model, parse, typecheck)
+from graphilp import (Edge, Graph, Node, StaleMatchError, apply_solution, dump_problem,
+                      find_matches, generate, load_model, parse, typecheck)
 from graphilp.encode import (AUX_BINARY, BINARY, Atom, GenerationError,
                              LinearTerm, Literal, MappingTable, _Alloc, _negate,
                              build_objective, collect_matches, expand_contexts,
@@ -618,3 +618,31 @@ def test_mapping_table_rejects_duplicates():
     table.add("v0", "map", m)
     with pytest.raises(GenerationError):
         table.add("v0", "map", m)
+
+
+# --- apply_solution ----------------------------------------------------------------
+
+def _placements_on(table, server):
+    return {vid for vid, (_, m) in table.items() if m.binding["s"] == server}
+
+
+def test_apply_solution_chains_deltas_on_one_server(task_spec):
+    _, g = load_model(TASK_DOC.replace("resCpu: 10", "resCpu: 20"))
+    problem, table = generate(task_spec, g)
+    on_s1 = _placements_on(table, "s1")
+    assignment = {v.id: int(v.id in on_s1) for v in problem.variables}
+    applied, count = apply_solution(g, task_spec, table, assignment)
+    assert count == 2
+    assert applied.nodes["s1"].attrs["resCpu"] == 20 - 4 - 7  # both decrements seen
+    assert applied.nodes["s2"].attrs["resCpu"] == 5
+    assert sorted(e.src for e in applied.edges.values() if e.type == "host") == ["t1", "t2"]
+    assert g.nodes["s1"].attrs["resCpu"] == 20, "input graph untouched"
+
+
+def test_apply_solution_rechecks_a_match_an_earlier_delta_touched(task_model, task_spec):
+    _, g = task_model  # s1 has resCpu 10: t1 (cpu 4) and t2 (cpu 7) do not both fit
+    problem, table = generate(task_spec, g)
+    on_s1 = _placements_on(table, "s1")
+    assignment = {v.id: int(v.id in on_s1) for v in problem.variables}
+    with pytest.raises(StaleMatchError):
+        apply_solution(g, task_spec, table, assignment)

@@ -68,8 +68,9 @@ def test_slack_real_bounds_round_trip():
         ObjectiveFunc("min", {"x0": 1}))
     q = import_lp(export_lp(p))
     assert problems_equal(p, q)
-    assert q.variable("slk_0").ub == 12.5
-    assert q.variable("slk_1").ub == float("inf")
+    ub = {v.id: v.ub for v in q.variables}
+    assert ub["slk_0"] == 12.5
+    assert ub["slk_1"] == float("inf")
 
 
 def test_aux_binaries_keep_their_kind():
@@ -78,8 +79,9 @@ def test_aux_binaries_keep_their_kind():
         [Row({"m_put_0": 1, "aux_0": 5}, "<=", 5)],
         ObjectiveFunc("min", {"m_put_0": 1}))
     q = import_lp(export_lp(p))
-    assert q.variable("aux_0").kind == "auxiliary-binary"
-    assert q.variable("m_put_0").kind == BINARY
+    kind = {v.id: v.kind for v in q.variables}
+    assert kind["aux_0"] == "auxiliary-binary"
+    assert kind["m_put_0"] == BINARY
 
 
 def test_twelve_significant_digits():
@@ -110,6 +112,22 @@ End
     assert row.rel == "=" and row.rhs == 1
     assert row.coeffs == {"m_lnk2lnk_0": 1, "m_lnk2lnk_1": 1}
     assert [v.id for v in p.variables] == ["m_lnk2lnk_0", "m_lnk2lnk_1"]
+
+
+def test_constant_before_negated_variable_keeps_its_sign():
+    text = """\
+Minimize
+ obj: - 3 - x
+Subject To
+ c0: - 2 - x <= 5
+Binary
+ x
+End
+"""
+    p = import_lp(text)
+    assert p.objective.terms == {"x": -1} and p.objective.constant == -3
+    row = p.constraints[0]
+    assert row.coeffs == {"x": -1} and row.rhs == 7
 
 
 def test_malformed_section_header_rejected():
