@@ -35,9 +35,16 @@ EXIT_TIMEOUT = 3
 REPORT_FORMAT = "graphilp-solve-report/1"
 
 
+class InputError(Exception):
+    """An input file that cannot be read as text."""
+
+
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8 ({exc})") from None
 
 
 def _write(path: str, text: str):
@@ -180,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         for d in exc.diagnostics:
             print(f"error: {source}:{d}", file=sys.stderr)
     except (ModelError, DslSyntaxError, GenerationError, PatternError,
-            vne_mod.ScenarioError, OSError, UnicodeDecodeError) as exc:
+            vne_mod.ScenarioError, OSError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return EXIT_SPEC_ERROR
 

@@ -2,8 +2,9 @@
 
 One binary variable per (mapping, match) pair. Constraint bodies are expanded
 per context element, mapping sums are lowered to linear terms with
-generation-time coefficients, and the remaining Boolean structure is put into
-conjunctive normal form and linearized:
+generation-time coefficients (filters that start with key comparisons are
+served from a hash index over the matches), and the remaining Boolean
+structure is put into conjunctive normal form and linearized:
 
 * a conjunction of bare relations becomes one inequality per relation
   (the fast path, no auxiliary variables);
@@ -233,34 +234,160 @@ class Cnf:
         return [seen[i] for i in sorted(seen)]
 
 
+# --- mapping sums ----------------------------------------------------------------
+
+_WHOLE_MATCH = None  # key field of `m == <e>`: the match itself, not one of its nodes
+
+
+def _mentions(e, name: str) -> bool:
+    if isinstance(e, A.Name):
+        return e.id == name
+    return any(_mentions(v, name) for v in vars(e).values() if isinstance(v, A.Expr))
+
+
+def _conjuncts(e) -> list:
+    if isinstance(e, A.Binary) and e.op == "&":
+        return _conjuncts(e.left) + _conjuncts(e.right)
+    return [e]
+
+
+def _index_plan(var: str, pred, rule_nodes) -> tuple | None:
+    """Split a filter predicate into its leading key conjuncts and the rest.
+
+    A key conjunct is `var.nodes().X == <e>` (X a node of the rule) or
+    `var == <e>`, where `<e>` does not mention `var`. Returns the key fields
+    (node names, `_WHOLE_MATCH` for `var == <e>`), the key expressions, and
+    the remaining conjuncts as one predicate (None if there are none), or
+    None when the predicate does not start with a key conjunct.
+
+    The rest is rebuilt as `true & c1 & c2 ...`, so each conjunct gets the
+    boolean check it had as the right operand of an `&`.
+    """
+    fields, exprs = [], []
+    parts = _conjuncts(pred)
+    for c in parts:
+        if not (isinstance(c, A.Rel) and c.op == "==") or _mentions(c.right, var):
+            break
+        left = c.left
+        if isinstance(left, A.Name) and left.id == var:
+            fields.append(_WHOLE_MATCH)
+        elif (isinstance(left, A.NodesNav) and isinstance(left.base, A.Name)
+              and left.base.id == var and left.node in rule_nodes):
+            fields.append(left.node)
+        else:
+            break
+        exprs.append(c.right)
+    if not fields:
+        return None
+    rest = None
+    if len(fields) < len(parts):
+        rest = A.BoolLit(True)
+        for c in parts[len(fields):]:
+            rest = A.Binary("&", rest, c)
+    return tuple(fields), exprs, rest
+
+
+def _match_key(match: Match, field: str | None):
+    # a match equals another exactly when rule and binding dict agree
+    if field is _WHOLE_MATCH:
+        return match.rule, frozenset(match.bound)
+    return dict(match.bound)[field]
+
+
+class _SumIndex:
+    """Mapping-sum candidates for one `generate` call, shared by every
+    constraint and the objective.
+
+    A filter that starts with key conjuncts (see `_index_plan`) is served from
+    a hash index over the mapping's matches, keyed by the bound node ids or
+    the whole match and built on first use; only the rest of the filter is
+    evaluated, on the bucket's matches. Buckets keep match order, so the
+    coefficients come out in the same order as a scan over every match. Any
+    other filter, or a key that is not a node (a match, for `m == <e>`) or
+    cannot be evaluated, is served by that scan, which then gives the same
+    result or raises the same error as it always did.
+    """
+
+    def __init__(self, spec: TypedSpec, table: MappingTable,
+                 matches_by_rule: dict[str, list[Match]]):
+        self.spec = spec
+        self.table = table
+        self.matches = matches_by_rule
+        self._pairs: dict[str, list[tuple[str, Match]]] = {}
+        self._buckets: dict[tuple, dict] = {}
+        self._plans: dict[int, tuple | None] = {}
+
+    def pairs(self, mapping: str) -> list[tuple[str, Match]]:
+        """(variable, match) for every match of the mapping, in match order."""
+        out = self._pairs.get(mapping)
+        if out is None:
+            rule = self.spec.mapping(mapping).rule
+            out = [(self.table.var_of(mapping, m), m) for m in self.matches[rule]]
+            self._pairs[mapping] = out
+        return out
+
+    def candidates(self, e: A.SetSum, env: dict, g: Graph):
+        """(variable, match) pairs that may pass the filter of `e`, and the
+        part of the filter still to be checked on each (None: nothing)."""
+        everything = self.pairs(e.mapping)
+        if e.filter_pred is None or not everything:
+            return everything, e.filter_pred
+        if id(e) not in self._plans:
+            rule = self.spec.rule_of_mapping(e.mapping)
+            self._plans[id(e)] = _index_plan(e.filter_var, e.filter_pred,
+                                             rule.lhs.node_names())
+        plan = self._plans[id(e)]
+        if plan is None:
+            return everything, e.filter_pred
+        fields, exprs, rest = plan
+        key = []
+        for field, expr in zip(fields, exprs):
+            try:
+                value = eval_expr(expr, env, g)
+            except Exception:
+                # the scan reaches this key only if an earlier one holds for
+                # some match; let it raise (or not) exactly where it did
+                return everything, e.filter_pred
+            if field is _WHOLE_MATCH and isinstance(value, Match):
+                key.append(_match_key(value, _WHOLE_MATCH))
+            elif field is not _WHOLE_MATCH and isinstance(value, NodeRef):
+                key.append(value.id)
+            else:
+                return everything, e.filter_pred
+        buckets = self._buckets.get((e.mapping, fields))
+        if buckets is None:
+            buckets = {}
+            for pair in everything:
+                k = tuple(_match_key(pair[1], f) for f in fields)
+                buckets.setdefault(k, []).append(pair)
+            self._buckets[(e.mapping, fields)] = buckets
+        return buckets.get(tuple(key), []), rest
+
+
 # --- lowering -------------------------------------------------------------------
 
 class _Lowerer:
     """Turns one expanded constraint/objective body into lowered form."""
 
-    def __init__(self, spec: TypedSpec, g: Graph, table: MappingTable,
-                 matches_by_rule: dict[str, list[Match]], alloc: _Alloc):
-        self.spec = spec
+    def __init__(self, g: Graph, index: _SumIndex, alloc: _Alloc):
         self.g = g
-        self.table = table
-        self.matches = matches_by_rule
+        self.index = index
         self.alloc = alloc
 
     def arith(self, e, env: dict):
         """Value of an arithmetic subexpression: a LinearTerm or a plain value."""
         if isinstance(e, A.SetSum):
-            mapping = self.spec.mapping(e.mapping)
+            pairs, pred = self.index.candidates(e, env, self.g)
             coeffs: dict[str, float] = {}
-            for match in self.matches[mapping.rule]:
-                if e.filter_pred is not None:
+            for var, match in pairs:
+                if pred is not None:
                     fenv = dict(env)
                     fenv[e.filter_var] = match
-                    if not eval_expr(e.filter_pred, fenv, self.g):
+                    if not eval_expr(pred, fenv, self.g):
                         continue
                 senv = dict(env)
                 senv[e.sum_var] = match
                 coeff = eval_expr(e.sum_body, senv, self.g)
-                var = self.table.var_of(e.mapping, match)
                 coeffs[var] = coeffs.get(var, 0) + coeff
             return LinearTerm(coeffs, 0)
         if isinstance(e, A.Unary):
@@ -574,23 +701,23 @@ def lower_sets(body, self_value, spec: TypedSpec, g: Graph, table: MappingTable,
                matches_by_rule: dict[str, list[Match]], alloc: _Alloc | None = None):
     """Lower one expanded body (with `self` bound) to a Boolean tree over
     linear-term atoms, or to a LinearTerm / plain value for arithmetic bodies."""
-    low = _Lowerer(spec, g, table, matches_by_rule, alloc or _Alloc())
+    low = _Lowerer(g, _SumIndex(spec, table, matches_by_rule), alloc or _Alloc())
     return low.boolean(body, {"self": self_value})
 
 
 def build_objective(spec: TypedSpec, g: Graph,
                     matches_by_rule: dict[str, list[Match]],
-                    table: MappingTable) -> ObjectiveFunc:
+                    table: MappingTable, index: _SumIndex | None = None
+                    ) -> ObjectiveFunc:
     """Weighted sum of all objective instances per the global objective."""
     glob = spec.global_objective
     terms: dict[str, float] = {}
     constant = glob.constant
-    alloc = _Alloc()
+    low = _Lowerer(g, index or _SumIndex(spec, table, matches_by_rule), _Alloc())
     for obj in spec.objectives:
         weight = glob.weights.get(obj.name, 0.0)
         if weight == 0.0:
             continue
-        low = _Lowerer(spec, g, table, matches_by_rule, alloc)
         for self_value, label in expand_contexts(obj, g, matches_by_rule, spec):
             try:
                 value = low.arith(obj.body, {"self": self_value})
@@ -618,11 +745,12 @@ def generate(spec: TypedSpec, g: Graph) -> tuple[IlpProblem, MappingTable]:
     the objective. Deterministic for equal inputs."""
     matches_by_rule = collect_matches(spec, g)
     variables, table = instantiate_mappings(spec, matches_by_rule)
+    index = _SumIndex(spec, table, matches_by_rule)
     alloc = _Alloc()
+    low = _Lowerer(g, index, alloc)
     rows: list[Row] = []
     aux: list[Variable] = []
     for ci, cons in enumerate(spec.constraints):
-        low = _Lowerer(spec, g, table, matches_by_rule, alloc)
         for self_value, label in expand_contexts(cons, g, matches_by_rule, spec):
             where = (f"constraint {ci + 1} "
                      f"({cons.context_kind}::{cons.context_target}), {label}")
@@ -634,7 +762,7 @@ def generate(spec: TypedSpec, g: Graph) -> tuple[IlpProblem, MappingTable]:
                 raise GenerationError(f"{where}: {exc}") from None
             rows.extend(new_rows)
             aux.extend(new_aux)
-    objective = build_objective(spec, g, matches_by_rule, table)
+    objective = build_objective(spec, g, matches_by_rule, table, index)
     return IlpProblem(variables + aux, rows, objective), table
 
 

@@ -31,7 +31,7 @@ from .model import apply_delta  # noqa: F401
 from .pattern import PatternError, apply_rule  # noqa: F401
 from .solve import solve
 
-REPORT_FORMAT = "graphilp-vne-report/1"
+REPORT_FORMAT = "graphilp-vne-report/2"
 
 
 class ScenarioError(Exception):
@@ -213,7 +213,8 @@ class VnrRecord:
     objective: float | None = None
     variables: int = 0
     rows: int = 0
-    solve_ms: float = 0.0
+    generate_ms: float = 0.0  # merge + generate
+    solve_ms: float = 0.0  # solve() alone
     nodes_explored: int = 0
 
 
@@ -252,14 +253,16 @@ def embed_incremental(substrate: Graph, vnrs: list[Graph], spec: TypedSpec,
         try:
             merged = merge_graphs(working, vnr)
             problem, table = generate(spec, merged)
+            t1 = time.perf_counter()
             sol = solve(problem, time_limit=time_limit)
         except (GenerationError, ConformanceError, PatternError, ScenarioError) as exc:
             records.append(VnrRecord(idx, "rejected", f"error: {exc}"))
             working = snapshot
             continue
-        ms = (time.perf_counter() - t0) * 1000.0
         rec = VnrRecord(idx, "rejected", variables=len(problem.variables),
-                        rows=len(problem.constraints), solve_ms=ms,
+                        rows=len(problem.constraints),
+                        generate_ms=(t1 - t0) * 1000.0,
+                        solve_ms=(time.perf_counter() - t1) * 1000.0,
                         nodes_explored=sol.stats.get("nodes", 0))
         if sol.status != "optimal":
             rec.reason = sol.status
@@ -386,7 +389,8 @@ def render_report(report: EmbeddingReport, violations: list[Violation] | None = 
         status = r.status if not r.reason else f"{r.status} ({r.reason})"
         obj = "-" if r.objective is None else f"{r.objective:.6g}"
         lines.append(f"vnr {r.index}: {status}  objective={obj}  vars={r.variables}"
-                     f"  rows={r.rows}  solve_ms={r.solve_ms:.1f}")
+                     f"  rows={r.rows}  generate_ms={r.generate_ms:.1f}"
+                     f"  solve_ms={r.solve_ms:.1f}")
     lines.append(f"total objective: {report.total_objective():.6g}")
     if violations is not None:
         lines.append(f"violations: {len(violations)}")
@@ -401,6 +405,7 @@ def report_json(report: EmbeddingReport, violations: list[Violation] | None = No
         "records": [
             {"index": r.index, "status": r.status, "reason": r.reason,
              "objective": r.objective, "vars": r.variables, "rows": r.rows,
+             "generate_ms": round(r.generate_ms, 3),
              "solve_ms": round(r.solve_ms, 3), "nodes": r.nodes_explored}
             for r in report.records],
         "total_objective": report.total_objective(),

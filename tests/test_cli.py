@@ -158,6 +158,26 @@ def test_bad_input_exits_1_with_error_line(argv, two_links, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--model", "--spec"])
+def test_non_utf8_input_error_names_the_file(flag, two_links, tmp_path, capsys):
+    model, spec = two_links
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    paths = {"--model": model, "--spec": spec, flag: bad}
+    assert main(["check", "--model", str(paths["--model"]),
+                 "--spec", str(paths["--spec"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not valid UTF-8 (")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_config_error_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["vne", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not valid UTF-8 (")
+
+
 def test_missing_file_is_spec_error(tmp_path):
     assert main(["check", "--model", str(tmp_path / "nope.model"),
                  "--spec", str(tmp_path / "nope.gipsl")]) == 1
@@ -182,12 +202,15 @@ seed = 2
                "--out", str(out_model)])
     assert rc == 0
     payload = json.loads(report.read_text())
-    assert payload["format"].startswith("graphilp-vne-report")
+    assert payload["format"] == "graphilp-vne-report/2"
     assert len(payload["records"]) == 3
+    for record in payload["records"]:
+        assert record["generate_ms"] > 0 and record["solve_ms"] > 0
     assert "residuals" in payload
     assert out_model.exists()
     out = capsys.readouterr().out
     assert "requests: 3" in out
+    assert "generate_ms=" in out and "solve_ms=" in out
 
 
 def test_vne_zero_requests(tmp_path, capsys):

@@ -1,16 +1,24 @@
+import dataclasses
 import itertools
+import pathlib
 import random
 
 import numpy as np
 import pytest
 
+import graphilp.encode as encode_mod
 from graphilp import (Edge, Graph, Node, StaleMatchError, apply_solution, dump_problem,
-                      find_matches, generate, load_model, parse, typecheck)
+                      find_matches, full_scale_config, generate, generate_scenario,
+                      load_graph, load_model, parse, parse_scenario_config,
+                      typecheck)
 from graphilp.encode import (AUX_BINARY, BINARY, Atom, GenerationError,
                              LinearTerm, Literal, MappingTable, _Alloc, _negate,
                              build_objective, collect_matches, expand_contexts,
                              instantiate_mappings, linearize, lower_sets, to_cnf)
 from graphilp.lang.eval import NodeRef
+from graphilp.lang.parser import parse_expression
+from graphilp.lang.typecheck import TypedConstraint
+from graphilp.vne import merge_graphs
 from graphilp.vne_model import (TWO_LINKS_MODEL, VNE_SCHEMA, two_links_model, two_links_spec,
                             vne_metamodel, embedding_spec)
 
@@ -646,3 +654,257 @@ def test_apply_solution_rechecks_a_match_an_earlier_delta_touched(task_model, ta
     assignment = {v.id: int(v.id in on_s1) for v in problem.variables}
     with pytest.raises(StaleMatchError):
         apply_solution(g, task_spec, table, assignment)
+
+
+# --- indexed mapping sums: same program as the scan ---------------------------------
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "demos" / "fixtures"
+
+
+def _generate_both(spec, g, monkeypatch):
+    """Outcome of `generate` with the mapping-sum index and with every filter
+    scanned: the dump, or the GenerationError text."""
+    def outcome():
+        try:
+            return dump_problem(*generate(spec, g))
+        except GenerationError as exc:
+            return f"GenerationError: {exc}"
+    indexed = outcome()
+    with monkeypatch.context() as mp:
+        mp.setattr(encode_mod, "_index_plan", lambda *args: None)
+        scanned = outcome()
+    return indexed, scanned
+
+
+def _assert_same(spec, g, monkeypatch):
+    indexed, scanned = _generate_both(spec, g, monkeypatch)
+    assert indexed == scanned
+    return indexed
+
+
+@pytest.mark.parametrize("pred, fields, rest", [
+    ("m.nodes().s == self", ("s",), None),
+    ("m.nodes().t == self.nodes().t & m.nodes().s == self.nodes().s", ("t", "s"), None),
+    ("m == self", (None,), None),
+    ("m.nodes().t == self.nodes().a & m.nodes().s.zone == 0", ("t",),
+     "true & m.nodes().s.zone == 0"),
+    ("m.nodes().s == self & (m.nodes().t.cpu >= 2 & m.nodes().s.zone == 0)", ("s",),
+     "true & m.nodes().t.cpu >= 2 & m.nodes().s.zone == 0"),
+    ("m.nodes().s.zone == 0 & m.nodes().t == self", None, None),
+    ("m.nodes().t == m.nodes().s", None, None),
+    ("m.nodes().x == self", None, None),
+    ("m.nodes().t != self", None, None),
+    ("m.nodes().t == self | m.nodes().s == self", None, None),
+])
+def test_index_plan_recognises_leading_key_conjuncts(pred, fields, rest):
+    plan = encode_mod._index_plan("m", parse_expression(pred), ["s", "t"])
+    if fields is None:
+        assert plan is None
+        return
+    got_fields, exprs, got_rest = plan
+    assert got_fields == fields and len(exprs) == len(fields)
+    assert got_rest == (None if rest is None else parse_expression(rest))
+
+
+def test_index_matches_scan_two_links(monkeypatch):
+    _, g = two_links_model()
+    assert _assert_same(two_links_spec(), g, monkeypatch) == TWO_LINKS_DUMP_GOLDEN
+
+
+def test_index_matches_scan_desk_requests(monkeypatch):
+    cfg = parse_scenario_config((FIXTURES / "desk.cfg").read_text())
+    cfg.seed = 1
+    substrate, vnrs = generate_scenario(cfg)
+    assert len(vnrs) == 10
+    spec = embedding_spec()
+    for vnr in vnrs:
+        _assert_same(spec, merge_graphs(substrate, vnr), monkeypatch)
+
+
+def test_index_matches_scan_smoke_full_scale_request(monkeypatch):
+    cfg = full_scale_config(1)
+    cfg.racks, cfg.servers_per_rack = 2, 2
+    substrate, vnrs = generate_scenario(cfg)
+    vnr = next(v for v in vnrs if len(v.nodes) == 5)  # two virtual servers
+    g = merge_graphs(substrate, vnr)
+    spec = embedding_spec()
+    _assert_same(spec, g, monkeypatch)
+    # and the index really skips work: count filter/body evaluations
+    calls = []
+    counting = encode_mod.eval_expr
+
+    def counted(*args):
+        calls.append(1)
+        return counting(*args)
+    monkeypatch.setattr(encode_mod, "eval_expr", counted)
+    generate(spec, g)
+    indexed = len(calls)
+    calls.clear()
+    monkeypatch.setattr(encode_mod, "_index_plan", lambda *args: None)
+    generate(spec, g)
+    assert 4 * indexed < len(calls)
+
+
+PLACEMENT_SCHEMA = """
+nodetypes {
+  nodetype { name: Element }
+  nodetype { name: Server  supertype: Element
+             attrs { cpu: int  resCpu: int  minLoad: int  zone: int  cost: int } }
+  nodetype { name: Task  supertype: Element  attrs { cpu: int  placed: bool } }
+}
+edgetypes {
+  edgetype { name: host  src: Task  tgt: Server }
+  edgetype { name: aff  src: Task  tgt: Task }
+}
+"""
+
+PLACEMENT_SPEC = """
+rule place {
+  nodes { t: Task  s: Server }
+  condition { !t.placed & s.resCpu >= t.cpu }
+  actions {
+    create edge host(t -> s)
+    set s.resCpu := s.resCpu - t.cpu
+    set t.placed := true
+  }
+}
+rule pair {
+  nodes { a: Task  b: Task }
+  edges { w: aff(a -> b) }
+}
+mapping put with place;
+constraint -> class::Task {
+  self.placed | mappings.put->filter(m | m.nodes().t == self)->sum(m | 1) == 1
+}
+constraint -> class::Server {
+  mappings.put->filter(m | m.nodes().s == self)->sum(m | 1) == 0
+  | mappings.put->filter(m | m.nodes().s == self)->sum(m | m.nodes().t.cpu) >= self.minLoad
+}
+constraint -> pattern::pair {
+  (mappings.put->filter(m | {A0})->sum(m | 1) >= 1
+   & mappings.put->filter(m | {B0})->sum(m | 1) >= 1)
+  | (mappings.put->filter(m | {A1})->sum(m | 1) >= 1
+     & mappings.put->filter(m | {B1})->sum(m | 1) >= 1)
+}
+constraint -> pattern::place {
+  mappings.put->filter(m | m == self)->sum(m | 1)
+  + mappings.put->filter(m | m.nodes().s == self.nodes().s & m.nodes().t == self.nodes().t)->sum(m | 1) <= 2
+}
+constraint -> pattern::pair {
+  mappings.put->filter(m | m == self)->sum(m | 1) == 0
+}
+objective cost -> mapping::put { self.nodes().s.cost * self.nodes().t.cpu }
+global objective : min { cost }
+"""
+
+ZONE_FILTERS = {
+    "key-then-zone": "m.nodes().t == self.nodes().{end} & m.nodes().s.zone == {zone}",
+    "zone-then-key": "m.nodes().s.zone == {zone} & m.nodes().t == self.nodes().{end}",
+    "key-then-two": ("m.nodes().t == self.nodes().{end} & m.nodes().s.zone == {zone}"
+                     " & m.nodes().t.cpu <= 6"),
+    "key-then-or": ("m.nodes().t == self.nodes().{end}"
+                    " & (m.nodes().s.zone == {zone} | m.nodes().s.cost >= 8)"),
+}
+
+
+def _placement_model(rng):
+    lines = [PLACEMENT_SCHEMA, "nodes {"]
+    for i in range(3):
+        cpu = rng.randint(8, 16)
+        lines.append(f"  node {{ id: s{i}  type: Server  attrs {{ cpu: {cpu}  resCpu: {cpu}"
+                     f"  minLoad: {rng.randint(4, cpu // 2 + 2)}  zone: {i % 2}"
+                     f"  cost: {rng.randint(1, 9)} }} }}")
+    for i in range(4):
+        lines.append(f"  node {{ id: t{i}  type: Task  attrs {{ cpu: {rng.randint(1, 8)}"
+                     f"  placed: false }} }}")
+    lines += ["}", "edges {"]
+    for k, (a, b) in enumerate(rng.sample(list(itertools.combinations(range(4), 2)), 2)):
+        lines.append(f"  edge {{ id: w{k}  type: aff  src: t{a}  tgt: t{b} }}")
+    lines.append("}")
+    return load_model("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("variant", sorted(ZONE_FILTERS))
+def test_index_matches_scan_disjunctive_specs(variant, monkeypatch):
+    zone_filter = ZONE_FILTERS[variant]
+    text = PLACEMENT_SPEC
+    for end in "AB":
+        for zone in (0, 1):
+            text = text.replace(f"{{{end}{zone}}}",
+                                zone_filter.format(end=end.lower(), zone=zone))
+    rng = random.Random(7)
+    for _ in range(6):
+        mm, g = _placement_model(rng)
+        _assert_same(typecheck(parse(text), mm), g, monkeypatch)
+
+
+def _task_spec_with_body(mm, body, kind="class", target="Server"):
+    spec = typecheck(parse(TASK_SPEC), mm)
+    cons = TypedConstraint(kind, target, parse_expression(body), spec.constraints[0].pos)
+    return dataclasses.replace(spec, constraints=[cons])
+
+
+def test_index_matches_scan_with_zero_matches(task_model, monkeypatch):
+    mm, _ = task_model
+    g = load_graph("""
+    nodes {
+      node { id: s1  type: Server  attrs { cpu: 8  resCpu: 8 } }
+      node { id: t1  type: Task  attrs { cpu: 1  placed: true } }
+    }
+    """, mm)
+    spec = typecheck(parse(TASK_SPEC), mm)
+    assert collect_matches(spec, g)["place"] == []
+    dump = _assert_same(spec, g, monkeypatch)
+    # the key `<e>` is never evaluated, so its error cannot surface
+    bad = _task_spec_with_body(mm, "mappings.put->filter(m | m.nodes().s == 3)->sum(m | 1) <= 1")
+    assert _assert_same(bad, g, monkeypatch) == dump
+
+
+def test_index_matches_scan_match_of_another_rule(task_model, monkeypatch):
+    mm, g = task_model
+    spec = typecheck(parse(TASK_SPEC.replace("mapping put with place;", """
+rule lone { nodes { t: Task  s: Server } }
+mapping put with place;
+constraint -> pattern::lone {
+  mappings.put->filter(m | m == self)->sum(m | 1) <= 0
+}""")), mm)
+    dump = _assert_same(spec, g, monkeypatch)
+    assert "<= -1" not in dump  # every sum is empty, so every row folds to true
+
+
+def test_index_keeps_cannot_compare_error(task_model, monkeypatch):
+    mm, g = task_model
+    spec = _task_spec_with_body(
+        mm, "mappings.put->filter(m | m.nodes().s == 3)->sum(m | 1) <= 1")
+    indexed, scanned = _generate_both(spec, g, monkeypatch)
+    assert indexed == scanned
+    assert indexed.startswith("GenerationError: constraint 1 (class::Server), s1: "
+                              "cannot compare values of different kinds")
+
+
+def test_index_keeps_errors_of_the_remaining_conjuncts(task_model, monkeypatch):
+    mm, g = task_model
+    spec = _task_spec_with_body(
+        mm, "mappings.put->filter(m | m.nodes().s == self"
+            " & m.nodes().t.cpu / (self.resCpu - self.resCpu) >= 1)->sum(m | 1) <= 1")
+    indexed, scanned = _generate_both(spec, g, monkeypatch)
+    assert indexed == scanned
+    assert indexed == "GenerationError: constraint 1 (class::Server), s1: division by zero"
+
+
+def test_leading_non_key_conjunct_falls_back_to_scan(task_model, monkeypatch):
+    mm, g = task_model
+    spec = _task_spec_with_body(
+        mm, "mappings.put->filter(m | m.nodes().t.cpu >= 5 & m.nodes().s == self)"
+            "->sum(m | m.nodes().t.cpu) <= self.resCpu")
+    built = []
+    real_plan = encode_mod._index_plan
+
+    def spy(*args):
+        built.append(real_plan(*args))
+        return built[-1]
+    monkeypatch.setattr(encode_mod, "_index_plan", spy)
+    indexed = dump_problem(*generate(spec, g))
+    assert built == [None]
+    monkeypatch.undo()
+    assert _assert_same(spec, g, monkeypatch) == indexed
