@@ -288,15 +288,14 @@ def _index_plan(var: str, pred, rule_nodes) -> tuple | None:
 
 
 def _match_key(match: Match, field: str | None):
-    # a match equals another exactly when rule and binding dict agree
     if field is _WHOLE_MATCH:
-        return match.rule, frozenset(match.bound)
+        return match
     return dict(match.bound)[field]
 
 
 class _SumIndex:
     """Mapping-sum candidates for one `generate` call, shared by every
-    constraint and the objective.
+    constraint (the objective builds its own).
 
     A filter that starts with key conjuncts (see `_index_plan`) is served from
     a hash index over the mapping's matches, keyed by the bound node ids or
@@ -349,7 +348,7 @@ class _SumIndex:
                 # some match; let it raise (or not) exactly where it did
                 return everything, e.filter_pred
             if field is _WHOLE_MATCH and isinstance(value, Match):
-                key.append(_match_key(value, _WHOLE_MATCH))
+                key.append(value)
             elif field is not _WHOLE_MATCH and isinstance(value, NodeRef):
                 key.append(value.id)
             else:
@@ -707,13 +706,12 @@ def lower_sets(body, self_value, spec: TypedSpec, g: Graph, table: MappingTable,
 
 def build_objective(spec: TypedSpec, g: Graph,
                     matches_by_rule: dict[str, list[Match]],
-                    table: MappingTable, index: _SumIndex | None = None
-                    ) -> ObjectiveFunc:
+                    table: MappingTable) -> ObjectiveFunc:
     """Weighted sum of all objective instances per the global objective."""
     glob = spec.global_objective
     terms: dict[str, float] = {}
     constant = glob.constant
-    low = _Lowerer(g, index or _SumIndex(spec, table, matches_by_rule), _Alloc())
+    low = _Lowerer(g, _SumIndex(spec, table, matches_by_rule), _Alloc())
     for obj in spec.objectives:
         weight = glob.weights.get(obj.name, 0.0)
         if weight == 0.0:
@@ -745,9 +743,8 @@ def generate(spec: TypedSpec, g: Graph) -> tuple[IlpProblem, MappingTable]:
     the objective. Deterministic for equal inputs."""
     matches_by_rule = collect_matches(spec, g)
     variables, table = instantiate_mappings(spec, matches_by_rule)
-    index = _SumIndex(spec, table, matches_by_rule)
     alloc = _Alloc()
-    low = _Lowerer(g, index, alloc)
+    low = _Lowerer(g, _SumIndex(spec, table, matches_by_rule), alloc)
     rows: list[Row] = []
     aux: list[Variable] = []
     for ci, cons in enumerate(spec.constraints):
@@ -762,7 +759,7 @@ def generate(spec: TypedSpec, g: Graph) -> tuple[IlpProblem, MappingTable]:
                 raise GenerationError(f"{where}: {exc}") from None
             rows.extend(new_rows)
             aux.extend(new_aux)
-    objective = build_objective(spec, g, matches_by_rule, table, index)
+    objective = build_objective(spec, g, matches_by_rule, table)
     return IlpProblem(variables + aux, rows, objective), table
 
 
