@@ -6,9 +6,10 @@ write the modified model), `export-lp` (construct and write an LP file), and
 `vne` (scenario generator + incremental embedding + verification).
 
 Exit codes: 0 success, 1 bad input, 2 infeasible, 3 timeout. Bad input is
-any model, spec, scenario or generation error, an unreadable or non-UTF-8
-input file, or an unwritable output path; `main` turns each into `error:`
-lines on stderr (one per diagnostic for a type error), never a traceback.
+any model, spec, scenario or generation error, a program `export-lp` cannot
+write, an unreadable or non-UTF-8 input file, or an unwritable output path;
+`main` turns each into `error:` lines on stderr (one per diagnostic for a type
+error), never a traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import vne as vne_mod
 from .encode import GenerationError, apply_solution, dump_problem, generate
 from .lang.parser import DslSyntaxError, parse
 from .lang.typecheck import TypecheckError, typecheck
-from .lpformat import export_lp
+from .lpformat import LpExportError, export_lp
 # unused here, but perfbench/tracing.py wraps apply_rule and apply_delta by these names
 from .model import ModelError, apply_delta, load_model, serialize_model  # noqa: F401
 from .pattern import PatternError, apply_rule  # noqa: F401
@@ -187,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
         for d in exc.diagnostics:
             print(f"error: {source}:{d}", file=sys.stderr)
     except (ModelError, DslSyntaxError, GenerationError, PatternError,
-            vne_mod.ScenarioError, OSError, InputError) as exc:
+            vne_mod.ScenarioError, OSError, InputError, LpExportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return EXIT_SPEC_ERROR
 

@@ -29,7 +29,6 @@ from .pattern import Match, apply_rule, find_matches
 
 BINARY = "binary"
 AUX_BINARY = "auxiliary-binary"
-SLACK_REAL = "slack-real"
 
 REAL_EPS = 1e-6
 
@@ -40,13 +39,11 @@ class GenerationError(Exception):
 
 @dataclass(frozen=True)
 class Variable:
+    """A 0/1 variable: a mapping variable (BINARY) or an auxiliary indicator
+    (AUX_BINARY). Programs have no other variables."""
+
     id: str
     kind: str = BINARY
-    lb: float = 0.0
-    ub: float = 1.0
-
-    def is_binary(self) -> bool:
-        return self.kind in (BINARY, AUX_BINARY)
 
 
 def _clean(coeffs: dict) -> dict:
@@ -796,10 +793,7 @@ def dump_problem(p: IlpProblem, table: MappingTable | None = None) -> str:
     for i, row in enumerate(p.constraints):
         lines.append(f"c{i}: {_fmt_terms(row.coeffs)} {row.rel} {fmt_num(row.rhs)}")
     for v in p.variables:
-        if v.is_binary():
-            lines.append(f"var {v.id} {v.kind}")
-        else:
-            lines.append(f"var {v.id} {v.kind} in [{fmt_num(v.lb)}, {fmt_num(v.ub)}]")
+        lines.append(f"var {v.id} {v.kind}")
     if table is not None:
         for var_id, (mapping, match) in table.items():
             binding = " ".join(f"{k}={v}" for k, v in match.bound)

@@ -17,6 +17,8 @@ from ..pattern import Pattern, PatternEdge, PatternNode, Rule
 from . import ast as A
 
 NUMERIC = ("int", "real")
+_KIND_NAMES = {"node": "a node", "match": "a match", "int": "a number",
+               "real": "a number", "bool": "a boolean", "string": "a string"}
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,12 @@ class Ty:
 
     def numeric(self) -> bool:
         return self.kind in NUMERIC
+
+
+def _mismatch(a: str, b: str) -> str:
+    """'cannot compare a node with a number', the same for either operand order."""
+    first, second = sorted((a, b), key=list(_KIND_NAMES).index)
+    return f"cannot compare {_KIND_NAMES[first]} with {_KIND_NAMES[second]}"
 
 
 def _promote(a: str, b: str) -> str:
@@ -107,6 +115,10 @@ class _Checker:
     def error(self, pos: A.Pos, message: str) -> Ty:
         self.diags.append(Diagnostic(pos.line, pos.col, message))
         return Ty("real")  # recovery type keeps checking going
+
+    def bad_comparison(self, pos: A.Pos, message: str) -> Ty:
+        self.error(pos, message)
+        return Ty("bool")  # still a condition, so the enclosing check stays quiet
 
     # -- rules -----------------------------------------------------------------
 
@@ -316,22 +328,22 @@ class _Checker:
             rt = self.expr(e.right, scope, allow_sets)
             if lt.kind in ("node", "match") or rt.kind in ("node", "match"):
                 if e.op not in ("==", "!="):
-                    return self.error(e.pos, f"{e.op!r} does not apply to graph "
-                                             f"elements")
+                    return self.bad_comparison(e.pos, f"{e.op!r} does not apply to "
+                                                      f"graph elements")
                 if lt.kind != rt.kind:
-                    return self.error(e.pos, "cannot compare a node with a match")
+                    return self.bad_comparison(e.pos, _mismatch(lt.kind, rt.kind))
                 return Ty("bool")
             if lt.kind in ("bool", "string") or rt.kind in ("bool", "string"):
                 if e.op not in ("==", "!="):
-                    return self.error(e.pos, f"{e.op!r} applies to numbers")
+                    return self.bad_comparison(e.pos, f"{e.op!r} applies to numbers")
                 if lt.kind != rt.kind:
-                    return self.error(e.pos, "comparison of different kinds")
+                    return self.bad_comparison(e.pos, _mismatch(lt.kind, rt.kind))
                 if lt.varbearing or rt.varbearing:
-                    return self.error(e.pos, "comparison operands must not involve "
-                                             "mapping variables")
+                    return self.bad_comparison(e.pos, "comparison operands must not "
+                                                      "involve mapping variables")
                 return Ty("bool")
             if not lt.numeric() or not rt.numeric():
-                return self.error(e.pos, f"{e.op!r} applies to numbers")
+                return self.bad_comparison(e.pos, f"{e.op!r} applies to numbers")
             return Ty("bool", varbearing=lt.varbearing or rt.varbearing)
         if isinstance(e, A.SetSum):
             if not allow_sets:

@@ -1,24 +1,23 @@
 """CPLEX-LP-format export and import.
 
 Section keywords are emitted exactly as `Minimize`/`Maximize`, `Subject To`,
-`Bounds`, `Binary`, `General`, `End`; numeric literals carry 12 significant
-digits. The reader accepts the writer's output plus the usual spelling
-variants (case-insensitive keywords, `<`/`>` for `<=`/`>=`). Constraints must
-be labelled (`name: terms rel rhs`), which the writer always does.
+`Bounds`, `Binary`, `End`; numeric literals carry 12 significant digits. The
+reader accepts the writer's output plus the usual spelling variants
+(case-insensitive keywords, `<`/`>` for `<=`/`>=`). Constraints must be
+labelled (`name: terms rel rhs`), which the writer always does.
 
-Variable kinds on import follow the id scheme: names in the `Binary` section
-starting with `aux_` come back as auxiliary binaries, other binaries as
-mapping variables; variables listed only under `Bounds` are continuous.
+Every variable is binary: the writer lists each one under `Binary` and leaves
+`Bounds` empty, and the reader rejects a `Bounds` entry, a `General` section
+and any name used without being listed under `Binary`. Variable kinds on
+import follow the id scheme: names starting with `aux_` come back as
+auxiliary binaries, the others as mapping variables.
 """
 
 from __future__ import annotations
 
 import re
 
-from .encode import (AUX_BINARY, BINARY, SLACK_REAL, IlpProblem, MappingTable,
-                     ObjectiveFunc, Row, Variable)
-
-INF_BOUND = 1e30
+from .encode import AUX_BINARY, BINARY, IlpProblem, MappingTable, ObjectiveFunc, Row, Variable
 
 
 class LpParseError(Exception):
@@ -26,6 +25,10 @@ class LpParseError(Exception):
         super().__init__(f"line {line}: {message}")
         self.message = message
         self.line = line
+
+
+class LpExportError(Exception):
+    """A program the LP format cannot express."""
 
 
 def _num(x) -> str:
@@ -66,20 +69,15 @@ def export_lp(p: IlpProblem, table: MappingTable | None = None) -> str:
         if not body:
             anchor = p.variables[0].id if p.variables else None
             if anchor is None:
-                raise LpParseError("cannot export a variable-free constraint "
-                                   "in a problem without variables", i)
+                raise LpExportError(f"cannot export constraint c{i}: it has no "
+                                    f"variables and the program has none")
             body = f"0 {anchor}"
         rel = {"<=": "<=", ">=": ">=", "=": "="}[row.rel]
         out.append(f" c{i}: {body} {rel} {_num(row.rhs)}")
-    reals = [v for v in p.variables if not v.is_binary()]
     out.append("Bounds")
-    for v in reals:
-        hi = INF_BOUND if v.ub == float("inf") else v.ub
-        out.append(f" {_num(v.lb)} <= {v.id} <= {_num(hi)}")
-    binaries = [v for v in p.variables if v.is_binary()]
-    if binaries:
+    if p.variables:
         out.append("Binary")
-        for v in binaries:
+        for v in p.variables:
             out.append(f" {v.id}")
     out.append("End")
     return "\n".join(out) + "\n"
@@ -171,13 +169,6 @@ def _parse_terms(tokens, start, stop_kinds):
 def import_lp(text: str) -> IlpProblem:
     """Parse LP-format text back into a problem. Inverse of `export_lp` on its
     own output."""
-    try:
-        return _import_lp(text)
-    except IndexError:
-        raise LpParseError("unexpected end of section", text.count("\n") + 1) from None
-
-
-def _import_lp(text: str) -> IlpProblem:
     sections: dict[str, list] = {}
     current = None
     sense = None
@@ -209,9 +200,9 @@ def _import_lp(text: str) -> IlpProblem:
     if i != len(obj_tokens):
         raise LpParseError("unexpected content after the objective",
                            obj_tokens[i][1])
-    seen: dict[str, None] = {}
+    seen: dict[str, int] = {}  # variable -> line of its first use
     for vid in obj_coeffs:
-        seen.setdefault(vid)
+        seen.setdefault(vid, obj_tokens[0][1])
 
     # constraints
     rows: list[Row] = []
@@ -221,6 +212,7 @@ def _import_lp(text: str) -> IlpProblem:
         if i + 1 >= len(tokens) or tokens[i + 1][0] != ":":
             raise LpParseError("constraints must be labelled 'name: ...'",
                                tokens[i][1])
+        row_line = tokens[i][1]
         i += 2
         coeffs, const, i = _parse_terms(tokens, i, stop_kinds=("<=", ">=", "<", ">",
                                                                "=", "=<", "=>"))
@@ -239,73 +231,20 @@ def _import_lp(text: str) -> IlpProblem:
         rhs = rhs_sign * float(tokens[i][0])
         i += 1
         for vid in coeffs:
-            seen.setdefault(vid)
+            seen.setdefault(vid, row_line)
         rows.append(Row(coeffs, rel, rhs - const))
 
-    # bounds
-    bounds: dict[str, tuple[float, float]] = {}
-    tokens = _tokenize_lp(sections.get("bounds", []))
-    i = 0
-    while i < len(tokens):
-        # forms: lo <= name <= hi | name <= hi | name >= lo | name = v
-        sign = 1.0
-        if tokens[i][0] == "-":
-            sign, i = -1.0, i + 1
-        if _NUM_RE.fullmatch(tokens[i][0]):
-            lo = sign * float(tokens[i][0])
-            if tokens[i + 1][0] not in ("<=", "<"):
-                raise LpParseError("malformed bound", tokens[i][1])
-            name = tokens[i + 2][0]
-            if i + 3 < len(tokens) and tokens[i + 3][0] in ("<=", "<"):
-                hi_sign, j = 1.0, i + 4
-                if tokens[j][0] == "-":
-                    hi_sign, j = -1.0, j + 1
-                hi = hi_sign * float(tokens[j][0])
-                i = j + 1
-            else:
-                hi = float("inf")
-                i = i + 3
-            bounds[name] = (lo, float("inf") if hi >= INF_BOUND else hi)
-        else:
-            name = tokens[i][0]
-            if i + 1 < len(tokens) and tokens[i + 1][0] == "free":
-                raise LpParseError("free variables are not supported", tokens[i][1])
-            if i + 1 >= len(tokens):
-                raise LpParseError("malformed bound", tokens[i][1])
-            rel_tok = tokens[i + 1][0]
-            sign, j = 1.0, i + 2
-            if tokens[j][0] == "-":
-                sign, j = -1.0, j + 1
-            val = sign * float(tokens[j][0])
-            if rel_tok in ("<=", "<"):
-                bounds[name] = (0.0, float("inf") if val >= INF_BOUND else val)
-            elif rel_tok in (">=", ">"):
-                bounds[name] = (val, float("inf"))
-            else:
-                bounds[name] = (val, val)
-            i = j + 1
-        seen.setdefault(name)
-
-    binary_names = [tok for tok, _ in _tokenize_lp(sections.get("binary", []))]
-    general_names = [tok for tok, _ in _tokenize_lp(sections.get("general", []))]
-    if general_names:
-        raise LpParseError("general integer variables are not supported", 1)
-
-    variables: list[Variable] = []
-    declared = set()
-    for name in binary_names:
-        kind = AUX_BINARY if name.startswith("aux_") else BINARY
-        variables.append(Variable(name, kind))
-        declared.add(name)
-    for name, (lo, hi) in bounds.items():
-        if name in declared:
-            continue
-        variables.append(Variable(name, SLACK_REAL, lo, hi))
-        declared.add(name)
-    for name in seen:
+    for section, what in (("bounds", "bounds"), ("general", "general integer variables")):
+        extra = _tokenize_lp(sections.get(section, []))
+        if extra:
+            raise LpParseError(f"{what} are not supported: every variable is binary",
+                               extra[0][1])
+    variables = [Variable(name, AUX_BINARY if name.startswith("aux_") else BINARY)
+                 for name, _ in _tokenize_lp(sections.get("binary", []))]
+    declared = {v.id for v in variables}
+    for name, line in seen.items():
         if name not in declared:
-            variables.append(Variable(name, SLACK_REAL, 0.0, float("inf")))
-            declared.add(name)
+            raise LpParseError(f"variable {name!r} is not declared binary", line)
     objective = ObjectiveFunc(sense, obj_coeffs, obj_const)
     return IlpProblem(variables, rows, objective)
 
@@ -314,12 +253,6 @@ def problems_equal(a: IlpProblem, b: IlpProblem, tol: float = 1e-9) -> bool:
     """Row-for-row equality of two problems within `tol`."""
     if [(v.id, v.kind) for v in a.variables] != [(v.id, v.kind) for v in b.variables]:
         return False
-    for va, vb in zip(a.variables, b.variables):
-        for x, y in ((va.lb, vb.lb), (va.ub, vb.ub)):
-            if x == y:
-                continue
-            if abs(x - y) > tol:
-                return False
     if len(a.constraints) != len(b.constraints):
         return False
     for ra, rb in zip(a.constraints, b.constraints):

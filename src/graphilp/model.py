@@ -451,18 +451,23 @@ def load_metamodel(text: str) -> Metamodel:
     return Metamodel(node_types, edge_types)
 
 
-def load_graph(text: str, mm: Metamodel) -> Graph:
-    """Parse the instance sections of a model document into a conforming Graph."""
-    _, _, node_recs, edge_recs = _parse_document(text)
+def _graph_of(mm: Metamodel, node_recs: list[dict], edge_recs: list[dict]) -> Graph:
     nodes = [Node(r["id"], r["type"], r.get("attrs", {})) for r in node_recs]
     edges = [Edge(r["id"], r["type"], r["src"], r["tgt"]) for r in edge_recs]
     return Graph(mm, nodes, edges)
 
 
+def load_graph(text: str, mm: Metamodel) -> Graph:
+    """Parse the instance sections of a model document into a conforming Graph."""
+    _, _, node_recs, edge_recs = _parse_document(text)
+    return _graph_of(mm, node_recs, edge_recs)
+
+
 def load_model(text: str) -> tuple[Metamodel, Graph]:
     """Parse a document holding both schema and instance sections."""
-    mm = load_metamodel(text)
-    return mm, load_graph(text, mm)
+    node_types, edge_types, node_recs, edge_recs = _parse_document(text)
+    mm = Metamodel(node_types, edge_types)
+    return mm, _graph_of(mm, node_recs, edge_recs)
 
 
 def _fmt_name(name: str) -> str:

@@ -1,18 +1,22 @@
 """Exact 0/1 solving: branch and bound over an LP relaxation, plus a
 brute-force enumeration oracle used by the test suite.
 
-The LP relaxation is a self-contained dense two-phase simplex with Bland's
-rule (deterministic, cycle-free). If the simplex gives up within its
-iteration budget, the node falls back to a coefficient-sum bound, which keeps
-the search exact, only slower. Branching is most-fractional-first with a
-lexicographic tie-break on variable id; with a nonnegative minimization
-objective the 1-branch is explored first, otherwise the 0-branch.
+Every variable of a program is binary (the encoder makes no other kind and
+the LP reader rejects any other), so the relaxation bounds each column to
+[0, 1] and the search may branch on every column. The LP relaxation is a
+self-contained dense two-phase simplex with Bland's rule (deterministic,
+cycle-free). If the simplex gives up within its iteration budget, the node
+falls back to a coefficient-sum bound, which keeps the search exact, only
+slower. Branching is most-fractional-first with a lexicographic tie-break on
+variable id; with a nonnegative minimization objective the 1-branch is
+explored first, otherwise the 0-branch. A time limit is checked before every
+node and before every simplex pivot.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -41,20 +45,26 @@ class Solution:
 
 # --- dense two-phase simplex -------------------------------------------------------
 
-def _pivot_loop(T, basis, cost, allowed, max_iter):
-    """Pivot tableau T (rows x cols+1) to optimality. Returns status.
+def _pivot_loop(T, basis, cost, allowed, max_iter, deadline=None):
+    """Pivot tableau T (rows x cols+1) to optimality. Returns status:
+    'optimal', 'unbounded', 'stalled' or 'timeout' (`deadline`, a
+    `perf_counter` value, passed).
 
     Entering column: most negative reduced cost (lowest index on ties), which
     keeps iteration counts low; after 30 consecutive degenerate pivots the
     rule flips to Bland's, so cycling cannot happen. Reduced costs are carried
     along incrementally and refreshed from scratch every 64 pivots to keep
-    rounding drift out of the entering test.
+    rounding drift out of the entering test. The deadline is checked before
+    every pivot, not just at the refresh: a pivot of a large dense tableau is
+    costly, and a whole LP may need fewer than 64 of them.
     """
     n_cols = T.shape[1] - 1
     reduced = cost - cost[basis] @ T[:, :n_cols]
     exact = True
     degenerate_streak = 0
     for it in range(max_iter):
+        if deadline is not None and perf_counter() > deadline:
+            return "timeout"
         if it % 64 == 63 and not exact:
             reduced = cost - cost[basis] @ T[:, :n_cols]
             exact = True
@@ -89,29 +99,21 @@ def _pivot_loop(T, basis, cost, allowed, max_iter):
     return "stalled"
 
 
-def _simplex(c, A, b, rels, ub, max_iter=20000):
-    """min c.x s.t. A x <rel> b, 0 <= x <= ub (ub possibly inf).
+def _simplex(c, A, b, rels, max_iter=20000, deadline=None):
+    """min c.x s.t. A x <rel> b, 0 <= x <= 1, for at least one column.
 
-    Returns (status, x, value); status 'optimal', 'infeasible', 'unbounded'
-    or 'stalled'.
+    Returns (status, x, value); status 'optimal', 'infeasible', or one of
+    `_pivot_loop`'s failures: 'unbounded', 'stalled', 'timeout'.
     """
     n = len(c)
     rows = []
     for i in range(A.shape[0]):
         rows.append((A[i].copy(), float(b[i]), rels[i]))
     for j in range(n):
-        if np.isfinite(ub[j]):
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append((e, float(ub[j]), "<="))
+        e = np.zeros(n)
+        e[j] = 1.0
+        rows.append((e, 1.0, "<="))
     m = len(rows)
-    if m == 0:
-        # only lower bounds: minimize by pushing positive costs to zero
-        if np.any(c < -FEAS_TOL):
-            return "unbounded", None, None
-        x = np.zeros(n)
-        return "optimal", x, 0.0
-
     n_slack = sum(1 for _, _, rel in rows if rel != "=")
     total = n + n_slack + m  # worst case one artificial per row
     T = np.zeros((m, total + 1))
@@ -159,9 +161,10 @@ def _simplex(c, A, b, rels, ub, max_iter=20000):
     if art_cols:
         cost1 = np.zeros(n_cols)
         cost1[art_cols] = 1.0
-        status = _pivot_loop(T, basis, cost1, np.ones(n_cols, dtype=bool), max_iter)
-        if status == "stalled":
-            return "stalled", None, None
+        status = _pivot_loop(T, basis, cost1, np.ones(n_cols, dtype=bool), max_iter,
+                             deadline)
+        if status in ("stalled", "timeout"):
+            return status, None, None
         value1 = cost1[basis] @ T[:, -1]
         if value1 > 1e-7:
             return "infeasible", None, None
@@ -195,11 +198,9 @@ def _simplex(c, A, b, rels, ub, max_iter=20000):
     # phase 2: original objective
     cost2 = np.zeros(n_cols)
     cost2[:n] = c
-    status = _pivot_loop(T, basis, cost2, np.ones(n_cols, dtype=bool), max_iter)
-    if status == "unbounded":
-        return "unbounded", None, None
-    if status == "stalled":
-        return "stalled", None, None
+    status = _pivot_loop(T, basis, cost2, np.ones(n_cols, dtype=bool), max_iter, deadline)
+    if status != "optimal":
+        return status, None, None
     x = np.zeros(n_cols)
     x[basis] = T[:, -1]
     xs = x[:n]
@@ -213,11 +214,6 @@ class _Arrays:
         self.ids = [v.id for v in p.variables]
         self.index = {vid: j for j, vid in enumerate(self.ids)}
         self.n = len(self.ids)
-        self.binary = np.array([v.is_binary() for v in p.variables], dtype=bool)
-        self.ub = np.array([1.0 if v.is_binary() else v.ub for v in p.variables])
-        self.lb = np.array([0.0 if v.is_binary() else v.lb for v in p.variables])
-        if np.any(self.lb != 0.0):
-            raise SolveError("variables with nonzero lower bounds are not supported")
         sign = 1.0 if p.objective.sense == "min" else -1.0
         self.sense = p.objective.sense
         self.c = np.zeros(self.n)
@@ -236,7 +232,7 @@ class _Arrays:
         self.b = np.array([r[2] for r in rows]) if rows else np.zeros(0)
 
     def feasible_point(self, x, tol=FEAS_TOL) -> bool:
-        lhs = self.A @ x if self.n else np.zeros(len(self.b))
+        lhs = self.A @ x
         for i, rel in enumerate(self.rels):
             if rel == "<=" and lhs[i] > self.b[i] + tol:
                 return False
@@ -250,7 +246,7 @@ class _Arrays:
         return self.sign * float(self.c @ x) + self.constant
 
 
-def _lp_with_fixed(ar: _Arrays, fixed: dict[int, int]):
+def _lp_with_fixed(ar: _Arrays, fixed: dict[int, int], deadline=None):
     """LP relaxation with some binaries fixed; fixed columns are substituted out.
 
     Returns (status, value_in_min_sense_without_constant, full_x or None).
@@ -259,23 +255,13 @@ def _lp_with_fixed(ar: _Arrays, fixed: dict[int, int]):
     fx = np.zeros(ar.n)
     for j, v in fixed.items():
         fx[j] = v
-    b = ar.b - (ar.A @ fx if ar.n else 0.0)
-    A = ar.A[:, free] if len(free) else np.zeros((ar.A.shape[0], 0))
-    c = ar.c[free]
-    ub = ar.ub[free]
     if not free:
-        ok = True
-        for i, rel in enumerate(ar.rels):
-            if rel == "<=" and 0 > b[i] + FEAS_TOL:
-                ok = False
-            if rel == ">=" and 0 < b[i] - FEAS_TOL:
-                ok = False
-            if rel == "=" and abs(b[i]) > FEAS_TOL:
-                ok = False
-        if not ok:
+        if not ar.feasible_point(fx):
             return "infeasible", None, None
         return "optimal", float(ar.c @ fx), fx
-    status, xf, value = _simplex(c, A, b, ar.rels, ub)
+    b = ar.b - ar.A @ fx
+    status, xf, value = _simplex(ar.c[free], ar.A[:, free], b, ar.rels,
+                                 deadline=deadline)
     if status != "optimal":
         return status, None, None
     x = fx.copy()
@@ -291,9 +277,7 @@ def _fallback_bound(ar: _Arrays, fixed: dict[int, int]) -> float:
         if j in fixed:
             bound += ar.c[j] * fixed[j]
         elif ar.c[j] < 0:
-            bound += ar.c[j] * (ar.ub[j] if np.isfinite(ar.ub[j]) else 0.0)
-            if not np.isfinite(ar.ub[j]):
-                return -np.inf
+            bound += ar.c[j]
     return bound
 
 
@@ -304,7 +288,8 @@ def solve(p: IlpProblem, time_limit: float | None = None,
     Deterministic for equal inputs and limits. On hitting a limit the status
     is 'timeout' and the best incumbent, if any, is reported.
     """
-    start = time.perf_counter()
+    start = perf_counter()
+    deadline = None if time_limit is None else start + time_limit
     ar = _Arrays(p)
     one_first = ar.sense == "min" and bool(np.all(ar.c >= 0))
     nodes = 0
@@ -315,7 +300,7 @@ def solve(p: IlpProblem, time_limit: float | None = None,
 
     stack: list[tuple[dict[int, int], float]] = [({}, -np.inf)]
     while stack:
-        if time_limit is not None and time.perf_counter() - start > time_limit:
+        if deadline is not None and perf_counter() > deadline:
             timed_out = True
             break
         if node_budget is not None and nodes >= node_budget:
@@ -325,24 +310,28 @@ def solve(p: IlpProblem, time_limit: float | None = None,
         if parent_bound >= incumbent_val - FEAS_TOL:
             continue  # the parent's relaxation already rules this subtree out
         nodes += 1
-        status, value, x = _lp_with_fixed(ar, fixed)
+        status, value, x = _lp_with_fixed(ar, fixed, deadline)
+        if status == "timeout":
+            timed_out = True
+            break
         if status == "infeasible":
             continue
         if status in ("stalled", "unbounded"):
             value = _fallback_bound(ar, fixed)
             x = None
         if root_relax is None:
-            root_relax = None if value is None else ar.sign * value + ar.constant
-        if value is not None and value >= incumbent_val - FEAS_TOL:
+            root_relax = ar.sign * value + ar.constant
+        if value >= incumbent_val - FEAS_TOL:
             continue
-        free = [j for j in range(ar.n) if ar.binary[j] and j not in fixed]
+        # a stalled LP leaves at least one free column: `_lp_with_fixed` only
+        # runs the simplex then
+        free = [j for j in range(ar.n) if j not in fixed]
         frac = free
         if x is not None:
             frac = [j for j in free if abs(x[j] - round(x[j])) > INT_TOL]
             # rounding the relaxation is free and often lands on the optimum,
             # which lets the equal-bound pruning bite much earlier
-            cand = x.copy()
-            cand[ar.binary] = np.round(cand[ar.binary])
+            cand = np.round(x)
             cand_feasible = ar.feasible_point(cand)
             if cand_feasible:
                 cand_val = float(ar.c @ cand)
@@ -354,25 +343,19 @@ def solve(p: IlpProblem, time_limit: float | None = None,
                     continue
                 # rounding broke feasibility; branch on the first free binary
                 frac = free
-        if not frac:
-            raise SolveError("cannot bound or branch: unbounded continuous part")
         if x is not None:
             branch = min(frac, key=lambda j: (abs(x[j] - 0.5), ar.ids[j]))
         else:
             branch = min(frac, key=lambda j: ar.ids[j])
         first = 1 if one_first else 0
         second = 1 - first
-        bound = -np.inf if value is None else value
-        stack.append(({**fixed, branch: second}, bound))
-        stack.append(({**fixed, branch: first}, bound))
+        stack.append(({**fixed, branch: second}, value))
+        stack.append(({**fixed, branch: first}, value))
 
-    elapsed = time.perf_counter() - start
+    elapsed = perf_counter() - start
     stats = {"nodes": nodes, "wall_time_s": elapsed, "root_relaxation": root_relax}
     if incumbent_x is not None:
-        assignment = {}
-        for j, vid in enumerate(ar.ids):
-            assignment[vid] = int(round(incumbent_x[j])) if ar.binary[j] \
-                else float(incumbent_x[j])
+        assignment = {vid: int(round(incumbent_x[j])) for j, vid in enumerate(ar.ids)}
         value = ar.objective_of(incumbent_x)
         return Solution("timeout" if timed_out else "optimal", assignment, value, stats)
     if timed_out:
@@ -390,16 +373,12 @@ def lp_relaxation(p: IlpProblem) -> tuple[str, float | None]:
 
 
 def brute_force(p: IlpProblem) -> Solution:
-    """Enumerate every assignment of the binary variables (oracle).
+    """Enumerate every 0/1 assignment (oracle).
 
-    Continuous variables, when present, are resolved per assignment with the
-    simplex over the residual system. Ties go to the lexicographically
-    smallest assignment in variable order.
+    Ties go to the lexicographically smallest assignment in variable order.
     """
     ar = _Arrays(p)
-    bin_idx = [j for j in range(ar.n) if ar.binary[j]]
-    real_idx = [j for j in range(ar.n) if not ar.binary[j]]
-    nb = len(bin_idx)
+    nb = ar.n
     if nb > 22:
         raise BruteForceTooLarge(f"{nb} binary variables exceed the 2^22 budget")
 
@@ -407,65 +386,35 @@ def brute_force(p: IlpProblem) -> Solution:
     best_x = None
     total = 1 << nb
     minimize = ar.sense == "min"
-
-    if not real_idx:
-        shifts = np.array([nb - 1 - i for i in range(nb)], dtype=np.uint32)
-        A_bin = ar.A[:, bin_idx] if ar.A.size else np.zeros((0, nb))
-        c_bin = ar.c[bin_idx] * ar.sign
-        for lo in range(0, total, 1 << BRUTE_CHUNK_BITS):
-            hi = min(total, lo + (1 << BRUTE_CHUNK_BITS))
-            ks = np.arange(lo, hi, dtype=np.uint32)
-            X = ((ks[:, None] >> shifts[None, :]) & 1).astype(float)
-            feas = np.ones(len(ks), dtype=bool)
-            if len(ar.b):
-                lhs = X @ A_bin.T
-                for i, rel in enumerate(ar.rels):
-                    if rel == "<=":
-                        feas &= lhs[:, i] <= ar.b[i] + FEAS_TOL
-                    elif rel == ">=":
-                        feas &= lhs[:, i] >= ar.b[i] - FEAS_TOL
-                    else:
-                        feas &= np.abs(lhs[:, i] - ar.b[i]) <= FEAS_TOL
-            if not np.any(feas):
-                continue
-            objs = X @ c_bin + ar.constant
-            objs = np.where(feas, objs, np.inf if minimize else -np.inf)
-            k = int(np.argmin(objs)) if minimize else int(np.argmax(objs))
-            val = float(objs[k])
-            better = (best_val is None or (val < best_val - FEAS_TOL if minimize
-                                           else val > best_val + FEAS_TOL))
-            if better:
-                best_val = val
-                best_x = X[k]
-    else:
-        A_real = ar.A[:, real_idx] if ar.A.size else np.zeros((0, len(real_idx)))
-        for k in range(total):
-            x = np.zeros(ar.n)
-            for pos, j in enumerate(bin_idx):
-                x[j] = (k >> (nb - 1 - pos)) & 1
-            resid = ar.b - (ar.A[:, bin_idx] @ x[bin_idx] if len(ar.b) else 0.0)
-            status, y, _ = _simplex(ar.c[real_idx], A_real, resid, ar.rels,
-                                    ar.ub[real_idx])
-            if status != "optimal":
-                continue
-            for pos, j in enumerate(real_idx):
-                x[j] = y[pos]
-            val = ar.objective_of(x)
-            better = (best_val is None or (val < best_val - FEAS_TOL if minimize
-                                           else val > best_val + FEAS_TOL))
-            if better:
-                best_val = val
-                best_full = x.copy()
+    shifts = np.array([nb - 1 - i for i in range(nb)], dtype=np.uint32)
+    c_bin = ar.c * ar.sign
+    for lo in range(0, total, 1 << BRUTE_CHUNK_BITS):
+        hi = min(total, lo + (1 << BRUTE_CHUNK_BITS))
+        ks = np.arange(lo, hi, dtype=np.uint32)
+        X = ((ks[:, None] >> shifts[None, :]) & 1).astype(float)
+        feas = np.ones(len(ks), dtype=bool)
+        lhs = X @ ar.A.T
+        for i, rel in enumerate(ar.rels):
+            if rel == "<=":
+                feas &= lhs[:, i] <= ar.b[i] + FEAS_TOL
+            elif rel == ">=":
+                feas &= lhs[:, i] >= ar.b[i] - FEAS_TOL
+            else:
+                feas &= np.abs(lhs[:, i] - ar.b[i]) <= FEAS_TOL
+        if not np.any(feas):
+            continue
+        objs = X @ c_bin + ar.constant
+        objs = np.where(feas, objs, np.inf if minimize else -np.inf)
+        k = int(np.argmin(objs)) if minimize else int(np.argmax(objs))
+        val = float(objs[k])
+        better = (best_val is None or (val < best_val - FEAS_TOL if minimize
+                                       else val > best_val + FEAS_TOL))
+        if better:
+            best_val = val
+            best_x = X[k]
 
     stats = {"nodes": total, "wall_time_s": None, "root_relaxation": None}
     if best_val is None:
         return Solution("infeasible", {}, None, stats)
-    assignment = {}
-    if not real_idx:
-        for pos, j in enumerate(bin_idx):
-            assignment[ar.ids[j]] = int(round(best_x[pos]))
-    else:
-        for j in range(ar.n):
-            assignment[ar.ids[j]] = (int(round(best_full[j])) if ar.binary[j]
-                                     else float(best_full[j]))
+    assignment = {vid: int(round(best_x[j])) for j, vid in enumerate(ar.ids)}
     return Solution("optimal", assignment, float(best_val), stats)

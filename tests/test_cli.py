@@ -117,6 +117,24 @@ def test_export_lp_subcommand(two_links, tmp_path):
     assert len(p.constraints) == 3
 
 
+def test_export_lp_of_unwritable_program_names_the_row(tmp_path, capsys):
+    # no match, so no variables, and every server's `>= 1` row reads 0 >= 1
+    model = tmp_path / "m.model"
+    spec = tmp_path / "s.gipsl"
+    model.write_text(TASK_DOC)
+    spec.write_text(TASK_SPEC.replace("condition { !t.placed & s.resCpu >= t.cpu }",
+                                      "condition { false }")
+                    .replace("->sum(m | m.nodes().t.cpu) <= self.resCpu",
+                             "->sum(m | 1) >= 1"))
+    lp = tmp_path / "out.lp"
+    assert main(["export-lp", "--model", str(model), "--spec", str(spec),
+                 "--out", str(lp)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: cannot export constraint c0")
+    assert not lp.exists()
+
+
 @pytest.mark.parametrize("command", ["check", "generate", "solve", "export-lp"])
 def test_typecheck_errors_one_line_each(command, two_links, tmp_path, capsys):
     model, _ = two_links

@@ -270,6 +270,17 @@ def test_node_equality_only_supports_eq_and_ne():
                    "->sum(m | 1) >= 0")
 
 
+@pytest.mark.parametrize("predicate, message", [
+    ("m.nodes().ssrv == 3", "cannot compare a node with a number"),
+    ("m.nodes().ssrv < self", "'<' does not apply to graph elements"),
+    ("m == self.cpu", "cannot compare a match with a number"),
+])
+def test_bad_filter_comparison_gives_one_diagnostic(predicate, message):
+    with pytest.raises(TypecheckError) as err:
+        check_body(f"mappings.srv2srv->filter(m | {predicate})->sum(m | 1) >= 0")
+    assert [d.message for d in err.value.diagnostics] == [message]
+
+
 def test_diagnostics_carry_locations():
     try:
         typecheck(parse("constraint -> class::Nowhere { true }\n"

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from graphilp import export_lp, generate, import_lp, problems_equal
-from graphilp.encode import (BINARY, SLACK_REAL, IlpProblem, ObjectiveFunc, Row,
-                             Variable)
+from graphilp.encode import BINARY, IlpProblem, ObjectiveFunc, Row, Variable
 from graphilp.lpformat import LpParseError
 from graphilp.vne_model import two_links_model, two_links_spec
 
@@ -60,17 +59,17 @@ def test_negative_coefficients_and_constant_round_trip():
     assert q.objective.constant == -2.25
 
 
-def test_slack_real_bounds_round_trip():
-    p = IlpProblem(
-        [Variable("x0", BINARY), Variable("slk_0", SLACK_REAL, 0.0, 12.5),
-         Variable("slk_1", SLACK_REAL, 0.0, float("inf"))],
-        [Row({"x0": 1, "slk_0": 1, "slk_1": -1}, "<=", 4)],
-        ObjectiveFunc("min", {"x0": 1}))
-    q = import_lp(export_lp(p))
-    assert problems_equal(p, q)
-    ub = {v.id: v.ub for v in q.variables}
-    assert ub["slk_0"] == 12.5
-    assert ub["slk_1"] == float("inf")
+def test_bounds_entry_rejected():
+    text = ("Minimize\n obj: x0\nSubject To\n c0: x0 + s <= 4\n"
+            "Bounds\n 0 <= s <= 12.5\nBinary\n x0\n s\nEnd\n")
+    with pytest.raises(LpParseError, match="line 6: bounds are not supported"):
+        import_lp(text)
+
+
+def test_name_not_declared_binary_rejected():
+    text = "Minimize\n obj: x0\nSubject To\n c0: x0 + s <= 4\nBinary\n x0\nEnd\n"
+    with pytest.raises(LpParseError, match="line 4: variable 's' is not declared binary"):
+        import_lp(text)
 
 
 def test_aux_binaries_keep_their_kind():

@@ -3,6 +3,7 @@ import pytest
 from graphilp import (ConformanceError, Edge, Graph, GraphDelta, Node,
                       apply_delta, load_graph, load_metamodel, load_model,
                       serialize_graph, serialize_model, validate_graph)
+import graphilp.model as model_mod
 from graphilp.vne_model import TWO_LINKS_MODEL, VNE_SCHEMA
 from graphilp.model import ModelParseError
 
@@ -196,3 +197,16 @@ def test_two_links_model_loads_and_validates():
     assert g.attr("sl1", "resBw") == 1000
     assert g.attr("sl2", "resBw") == 500
     assert g.attr("v11", "bw") == 100
+
+
+def test_load_model_parses_the_document_once(monkeypatch):
+    calls = []
+    real = model_mod._parse_document
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+    monkeypatch.setattr(model_mod, "_parse_document", counting)
+    mm, g = load_model(TWO_LINKS_MODEL)
+    assert len(calls) == 1
+    assert g.mm is mm and g.attr("sl2", "resBw") == 500

@@ -1,12 +1,15 @@
+import importlib
+import itertools
 import random
 
 import pytest
 
 from graphilp import brute_force, generate, lp_relaxation, solve
-from graphilp.encode import (BINARY, SLACK_REAL, IlpProblem, ObjectiveFunc, Row,
-                             Variable)
+from graphilp.encode import BINARY, IlpProblem, ObjectiveFunc, Row, Variable
 from graphilp.vne_model import two_links_model, two_links_spec
 from graphilp.solve import BruteForceTooLarge
+
+solve_mod = importlib.import_module("graphilp.solve")  # graphilp.solve is the function
 
 from conftest import random_problem
 
@@ -41,6 +44,15 @@ def test_contradictory_constant_row_is_infeasible():
                    ObjectiveFunc("min", {"x0": 1}))
     assert solve(p).status == "infeasible"
     assert brute_force(p).status == "infeasible"
+
+
+@pytest.mark.parametrize("rel, rhs, status", [("<=", 1, "optimal"), ("<=", -1, "infeasible")])
+def test_variable_free_program_agrees_with_brute_force(rel, rhs, status):
+    p = IlpProblem([], [Row({}, rel, rhs)], ObjectiveFunc("max", {}, 7.0))
+    s, b = solve(p), brute_force(p)
+    assert s.status == b.status == status
+    assert s.objective_value == b.objective_value == (7.0 if status == "optimal" else None)
+    assert s.assignment == b.assignment == {}
 
 
 def test_single_variable_agrees_with_brute_force():
@@ -139,15 +151,19 @@ def test_time_limit_zero_times_out():
     assert sol.status == "timeout"
 
 
-def test_real_slack_variable_resolved_by_relaxation():
-    variables = [Variable("x0", BINARY), Variable("s", SLACK_REAL, 0.0, float("inf"))]
-    rows = [Row({"x0": 1, "s": 1}, "=", 1.5), Row({"s": 1}, "<=", 3)]
-    p = IlpProblem(variables, rows, ObjectiveFunc("min", {"x0": 1, "s": 1}))
-    s, b = solve(p), brute_force(p)
-    assert s.status == b.status == "optimal"
-    # x0=0, s=1.5 gives 1.5; x0=1, s=0.5 gives 1.5: both optimal
-    assert s.objective_value == pytest.approx(1.5)
-    assert b.objective_value == pytest.approx(1.5)
+def test_time_limit_holds_inside_an_lp(monkeypatch):
+    # the root LP needs two pivots and its optimum is integral, so without a
+    # limit the root node alone proves optimality; the fake clock ticks one
+    # second per reading, so the limit passes between the check before the
+    # root node and the check before its first pivot
+    p = simple([], {"x0": -1, "x1": -1})
+    assert solve(p).status == "optimal"
+    ticks = itertools.count()
+    monkeypatch.setattr(solve_mod, "perf_counter", lambda: float(next(ticks)))
+    sol = solve(p, time_limit=1.5)
+    assert sol.status == "timeout"
+    assert sol.objective_value is None
+    assert sol.stats["nodes"] == 1
 
 
 def test_solution_is_deterministic():
