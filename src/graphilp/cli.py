@@ -9,13 +9,16 @@ Exit codes: 0 success, 1 bad input, 2 infeasible, 3 timeout. Bad input is
 any model, spec, scenario or generation error, a program `export-lp` cannot
 write, an unreadable or non-UTF-8 input file, or an unwritable output path;
 `main` turns each into `error:` lines on stderr (one per diagnostic for a type
-error), never a traceback.
+error), never a traceback. A usage error, such as a missing flag or a time
+limit that is not a finite number of seconds >= 0, also exits 1, after
+argparse's usage line and `error:` message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import vne as vne_mod
@@ -51,6 +54,26 @@ def _read(path: str) -> str:
 def _write(path: str, text: str):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error; argparse's own code, 2, means infeasible here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_SPEC_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _seconds(text: str) -> float:
+    """A time limit: a finite number of seconds, not negative."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite, nonnegative number of seconds, got {text!r}")
+    return value
 
 
 def _load_inputs(args):
@@ -136,7 +159,7 @@ def cmd_vne(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="graphilp",
         description="Compile graph rewrite specs to 0/1 programs, solve, apply.")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -160,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="construct, solve, and apply the chosen matches")
     add_io(p)
-    p.add_argument("--time-limit", type=float, default=None, metavar="S")
+    p.add_argument("--time-limit", type=_seconds, default=None, metavar="S")
     p.add_argument("--report", help="write a JSON run report")
     p.set_defaults(func=cmd_solve)
 
@@ -171,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vne", help="run the network-embedding scenario")
     p.add_argument("--config", help="scenario config file (key = value)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--time-limit", type=float, default=None, metavar="S")
+    p.add_argument("--time-limit", type=_seconds, default=None, metavar="S")
     p.add_argument("--report", help="write a JSON report")
     p.add_argument("--out", help="write the final model document")
     p.set_defaults(func=cmd_vne)

@@ -5,12 +5,14 @@ Every variable of a program is binary (the encoder makes no other kind and
 the LP reader rejects any other), so the relaxation bounds each column to
 [0, 1] and the search may branch on every column. The LP relaxation is a
 self-contained dense two-phase simplex with Bland's rule (deterministic,
-cycle-free). If the simplex gives up within its iteration budget, the node
-falls back to a coefficient-sum bound, which keeps the search exact, only
-slower. Branching is most-fractional-first with a lexicographic tie-break on
-variable id; with a nonnegative minimization objective the 1-branch is
-explored first, otherwise the 0-branch. A time limit is checked before every
-node and before every simplex pivot.
+cycle-free). Its tableau is built once per LP as one row-major array with
+columns `x | slacks | artificials | rhs` (see `_simplex`). If the simplex
+gives up within its iteration budget, the node falls back to a
+coefficient-sum bound, which keeps the search exact, only slower. Branching
+is most-fractional-first with a lexicographic tie-break on variable id; with
+a nonnegative minimization objective the 1-branch is explored first,
+otherwise the 0-branch. A time limit is checked before every node and before
+every simplex pivot.
 """
 
 from __future__ import annotations
@@ -45,7 +47,15 @@ class Solution:
 
 # --- dense two-phase simplex -------------------------------------------------------
 
-def _pivot_loop(T, basis, cost, allowed, max_iter, deadline=None):
+def _pivot(T, i, j):
+    """One Gauss-Jordan step: make column j of T the unit vector of row i."""
+    T[i, :] /= T[i, j]
+    factors = T[:, j].copy()
+    factors[i] = 0.0
+    T -= np.outer(factors, T[i, :])
+
+
+def _pivot_loop(T, basis, cost, max_iter, deadline=None):
     """Pivot tableau T (rows x cols+1) to optimality. Returns status:
     'optimal', 'unbounded', 'stalled' or 'timeout' (`deadline`, a
     `perf_counter` value, passed).
@@ -68,7 +78,7 @@ def _pivot_loop(T, basis, cost, allowed, max_iter, deadline=None):
         if it % 64 == 63 and not exact:
             reduced = cost - cost[basis] @ T[:, :n_cols]
             exact = True
-        eligible = (reduced < -FEAS_TOL) & allowed
+        eligible = reduced < -FEAS_TOL
         if not eligible.any():
             if exact:
                 return "optimal"
@@ -87,124 +97,87 @@ def _pivot_loop(T, basis, cost, allowed, max_iter, deadline=None):
         ratios = T[pos, -1] / col[pos]
         best = ratios.min()
         ties = pos[ratios <= best + 1e-12]
-        i = int(ties[np.argmin(np.asarray(basis)[ties])])
+        i = int(ties[np.argmin(basis[ties])])
         degenerate_streak = degenerate_streak + 1 if best < 1e-10 else 0
-        T[i, :] /= T[i, j]
-        factors = T[:, j].copy()
-        factors[i] = 0.0
-        T -= np.outer(factors, T[i, :])
+        _pivot(T, i, j)
         reduced = reduced - reduced[j] * T[i, :n_cols]
         exact = False
         basis[i] = j
     return "stalled"
 
 
-def _simplex(c, A, b, rels, max_iter=20000, deadline=None):
-    """min c.x s.t. A x <rel> b, 0 <= x <= 1, for at least one column.
+def _simplex(c, A, b, ge, eq, max_iter=20000, deadline=None):
+    """min c.x s.t. A x <rel> b, 0 <= x <= 1, for at least one column; the
+    masks `ge` and `eq` mark the `>=` and `=` rows of A, the rest are `<=`.
 
-    Returns (status, x, value); status 'optimal', 'infeasible', or one of
+    The tableau is one row-major array, built once per LP. Rows: the rows of
+    A, then one `x_j <= 1` row per column. Columns: `x | slacks | artificials
+    | rhs`, with a slack for each inequality row and an artificial for each
+    row without a basic slack, both numbered in row order. A `>=` row is
+    negated into a `<=` row, then any row with a negative right-hand side is
+    negated; a slack is basic where its coefficient stayed +1.
+
+    Returns (status, x); status 'optimal', 'infeasible', or one of
     `_pivot_loop`'s failures: 'unbounded', 'stalled', 'timeout'.
     """
     n = len(c)
-    rows = []
-    for i in range(A.shape[0]):
-        rows.append((A[i].copy(), float(b[i]), rels[i]))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        rows.append((e, 1.0, "<="))
-    m = len(rows)
-    n_slack = sum(1 for _, _, rel in rows if rel != "=")
-    total = n + n_slack + m  # worst case one artificial per row
-    T = np.zeros((m, total + 1))
-    slack_at = n
-    art_cols = []
-    basis = [0] * m
-    art_needed = []
-    for i, (coefs, rhs, rel) in enumerate(rows):
-        row = np.zeros(total + 1)
-        row[:n] = coefs
-        if rel == ">=":
-            row[:n] = -row[:n]
-            rhs = -rhs
-            rel = "<="
-        slack_col = None
-        if rel == "<=":
-            row[slack_at] = 1.0
-            slack_col = slack_at
-            slack_at += 1
-        if rhs < 0:
-            row[:-1] = -row[:-1]
-            rhs = -rhs
-            if slack_col is not None:
-                slack_col = None  # slack now has coefficient -1
-        row[-1] = rhs
-        T[i, :] = row
-        if slack_col is not None:
-            basis[i] = slack_col
-            art_needed.append(None)
-        else:
-            art_needed.append(i)
-    art_at = n + n_slack
-    for i, need in enumerate(art_needed):
-        if need is None:
-            continue
-        T[i, art_at] = 1.0
-        basis[i] = art_at
-        art_cols.append(art_at)
-        art_at += 1
-    used = art_at
-    T = T[:, list(range(used)) + [total]]
-    n_cols = used
+    n_rows = len(b)
+    m = n_rows + n
+    rhs = np.concatenate([np.where(ge, -b, b), np.ones(n)])
+    flip = rhs < 0
+    rhs = np.where(flip, -rhs, rhs)
+    flip_sign = np.where(flip, -1.0, 1.0)
+    slack_rows = np.flatnonzero(np.concatenate([~eq, np.ones(n, dtype=bool)]))
+    art_rows = np.flatnonzero(np.concatenate([eq, np.zeros(n, dtype=bool)]) | flip)
+    n_slack = len(slack_rows)
+    first_art = n + n_slack
+    T = np.zeros((m, first_art + len(art_rows) + 1))
+    np.multiply(A, (np.where(ge, -1.0, 1.0) * flip_sign[:n_rows])[:, None],
+                out=T[:n_rows, :n])
+    T[np.arange(n_rows, m), np.arange(n)] = 1.0
+    T[slack_rows, n + np.arange(n_slack)] = flip_sign[slack_rows]
+    T[art_rows, first_art + np.arange(len(art_rows))] = 1.0
+    T[:, -1] = rhs
+    basis = np.empty(m, dtype=np.intp)
+    basis[slack_rows] = n + np.arange(n_slack)
+    basis[art_rows] = first_art + np.arange(len(art_rows))
 
     # phase 1: drive artificials to zero
-    if art_cols:
-        cost1 = np.zeros(n_cols)
-        cost1[art_cols] = 1.0
-        status = _pivot_loop(T, basis, cost1, np.ones(n_cols, dtype=bool), max_iter,
-                             deadline)
+    if len(art_rows):
+        cost1 = np.zeros(T.shape[1] - 1)
+        cost1[first_art:] = 1.0
+        status = _pivot_loop(T, basis, cost1, max_iter, deadline)
         if status in ("stalled", "timeout"):
-            return status, None, None
-        value1 = cost1[basis] @ T[:, -1]
-        if value1 > 1e-7:
-            return "infeasible", None, None
-        # artificials still basic sit at zero: pivot them out or drop their
-        # (redundant) rows, then remove the artificial columns altogether
-        first_art = n + n_slack
-        drop_rows = []
-        for i in range(len(basis)):
-            if basis[i] < first_art:
+            return status, None
+        if cost1[basis] @ T[:, -1] > 1e-7:
+            return "infeasible", None
+        # artificials still basic sit at zero: pivot each out on its row's
+        # first nonzero column, or drop the row as redundant
+        drop = []
+        for i in np.flatnonzero(basis >= first_art):
+            nonzero = np.flatnonzero(np.abs(T[i, :first_art]) > FEAS_TOL)
+            if nonzero.size == 0:
+                drop.append(i)
                 continue
-            pivot_j = None
-            for j in range(first_art):
-                if abs(T[i, j]) > FEAS_TOL:
-                    pivot_j = j
-                    break
-            if pivot_j is None:
-                drop_rows.append(i)
-                continue
-            T[i, :] /= T[i, pivot_j]
-            factors = T[:, pivot_j].copy()
-            factors[i] = 0.0
-            T -= np.outer(factors, T[i, :])
-            basis[i] = pivot_j
-        if drop_rows:
-            keep = [i for i in range(len(basis)) if i not in drop_rows]
-            T = T[keep, :]
-            basis = [basis[i] for i in keep]
-        T = np.delete(T, art_cols, axis=1)  # art columns are the trailing ones
-        n_cols = first_art
+            _pivot(T, i, nonzero[0])
+            basis[i] = nonzero[0]
+        # remove the artificial columns: move rhs up, keep a view of the rest
+        T[:, first_art] = T[:, -1]
+        T = T[:, :first_art + 1]
+        if drop:
+            keep = np.ones(m, dtype=bool)
+            keep[drop] = False
+            T, basis = T[keep], basis[keep]
 
     # phase 2: original objective
-    cost2 = np.zeros(n_cols)
+    cost2 = np.zeros(first_art)
     cost2[:n] = c
-    status = _pivot_loop(T, basis, cost2, np.ones(n_cols, dtype=bool), max_iter, deadline)
+    status = _pivot_loop(T, basis, cost2, max_iter, deadline)
     if status != "optimal":
-        return status, None, None
-    x = np.zeros(n_cols)
+        return status, None
+    x = np.zeros(first_art)
     x[basis] = T[:, -1]
-    xs = x[:n]
-    return "optimal", xs, float(c @ xs)
+    return "optimal", x[:n]
 
 
 # --- problem arrays -------------------------------------------------------------
@@ -230,17 +203,15 @@ class _Arrays:
         self.A = np.array([r[0] for r in rows]) if rows else np.zeros((0, self.n))
         self.rels = [r[1] for r in rows]
         self.b = np.array([r[2] for r in rows]) if rows else np.zeros(0)
+        rels = np.array(self.rels, dtype=str)
+        self.ge = rels == ">="
+        self.eq = rels == "="
 
     def feasible_point(self, x, tol=FEAS_TOL) -> bool:
         lhs = self.A @ x
-        for i, rel in enumerate(self.rels):
-            if rel == "<=" and lhs[i] > self.b[i] + tol:
-                return False
-            if rel == ">=" and lhs[i] < self.b[i] - tol:
-                return False
-            if rel == "=" and abs(lhs[i] - self.b[i]) > tol:
-                return False
-        return True
+        violated = np.where(self.eq, np.abs(lhs - self.b) > tol,
+                            np.where(self.ge, lhs < self.b - tol, lhs > self.b + tol))
+        return not violated.any()
 
     def objective_of(self, x) -> float:
         return self.sign * float(self.c @ x) + self.constant
@@ -251,22 +222,20 @@ def _lp_with_fixed(ar: _Arrays, fixed: dict[int, int], deadline=None):
 
     Returns (status, value_in_min_sense_without_constant, full_x or None).
     """
-    free = [j for j in range(ar.n) if j not in fixed]
-    fx = np.zeros(ar.n)
-    for j, v in fixed.items():
-        fx[j] = v
-    if not free:
-        if not ar.feasible_point(fx):
+    free = np.ones(ar.n, dtype=bool)
+    free[list(fixed)] = False
+    x = np.zeros(ar.n)
+    x[list(fixed)] = list(fixed.values())
+    if not free.any():
+        if not ar.feasible_point(x):
             return "infeasible", None, None
-        return "optimal", float(ar.c @ fx), fx
-    b = ar.b - ar.A @ fx
-    status, xf, value = _simplex(ar.c[free], ar.A[:, free], b, ar.rels,
-                                 deadline=deadline)
+        return "optimal", float(ar.c @ x), x
+    b = ar.b - ar.A @ x
+    status, xf = _simplex(ar.c[free], ar.A[:, free], b, ar.ge, ar.eq,
+                          deadline=deadline)
     if status != "optimal":
         return status, None, None
-    x = fx.copy()
-    for idx, j in enumerate(free):
-        x[j] = xf[idx]
+    x[free] = xf
     return "optimal", float(ar.c @ x), x
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .encode import GenerationError, apply_solution, generate
 from .lang.typecheck import TypedSpec
@@ -95,6 +95,9 @@ def full_scale_config(seed: int = 1) -> ScenarioConfig:
         vnr_bw=Range(100, 1000), seed=seed)
 
 
+_CONFIG_KEYS = frozenset(f.name for f in fields(ScenarioConfig))
+
+
 def parse_scenario_config(text: str) -> ScenarioConfig:
     """Read a `key = value` config file; ranges are written `lo..hi`."""
     cfg = ScenarioConfig()
@@ -106,7 +109,7 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
             raise ScenarioError(f"line {ln}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if not hasattr(cfg, key):
+        if key not in _CONFIG_KEYS:
             raise ScenarioError(f"line {ln}: unknown key {key!r}")
         current = getattr(cfg, key)
         if isinstance(current, Range):

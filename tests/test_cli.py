@@ -246,3 +246,37 @@ def test_vne_seed_flag_overrides_config(tmp_path, capsys):
     config.write_text("racks = 1\nservers_per_rack = 1\nvnr_count = 1\n"
                       "vnr_servers = 1..1\nseed = 1\n")
     assert main(["vne", "--config", str(config), "--seed", "4"]) == 0
+
+
+@pytest.mark.parametrize("key", ["validate", "__class__"])
+def test_vne_config_non_field_key_is_unknown(key, tmp_path, capsys):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"{key} = 3\n")
+    assert main(["vne", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: line 1: unknown key {key!r}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--model", "{model}"],
+    ["solve", "--model", "{model}", "--spec", "{spec}", "--time-limit", "abc"],
+    ["solve", "--model", "{model}", "--spec", "{spec}", "--time-limit", "-1"],
+    ["solve", "--model", "{model}", "--spec", "{spec}", "--time-limit", "nan"],
+    ["vne", "--time-limit", "inf"],
+    ["no-such-command"],
+], ids=["missing-spec", "time-limit-abc", "time-limit-negative", "time-limit-nan",
+        "vne-time-limit-inf", "unknown-command"])
+def test_usage_error_exits_1(argv, two_links, capsys):
+    model, spec = two_links
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(model=model, spec=spec) for arg in argv])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "-h"])
+    assert exc.value.code == 0
+    assert "--time-limit" in capsys.readouterr().out
