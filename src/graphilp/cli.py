@@ -30,6 +30,7 @@ from .lpformat import LpExportError, export_lp
 from .model import ModelError, apply_delta, load_model, serialize_model  # noqa: F401
 from .pattern import PatternError, apply_rule  # noqa: F401
 from .solve import solve
+from .vne_model import embedding_spec
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 1
@@ -144,7 +145,6 @@ def cmd_vne(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     cfg.validate()
-    from .vne_model import embedding_spec
     spec = embedding_spec()
     substrate, vnrs = vne_mod.generate_scenario(cfg)
     report = vne_mod.embed_incremental(substrate, vnrs, spec,

@@ -19,6 +19,7 @@ docs/encoding.md.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .lang import ast as A
@@ -50,6 +51,17 @@ def _clean(coeffs: dict) -> dict:
     return {v: c for v, c in coeffs.items() if c != 0}
 
 
+def _require_finite(coeffs: dict, constant) -> None:
+    """Every row coefficient and right-hand side, objective term and objective
+    constant of a program passes this one check."""
+    try:
+        finite = math.isfinite(constant) and all(map(math.isfinite, coeffs.values()))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise GenerationError("non-finite coefficient or constant")
+
+
 @dataclass(frozen=True)
 class Row:
     """One linear constraint: coeffs . x  <rel>  rhs, rel in {<=, =, >=}."""
@@ -60,6 +72,7 @@ class Row:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _clean(self.coeffs))
+        _require_finite(self.coeffs, self.rhs)
 
 
 @dataclass(frozen=True)
@@ -561,9 +574,6 @@ def _leq_form(atom: Atom) -> LinearTerm:
 
 def _big_m(term: LinearTerm) -> float:
     lo, hi = term.bounds()
-    for v in (lo, hi):
-        if v != v or v in (float("inf"), float("-inf")):
-            raise GenerationError("cannot bound big-M: non-finite coefficient")
     return 2 * max(abs(lo), abs(hi), 1)
 
 
@@ -732,6 +742,10 @@ def build_objective(spec: TypedSpec, g: Graph,
                 constant += weight * value.constant
             else:
                 constant += weight * value
+        try:
+            _require_finite(terms, constant)
+        except GenerationError as exc:
+            raise GenerationError(f"objective {obj.name!r}: {exc}") from None
     return ObjectiveFunc(glob.sense, terms, constant)
 
 

@@ -33,6 +33,18 @@ def _require_number(v, what: str):
     return v
 
 
+_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
+
+
+def apply_function(name: str, x):
+    """`sin`, `cos` or `sqrt` of a number; EvalError where it is undefined
+    (sqrt of a negative value, sin or cos of an infinity)."""
+    try:
+        return _FUNCTIONS[name](x)
+    except (ValueError, OverflowError):
+        raise EvalError(f"{name} of {x!r} is undefined") from None
+
+
 def values_equal(a, b) -> bool:
     if isinstance(a, NodeRef) and isinstance(b, NodeRef):
         return a.id == b.id
@@ -92,14 +104,7 @@ def eval_expr(e, env: dict, graph):
         v = eval_expr(e.operand, env, graph)
         if e.op == "-":
             return -_require_number(v, "negation operand")
-        _require_number(v, f"{e.op} argument")
-        if e.op == "sin":
-            return math.sin(v)
-        if e.op == "cos":
-            return math.cos(v)
-        if v < 0:
-            raise EvalError("sqrt of a negative value")
-        return math.sqrt(v)
+        return apply_function(e.op, _require_number(v, f"{e.op} argument"))
     if isinstance(e, Binary):
         if e.op in ("&", "|"):
             left = eval_expr(e.left, env, graph)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from ..model import Metamodel
 from ..pattern import Pattern, PatternEdge, PatternNode, Rule
 from . import ast as A
+from .eval import EvalError, apply_function
 
 NUMERIC = ("int", "real")
 _KIND_NAMES = {"node": "a node", "match": "a match", "int": "a number",
@@ -407,8 +408,11 @@ class _Checker:
             if w:
                 self.error(e.pos, f"{e.op} requires a constant subexpression")
                 return {}, 0.0
-            func = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}[e.op]
-            return {}, func(c)
+            try:
+                return {}, apply_function(e.op, c)
+            except EvalError as exc:
+                self.error(e.pos, f"{exc} in global objective")
+                return {}, 0.0
         if isinstance(e, A.Binary) and e.op in ("+", "-"):
             lw, lc = self.fold_global(e.left, objective_names)
             rw, rc = self.fold_global(e.right, objective_names)
@@ -491,6 +495,9 @@ def typecheck(spec: A.SpecAst, mm: Metamodel) -> TypedSpec:
                                          od.body, od.pos))
     weights, constant = ck.fold_global(spec.global_objective.expr,
                                        {o.name for o in objectives})
+    if not all(map(math.isfinite, (constant, *weights.values()))):
+        ck.error(spec.global_objective.pos, "global objective folds to a non-finite "
+                                            "weight or constant")
     if ck.diags:
         raise TypecheckError(ck.diags)
     return TypedSpec(mm, ck.rules, list(ck.mappings.values()), constraints,

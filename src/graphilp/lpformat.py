@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import re
 
-from .encode import AUX_BINARY, BINARY, IlpProblem, MappingTable, ObjectiveFunc, Row, Variable
+from .encode import (AUX_BINARY, BINARY, GenerationError, IlpProblem, MappingTable,
+                     ObjectiveFunc, Row, Variable)
 
 
 class LpParseError(Exception):
@@ -232,7 +233,10 @@ def import_lp(text: str) -> IlpProblem:
         i += 1
         for vid in coeffs:
             seen.setdefault(vid, row_line)
-        rows.append(Row(coeffs, rel, rhs - const))
+        try:
+            rows.append(Row(coeffs, rel, rhs - const))
+        except GenerationError as exc:  # a number beyond the float range
+            raise LpParseError(str(exc), row_line) from None
 
     for section, what in (("bounds", "bounds"), ("general", "general integer variables")):
         extra = _tokenize_lp(sections.get(section, []))

@@ -61,7 +61,7 @@ class Match:
 
     rule: str
     bound: tuple[tuple[str, str], ...]  # (pattern node, graph node id), name-sorted
-    pattern: Pattern = field(compare=False, repr=False, default=None)
+    pattern: Pattern = field(compare=False, repr=False)
 
     @staticmethod
     def of(pattern: Pattern, binding: dict[str, str]) -> "Match":
@@ -202,8 +202,6 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
 def revalidate(g: Graph, m: Match) -> bool:
     """True iff the match still holds on `g` (structure, typing, condition)."""
     p = m.pattern
-    if p is None:
-        raise PatternError("match carries no pattern; cannot revalidate")
     binding = m.binding
     seen = set()
     for pn in p.nodes:

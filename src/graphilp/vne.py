@@ -30,6 +30,7 @@ from .model import ConformanceError, Edge, Graph, Node, serialize_graph, seriali
 from .model import apply_delta  # noqa: F401
 from .pattern import PatternError, apply_rule  # noqa: F401
 from .solve import solve
+from .vne_model import vne_metamodel
 
 REPORT_FORMAT = "graphilp-vne-report/2"
 
@@ -77,6 +78,10 @@ class ScenarioConfig:
                 raise ScenarioError(f"{name} must be >= 1")
         if self.vnr_count < 0:
             raise ScenarioError("vnr_count must be >= 0")
+        for name in ("vnr_servers", "vnr_cpu", "vnr_mem", "vnr_storage", "vnr_bw"):
+            least = 1 if name == "vnr_servers" else 0
+            if getattr(self, name).lo < least:
+                raise ScenarioError(f"{name} must not go below {least}")
         if self.vnr_cpu.hi > self.server_cpu or self.vnr_mem.hi > self.server_mem \
                 or self.vnr_storage.hi > self.server_storage:
             raise ScenarioError("per-server demand range exceeds server capacity")
@@ -144,7 +149,6 @@ def _link(nid: str, bw: int, src: str, tgt: str, nodes, edges):
 
 def generate_scenario(cfg: ScenarioConfig, mm=None) -> tuple[Graph, list[Graph]]:
     """Deterministic substrate plus request list for (cfg, cfg.seed)."""
-    from .vne_model import vne_metamodel
     cfg.validate()
     mm = mm or vne_metamodel()
     rng = random.Random(cfg.seed)

@@ -7,208 +7,53 @@ off `ssrc`/`strg` (substrate) and `vsrc`/`vtrg` (virtual) edges, so a
 link-to-link mapping rule stays a flat pattern. Virtual elements carry a
 `mapped` flag that rules flip on application, which keeps already-embedded
 elements out of later match sets.
+
+The texts are package data under `data/`, their only copy, read on first
+use: `two-links.model` (the schema, then two parallel substrate links able to
+host one virtual link), `two-links.gipsl` (link mapping only) and
+`embedding.gipsl` (servers, switches and links: per-resource capacities,
+exactly-once rows, and the coupling that keeps link endpoints contiguous).
 """
 
 from __future__ import annotations
 
+import functools
+from importlib.resources import files
+
 from .lang.parser import parse
 from .lang.typecheck import TypedSpec, typecheck
-from .model import Graph, Metamodel, load_graph, load_metamodel
+from .model import Graph, Metamodel, load_metamodel, load_model
 
-VNE_SCHEMA = """\
-nodetypes {
-  nodetype { name: SubstrateElement }
-  nodetype { name: VirtualElement  attrs { mapped: bool } }
-  nodetype { name: SubstrateServer  supertype: SubstrateElement
-             attrs { cpu: int  resCpu: int  mem: int  resMem: int  storage: int  resStorage: int } }
-  nodetype { name: SubstrateSwitch  supertype: SubstrateElement }
-  nodetype { name: SubstrateLink  supertype: SubstrateElement  attrs { bw: int  resBw: int } }
-  nodetype { name: VirtualServer  supertype: VirtualElement
-             attrs { cpu: int  mem: int  storage: int } }
-  nodetype { name: VirtualSwitch  supertype: VirtualElement }
-  nodetype { name: VirtualLink  supertype: VirtualElement  attrs { bw: int } }
-}
-edgetypes {
-  edgetype { name: host  src: VirtualElement  tgt: SubstrateElement }
-  edgetype { name: ssrc  src: SubstrateLink  tgt: SubstrateElement }
-  edgetype { name: strg  src: SubstrateLink  tgt: SubstrateElement }
-  edgetype { name: vsrc  src: VirtualLink  tgt: VirtualElement }
-  edgetype { name: vtrg  src: VirtualLink  tgt: VirtualElement }
-}
-"""
+_FILES = {"TWO_LINKS_MODEL": "two-links.model", "TWO_LINKS_SPEC": "two-links.gipsl",
+          "EMBEDDING_SPEC": "embedding.gipsl"}
 
-# Two parallel substrate links able to host one virtual link; the classic
-# two-candidate situation that needs one capacity row per substrate link and
-# an exactly-once row for the virtual link.
-TWO_LINKS_INSTANCE = """\
-nodes {
-  node { id: susrv1  type: SubstrateServer
-         attrs { cpu: 32  resCpu: 32  mem: 512  resMem: 512  storage: 1024  resStorage: 1024 } }
-  node { id: susrv2  type: SubstrateServer
-         attrs { cpu: 32  resCpu: 32  mem: 512  resMem: 512  storage: 1024  resStorage: 1024 } }
-  node { id: sl1  type: SubstrateLink  attrs { bw: 1000  resBw: 1000 } }
-  node { id: sl2  type: SubstrateLink  attrs { bw: 1000  resBw: 500 } }
-  node { id: vsrv1  type: VirtualServer  attrs { mapped: false  cpu: 4  mem: 16  storage: 50 } }
-  node { id: vsrv2  type: VirtualServer  attrs { mapped: false  cpu: 2  mem: 8  storage: 20 } }
-  node { id: v11  type: VirtualLink  attrs { mapped: false  bw: 100 } }
-}
-edges {
-  edge { id: e_sl1_s  type: ssrc  src: sl1  tgt: susrv1 }
-  edge { id: e_sl1_t  type: strg  src: sl1  tgt: susrv2 }
-  edge { id: e_sl2_s  type: ssrc  src: sl2  tgt: susrv1 }
-  edge { id: e_sl2_t  type: strg  src: sl2  tgt: susrv2 }
-  edge { id: e_v11_s  type: vsrc  src: v11  tgt: vsrv1 }
-  edge { id: e_v11_t  type: vtrg  src: v11  tgt: vsrv2 }
-}
-"""
 
-TWO_LINKS_MODEL = VNE_SCHEMA + TWO_LINKS_INSTANCE
+@functools.cache
+def _text(name: str) -> str:
+    if name == "VNE_SCHEMA":  # the schema sections: all before the instance's `nodes`
+        model = _text("TWO_LINKS_MODEL")
+        return model[:model.index("\nnodes {") + 1]
+    return (files(__package__) / "data" / _FILES[name]).read_text(encoding="utf-8")
 
-# Reduced spec: only the link mapping with capacity and exactly-once rows.
-TWO_LINKS_SPEC = """\
-rule link2link {
-  nodes { vl: VirtualLink  sl: SubstrateLink }
-  condition { !vl.mapped & sl.resBw >= vl.bw }
-  actions {
-    create edge host(vl -> sl)
-    set sl.resBw := sl.resBw - vl.bw
-    set vl.mapped := true
-  }
-}
 
-mapping lnk2lnk with link2link;
-
-constraint -> class::SubstrateLink {
-  mappings.lnk2lnk->filter(m | m.nodes().sl == self)->sum(m | m.nodes().vl.bw) <= self.resBw
-}
-
-constraint -> class::VirtualLink {
-  self.mapped | mappings.lnk2lnk->filter(m | m.nodes().vl == self)->sum(m | 1) == 1
-}
-
-objective lnkObj -> mapping::lnk2lnk {
-  self.nodes().sl.resBw / self.nodes().sl.bw
-}
-
-global objective : min {
-  lnkObj
-}
-"""
-
-# Full embedding spec: servers, switches, and links, with per-resource
-# capacities, exactly-once rows for each unmapped virtual element, and the
-# link-endpoint coupling that keeps mappings contiguous.
-EMBEDDING_SPEC = """\
-rule server2server {
-  nodes { vsrv: VirtualServer  ssrv: SubstrateServer }
-  condition {
-    !vsrv.mapped & ssrv.resCpu >= vsrv.cpu & ssrv.resMem >= vsrv.mem
-      & ssrv.resStorage >= vsrv.storage
-  }
-  actions {
-    create edge host(vsrv -> ssrv)
-    set ssrv.resCpu := ssrv.resCpu - vsrv.cpu
-    set ssrv.resMem := ssrv.resMem - vsrv.mem
-    set ssrv.resStorage := ssrv.resStorage - vsrv.storage
-    set vsrv.mapped := true
-  }
-}
-
-rule switch2switch {
-  nodes { vsw: VirtualSwitch  ssw: SubstrateSwitch }
-  condition { !vsw.mapped }
-  actions {
-    create edge host(vsw -> ssw)
-    set vsw.mapped := true
-  }
-}
-
-rule link2link {
-  nodes {
-    vl: VirtualLink
-    sl: SubstrateLink
-    vs: VirtualServer
-    vw: VirtualSwitch
-    ss: SubstrateServer
-    st: SubstrateSwitch
-  }
-  edges {
-    e1: vsrc(vl -> vs)
-    e2: vtrg(vl -> vw)
-    e3: ssrc(sl -> ss)
-    e4: strg(sl -> st)
-  }
-  condition { !vl.mapped & sl.resBw >= vl.bw }
-  actions {
-    create edge host(vl -> sl)
-    set sl.resBw := sl.resBw - vl.bw
-    set vl.mapped := true
-  }
-}
-
-mapping srv2srv with server2server;
-mapping sw2sw with switch2switch;
-mapping lnk2lnk with link2link;
-
-constraint -> class::SubstrateServer {
-    mappings.srv2srv->filter(m | m.nodes().ssrv == self)->sum(m |
-    m.nodes().vsrv.cpu) <= self.resCpu
-}
-
-constraint -> class::SubstrateServer {
-  mappings.srv2srv->filter(m | m.nodes().ssrv == self)->sum(m | m.nodes().vsrv.mem) <= self.resMem
-}
-
-constraint -> class::SubstrateServer {
-  mappings.srv2srv->filter(m | m.nodes().ssrv == self)->sum(m | m.nodes().vsrv.storage) <= self.resStorage
-}
-
-constraint -> class::SubstrateLink {
-  mappings.lnk2lnk->filter(m | m.nodes().sl == self)->sum(m | m.nodes().vl.bw) <= self.resBw
-}
-
-constraint -> class::VirtualServer {
-  self.mapped | mappings.srv2srv->filter(m | m.nodes().vsrv == self)->sum(m | 1) == 1
-}
-
-constraint -> class::VirtualSwitch {
-  self.mapped | mappings.sw2sw->filter(m | m.nodes().vsw == self)->sum(m | 1) == 1
-}
-
-constraint -> class::VirtualLink {
-  self.mapped | mappings.lnk2lnk->filter(m | m.nodes().vl == self)->sum(m | 1) == 1
-}
-
-constraint -> mapping::lnk2lnk {
-  mappings.srv2srv->filter(m | m.nodes().vsrv == self.nodes().vs
-      & m.nodes().ssrv == self.nodes().ss)->sum(m | 1)
-  + mappings.sw2sw->filter(m | m.nodes().vsw == self.nodes().vw
-      & m.nodes().ssw == self.nodes().st)->sum(m | 1)
-  >= 2 * mappings.lnk2lnk->filter(m | m == self)->sum(m | 1)
-}
-
-objective srvObj -> mapping::srv2srv {
-    self.nodes().ssrv.resCpu / self.nodes().ssrv.cpu
-}
-
-global objective : min {
-    srvObj
-}
-"""
+def __getattr__(name: str) -> str:
+    """`VNE_SCHEMA`, `TWO_LINKS_MODEL`, `TWO_LINKS_SPEC` and `EMBEDDING_SPEC`."""
+    if name == "VNE_SCHEMA" or name in _FILES:
+        return _text(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def vne_metamodel() -> Metamodel:
-    return load_metamodel(VNE_SCHEMA)
+    return load_metamodel(_text("VNE_SCHEMA"))
 
 
 def two_links_model() -> tuple[Metamodel, Graph]:
-    mm = vne_metamodel()
-    return mm, load_graph(TWO_LINKS_INSTANCE, mm)
+    return load_model(_text("TWO_LINKS_MODEL"))
 
 
 def two_links_spec() -> TypedSpec:
-    return typecheck(parse(TWO_LINKS_SPEC), vne_metamodel())
+    return typecheck(parse(_text("TWO_LINKS_SPEC")), vne_metamodel())
 
 
 def embedding_spec(mm: Metamodel | None = None) -> TypedSpec:
-    return typecheck(parse(EMBEDDING_SPEC), mm or vne_metamodel())
+    return typecheck(parse(_text("EMBEDDING_SPEC")), mm or vne_metamodel())

@@ -149,6 +149,43 @@ def test_typecheck_errors_one_line_each(command, two_links, tmp_path, capsys):
     assert all(line.startswith(f"error: {bad}:") for line in lines)
 
 
+@pytest.mark.parametrize("objective, message", [
+    ("lnkObj + sqrt(-1)", "{line}:35: sqrt of -1.0 is undefined in global objective"),
+    ("lnkObj * 1e308 * 10", "{line}:1: global objective folds to a non-finite weight or "
+                            "constant"),
+], ids=["sqrt-of-negative", "overflow"])
+def test_global_objective_domain_error_is_one_diagnostic(objective, message, two_links,
+                                                         tmp_path, capsys):
+    model, _ = two_links
+    assert "global objective : min {\n  lnkObj\n}" in TWO_LINKS_SPEC
+    text = TWO_LINKS_SPEC.replace("global objective : min {\n  lnkObj\n}",
+                                  f"global objective : min {{ {objective} }}")
+    line = text.splitlines().index(f"global objective : min {{ {objective} }}") + 1
+    bad = tmp_path / "bad.gipsl"
+    bad.write_text(text)
+    assert main(["check", "--model", str(model), "--spec", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == \
+        [f"error: {bad}:" + message.format(line=line)]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("sin(self.nodes().sl.resBw * 1e308 * 10)",
+     "objective 'lnkObj', match 0 of link2link: sin of inf is undefined"),
+    ("cos(self.nodes().sl.resBw * 1e308 * 10)",
+     "objective 'lnkObj', match 0 of link2link: cos of inf is undefined"),
+    ("self.nodes().sl.resBw * 1e308 * 10",
+     "objective 'lnkObj': non-finite coefficient or constant"),
+], ids=["sin", "cos", "non-finite-term"])
+def test_solve_objective_value_error_exits_1(body, message, two_links, tmp_path, capsys):
+    model, _ = two_links
+    old = "self.nodes().sl.resBw / self.nodes().sl.bw"
+    assert old in TWO_LINKS_SPEC
+    bad = tmp_path / "bad.gipsl"
+    bad.write_text(TWO_LINKS_SPEC.replace(old, body))
+    assert main(["solve", "--model", str(model), "--spec", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 TINY_SCENARIO = "racks = 1\nservers_per_rack = 1\nvnr_count = 0\n"
 
 

@@ -19,8 +19,8 @@ from graphilp.lang.eval import NodeRef
 from graphilp.lang.parser import parse_expression
 from graphilp.lang.typecheck import TypedConstraint
 from graphilp.vne import merge_graphs
-from graphilp.vne_model import (TWO_LINKS_MODEL, VNE_SCHEMA, two_links_model, two_links_spec,
-                            vne_metamodel, embedding_spec)
+from graphilp.vne_model import (TWO_LINKS_MODEL, TWO_LINKS_SPEC, VNE_SCHEMA, two_links_model,
+                                two_links_spec, vne_metamodel, embedding_spec)
 
 from conftest import TASK_DOC, TASK_SPEC
 
@@ -615,6 +615,38 @@ constraint -> class::Server {
 global objective : min { 0 }
 """), mm)
     with pytest.raises(GenerationError, match=r"constraint 1 .*Server.*division"):
+        generate(spec, g)
+
+
+# 1e308 * 10 overflows to inf; without the finiteness check the program
+# reached the solver with inf coefficients and came back "infeasible"
+@pytest.mark.parametrize("old, new, where", [
+    ("self.nodes().sl.resBw / self.nodes().sl.bw", "self.nodes().sl.resBw * 1e308 * 10",
+     "objective 'lnkObj': "),
+    ("self.nodes().sl.resBw / self.nodes().sl.bw", "0 - self.nodes().sl.resBw * 1e308 * 10",
+     "objective 'lnkObj': "),
+    ("<= self.resBw", "<= self.resBw * 1e308 * 10",
+     r"constraint 1 \(class::SubstrateLink\), sl1: "),
+    ("m.nodes().vl.bw) <=", "m.nodes().vl.bw * 1e308 * 10) <=",
+     r"constraint 1 \(class::SubstrateLink\), sl1: "),
+], ids=["objective-inf", "objective-minus-inf", "row-rhs-inf", "row-coefficient-inf"])
+def test_non_finite_program_number_is_a_generation_error(old, new, where):
+    assert old in TWO_LINKS_SPEC
+    _, g = two_links_model()
+    spec = typecheck(parse(TWO_LINKS_SPEC.replace(old, new)), vne_metamodel())
+    with pytest.raises(GenerationError, match=where + "non-finite coefficient or constant$"):
+        generate(spec, g)
+
+
+def test_non_finite_big_m_is_a_generation_error(task_model):
+    # finite coefficients (4e307, 7e307 on s1), but the or-body needs
+    # indicator rows, and their big-M, 2 * 1.1e308, overflows
+    mm, g = task_model
+    spec = typecheck(parse(TASK_SPEC.replace(
+        "->sum(m | m.nodes().t.cpu) <= self.resCpu",
+        "->sum(m | m.nodes().t.cpu * 1e307) <= self.resCpu"
+        " | mappings.put->filter(m | m.nodes().s == self)->sum(m | 1) >= 2")), mm)
+    with pytest.raises(GenerationError, match=r"^constraint 1 .*non-finite"):
         generate(spec, g)
 
 

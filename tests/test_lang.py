@@ -4,6 +4,7 @@ import pytest
 
 from graphilp import load_metamodel, load_model, parse, pretty, typecheck
 from graphilp.lang import ast as A
+from graphilp.lang.eval import EvalError, eval_expr
 from graphilp.lang.parser import DslSyntaxError, parse_expression
 from graphilp.lang.printer import pretty_expr
 from graphilp.lang.typecheck import TypecheckError
@@ -186,6 +187,14 @@ def test_sqrt_of_variable_term_rejected():
 def test_sqrt_of_constant_allowed():
     spec = check_body("sqrt(16) >= 4 & self.resCpu >= 0")
     assert spec.constraints
+
+
+@pytest.mark.parametrize("text", ["sin(1e308 * 10)", "cos(0 - 1e308 * 10)", "sqrt(0 - 1)",
+                                  "sin(huge)"])
+def test_undefined_function_value_is_an_eval_error(text):
+    # math raises ValueError (or OverflowError for an int beyond the float range)
+    with pytest.raises(EvalError, match="is undefined"):
+        eval_expr(parse_expression(text), {"huge": 10 ** 400}, None)
 
 
 def test_unknown_rule_in_mapping_diagnosed():

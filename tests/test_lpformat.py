@@ -72,6 +72,13 @@ def test_name_not_declared_binary_rejected():
         import_lp(text)
 
 
+@pytest.mark.parametrize("row", ["c0: 1e999 x0 <= 4", "c0: x0 <= 1e999"])
+def test_non_finite_row_number_rejected(row):
+    text = f"Minimize\n obj: x0\nSubject To\n {row}\nBinary\n x0\nEnd\n"
+    with pytest.raises(LpParseError, match="line 4: non-finite coefficient or constant"):
+        import_lp(text)
+
+
 def test_aux_binaries_keep_their_kind():
     p = IlpProblem(
         [Variable("m_put_0", BINARY), Variable("aux_0", "auxiliary-binary")],

@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from graphilp import (GraphDelta, apply_delta, embed_incremental,
@@ -6,6 +8,9 @@ from graphilp import (GraphDelta, apply_delta, embed_incremental,
                       verify_embedding)
 from graphilp.vne_model import embedding_spec
 from graphilp.vne import Range, ScenarioConfig, ScenarioError
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "src" / "graphilp" / "data"
 
 
 def count_ids(g, prefix):
@@ -214,6 +219,31 @@ def test_config_parser_rejects_unknown_keys_and_bad_ranges():
         parse_scenario_config("vnr_cpu = 5..3")
     with pytest.raises(ScenarioError, match="exceeds server capacity"):
         parse_scenario_config("server_cpu = 4\nvnr_cpu = 1..8")
+    for text, least in [("vnr_cpu = -5..3", 0), ("vnr_servers = -2..2", 1),
+                        ("vnr_servers = 0..2", 1), ("vnr_mem = -1..4", 0),
+                        ("vnr_storage = -1..4", 0), ("vnr_bw = -100..100", 0)]:
+        with pytest.raises(ScenarioError, match=f"^{text.split()[0]} must not go below {least}$"):
+            parse_scenario_config(text)
+    parse_scenario_config("vnr_cpu = 0..3\nvnr_servers = 1..1")
+
+
+def test_desk_config_matches_defaults():
+    cfg = parse_scenario_config((ROOT / "demos" / "fixtures" / "desk.cfg").read_text())
+    assert cfg == ScenarioConfig()
+
+
+def test_package_data_globs_cover_data_files():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    globs = pyproject["tool"]["setuptools"]["package-data"]["graphilp"]
+    shipped = {f for g in globs for f in (ROOT / "src" / "graphilp").glob(g) if f.is_file()}
+    data = {f for f in DATA.rglob("*") if f.is_file()}
+    assert data and data <= shipped
+
+
+@pytest.mark.parametrize("name", ["two-links.model", "two-links.gipsl", "embedding.gipsl"])
+def test_demo_fixture_is_the_package_file(name):
+    assert (ROOT / "demos" / "fixtures" / name).resolve() == DATA / name
 
 
 def test_invalid_config_counts_rejected():
