@@ -20,7 +20,7 @@ from .model import (ConformanceError, Edge, Graph, GraphDelta, Metamodel,
                     serialize_model, validate_graph)
 from .pattern import (Match, Pattern, PatternEdge, PatternError, PatternNode,
                       Rule, StaleMatchError, apply_rule, find_matches,
-                      revalidate, validate_pattern)
+                      revalidate)
 from .solve import (BruteForceTooLarge, Solution, SolveError, brute_force,
                     lp_relaxation, solve)
 from .vne import (EmbeddingReport, Range, ScenarioConfig, ScenarioError,

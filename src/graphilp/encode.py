@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .lang import ast as A
-from .lang.eval import EvalError, NodeRef, eval_expr, values_equal
+from .lang.eval import EvalError, NodeRef, compare, eval_expr
 from .lang.typecheck import TypedConstraint, TypedObjective, TypedSpec
 from .model import Graph, apply_delta
 from .pattern import Match, apply_rule, find_matches
@@ -83,6 +83,7 @@ class ObjectiveFunc:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _clean(self.terms))
+        _require_finite(self.terms, self.constant)
 
 
 @dataclass
@@ -111,9 +112,6 @@ class MappingTable:
 
     def var_of(self, mapping: str, match: Match) -> str:
         return self._by_key[(mapping, match)]
-
-    def __len__(self):
-        return len(self._by_var)
 
     def __contains__(self, var_id: str) -> bool:
         return var_id in self._by_var
@@ -235,13 +233,6 @@ class Cnf:
     """
 
     clauses: tuple[tuple[Literal, ...], ...]
-
-    def atoms(self) -> list[Atom]:
-        seen: dict[int, Atom] = {}
-        for clause in self.clauses:
-            for lit in clause:
-                seen.setdefault(lit.atom.index, lit.atom)
-        return [seen[i] for i in sorted(seen)]
 
 
 # --- mapping sums ----------------------------------------------------------------
@@ -376,15 +367,39 @@ class _SumIndex:
 # --- lowering -------------------------------------------------------------------
 
 class _Lowerer:
-    """Turns one expanded constraint/objective body into lowered form."""
+    """Turns one expanded constraint/objective body into lowered form.
+
+    Only subexpressions that contain a mapping sum are lowered here: the sum
+    itself, unary `-` and `+ - * /` over linear terms, `!`, `&` and `|`, and
+    relations. Every sum-free subexpression is a generation-time value and
+    goes to `eval_expr` whole, so a sum-free `&`/`|` short-circuits there as
+    it does in filters. A sum under any other operator is an error.
+    """
 
     def __init__(self, g: Graph, index: _SumIndex, alloc: _Alloc):
         self.g = g
         self.index = index
         self.alloc = alloc
+        self._has_sum: dict[int, bool] = {}
+
+    def has_sum(self, e) -> bool:
+        """Whether `e` contains a mapping sum; memoized per AST node."""
+        known = self._has_sum.get(id(e))
+        if known is None:
+            known = isinstance(e, A.SetSum) or any(
+                self.has_sum(v) for v in vars(e).values() if isinstance(v, A.Expr))
+            self._has_sum[id(e)] = known
+        return known
+
+    def term(self, e, env: dict) -> LinearTerm:
+        value = self.arith(e, env)
+        return value if isinstance(value, LinearTerm) else LinearTerm.const(value)
 
     def arith(self, e, env: dict):
-        """Value of an arithmetic subexpression: a LinearTerm or a plain value."""
+        """Value of an arithmetic subexpression: a LinearTerm if it contains a
+        mapping sum, else the plain value."""
+        if not self.has_sum(e):
+            return eval_expr(e, env, self.g)
         if isinstance(e, A.SetSum):
             pairs, pred = self.index.candidates(e, env, self.g)
             coeffs: dict[str, float] = {}
@@ -399,59 +414,39 @@ class _Lowerer:
                 coeff = eval_expr(e.sum_body, senv, self.g)
                 coeffs[var] = coeffs.get(var, 0) + coeff
             return LinearTerm(coeffs, 0)
-        if isinstance(e, A.Unary):
-            if e.op == "-":
-                v = self.arith(e.operand, env)
-                return v.scale(-1) if isinstance(v, LinearTerm) else -v
-            if e.op in ("sin", "cos", "sqrt"):
-                return eval_expr(e, env, self.g)
-            raise GenerationError(f"unexpected operator {e.op!r} in arithmetic")
-        if isinstance(e, A.Binary) and e.op in ("+", "-", "*", "/"):
-            left = self.arith(e.left, env)
-            right = self.arith(e.right, env)
-            lt = isinstance(left, LinearTerm)
-            rt = isinstance(right, LinearTerm)
-            if not lt and not rt:
-                if e.op == "+":
-                    return left + right
-                if e.op == "-":
-                    return left - right
-                if e.op == "*":
-                    return left * right
-                if right == 0:
-                    raise GenerationError("division by zero")
-                return left / right
-            if not lt:
-                left = LinearTerm.const(left)
-            if not rt:
-                right = LinearTerm.const(right)
-            if e.op == "+":
-                return left.add(right)
-            if e.op == "-":
-                return left.sub(right)
-            if e.op == "*":
-                if not left.is_constant() and not right.is_constant():
-                    raise GenerationError("nonlinear term: variable * variable")
-                if left.is_constant():
-                    return right.scale(left.constant)
-                return left.scale(right.constant)
-            # division
-            if not right.is_constant():
-                raise GenerationError("division by a mapping-variable term")
-            if right.constant == 0:
-                raise GenerationError("division by zero")
-            return left.scale(1.0 / right.constant)
-        # plain graph value: attribute access, names, self, literals
-        return eval_expr(e, env, self.g)
+        if isinstance(e, A.Unary) and e.op == "-":
+            return self.term(e.operand, env).scale(-1)
+        if not (isinstance(e, A.Binary) and e.op in ("+", "-", "*", "/")):
+            raise _misplaced_sum(e)
+        left = self.term(e.left, env)
+        right = self.term(e.right, env)
+        if e.op == "+":
+            return left.add(right)
+        if e.op == "-":
+            return left.sub(right)
+        if e.op == "*":
+            if not left.is_constant() and not right.is_constant():
+                raise GenerationError("nonlinear term: variable * variable")
+            if left.is_constant():
+                return right.scale(left.constant)
+            return left.scale(right.constant)
+        # division
+        if not right.is_constant():
+            raise GenerationError("division by a mapping-variable term")
+        if right.constant == 0:
+            raise GenerationError("division by zero")
+        return left.scale(1.0 / right.constant)
 
     def boolean(self, e, env: dict):
         """Lower a Boolean body to ('const', bool), a Literal tree, or nodes
         ('and', a, b) / ('or', a, b)."""
-        if isinstance(e, A.BoolLit):
-            return ("const", e.value)
+        if not self.has_sum(e):
+            value = eval_expr(e, env, self.g)
+            if not isinstance(value, bool):
+                raise GenerationError("constraint body did not evaluate to a boolean")
+            return ("const", value)
         if isinstance(e, A.Unary) and e.op == "!":
-            inner = self.boolean(e.operand, env)
-            return _negate(inner)
+            return _negate(self.boolean(e.operand, env))
         if isinstance(e, A.Binary) and e.op in ("&", "|"):
             left = self.boolean(e.left, env)
             right = self.boolean(e.right, env)
@@ -470,38 +465,19 @@ class _Lowerer:
             if right == _FALSE:
                 return left
             return ("or", left, right)
-        if isinstance(e, A.Rel):
-            left = self.arith(e.left, env)
-            right = self.arith(e.right, env)
-            lt = isinstance(left, LinearTerm)
-            rt = isinstance(right, LinearTerm)
-            if not lt and not rt:
-                # generation-time comparison (numbers, strings, nodes, matches)
-                if e.op == "==":
-                    return ("const", values_equal(left, right))
-                if e.op == "!=":
-                    return ("const", not values_equal(left, right))
-                ok = {"<": left < right, "<=": left <= right,
-                      ">=": left >= right, ">": left > right}[e.op]
-                return ("const", ok)
-            if not lt:
-                left = LinearTerm.const(left)
-            if not rt:
-                right = LinearTerm.const(right)
-            diff = left.sub(right)
-            if diff.is_constant():
-                value = diff.constant
-                ok = {"<": value < 0, "<=": value <= 0, "==": value == 0,
-                      "!=": value != 0, ">=": value >= 0, ">": value > 0}[e.op]
-                return ("const", ok)
-            if e.op == "!=":
-                return Literal(self.alloc.atom("==", diff), positive=False)
-            return Literal(self.alloc.atom(e.op, diff))
-        # boolean attribute or other variable-free boolean value
-        value = eval_expr(e, env, self.g)
-        if not isinstance(value, bool):
-            raise GenerationError("constraint body did not evaluate to a boolean")
-        return ("const", value)
+        if not isinstance(e, A.Rel):
+            raise _misplaced_sum(e)
+        diff = self.term(e.left, env).sub(self.term(e.right, env))
+        if diff.is_constant():
+            return ("const", compare(e.op, diff.constant, 0))
+        if e.op == "!=":
+            return Literal(self.alloc.atom("==", diff), positive=False)
+        return Literal(self.alloc.atom(e.op, diff))
+
+
+def _misplaced_sum(e) -> GenerationError:
+    where = repr(e.op) if hasattr(e, "op") else type(e).__name__
+    return GenerationError(f"a mapping sum cannot be lowered under {where}")
 
 
 def _negate(node):
@@ -705,8 +681,8 @@ def expand_contexts(item: TypedConstraint | TypedObjective, g: Graph,
 
 def lower_sets(body, self_value, spec: TypedSpec, g: Graph, table: MappingTable,
                matches_by_rule: dict[str, list[Match]], alloc: _Alloc | None = None):
-    """Lower one expanded body (with `self` bound) to a Boolean tree over
-    linear-term atoms, or to a LinearTerm / plain value for arithmetic bodies."""
+    """Lower one expanded Boolean body (with `self` bound) to a Boolean tree
+    over linear-term atoms."""
     low = _Lowerer(g, _SumIndex(spec, table, matches_by_rule), alloc or _Alloc())
     return low.boolean(body, {"self": self_value})
 

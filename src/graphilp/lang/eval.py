@@ -59,6 +59,24 @@ def values_equal(a, b) -> bool:
     raise EvalError("cannot compare values of different kinds")
 
 
+def compare(op: str, left, right) -> bool:
+    """`left <op> right` for the six relation operators: `==` and `!=` on two
+    values of one kind, the orderings on numbers only."""
+    if op == "==":
+        return values_equal(left, right)
+    if op == "!=":
+        return not values_equal(left, right)
+    left = _require_number(left, "comparison operand")
+    right = _require_number(right, "comparison operand")
+    if op == "<":
+        return left < right
+    if op == "<=":
+        return left <= right
+    if op == ">=":
+        return left >= right
+    return left > right
+
+
 def eval_expr(e, env: dict, graph):
     """Evaluate `e` under `env` reading attributes from `graph`."""
     if isinstance(e, Num):
@@ -130,21 +148,8 @@ def eval_expr(e, env: dict, graph):
             raise EvalError("division by zero")
         return left / right
     if isinstance(e, Rel):
-        left = eval_expr(e.left, env, graph)
-        right = eval_expr(e.right, env, graph)
-        if e.op == "==":
-            return values_equal(left, right)
-        if e.op == "!=":
-            return not values_equal(left, right)
-        left = _require_number(left, "comparison operand")
-        right = _require_number(right, "comparison operand")
-        if e.op == "<":
-            return left < right
-        if e.op == "<=":
-            return left <= right
-        if e.op == ">=":
-            return left >= right
-        return left > right
+        return compare(e.op, eval_expr(e.left, env, graph),
+                       eval_expr(e.right, env, graph))
     if isinstance(e, SetSum):
         raise EvalError("mapping sums cannot be evaluated directly")
     raise EvalError(f"cannot evaluate {type(e).__name__}")

@@ -201,6 +201,10 @@ def import_lp(text: str) -> IlpProblem:
     if i != len(obj_tokens):
         raise LpParseError("unexpected content after the objective",
                            obj_tokens[i][1])
+    try:
+        objective = ObjectiveFunc(sense, obj_coeffs, obj_const)
+    except GenerationError as exc:  # a number beyond the float range
+        raise LpParseError(str(exc), obj_tokens[0][1]) from None
     seen: dict[str, int] = {}  # variable -> line of its first use
     for vid in obj_coeffs:
         seen.setdefault(vid, obj_tokens[0][1])
@@ -249,7 +253,6 @@ def import_lp(text: str) -> IlpProblem:
     for name, line in seen.items():
         if name not in declared:
             raise LpParseError(f"variable {name!r} is not declared binary", line)
-    objective = ObjectiveFunc(sense, obj_coeffs, obj_const)
     return IlpProblem(variables, rows, objective)
 
 

@@ -75,35 +75,6 @@ class Match:
         return [gid for _, gid in self.bound]
 
 
-def validate_pattern(p: Pattern, mm) -> None:
-    """Check a pattern against a metamodel; raises PatternError."""
-    names = set()
-    for pn in p.nodes:
-        if pn.name in names:
-            raise PatternError(f"pattern {p.name!r}: duplicate node name {pn.name!r}")
-        names.add(pn.name)
-        if pn.type not in mm.node_types:
-            raise PatternError(f"pattern {p.name!r}: unknown node type {pn.type!r}")
-    edge_names = set()
-    for pe in p.edges:
-        if pe.name in edge_names:
-            raise PatternError(f"pattern {p.name!r}: duplicate edge name {pe.name!r}")
-        edge_names.add(pe.name)
-        et = mm.edge_types.get(pe.type)
-        if et is None:
-            raise PatternError(f"pattern {p.name!r}: unknown edge type {pe.type!r}")
-        for endpoint, declared in ((pe.src, et.source_type), (pe.tgt, et.target_type)):
-            if endpoint not in names:
-                raise PatternError(
-                    f"pattern {p.name!r}: edge {pe.name!r} references undeclared "
-                    f"node {endpoint!r}")
-            ptype = next(n.type for n in p.nodes if n.name == endpoint)
-            if not (mm.conforms(ptype, declared) or mm.conforms(declared, ptype)):
-                raise PatternError(
-                    f"pattern {p.name!r}: edge {pe.name!r} endpoint {endpoint!r} of "
-                    f"type {ptype!r} can never conform to {declared!r}")
-
-
 def _condition_holds(g: Graph, p: Pattern, binding: dict[str, str]) -> bool:
     if p.condition is None:
         return True

@@ -201,17 +201,18 @@ class _Arrays:
                 coefs[self.index[vid]] = coeff
             rows.append((coefs, row.rel, float(row.rhs)))
         self.A = np.array([r[0] for r in rows]) if rows else np.zeros((0, self.n))
-        self.rels = [r[1] for r in rows]
         self.b = np.array([r[2] for r in rows]) if rows else np.zeros(0)
-        rels = np.array(self.rels, dtype=str)
+        rels = np.array([r[1] for r in rows], dtype=str)
         self.ge = rels == ">="
         self.eq = rels == "="
 
-    def feasible_point(self, x, tol=FEAS_TOL) -> bool:
-        lhs = self.A @ x
+    def feasible(self, X, tol=FEAS_TOL):
+        """Whether point `X` satisfies every row; for a batch of points (one
+        per row of `X`), one such bool per point."""
+        lhs = X @ self.A.T
         violated = np.where(self.eq, np.abs(lhs - self.b) > tol,
                             np.where(self.ge, lhs < self.b - tol, lhs > self.b + tol))
-        return not violated.any()
+        return ~violated.any(axis=-1)
 
     def objective_of(self, x) -> float:
         return self.sign * float(self.c @ x) + self.constant
@@ -227,7 +228,7 @@ def _lp_with_fixed(ar: _Arrays, fixed: dict[int, int], deadline=None):
     x = np.zeros(ar.n)
     x[list(fixed)] = list(fixed.values())
     if not free.any():
-        if not ar.feasible_point(x):
+        if not ar.feasible(x):
             return "infeasible", None, None
         return "optimal", float(ar.c @ x), x
     b = ar.b - ar.A @ x
@@ -301,7 +302,7 @@ def solve(p: IlpProblem, time_limit: float | None = None,
             # rounding the relaxation is free and often lands on the optimum,
             # which lets the equal-bound pruning bite much earlier
             cand = np.round(x)
-            cand_feasible = ar.feasible_point(cand)
+            cand_feasible = ar.feasible(cand)
             if cand_feasible:
                 cand_val = float(ar.c @ cand)
                 if cand_val < incumbent_val - FEAS_TOL:
@@ -361,15 +362,7 @@ def brute_force(p: IlpProblem) -> Solution:
         hi = min(total, lo + (1 << BRUTE_CHUNK_BITS))
         ks = np.arange(lo, hi, dtype=np.uint32)
         X = ((ks[:, None] >> shifts[None, :]) & 1).astype(float)
-        feas = np.ones(len(ks), dtype=bool)
-        lhs = X @ ar.A.T
-        for i, rel in enumerate(ar.rels):
-            if rel == "<=":
-                feas &= lhs[:, i] <= ar.b[i] + FEAS_TOL
-            elif rel == ">=":
-                feas &= lhs[:, i] >= ar.b[i] - FEAS_TOL
-            else:
-                feas &= np.abs(lhs[:, i] - ar.b[i]) <= FEAS_TOL
+        feas = ar.feasible(X)
         if not np.any(feas):
             continue
         objs = X @ c_bin + ar.constant

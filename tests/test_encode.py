@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import pathlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from graphilp import (Edge, Graph, Node, StaleMatchError, apply_solution, dump_p
                       load_graph, load_model, parse, parse_scenario_config,
                       typecheck)
 from graphilp.encode import (AUX_BINARY, BINARY, Atom, GenerationError,
-                             LinearTerm, Literal, MappingTable, _Alloc, _negate,
+                             LinearTerm, Literal, MappingTable, Row, _Alloc, _negate,
                              build_objective, collect_matches, expand_contexts,
                              instantiate_mappings, linearize, lower_sets, to_cnf)
 from graphilp.lang.eval import NodeRef
@@ -49,7 +50,7 @@ def test_zero_matches_give_zero_variables():
     spec = two_links_spec()
     empty = Graph(mm, [], [])
     variables, table = instantiate_mappings(spec, collect_matches(spec, empty))
-    assert variables == [] and len(table) == 0
+    assert variables == [] and not table.items()
 
 
 def test_variable_count_is_sum_over_mappings(task_model):
@@ -81,7 +82,7 @@ global objective : min { 0 }
     assert len(matches["pairs"]) == 4  # t1 fits 3 servers; t2 (3+6=9) only s3
     variables, table = instantiate_mappings(spec, matches)
     assert len(variables) == len(matches["one_server"]) + len(matches["pairs"])
-    assert len(table) == len(variables)
+    assert len(table.items()) == len(variables)
     # bijection: inverse lookups agree
     for vid, (mapping, match) in table.items():
         assert table.var_of(mapping, match) == vid
@@ -616,6 +617,41 @@ global objective : min { 0 }
 """), mm)
     with pytest.raises(GenerationError, match=r"constraint 1 .*Server.*division"):
         generate(spec, g)
+
+
+def test_sum_free_and_or_short_circuit_as_in_filters(task_model):
+    # a sum-free body is evaluated whole: `&` skips its right operand after a
+    # false left one, `|` still evaluates its left operand first
+    mm, g = task_model
+
+    def generate_with(body):
+        return generate(typecheck(parse(TASK_SPEC.replace(
+            "mapping put with place;",
+            "mapping put with place;\nconstraint -> class::Server { " + body + " }")),
+            mm), g)
+
+    problem, _ = generate_with("false & 1 / 0 > 0")
+    assert problem.constraints[0] == Row({}, "<=", -1)
+    with pytest.raises(GenerationError) as err:
+        generate_with("1 / 0 > 0 | false")
+    assert str(err.value) == "constraint 1 (class::Server), s1: division by zero"
+
+
+@pytest.mark.parametrize("body, op", [
+    ("sin(mappings.put->sum(m | 1)) >= 0", "'sin'"),
+    ("mappings.put->sum(m | 1) + 1", "'+'"),
+    ("!(mappings.put->sum(m | 1) - 1)", "'-'"),
+    ("mappings.put->sum(m | 1) < 1 | mappings.put->sum(m | 1) * 2", "'*'"),
+])
+def test_mapping_sum_under_an_operator_that_cannot_lower_it(task_model, task_spec,
+                                                             body, op):
+    # bodies the typechecker rejects; lowering must not fold them into `|`
+    # or a negation
+    _, g = task_model
+    matches = collect_matches(task_spec, g)
+    _, table = instantiate_mappings(task_spec, matches)
+    with pytest.raises(GenerationError, match=re.escape(f"cannot be lowered under {op}") + "$"):
+        lower_sets(parse_expression(body), NodeRef("s1"), task_spec, g, table, matches)
 
 
 # 1e308 * 10 overflows to inf; without the finiteness check the program

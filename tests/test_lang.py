@@ -290,6 +290,20 @@ def test_bad_filter_comparison_gives_one_diagnostic(predicate, message):
     assert [d.message for d in err.value.diagnostics] == [message]
 
 
+def test_rule_with_unknown_node_and_edge_types_gives_located_diagnostics():
+    text = """
+rule r {
+  nodes { a: Ghost  s: SubstrateServer }
+  edges { e: ghost(s -> s) }
+}
+global objective : min { 0 }
+"""
+    with pytest.raises(TypecheckError) as err:
+        typecheck(parse(text), vne_mm())
+    assert [str(d) for d in err.value.diagnostics] == [
+        "3:11: unknown node type 'Ghost'", "4:11: unknown edge type 'ghost'"]
+
+
 def test_diagnostics_carry_locations():
     try:
         typecheck(parse("constraint -> class::Nowhere { true }\n"

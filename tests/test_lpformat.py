@@ -79,6 +79,13 @@ def test_non_finite_row_number_rejected(row):
         import_lp(text)
 
 
+@pytest.mark.parametrize("obj", ["obj: 1e999 x0", "obj: x0 - 1e999"])
+def test_non_finite_objective_number_rejected(obj):
+    text = f"Minimize\n {obj}\nSubject To\n c0: x0 >= 1\nBinary\n x0\nEnd\n"
+    with pytest.raises(LpParseError, match="line 2: non-finite coefficient or constant"):
+        import_lp(text)
+
+
 def test_aux_binaries_keep_their_kind():
     p = IlpProblem(
         [Variable("m_put_0", BINARY), Variable("aux_0", "auxiliary-binary")],

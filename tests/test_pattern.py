@@ -3,12 +3,11 @@ import random
 import pytest
 
 from graphilp import (Edge, Graph, Node, apply_delta, apply_rule, find_matches,
-                      load_model, revalidate, validate_pattern)
+                      load_model, revalidate)
 from graphilp.lang.parser import parse, parse_expression
 from graphilp.lang.typecheck import typecheck
 from graphilp.vne_model import two_links_model, two_links_spec, vne_metamodel
-from graphilp.pattern import (Match, Pattern, PatternEdge, PatternNode,
-                              PatternError, StaleMatchError)
+from graphilp.pattern import Match, Pattern, PatternNode, StaleMatchError
 
 from conftest import (TASK_DOC, TASK_SPEC, brute_matches, random_graph,
                       random_pattern)
@@ -109,14 +108,6 @@ def test_condition_tightening_never_enlarges_matches(match_mm):
         tightened = Pattern(p.name, p.nodes, p.edges, cond)
         assert binding_set(find_matches(g, tightened)) <= \
             binding_set(find_matches(g, p))
-
-
-def test_validate_pattern_rejects_unknown_types(match_mm):
-    with pytest.raises(PatternError, match="unknown node type"):
-        validate_pattern(Pattern("p", (PatternNode("a", "Ghost"),)), match_mm)
-    with pytest.raises(PatternError, match="unknown edge type"):
-        validate_pattern(Pattern("p", (PatternNode("a", "T0"),),
-                                 (PatternEdge("e", "ghost", "a", "a"),)), match_mm)
 
 
 def test_apply_rule_server_to_server_delta(task_model, task_spec):
