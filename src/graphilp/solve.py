@@ -4,15 +4,18 @@ brute-force enumeration oracle used by the test suite.
 Every variable of a program is binary (the encoder makes no other kind and
 the LP reader rejects any other), so the relaxation bounds each column to
 [0, 1] and the search may branch on every column. The LP relaxation is a
-self-contained dense two-phase simplex with Bland's rule (deterministic,
-cycle-free). Its tableau is built once per LP as one row-major array with
-columns `x | slacks | artificials | rhs` (see `_simplex`). If the simplex
-gives up within its iteration budget, the node falls back to a
-coefficient-sum bound, which keeps the search exact, only slower. Branching
-is most-fractional-first with a lexicographic tie-break on variable id; with
-a nonnegative minimization objective the 1-branch is explored first,
-otherwise the 0-branch. A time limit is checked before every node and before
-every simplex pivot.
+self-contained dense two-phase simplex. It enters the column of most negative
+reduced cost (Dantzig's rule, lowest index on ties) and switches to Bland's
+rule after 30 consecutive degenerate pivots, so it is deterministic and
+cannot cycle. Its tableau is built once per LP as one row-major array with
+columns `x | slacks | artificials | rhs` (see `_simplex`); a pivot updates
+only the rows with a nonzero entry in its column. If the simplex gives up
+within its iteration budget, the node falls back to a coefficient-sum bound,
+which keeps the search exact, only slower. Branching is most-fractional-first
+with a lexicographic tie-break on variable id; with a nonnegative
+minimization objective the 1-branch is explored first, otherwise the
+0-branch. A time limit is checked before every node and before every simplex
+pivot.
 """
 
 from __future__ import annotations
@@ -48,17 +51,22 @@ class Solution:
 # --- dense two-phase simplex -------------------------------------------------------
 
 def _pivot(T, i, j):
-    """One Gauss-Jordan step: make column j of T the unit vector of row i."""
-    T[i, :] /= T[i, j]
-    factors = T[:, j].copy()
-    factors[i] = 0.0
-    T -= np.outer(factors, T[i, :])
+    """One Gauss-Jordan step: make column j of T the unit vector of row i.
+
+    Only the rows with a nonzero entry in column j are updated; the others
+    (most of them, in a sparse program) are left exactly as they are.
+    """
+    T[i] /= T[i, j]
+    rows = T[:, j].nonzero()[0]
+    rows = rows[rows != i]
+    T[rows] -= T[rows, j, None] * T[i]
 
 
 def _pivot_loop(T, basis, cost, max_iter, deadline=None):
-    """Pivot tableau T (rows x cols+1) to optimality. Returns status:
-    'optimal', 'unbounded', 'stalled' or 'timeout' (`deadline`, a
-    `perf_counter` value, passed).
+    """Pivot tableau T (rows x cols+1) to optimality. Returns (status,
+    pivots): status 'optimal', 'unbounded', 'stalled' or 'timeout'
+    (`deadline`, a `perf_counter` value, passed), and the number of pivots
+    taken.
 
     Entering column: most negative reduced cost (lowest index on ties), which
     keeps iteration counts low; after 30 consecutive degenerate pivots the
@@ -69,41 +77,43 @@ def _pivot_loop(T, basis, cost, max_iter, deadline=None):
     costly, and a whole LP may need fewer than 64 of them.
     """
     n_cols = T.shape[1] - 1
+    rhs = T[:, -1]
     reduced = cost - cost[basis] @ T[:, :n_cols]
     exact = True
     degenerate_streak = 0
+    pivots = 0
     for it in range(max_iter):
         if deadline is not None and perf_counter() > deadline:
-            return "timeout"
+            return "timeout", pivots
         if it % 64 == 63 and not exact:
             reduced = cost - cost[basis] @ T[:, :n_cols]
             exact = True
-        eligible = reduced < -FEAS_TOL
-        if not eligible.any():
+        eligible = (reduced < -FEAS_TOL).nonzero()[0]
+        if eligible.size == 0:
             if exact:
-                return "optimal"
+                return "optimal", pivots
             reduced = cost - cost[basis] @ T[:, :n_cols]
             exact = True
             continue
         if degenerate_streak > 30:
-            j = int(np.flatnonzero(eligible)[0])  # Bland: smallest index
+            j = eligible[0]  # Bland: smallest index
         else:
-            masked = np.where(eligible, reduced, 0.0)
-            j = int(np.argmin(masked))  # Dantzig: most negative, first on ties
+            j = eligible[reduced[eligible].argmin()]  # Dantzig, first on ties
         col = T[:, j]
-        pos = np.flatnonzero(col > FEAS_TOL)
+        pos = (col > FEAS_TOL).nonzero()[0]
         if pos.size == 0:
-            return "unbounded"
-        ratios = T[pos, -1] / col[pos]
+            return "unbounded", pivots
+        ratios = rhs[pos] / col[pos]
         best = ratios.min()
         ties = pos[ratios <= best + 1e-12]
-        i = int(ties[np.argmin(basis[ties])])
+        i = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
         degenerate_streak = degenerate_streak + 1 if best < 1e-10 else 0
         _pivot(T, i, j)
-        reduced = reduced - reduced[j] * T[i, :n_cols]
+        pivots += 1
+        reduced -= reduced[j] * T[i, :n_cols]
         exact = False
         basis[i] = j
-    return "stalled"
+    return "stalled", pivots
 
 
 def _simplex(c, A, b, ge, eq, max_iter=20000, deadline=None):
@@ -117,8 +127,9 @@ def _simplex(c, A, b, ge, eq, max_iter=20000, deadline=None):
     negated into a `<=` row, then any row with a negative right-hand side is
     negated; a slack is basic where its coefficient stayed +1.
 
-    Returns (status, x); status 'optimal', 'infeasible', or one of
-    `_pivot_loop`'s failures: 'unbounded', 'stalled', 'timeout'.
+    Returns (status, x, pivots); status 'optimal', 'infeasible', or one of
+    `_pivot_loop`'s failures: 'unbounded', 'stalled', 'timeout'; pivots
+    counts every pivot taken, phase-1 cleanup included.
     """
     n = len(c)
     n_rows = len(b)
@@ -143,14 +154,15 @@ def _simplex(c, A, b, ge, eq, max_iter=20000, deadline=None):
     basis[art_rows] = first_art + np.arange(len(art_rows))
 
     # phase 1: drive artificials to zero
+    pivots = 0
     if len(art_rows):
         cost1 = np.zeros(T.shape[1] - 1)
         cost1[first_art:] = 1.0
-        status = _pivot_loop(T, basis, cost1, max_iter, deadline)
+        status, pivots = _pivot_loop(T, basis, cost1, max_iter, deadline)
         if status in ("stalled", "timeout"):
-            return status, None
+            return status, None, pivots
         if cost1[basis] @ T[:, -1] > 1e-7:
-            return "infeasible", None
+            return "infeasible", None, pivots
         # artificials still basic sit at zero: pivot each out on its row's
         # first nonzero column, or drop the row as redundant
         drop = []
@@ -160,6 +172,7 @@ def _simplex(c, A, b, ge, eq, max_iter=20000, deadline=None):
                 drop.append(i)
                 continue
             _pivot(T, i, nonzero[0])
+            pivots += 1
             basis[i] = nonzero[0]
         # remove the artificial columns: move rhs up, keep a view of the rest
         T[:, first_art] = T[:, -1]
@@ -172,12 +185,13 @@ def _simplex(c, A, b, ge, eq, max_iter=20000, deadline=None):
     # phase 2: original objective
     cost2 = np.zeros(first_art)
     cost2[:n] = c
-    status = _pivot_loop(T, basis, cost2, max_iter, deadline)
+    status, phase2 = _pivot_loop(T, basis, cost2, max_iter, deadline)
+    pivots += phase2
     if status != "optimal":
-        return status, None
+        return status, None, pivots
     x = np.zeros(first_art)
     x[basis] = T[:, -1]
-    return "optimal", x[:n]
+    return "optimal", x[:n], pivots
 
 
 # --- problem arrays -------------------------------------------------------------
@@ -221,7 +235,8 @@ class _Arrays:
 def _lp_with_fixed(ar: _Arrays, fixed: dict[int, int], deadline=None):
     """LP relaxation with some binaries fixed; fixed columns are substituted out.
 
-    Returns (status, value_in_min_sense_without_constant, full_x or None).
+    Returns (status, value_in_min_sense_without_constant, full_x or None,
+    simplex pivots).
     """
     free = np.ones(ar.n, dtype=bool)
     free[list(fixed)] = False
@@ -229,15 +244,15 @@ def _lp_with_fixed(ar: _Arrays, fixed: dict[int, int], deadline=None):
     x[list(fixed)] = list(fixed.values())
     if not free.any():
         if not ar.feasible(x):
-            return "infeasible", None, None
-        return "optimal", float(ar.c @ x), x
+            return "infeasible", None, None, 0
+        return "optimal", float(ar.c @ x), x, 0
     b = ar.b - ar.A @ x
-    status, xf = _simplex(ar.c[free], ar.A[:, free], b, ar.ge, ar.eq,
-                          deadline=deadline)
+    status, xf, pivots = _simplex(ar.c[free], ar.A[:, free], b, ar.ge, ar.eq,
+                                  deadline=deadline)
     if status != "optimal":
-        return status, None, None
+        return status, None, None, pivots
     x[free] = xf
-    return "optimal", float(ar.c @ x), x
+    return "optimal", float(ar.c @ x), x, pivots
 
 
 def _fallback_bound(ar: _Arrays, fixed: dict[int, int]) -> float:
@@ -263,6 +278,7 @@ def solve(p: IlpProblem, time_limit: float | None = None,
     ar = _Arrays(p)
     one_first = ar.sense == "min" and bool(np.all(ar.c >= 0))
     nodes = 0
+    pivots = 0
     incumbent_x = None
     incumbent_val = np.inf
     root_relax = None
@@ -280,7 +296,8 @@ def solve(p: IlpProblem, time_limit: float | None = None,
         if parent_bound >= incumbent_val - FEAS_TOL:
             continue  # the parent's relaxation already rules this subtree out
         nodes += 1
-        status, value, x = _lp_with_fixed(ar, fixed, deadline)
+        status, value, x, lp_pivots = _lp_with_fixed(ar, fixed, deadline)
+        pivots += lp_pivots
         if status == "timeout":
             timed_out = True
             break
@@ -323,7 +340,8 @@ def solve(p: IlpProblem, time_limit: float | None = None,
         stack.append(({**fixed, branch: first}, value))
 
     elapsed = perf_counter() - start
-    stats = {"nodes": nodes, "wall_time_s": elapsed, "root_relaxation": root_relax}
+    stats = {"nodes": nodes, "pivots": pivots, "wall_time_s": elapsed,
+             "root_relaxation": root_relax}
     if incumbent_x is not None:
         assignment = {vid: int(round(incumbent_x[j])) for j, vid in enumerate(ar.ids)}
         value = ar.objective_of(incumbent_x)
@@ -336,7 +354,7 @@ def solve(p: IlpProblem, time_limit: float | None = None,
 def lp_relaxation(p: IlpProblem) -> tuple[str, float | None]:
     """Root LP bound in the problem's own sense; used by property tests."""
     ar = _Arrays(p)
-    status, value, _ = _lp_with_fixed(ar, {})
+    status, value, _, _ = _lp_with_fixed(ar, {})
     if status != "optimal":
         return status, None
     return "optimal", ar.sign * value + ar.constant

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from graphilp import brute_force, generate, lp_relaxation, solve
@@ -219,3 +220,74 @@ def test_solution_is_deterministic():
         assert a.status == b.status
         assert a.assignment == b.assignment
         assert a.stats["nodes"] == b.stats["nodes"]
+        assert a.stats["pivots"] == b.stats["pivots"]
+
+
+def test_pivot_count_covers_every_pivot(monkeypatch):
+    # redundant `=` rows leave artificials basic after phase 1, so the
+    # cleanup pivots are counted too
+    calls = itertools.count()
+    real = solve_mod._pivot
+    monkeypatch.setattr(solve_mod, "_pivot", lambda *a: (next(calls), real(*a)))
+    rng = random.Random(2718)
+    total = 0
+    for k in range(40):
+        p = random_problem(rng)
+        total += solve(_with_redundant_rows(p) if k % 2 else p).stats["pivots"]
+    assert total > 0
+    assert total == next(calls)
+
+
+def _dense_pivot(T, i, j):
+    """Reference Gauss-Jordan step: subtract a tableau-sized outer product."""
+    T = T.copy()
+    T[i] /= T[i, j]
+    factors = T[:, j].copy()
+    factors[i] = 0.0
+    return T - np.outer(factors, T[i])
+
+
+def _check_pivot(T, i, j):
+    expected = _dense_pivot(T, i, j)
+    untouched = [r for r in range(len(T)) if r != i and T[r, j] == 0]
+    before = T.copy()
+    solve_mod._pivot(T, i, j)
+    assert np.array_equal(T, expected)
+    # rows with a zero factor are not written at all, not even a zero's sign
+    assert T[untouched].tobytes() == before[untouched].tobytes()
+
+
+def test_sparse_pivot_matches_dense_reference():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        m, n = rng.integers(2, 30, size=2)
+        T = np.where(rng.random((m, n)) < 0.2, rng.normal(size=(m, n)), 0.0)
+        T[rng.random((m, n)) < 0.1] = -0.0
+        j = int(rng.integers(n))
+        i = int(rng.integers(m))
+        T[i, j] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        _check_pivot(T, i, j)
+
+
+def test_sparse_pivot_edge_cases():
+    # the pivot entry is its column's only nonzero: no other row changes
+    T = np.array([[2.0, 4.0, -0.0, 6.0],
+                  [0.0, 1.0, 3.0, -0.0],
+                  [-0.0, 5.0, 0.0, 7.0]])
+    _check_pivot(T, 0, 0)
+    assert T[0].tolist() == [1.0, 2.0, -0.0, 3.0]
+    # a factor of -0.0 leaves its row alone; the dense reference would turn
+    # the row's -0.0 entries into +0.0
+    T = np.array([[1.0, 2.0, 1.0, 3.0],
+                  [-0.0, -0.0, 1.0, 4.0],
+                  [2.0, 1.0, 0.0, 1.0]])
+    _check_pivot(T, 0, 0)
+    assert np.signbit(T[1, :2]).all()
+    assert T[2].tolist() == [0.0, -3.0, -2.0, -5.0]
+    # a view of the leading columns, as the phase-2 tableau is once the
+    # artificial columns are cut off: the columns past it stay as they are
+    full = np.array([[1.0, 2.0, 9.0],
+                     [3.0, 0.0, 9.0],
+                     [0.0, 1.0, 9.0]])
+    _check_pivot(full[:, :2], 1, 0)
+    assert full[:, 2].tolist() == [9.0, 9.0, 9.0]
