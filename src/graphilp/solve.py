@@ -3,24 +3,41 @@ brute-force enumeration oracle used by the test suite.
 
 Every variable of a program is binary (the encoder makes no other kind and
 the LP reader rejects any other), so the relaxation bounds each column to
-[0, 1] and the search may branch on every column. The LP relaxation is a
-self-contained dense two-phase simplex. It enters the column of most negative
-reduced cost (Dantzig's rule, lowest index on ties) and switches to Bland's
-rule after 30 consecutive degenerate pivots, so it is deterministic and
-cannot cycle. Its tableau is built once per LP as one row-major array with
-columns `x | slacks | artificials | rhs` (see `_simplex`); a pivot updates
-only the rows with a nonzero entry in its column. If the simplex gives up
-within its iteration budget, the node falls back to a coefficient-sum bound,
-which keeps the search exact, only slower. Branching is most-fractional-first
-with a lexicographic tie-break on variable id; with a nonnegative
-minimization objective the 1-branch is explored first, otherwise the
-0-branch. A time limit is checked before every node and before every simplex
-pivot.
+[0, 1] and the search may branch on every column. Each LP is solved by a
+self-contained dense bounded-variable dual simplex (`_Lp`). Its tableau is
+B^-1 [A | I | b]: one logical column per row, bounded to [0, inf) for a `<=`
+row, (-inf, 0] for a `>=` row and [0, 0] for an `=` row, while the
+structural columns carry the node's bounds. There are no `x <= 1` rows, no
+artificial columns and no phase 1. The root starts from the slack basis
+(every logical basic, every structural column at its upper bound where its
+cost is negative and at its lower bound otherwise), which is dual feasible.
+A child fixes one column and continues from its parent's final tableau (a
+warm start): fixing a column keeps the basis dual feasible, so only dual
+pivots are needed. The first child takes the tableau over and its sibling
+gets a copy, unless the tableaux waiting on the search stack would pass
+`STACK_TABLEAU_BYTES`; then the sibling starts from the slack basis. A
+tableau carried from node to node is never rebuilt from A, so every warm
+answer is checked against the original rows (`_Lp.holds`); a node whose
+warm answer fails the check, or whose warm LP stalls, is solved again from
+the slack basis. The leaving variable is the basic one farthest outside its
+bounds, the entering column wins the dual ratio test (ties to the largest
+pivot entry); after 30 consecutive degenerate pivots the rules switch to the
+dual analogue of Bland's (the smallest-index infeasible basic variable, the
+first-index ratio tie), so the simplex is deterministic and cannot cycle. A
+pivot updates only the rows with a nonzero entry in its column. If the
+simplex gives up within its iteration budget from the slack basis too, the
+node falls back to a coefficient-sum bound and its children start from the
+slack basis, which keeps the search exact, only slower. Branching is
+most-fractional-first with a lexicographic tie-break on variable id; with a
+nonnegative minimization objective the 1-branch is explored first,
+otherwise the 0-branch. A time limit is checked before every
+node and before every simplex pivot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -30,6 +47,16 @@ from .encode import IlpProblem
 FEAS_TOL = 1e-9
 INT_TOL = 1e-7
 BRUTE_CHUNK_BITS = 16  # brute_force scores 2^16 assignments per numpy batch
+# how far a warm-started LP's answer may be off against the original rows
+# before the node is solved again from the slack basis
+GUARD_TOL = 1e-6
+# a sibling node continues from a copy of its parent's tableau while the
+# tableaux waiting on the search stack stay within this many bytes, and
+# starts from the slack basis otherwise: the benchmark's searches stack at
+# most 1 MB, while copies of full-scale tableaux (12-91 MB each) nearly
+# doubled peak memory without saving time
+STACK_TABLEAU_BYTES = 8 << 20
+BLAND_AFTER = 30  # consecutive degenerate pivots before the dual Bland rule
 
 
 class SolveError(Exception):
@@ -48,7 +75,7 @@ class Solution:
     stats: dict = field(default_factory=dict)
 
 
-# --- dense two-phase simplex -------------------------------------------------------
+# --- bounded-variable dual simplex -----------------------------------------------
 
 def _pivot(T, i, j):
     """One Gauss-Jordan step: make column j of T the unit vector of row i.
@@ -62,136 +89,171 @@ def _pivot(T, i, j):
     T[rows] -= T[rows, j, None] * T[i]
 
 
-def _pivot_loop(T, basis, cost, max_iter, deadline=None):
-    """Pivot tableau T (rows x cols+1) to optimality. Returns (status,
-    pivots): status 'optimal', 'unbounded', 'stalled' or 'timeout'
-    (`deadline`, a `perf_counter` value, passed), and the number of pivots
-    taken.
+class _Lp:
+    """The LP relaxation of one node, min c.x s.t. A x + s = b with
+    lo <= x <= hi and each logical s_i bounded by its row's relation, and the
+    state of a bounded-variable dual simplex on it.
 
-    Entering column: most negative reduced cost (lowest index on ties), which
-    keeps iteration counts low; after 30 consecutive degenerate pivots the
-    rule flips to Bland's, so cycling cannot happen. Reduced costs are carried
-    along incrementally and refreshed from scratch every 64 pivots to keep
-    rounding drift out of the entering test. The deadline is checked before
-    every pivot, not just at the refresh: a pivot of a large dense tableau is
-    costly, and a whole LP may need fewer than 64 of them.
+    `T` is the tableau B^-1 [A | I | b] as one row-major array; `basis` holds
+    the basic column of each row; `x` the value of every column (a nonbasic
+    column sits exactly on one of its bounds); `d` the reduced costs; and
+    `side` is +1 for a nonbasic column at its lower bound, -1 at its upper
+    bound, and 0 for a basic or fixed column, which never enters. The state is
+    dual feasible throughout: d >= 0 at a lower bound, d <= 0 at an upper one.
     """
-    n_cols = T.shape[1] - 1
-    rhs = T[:, -1]
-    reduced = cost - cost[basis] @ T[:, :n_cols]
-    exact = True
-    degenerate_streak = 0
-    pivots = 0
-    for it in range(max_iter):
-        if deadline is not None and perf_counter() > deadline:
-            return "timeout", pivots
-        if it % 64 == 63 and not exact:
-            reduced = cost - cost[basis] @ T[:, :n_cols]
-            exact = True
-        eligible = (reduced < -FEAS_TOL).nonzero()[0]
-        if eligible.size == 0:
-            if exact:
-                return "optimal", pivots
-            reduced = cost - cost[basis] @ T[:, :n_cols]
-            exact = True
-            continue
-        if degenerate_streak > 30:
-            j = eligible[0]  # Bland: smallest index
-        else:
-            j = eligible[reduced[eligible].argmin()]  # Dantzig, first on ties
-        col = T[:, j]
-        pos = (col > FEAS_TOL).nonzero()[0]
-        if pos.size == 0:
-            return "unbounded", pivots
-        ratios = rhs[pos] / col[pos]
-        best = ratios.min()
-        ties = pos[ratios <= best + 1e-12]
-        i = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
-        degenerate_streak = degenerate_streak + 1 if best < 1e-10 else 0
-        _pivot(T, i, j)
-        pivots += 1
-        reduced -= reduced[j] * T[i, :n_cols]
-        exact = False
-        basis[i] = j
-    return "stalled", pivots
 
+    def __init__(self, ar: "_Arrays", lo, hi):
+        """The slack basis under structural bounds `lo` and `hi`."""
+        n, m = ar.n, len(ar.b)
+        self.T = np.zeros((m, n + m + 1))
+        self.T[:, :n] = ar.A
+        self.T[np.arange(m), n + np.arange(m)] = 1.0
+        self.T[:, -1] = ar.b
+        self.basis = np.arange(n, n + m)
+        self.lo = np.concatenate([lo, np.where(ar.ge, -np.inf, 0.0)])
+        self.hi = np.concatenate([hi, np.where(ar.ge | ar.eq, 0.0, np.inf)])
+        self.cost = np.concatenate([ar.c, np.zeros(m)])
+        self.d = self.cost.copy()
+        self.x = np.zeros(n + m)
+        self.x[:n] = np.where(ar.c < 0, hi, lo)
+        self.x[n:] = ar.b - ar.A @ self.x[:n]
+        self.side = np.zeros(n + m)
+        self.side[:n] = np.where(lo == hi, 0.0, np.where(ar.c < 0, -1.0, 1.0))
+        self.row = None  # the row whose dual ratio test proved infeasibility
 
-def _simplex(c, A, b, ge, eq, max_iter=20000, deadline=None):
-    """min c.x s.t. A x <rel> b, 0 <= x <= 1, for at least one column; the
-    masks `ge` and `eq` mark the `>=` and `=` rows of A, the rest are `<=`.
+    def copy(self) -> "_Lp":
+        """An independent copy of this state, for a sibling node."""
+        twin = _Lp.__new__(_Lp)
+        twin.__dict__ = {name: a.copy() if isinstance(a, np.ndarray) else a
+                         for name, a in self.__dict__.items()}
+        return twin
 
-    The tableau is one row-major array, built once per LP. Rows: the rows of
-    A, then one `x_j <= 1` row per column. Columns: `x | slacks | artificials
-    | rhs`, with a slack for each inequality row and an artificial for each
-    row without a basic slack, both numbered in row order. A `>=` row is
-    negated into a `<=` row, then any row with a negative right-hand side is
-    negated; a slack is basic where its coefficient stayed +1.
+    def rebound(self, lo, hi):
+        """Tighten the structural bounds to `lo` and `hi`. A nonbasic column
+        moves onto its new bound, shifting the basic values with it; a basic
+        column keeps its value and, if now outside its bounds, leaves in `run`.
+        The basis stays dual feasible."""
+        n = len(lo)
+        self.lo[:n] = lo
+        self.hi[:n] = hi
+        x = self.x[:n]
+        shift = np.clip(x, lo, hi) - x
+        shift[self.basis[self.basis < n]] = 0.0
+        moved = shift.nonzero()[0]
+        if moved.size:
+            self.x[self.basis] -= self.T[:, moved] @ shift[moved]
+            x[moved] += shift[moved]
+        self.side[:n][lo == hi] = 0.0
 
-    Returns (status, x, pivots); status 'optimal', 'infeasible', or one of
-    `_pivot_loop`'s failures: 'unbounded', 'stalled', 'timeout'; pivots
-    counts every pivot taken, phase-1 cleanup included.
-    """
-    n = len(c)
-    n_rows = len(b)
-    m = n_rows + n
-    rhs = np.concatenate([np.where(ge, -b, b), np.ones(n)])
-    flip = rhs < 0
-    rhs = np.where(flip, -rhs, rhs)
-    flip_sign = np.where(flip, -1.0, 1.0)
-    slack_rows = np.flatnonzero(np.concatenate([~eq, np.ones(n, dtype=bool)]))
-    art_rows = np.flatnonzero(np.concatenate([eq, np.zeros(n, dtype=bool)]) | flip)
-    n_slack = len(slack_rows)
-    first_art = n + n_slack
-    T = np.zeros((m, first_art + len(art_rows) + 1))
-    np.multiply(A, (np.where(ge, -1.0, 1.0) * flip_sign[:n_rows])[:, None],
-                out=T[:n_rows, :n])
-    T[np.arange(n_rows, m), np.arange(n)] = 1.0
-    T[slack_rows, n + np.arange(n_slack)] = flip_sign[slack_rows]
-    T[art_rows, first_art + np.arange(len(art_rows))] = 1.0
-    T[:, -1] = rhs
-    basis = np.empty(m, dtype=np.intp)
-    basis[slack_rows] = n + np.arange(n_slack)
-    basis[art_rows] = first_art + np.arange(len(art_rows))
+    def holds(self, ar: "_Arrays", status: str) -> bool:
+        """Whether the answer of `run` holds against the original rows and not
+        only against the tableau, whose rounding error grows with every pivot
+        since it was built from A. With B^-1 read off the tableau's logical
+        block, an 'optimal' answer holds if x satisfies A x + s = b and the
+        reduced costs recomputed from A match `d`, and an 'infeasible' one if
+        the row that ended the run, recomputed from A, proves it (Farkas: no
+        point of the bounding box meets the row)."""
+        n = ar.n
+        binv = self.T[:, n:-1]
+        if status == "infeasible":
+            y = binv[self.row]
+            g = np.concatenate([y @ ar.A, y])
+            rhs = float(y @ ar.b)
+            slack_lo, slack_hi = ar.slack_box
+            lo = np.concatenate([self.lo[:n], slack_lo])
+            hi = np.concatenate([self.hi[:n], slack_hi])
+            low = float(np.where(g > 0, g * lo, g * hi).sum())
+            high = float(np.where(g > 0, g * hi, g * lo).sum())
+            return low > rhs + FEAS_TOL or high < rhs - FEAS_TOL
+        y = self.cost[self.basis] @ binv
+        dual = np.concatenate([y @ ar.A, y]) - self.cost + self.d
+        primal = ar.A @ self.x[:n] + self.x[n:] - ar.b
+        return max(np.abs(dual).max(), np.abs(primal).max(initial=0.0)) <= GUARD_TOL
 
-    # phase 1: drive artificials to zero
-    pivots = 0
-    if len(art_rows):
-        cost1 = np.zeros(T.shape[1] - 1)
-        cost1[first_art:] = 1.0
-        status, pivots = _pivot_loop(T, basis, cost1, max_iter, deadline)
-        if status in ("stalled", "timeout"):
-            return status, None, pivots
-        if cost1[basis] @ T[:, -1] > 1e-7:
-            return "infeasible", None, pivots
-        # artificials still basic sit at zero: pivot each out on its row's
-        # first nonzero column, or drop the row as redundant
-        drop = []
-        for i in np.flatnonzero(basis >= first_art):
-            nonzero = np.flatnonzero(np.abs(T[i, :first_art]) > FEAS_TOL)
-            if nonzero.size == 0:
-                drop.append(i)
+    def _refresh(self):
+        """Recompute the reduced costs and basic values from the tableau."""
+        T, basis = self.T, self.basis
+        self.d[:] = self.cost - self.cost[basis] @ T[:, :-1]
+        nonbasic = self.x.copy()
+        nonbasic[basis] = 0.0
+        at = nonbasic.nonzero()[0]
+        self.x[basis] = T[:, -1] - T[:, at] @ nonbasic[at]
+
+    def run(self, deadline=None, max_iter=20000):
+        """Dual simplex pivots to optimality. Returns (status, pivots): status
+        'optimal', 'infeasible' (the dual ratio test finds no entering
+        column), 'stalled' (`max_iter` iterations) or 'timeout' (`deadline`, a
+        `perf_counter` value, passed), and the number of pivots taken.
+
+        Leaving variable: the basic one farthest outside its bounds. Entering
+        column: the smallest dual ratio, ties to the largest pivot entry, which
+        keeps the pivots well conditioned. After `BLAND_AFTER` consecutive
+        degenerate pivots (a zero dual step) both rules switch to Bland's dual
+        analogue, the smallest-index infeasible basic variable and the
+        first-index ratio tie, so cycling cannot happen. Reduced costs and
+        basic values are carried along incrementally and recomputed every 64
+        iterations, and before the LP is declared optimal or infeasible, to
+        keep rounding drift out of both tests. The deadline is checked before
+        every pivot: a pivot of a large tableau is costly, and a whole LP may
+        need few of them.
+        """
+        T, basis, x, d, side, lo, hi = (self.T, self.basis, self.x, self.d,
+                                        self.side, self.lo, self.hi)
+        k = T.shape[1] - 1
+        exact = True
+        degenerate_streak = 0
+        pivots = 0
+        for it in range(max_iter):
+            if it % 64 == 63 and not exact:
+                self._refresh()
+                exact = True
+            xb = x[basis]
+            above = xb - hi[basis]
+            viol = np.maximum(lo[basis] - xb, above)
+            rows = (viol > FEAS_TOL).nonzero()[0]
+            if rows.size == 0:
+                if exact:
+                    return "optimal", pivots
+                self._refresh()
+                exact = True
                 continue
-            _pivot(T, i, nonzero[0])
+            bland = degenerate_streak > BLAND_AFTER
+            r = rows[basis[rows].argmin()] if bland else rows[viol[rows].argmax()]
+            up = above[r] > 0  # the leaving variable goes to its upper bound
+            alpha = T[r, :k] if up else -T[r, :k]
+            cand = (side * alpha > FEAS_TOL).nonzero()[0]
+            if cand.size == 0:
+                if exact:
+                    self.row = r
+                    return "infeasible", pivots
+                self._refresh()
+                exact = True
+                continue
+            ratios = d[cand] / alpha[cand]
+            best = ratios.min()
+            ties = cand[ratios <= best + 1e-12]
+            if bland or ties.size == 1:
+                q = ties[0]
+            else:
+                q = ties[np.abs(alpha[ties]).argmax()]
+            degenerate_streak = degenerate_streak + 1 if best < 1e-10 else 0
+            if deadline is not None and perf_counter() > deadline:
+                return "timeout", pivots
+            leaving = basis[r]
+            bound = hi[leaving] if up else lo[leaving]
+            step = (x[leaving] - bound) / T[r, q]
+            x[basis] -= step * T[:, q]
+            x[q] += step
+            x[leaving] = bound
+            _pivot(T, r, q)
             pivots += 1
-            basis[i] = nonzero[0]
-        # remove the artificial columns: move rhs up, keep a view of the rest
-        T[:, first_art] = T[:, -1]
-        T = T[:, :first_art + 1]
-        if drop:
-            keep = np.ones(m, dtype=bool)
-            keep[drop] = False
-            T, basis = T[keep], basis[keep]
-
-    # phase 2: original objective
-    cost2 = np.zeros(first_art)
-    cost2[:n] = c
-    status, phase2 = _pivot_loop(T, basis, cost2, max_iter, deadline)
-    pivots += phase2
-    if status != "optimal":
-        return status, None, pivots
-    x = np.zeros(first_art)
-    x[basis] = T[:, -1]
-    return "optimal", x[:n], pivots
+            basis[r] = q
+            d -= d[q] * T[r, :k]
+            side[q] = 0.0
+            if lo[leaving] < hi[leaving]:
+                side[leaving] = -1.0 if up else 1.0
+            exact = False
+        return "stalled", pivots
 
 
 # --- problem arrays -------------------------------------------------------------
@@ -201,6 +263,9 @@ class _Arrays:
         self.ids = [v.id for v in p.variables]
         self.index = {vid: j for j, vid in enumerate(self.ids)}
         self.n = len(self.ids)
+        # each column's position in id order, for the branching tie-break
+        self.rank = np.empty(self.n, dtype=np.intp)
+        self.rank[sorted(range(self.n), key=self.ids.__getitem__)] = np.arange(self.n)
         sign = 1.0 if p.objective.sense == "min" else -1.0
         self.sense = p.objective.sense
         self.c = np.zeros(self.n)
@@ -220,6 +285,14 @@ class _Arrays:
         self.ge = rels == ">="
         self.eq = rels == "="
 
+    @cached_property
+    def slack_box(self):
+        """Finite bounds on each row's logical b - A x over the 0/1 box."""
+        most = np.maximum(self.A, 0).sum(axis=1)  # the largest A x
+        least = np.minimum(self.A, 0).sum(axis=1)
+        return (np.where(self.ge, self.b - most, 0.0),
+                np.where(self.ge | self.eq, 0.0, self.b - least))
+
     def feasible(self, X, tol=FEAS_TOL):
         """Whether point `X` satisfies every row; for a batch of points (one
         per row of `X`), one such bool per point."""
@@ -232,38 +305,9 @@ class _Arrays:
         return self.sign * float(self.c @ x) + self.constant
 
 
-def _lp_with_fixed(ar: _Arrays, fixed: dict[int, int], deadline=None):
-    """LP relaxation with some binaries fixed; fixed columns are substituted out.
-
-    Returns (status, value_in_min_sense_without_constant, full_x or None,
-    simplex pivots).
-    """
-    free = np.ones(ar.n, dtype=bool)
-    free[list(fixed)] = False
-    x = np.zeros(ar.n)
-    x[list(fixed)] = list(fixed.values())
-    if not free.any():
-        if not ar.feasible(x):
-            return "infeasible", None, None, 0
-        return "optimal", float(ar.c @ x), x, 0
-    b = ar.b - ar.A @ x
-    status, xf, pivots = _simplex(ar.c[free], ar.A[:, free], b, ar.ge, ar.eq,
-                                  deadline=deadline)
-    if status != "optimal":
-        return status, None, None, pivots
-    x[free] = xf
-    return "optimal", float(ar.c @ x), x, pivots
-
-
-def _fallback_bound(ar: _Arrays, fixed: dict[int, int]) -> float:
-    """Coefficient-sum bound: ignore rows, sum the best case of every free term."""
-    bound = 0.0
-    for j in range(ar.n):
-        if j in fixed:
-            bound += ar.c[j] * fixed[j]
-        elif ar.c[j] < 0:
-            bound += ar.c[j]
-    return bound
+def _fallback_bound(ar: _Arrays, lo, hi) -> float:
+    """Coefficient-sum bound: ignore rows, take the best bound of every column."""
+    return float(np.minimum(ar.c * lo, ar.c * hi).sum())
 
 
 def solve(p: IlpProblem, time_limit: float | None = None,
@@ -284,7 +328,11 @@ def solve(p: IlpProblem, time_limit: float | None = None,
     root_relax = None
     timed_out = False
 
-    stack: list[tuple[dict[int, int], float]] = [({}, -np.inf)]
+    # a node: its column bounds, its parent's LP bound, and the parent's final
+    # LP to continue from (None: start from the slack basis)
+    stack: list[tuple[np.ndarray, np.ndarray, float, _Lp | None]] = [
+        (np.zeros(ar.n), np.ones(ar.n), -np.inf, None)]
+    stacked_bytes = 0  # tableaux held by the stack
     while stack:
         if deadline is not None and perf_counter() > deadline:
             timed_out = True
@@ -292,30 +340,43 @@ def solve(p: IlpProblem, time_limit: float | None = None,
         if node_budget is not None and nodes >= node_budget:
             timed_out = True
             break
-        fixed, parent_bound = stack.pop()
+        lo, hi, parent_bound, lp = stack.pop()
+        if lp is not None:
+            stacked_bytes -= lp.T.nbytes
         if parent_bound >= incumbent_val - FEAS_TOL:
             continue  # the parent's relaxation already rules this subtree out
         nodes += 1
-        status, value, x, lp_pivots = _lp_with_fixed(ar, fixed, deadline)
-        pivots += lp_pivots
+        status = None
+        if lp is not None:
+            lp.rebound(lo, hi)
+            status, lp_pivots = lp.run(deadline)
+            pivots += lp_pivots
+            if status == "stalled" or status != "timeout" and not lp.holds(ar, status):
+                status = None  # solve the node again from the slack basis
+        if status is None:
+            lp = _Lp(ar, lo, hi)
+            status, lp_pivots = lp.run(deadline)
+            pivots += lp_pivots
         if status == "timeout":
             timed_out = True
             break
         if status == "infeasible":
             continue
-        if status in ("stalled", "unbounded"):
-            value = _fallback_bound(ar, fixed)
-            x = None
+        free = lo < hi
+        if status == "optimal":
+            x = lp.x[:ar.n]
+            value = float(ar.c @ x)
+        else:  # stalled: the children start from the slack basis
+            lp = None
+            x = None if free.any() else lo  # with every column fixed, its one point
+            value = _fallback_bound(ar, lo, hi)
         if root_relax is None:
             root_relax = ar.sign * value + ar.constant
         if value >= incumbent_val - FEAS_TOL:
             continue
-        # a stalled LP leaves at least one free column: `_lp_with_fixed` only
-        # runs the simplex then
-        free = [j for j in range(ar.n) if j not in fixed]
         frac = free
         if x is not None:
-            frac = [j for j in free if abs(x[j] - round(x[j])) > INT_TOL]
+            frac = free & (np.abs(x - np.round(x)) > INT_TOL)
             # rounding the relaxation is free and often lands on the optimum,
             # which lets the equal-bound pruning bite much earlier
             cand = np.round(x)
@@ -325,19 +386,29 @@ def solve(p: IlpProblem, time_limit: float | None = None,
                 if cand_val < incumbent_val - FEAS_TOL:
                     incumbent_val = cand_val
                     incumbent_x = cand
-            if not frac:
-                if cand_feasible or not free:
+            if not frac.any():
+                if cand_feasible or not free.any():
                     continue
                 # rounding broke feasibility; branch on the first free binary
                 frac = free
+        cols = frac.nonzero()[0]
         if x is not None:
-            branch = min(frac, key=lambda j: (abs(x[j] - 0.5), ar.ids[j]))
+            branch = cols[np.lexsort((ar.rank[cols], np.abs(x[cols] - 0.5)))[0]]
         else:
-            branch = min(frac, key=lambda j: ar.ids[j])
-        first = 1 if one_first else 0
-        second = 1 - first
-        stack.append(({**fixed, branch: second}, value))
-        stack.append(({**fixed, branch: first}, value))
+            branch = cols[ar.rank[cols].argmin()]
+        first = 1.0 if one_first else 0.0
+        # the first branch, pushed last, takes this LP over; its sibling gets a
+        # copy while the stack's tableaux, both children's included, stay
+        # within budget, and otherwise starts from the slack basis
+        sibling = None
+        if lp is not None and stacked_bytes + 2 * lp.T.nbytes <= STACK_TABLEAU_BYTES:
+            sibling = lp.copy()
+        for v, warm in ((1.0 - first, sibling), (first, lp)):
+            child_lo, child_hi = lo.copy(), hi.copy()
+            child_lo[branch] = child_hi[branch] = v
+            stack.append((child_lo, child_hi, value, warm))
+            if warm is not None:
+                stacked_bytes += warm.T.nbytes
 
     elapsed = perf_counter() - start
     stats = {"nodes": nodes, "pivots": pivots, "wall_time_s": elapsed,
@@ -354,10 +425,11 @@ def solve(p: IlpProblem, time_limit: float | None = None,
 def lp_relaxation(p: IlpProblem) -> tuple[str, float | None]:
     """Root LP bound in the problem's own sense; used by property tests."""
     ar = _Arrays(p)
-    status, value, _, _ = _lp_with_fixed(ar, {})
+    lp = _Lp(ar, np.zeros(ar.n), np.ones(ar.n))
+    status, _ = lp.run()
     if status != "optimal":
         return status, None
-    return "optimal", ar.sign * value + ar.constant
+    return "optimal", ar.sign * float(ar.c @ lp.x[:ar.n]) + ar.constant
 
 
 def brute_force(p: IlpProblem) -> Solution:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from graphilp import (Edge, Graph, IlpProblem, Metamodel, Node, ObjectiveFunc,
@@ -165,14 +166,16 @@ def brute_matches(g: Graph, p: Pattern) -> set:
 
 # --- random 0/1 problems --------------------------------------------------------
 
-def random_problem(rng: random.Random, max_vars: int = 12, max_rows: int = 15
-                   ) -> IlpProblem:
-    n = rng.randint(1, max_vars)
+def random_problem(rng: random.Random, max_vars: int = 12, max_rows: int = 15,
+                   min_vars: int = 1, max_row_vars: int | None = None) -> IlpProblem:
+    """A random 0/1 program; each row has up to `max_row_vars` (default: every)
+    variable."""
+    n = rng.randint(min_vars, max_vars)
     m = rng.randint(0, max_rows)
     variables = [Variable(f"x{i}", BINARY) for i in range(n)]
     rows = []
     for _ in range(m):
-        picked = rng.sample(range(n), rng.randint(1, n))
+        picked = rng.sample(range(n), rng.randint(1, min(n, max_row_vars or n)))
         coeffs = {f"x{i}": rng.randint(-10, 10) for i in picked}
         rel = rng.choice(["<=", "<=", "<=", ">=", "="])
         rows.append(Row(coeffs, rel, rng.randint(-8, 12)))
@@ -180,3 +183,42 @@ def random_problem(rng: random.Random, max_vars: int = 12, max_rows: int = 15
     obj = ObjectiveFunc(sense, {f"x{i}": rng.randint(-10, 10) for i in range(n)},
                         rng.randint(-5, 5))
     return IlpProblem(variables, rows, obj)
+
+
+def highs_optimum(p: IlpProblem, relaxed: bool = False, lb=0.0, ub=1.0):
+    """HiGHS, through scipy, as an oracle independent of graphilp's solver:
+    `scipy.optimize.milp` on the 0/1 program, or with `relaxed`, `linprog` on
+    its LP relaxation with column bounds `lb` and `ub`. Returns ('optimal',
+    value in the program's own sense) or ('infeasible', None); skips the
+    calling test when scipy is missing."""
+    optimize = pytest.importorskip("scipy.optimize")
+    ids = [v.id for v in p.variables]
+    sign = 1.0 if p.objective.sense == "min" else -1.0
+    c = np.array([sign * p.objective.terms.get(v, 0) for v in ids], dtype=float)
+    A = np.array([[row.coeffs.get(v, 0) for v in ids] for row in p.constraints],
+                 dtype=float).reshape(len(p.constraints), len(ids))
+    rhs = np.array([row.rhs for row in p.constraints], dtype=float)
+    rel = np.array([row.rel for row in p.constraints], dtype=str)
+    bounds = np.broadcast_to(np.array([lb, ub], dtype=float).T, (len(ids), 2))
+    if relaxed:
+        le, ge, eq = rel == "<=", rel == ">=", rel == "="
+        A_ub = np.vstack([A[le], -A[ge]])
+        b_ub = np.concatenate([rhs[le], -rhs[ge]])
+        res = optimize.linprog(c, A_ub=A_ub if len(b_ub) else None,
+                               b_ub=b_ub if len(b_ub) else None,
+                               A_eq=A[eq] if eq.any() else None,
+                               b_eq=rhs[eq] if eq.any() else None,
+                               bounds=bounds, method="highs")
+    else:
+        rows = [optimize.LinearConstraint(A, np.where(rel == "<=", -np.inf, rhs),
+                                          np.where(rel == ">=", np.inf, rhs))]
+        res = optimize.milp(c, constraints=rows if len(rhs) else [],
+                            integrality=np.ones(len(ids)),
+                            bounds=optimize.Bounds(bounds[:, 0], bounds[:, 1]),
+                            # with presolve, HiGHS (scipy 1.17) ends some small
+                            # infeasible programs in "Solve error"
+                            options={"mip_rel_gap": 0.0, "presolve": False})
+    assert res.status in (0, 2), res.message
+    if res.status == 2:
+        return "infeasible", None
+    return "optimal", sign * res.fun + p.objective.constant

@@ -12,7 +12,7 @@ from graphilp.solve import BruteForceTooLarge
 
 solve_mod = importlib.import_module("graphilp.solve")  # graphilp.solve is the function
 
-from conftest import random_problem
+from conftest import highs_optimum, random_problem
 
 
 def simple(rows, obj_terms, sense="min", n=2, constant=0.0):
@@ -109,7 +109,7 @@ def test_root_relaxation_bounds_integer_optimum():
 
 def _with_redundant_rows(p):
     """p plus, for its first two `=` rows, a copy and a negated copy: linearly
-    dependent rows, so phase 1 ends with artificials basic on rows it drops."""
+    dependent rows."""
     extra = []
     for row in [r for r in p.constraints if r.rel == "="][:2]:
         extra.append(Row(dict(row.coeffs), "=", row.rhs))
@@ -150,6 +150,150 @@ def test_lp_relaxation_agrees_with_highs():
             assert value == pytest.approx(sign * res.fun + p.objective.constant,
                                           abs=1e-6), k
     assert optimal >= 50
+
+
+def test_oracle_equivalence_with_highs_beyond_brute_force():
+    # 23 to 80 variables, past brute force's 22; sparse rows, as the encoder
+    # writes them, keep the search small
+    rng = random.Random(2323)
+    optimal = 0
+    for k in range(200):
+        p = random_problem(rng, max_vars=80, min_vars=23, max_rows=15, max_row_vars=8)
+        s = solve(p)
+        status, value = highs_optimum(p)
+        assert s.status == status, k
+        if status == "optimal":
+            optimal += 1
+            assert s.objective_value == pytest.approx(value, abs=1e-6), k
+    assert optimal >= 30
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_warm_started_lp_matches_cold_solve_and_highs(size):
+    # fix columns one at a time, as a path down the search tree does: each LP
+    # continues from the previous one's final tableau and must reach the
+    # status and value of a solve from the slack basis under the same bounds,
+    # and of HiGHS's linprog. The large programs carry one tableau through
+    # every fixing, 40 to 80 of them, towards a feasible 0/1 point, so each
+    # LP along the way stays feasible
+    if size == "small":
+        rng, programs, kw = random.Random(5150), 80, {}
+    else:
+        rng, programs, kw = random.Random(5151), 40, dict(
+            min_vars=40, max_vars=80, max_rows=20, max_row_vars=8)
+    checked = chains = 0
+    for k in range(programs):
+        p = random_problem(rng, **kw)
+        ar = solve_mod._Arrays(p)
+        target = None
+        if size == "large":
+            s = solve(p)
+            if s.status != "optimal":
+                continue
+            chains += 1
+            target = np.array([s.assignment[v] for v in ar.ids], dtype=float)
+        lo, hi = np.zeros(ar.n), np.ones(ar.n)
+        warm = solve_mod._Lp(ar, lo, hi)
+        status, _ = warm.run()
+        for j in rng.sample(range(ar.n), ar.n):
+            if status != "optimal":
+                break
+            lo, hi = lo.copy(), hi.copy()
+            lo[j] = hi[j] = float(rng.randint(0, 1)) if target is None else target[j]
+            warm.rebound(lo, hi)
+            status, _ = warm.run()
+            assert warm.holds(ar, status), k
+            cold = solve_mod._Lp(ar, lo, hi)
+            assert cold.run()[0] == status, k
+            expected, value = highs_optimum(p, relaxed=True, lb=lo, ub=hi)
+            assert status == expected, k
+            if status == "optimal":
+                checked += 1
+                assert float(ar.c @ warm.x[:ar.n]) == pytest.approx(
+                    float(ar.c @ cold.x[:ar.n]), abs=1e-9), k
+                assert ar.sign * float(ar.c @ warm.x[:ar.n]) + ar.constant == \
+                    pytest.approx(value, abs=1e-6), k
+                x = warm.x[:ar.n]
+                assert np.all(x >= lo - 1e-9) and np.all(x <= hi + 1e-9), k
+    assert checked >= 100 and (size == "small" or chains >= 8)
+
+
+def _corrupt_after_rebound(monkeypatch):
+    """Make every warm start run on a tableau that no longer equals
+    B^-1 [A | I | b]: the error that rounding drift would leave, writ large."""
+    noise = np.random.default_rng(99)
+    rebound = solve_mod._Lp.rebound
+
+    def corrupted(lp, lo, hi):
+        rebound(lp, lo, hi)
+        lp.T[:, :len(lo)] *= 1.0 + 0.2 * noise.standard_normal((lp.T.shape[0], len(lo)))
+    monkeypatch.setattr(solve_mod._Lp, "rebound", corrupted)
+
+
+def test_guard_rejects_a_corrupted_tableau(monkeypatch):
+    # a warm LP's answer is checked against A: every answer that a corrupted
+    # tableau gets wrong fails the check (and the search then solves the
+    # node again from the slack basis)
+    _corrupt_after_rebound(monkeypatch)
+    rng = random.Random(7070)
+    wrong = 0
+    for k in range(200):
+        p = random_problem(rng, min_vars=4, max_vars=10)
+        ar = solve_mod._Arrays(p)
+        lo, hi = np.zeros(ar.n), np.ones(ar.n)
+        lp = solve_mod._Lp(ar, lo, hi)
+        if lp.run()[0] != "optimal":
+            continue
+        frac = (np.abs(lp.x[:ar.n] - np.round(lp.x[:ar.n])) > 1e-7).nonzero()[0]
+        if frac.size == 0:
+            continue
+        lo[frac[0]] = hi[frac[0]] = 1.0  # a basic column, so the LP must pivot
+        lp.rebound(lo, hi)
+        status, _ = lp.run()
+        cold = solve_mod._Lp(ar, lo, hi)
+        expected, _ = cold.run()
+        if status == "stalled":
+            continue
+        if status != expected or status == "optimal" and not np.isclose(
+                ar.c @ lp.x[:ar.n], ar.c @ cold.x[:ar.n], atol=1e-6):
+            wrong += 1
+            assert not lp.holds(ar, status), k
+        assert cold.holds(ar, expected), k
+    assert wrong >= 10
+
+
+@pytest.mark.parametrize("patch", ["Bland from the start", "cold siblings",
+                                   "some cold siblings", "stalled LPs",
+                                   "every warm answer rejected", "corrupted warm starts"])
+def test_search_stays_exact_on_every_simplex_path(monkeypatch, patch):
+    # the dual Bland rule may take over at any pivot; siblings start from the
+    # slack basis once the stack's tableaux exceed their budget; with every
+    # LP stalled the search enumerates under coefficient-sum bounds, every
+    # child starts cold, and a node with every column fixed is judged by its
+    # one point; a warm answer that fails its check against A is solved
+    # again from the slack basis
+    if patch == "Bland from the start":
+        monkeypatch.setattr(solve_mod, "BLAND_AFTER", -1)
+    elif patch == "cold siblings":
+        monkeypatch.setattr(solve_mod, "STACK_TABLEAU_BYTES", 0)
+    elif patch == "some cold siblings":
+        # room for a few of these programs' tableaux (at most 15 x 24 floats)
+        monkeypatch.setattr(solve_mod, "STACK_TABLEAU_BYTES", 8 << 10)
+    elif patch == "stalled LPs":
+        run = solve_mod._Lp.run
+        monkeypatch.setattr(solve_mod._Lp, "run",
+                            lambda lp, deadline=None: run(lp, deadline, max_iter=0))
+    elif patch == "every warm answer rejected":
+        monkeypatch.setattr(solve_mod._Lp, "holds", lambda lp, ar, status: False)
+    else:
+        _corrupt_after_rebound(monkeypatch)
+    rng = random.Random(6464)
+    for k in range(120):
+        p = random_problem(rng, max_vars=8)
+        s, b = solve(p), brute_force(p)
+        assert s.status == b.status, k
+        if s.status == "optimal":
+            assert s.objective_value == pytest.approx(b.objective_value, abs=1e-9), k
 
 
 def test_sense_duality():
@@ -198,18 +342,22 @@ def test_time_limit_zero_times_out():
 
 
 def test_time_limit_holds_inside_an_lp(monkeypatch):
-    # the root LP needs two pivots and its optimum is integral, so without a
-    # limit the root node alone proves optimality; the fake clock ticks one
-    # second per reading, so the limit passes between the check before the
-    # root node and the check before its first pivot
-    p = simple([], {"x0": -1, "x1": -1})
-    assert solve(p).status == "optimal"
+    # the slack start (x = 0) violates the `>=` row, so the root LP needs a
+    # dual pivot, and its optimum is integral: without a limit the root node
+    # alone proves optimality. The fake clock ticks one second per reading,
+    # so the limit passes between the check before the root node and the
+    # check before its first pivot
+    p = simple([Row({"x0": 1, "x1": 1}, ">=", 1)], {"x0": 1, "x1": 1})
+    unlimited = solve(p)
+    assert unlimited.status == "optimal"
+    assert unlimited.stats["nodes"] == 1 and unlimited.stats["pivots"] >= 1
     ticks = itertools.count()
     monkeypatch.setattr(solve_mod, "perf_counter", lambda: float(next(ticks)))
     sol = solve(p, time_limit=1.5)
     assert sol.status == "timeout"
     assert sol.objective_value is None
     assert sol.stats["nodes"] == 1
+    assert sol.stats["pivots"] == 0
 
 
 def test_solution_is_deterministic():
@@ -224,8 +372,6 @@ def test_solution_is_deterministic():
 
 
 def test_pivot_count_covers_every_pivot(monkeypatch):
-    # redundant `=` rows leave artificials basic after phase 1, so the
-    # cleanup pivots are counted too
     calls = itertools.count()
     real = solve_mod._pivot
     monkeypatch.setattr(solve_mod, "_pivot", lambda *a: (next(calls), real(*a)))
@@ -284,8 +430,7 @@ def test_sparse_pivot_edge_cases():
     _check_pivot(T, 0, 0)
     assert np.signbit(T[1, :2]).all()
     assert T[2].tolist() == [0.0, -3.0, -2.0, -5.0]
-    # a view of the leading columns, as the phase-2 tableau is once the
-    # artificial columns are cut off: the columns past it stay as they are
+    # a view of the leading columns: the columns past it stay as they are
     full = np.array([[1.0, 2.0, 9.0],
                      [3.0, 0.0, 9.0],
                      [0.0, 1.0, 9.0]])

@@ -2,12 +2,15 @@ import pathlib
 
 import pytest
 
+import graphilp.vne as vne
 from graphilp import (GraphDelta, apply_delta, embed_incremental,
-                      generate_scenario, parse_scenario_config,
+                      generate_scenario, lp_relaxation, parse_scenario_config,
                       full_scale_config, scenario_text, serialize_model,
                       verify_embedding)
 from graphilp.vne_model import embedding_spec
 from graphilp.vne import Range, ScenarioConfig, ScenarioError
+
+from conftest import highs_optimum
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "graphilp" / "data"
@@ -181,6 +184,34 @@ def test_contiguity_violation_detected(spec):
         deleted_edges=(link_host.id,)))
     violations = verify_embedding(report, sub, moved)
     assert any(v.kind in ("contiguity", "residual") for v in violations)
+
+
+def test_desk_run_agrees_with_highs_along_its_trajectory(spec, monkeypatch):
+    # replay check: the desk run (seed 1) takes its own trajectory, since
+    # tied optima may differ between solvers; on each request's program along
+    # it, the in-house status and optimum must equal HiGHS's milp, and its
+    # root LP bound HiGHS's linprog
+    solved = []
+    real_solve = vne.solve
+
+    def recording_solve(problem, **kwargs):
+        sol = real_solve(problem, **kwargs)
+        solved.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(vne, "solve", recording_solve)
+    substrate, vnrs = generate_scenario(ScenarioConfig(seed=1))
+    report = embed_incremental(substrate, vnrs, spec)
+    assert verify_embedding(report, substrate, report.final) == []
+    assert len(solved) == len(vnrs) == 10
+    for k, (problem, sol) in enumerate(solved):
+        status, value = highs_optimum(problem)
+        assert sol.status == status == "optimal", k
+        assert sol.objective_value == pytest.approx(value, abs=1e-6), k
+        lp_status, bound = lp_relaxation(problem)
+        assert (lp_status, bound) == pytest.approx(highs_optimum(problem, relaxed=True),
+                                                   abs=1e-6), k
+        assert sol.stats["root_relaxation"] == pytest.approx(bound, abs=1e-9), k
 
 
 def test_time_limit_rejects_with_timeout_reason(spec):
