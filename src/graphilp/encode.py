@@ -125,20 +125,15 @@ def apply_solution(g: Graph, spec: TypedSpec, table: MappingTable,
     """Apply every match whose mapping variable is 1 in `assignment`.
 
     Matches go one at a time in variable-id order, each as its own delta, so
-    a later match's attribute expressions see the earlier deltas. A match
-    whose binding no applied delta has touched is still valid (specs have no
-    negative conditions) and skips the recheck. Returns the new graph and the
-    number of matches applied.
+    a later match's attribute expressions see the earlier deltas, and each is
+    rechecked against the graph the earlier deltas left. Returns the new graph
+    and the number of matches applied.
     """
     chosen = sorted(vid for vid, value in assignment.items()
                     if vid in table and value == 1)
-    touched: set[str] = set()
     for vid in chosen:
         mapping, match = table.match_of(vid)
-        delta = apply_rule(g, spec.rule_of_mapping(mapping), match,
-                           assume_valid=touched.isdisjoint(match.bound_ids()))
-        g = apply_delta(g, delta)
-        touched |= delta.touched_ids()
+        g = apply_delta(g, apply_rule(g, spec.rule_of_mapping(mapping), match))
     return g, len(chosen)
 
 

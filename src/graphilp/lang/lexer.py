@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -32,105 +33,83 @@ _OPERATORS = (
 )
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_QUOTES = str.maketrans({char: "\\" + letter for letter, char in _ESCAPES.items()})
+
+# Alternatives are tried in order. `\d` is a decimal digit of any script and
+# `\w` a letter, digit or underscore; a word must start with a letter or `_`,
+# which `tokenize` checks because no character class excludes other digits
+# (`²`). BADSTRING is the valid prefix of a string that STRING could not
+# finish, and ERROR catches every character nothing else accepts.
+_STRING_BODY = r'"(?:[^"\\\n]|\\[%s])*' % re.escape("".join(_ESCAPES))
+_SCANNER = re.compile("|".join([
+    r"(?P<NEWLINE>\n)",
+    r"(?P<BLANK>[ \t\r]+)",
+    r"(?P<COMMENT>//[^\n]*)",
+    rf'(?P<STRING>{_STRING_BODY}")',
+    rf"(?P<BADSTRING>{_STRING_BODY})",
+    r"(?P<REAL>\d+(?:\.\d+)?[eE][+-]?\d+|\d+\.\d+)",
+    r"(?P<INT>\d+)",
+    r"(?P<WORD>[^\W\d]\w*)",
+    "(?P<OP>%s)" % "|".join(map(re.escape, _OPERATORS)),
+    r"(?P<ERROR>.)",
+]), re.DOTALL)
+_UNESCAPE = re.compile(r"\\(.)")
+
+
+def quote(s: str) -> str:
+    """The string literal that `tokenize` reads back as `s`."""
+    return f'"{s.translate(_QUOTES)}"'
+
+
+def is_word(s: str) -> bool:
+    """True iff `s` reads back as one identifier (or keyword) token."""
+    m = _SCANNER.fullmatch(s)
+    return m is not None and m.lastgroup == "WORD" and (s[0].isalpha() or s[0] == "_")
 
 
 def tokenize(text: str, keywords: frozenset[str] = frozenset()) -> list[Token]:
     """Split `text` into tokens. `//` starts a comment running to end of line.
 
     Identifiers listed in `keywords` are emitted with their own kind so the
-    parser can match them directly.
+    parser can match them directly. Lines and columns count from 1, columns
+    in characters. See docs/grammar.md, "Lexical structure".
     """
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and text[i] != '"':
-                c = text[i]
-                if c == "\n":
-                    raise LexError("unterminated string", start_line, start_col)
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                        raise LexError("bad escape in string", line, col)
-                    buf.append(_ESCAPES[text[i + 1]])
-                    i += 2
-                    col += 2
-                    continue
-                buf.append(c)
-                i += 1
-                col += 1
-            if i >= n:
-                raise LexError("unterminated string", start_line, start_col)
-            i += 1
-            col += 1
-            tokens.append(Token("STRING", "".join(buf), start_line, start_col))
-            continue
-        if ch.isdigit():
-            start_col = col
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_real = False
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                is_real = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_real = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lexeme = text[i:j]
-            if is_real:
-                tokens.append(Token("REAL", float(lexeme), line, start_col))
+    line, line_start = 1, 0
+    for m in _SCANNER.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "BLANK" or kind == "COMMENT":
+            pass
+        elif kind == "STRING":
+            value = _UNESCAPE.sub(lambda e: _ESCAPES[e[1]], lexeme[1:-1])
+            tokens.append(Token("STRING", value, line, col))
+        elif kind == "BADSTRING":
+            if text.startswith("\\", m.end()):
+                raise LexError("bad escape in string", line, m.end() - line_start + 1)
+            raise LexError("unterminated string", line, col)
+        elif kind == "REAL" or kind == "INT":
+            after = text[m.end():m.end() + 2]
+            if after[:1] in ("e", "E") and after[1:].isdigit() and "e" not in lexeme.lower():
+                # `1e²`: an exponent whose digit is not decimal, so not a word `e²` either
+                raise LexError(f"unexpected character {after[1]!r}", line, col + len(lexeme) + 1)
+            if kind == "REAL":
+                tokens.append(Token("REAL", float(lexeme), line, col))
             else:
-                tokens.append(Token("INT", int(lexeme), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            start_col = col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in keywords else "IDENT"
-            tokens.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(op, op, line, col))
-                i += len(op)
-                col += len(op)
-                break
+                try:
+                    value = int(lexeme)
+                except ValueError:  # more digits than the interpreter converts
+                    raise LexError("integer literal too long", line, col) from None
+                tokens.append(Token("INT", value, line, col))
+        elif kind == "WORD" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            tokens.append(Token(lexeme if lexeme in keywords else "IDENT", lexeme, line, col))
+        elif kind == "OP":
+            tokens.append(Token(lexeme, lexeme, line, col))
         else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", None, line, col))
+            raise LexError(f"unexpected character {lexeme[0]!r}", line, col)
+    tokens.append(Token("EOF", None, line, len(text) - line_start + 1))
     return tokens
 
 

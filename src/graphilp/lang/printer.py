@@ -10,14 +10,11 @@ from .ast import (AttrRef, Binary, BoolLit, ConstraintDecl, CreateEdgeAction,
                   GlobalObjectiveDecl, MappingDecl, Name, NodesNav, Num,
                   ObjectiveDecl, Rel, RuleDecl, SelfRef, SetSum, SpecAst, StrLit,
                   Unary)
+from .lexer import quote
 
 _PREC = {"|": 1, "&": 2, "+": 4, "-": 4, "*": 5, "/": 5}
 _REL_PREC = 3
 _UNARY_PREC = 6
-
-
-def _escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
 
 
 def pretty_expr(e, parent_prec: int = 0) -> str:
@@ -26,7 +23,7 @@ def pretty_expr(e, parent_prec: int = 0) -> str:
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"
     if isinstance(e, StrLit):
-        return f'"{_escape(e.value)}"'
+        return quote(e.value)
     if isinstance(e, Name):
         return e.id
     if isinstance(e, SelfRef):

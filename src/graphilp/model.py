@@ -23,9 +23,10 @@ Attribute kinds are `int`, `real`, `bool`, `string`. `//` starts a comment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .lang.lexer import LexError, TokenStream, tokenize
+from .lang.lexer import LexError, TokenStream, is_word, quote, tokenize
 
 ATTR_KINDS = ("int", "real", "bool", "string")
 
@@ -151,10 +152,6 @@ class Node:
     type: str
     attrs: dict
 
-    def __eq__(self, other):
-        return (isinstance(other, Node) and self.id == other.id
-                and self.type == other.type and self.attrs == other.attrs)
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -237,24 +234,13 @@ class GraphDelta:
     deleted_nodes: tuple[str, ...] = ()
     attr_updates: tuple[tuple[str, str, object], ...] = ()
 
-    def is_empty(self) -> bool:
-        return not (self.created_nodes or self.created_edges or self.deleted_edges
-                    or self.deleted_nodes or self.attr_updates)
-
-    def touched_ids(self) -> set[str]:
-        ids = {n.id for n in self.created_nodes}
-        ids |= {e.id for e in self.created_edges}
-        ids |= {e.src for e in self.created_edges} | {e.tgt for e in self.created_edges}
-        ids |= set(self.deleted_edges) | set(self.deleted_nodes)
-        ids |= {nid for nid, _, _ in self.attr_updates}
-        return ids
-
 
 def _value_conforms(value, kind: str) -> bool:
     if kind == "int":
         return isinstance(value, int) and not isinstance(value, bool)
-    if kind == "real":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "real":  # an int is exact; a float must be finite to be written back
+        return ((isinstance(value, int) and not isinstance(value, bool))
+                or (isinstance(value, float) and math.isfinite(value)))
     if kind == "bool":
         return isinstance(value, bool)
     if kind == "string":
@@ -369,7 +355,10 @@ def _parse_attr_block(ts: TokenStream, parse_kind: bool):
     out = {}
     ts.expect("{", error=ModelParseError)
     while not ts.accept("}"):
+        name_tok = ts.current
         name = _parse_name(ts)
+        if name in out:
+            raise ModelParseError(f"duplicate attribute {name!r}", name_tok.line, name_tok.col)
         ts.expect(":", error=ModelParseError)
         if parse_kind:
             kind_tok = ts.expect("IDENT", error=ModelParseError)
@@ -382,21 +371,36 @@ def _parse_attr_block(ts: TokenStream, parse_kind: bool):
     return out
 
 
-def _parse_record(ts: TokenStream, keyword: str) -> dict:
-    ts.expect(keyword, error=ModelParseError)
+# section -> (record keyword, keys a record may hold, keys it must hold)
+_RECORDS = {
+    "nodetypes": ("nodetype", ("name", "supertype", "attrs"), ("name",)),
+    "edgetypes": ("edgetype", ("name", "src", "tgt"), ("name", "src", "tgt")),
+    "nodes": ("node", ("id", "type", "attrs"), ("id", "type")),
+    "edges": ("edge", ("id", "type", "src", "tgt"), ("id", "type", "src", "tgt")),
+}
+
+
+def _parse_record(ts: TokenStream, keyword: str, allowed, required) -> dict:
+    start = ts.expect(keyword, error=ModelParseError)
     ts.expect("{", error=ModelParseError)
     rec: dict = {}
     while not ts.accept("}"):
         key_tok = ts.advance()
         key = str(key_tok.value)
-        if key == "attrs":
-            rec["attrs"] = _parse_attr_block(ts, parse_kind=(keyword == "nodetype"))
-            continue
-        if key not in ("name", "supertype", "id", "type", "src", "tgt"):
+        if key not in allowed:
             raise ModelParseError(f"unexpected key {key!r} in {keyword}", key_tok.line,
                                   key_tok.col)
-        ts.expect(":", error=ModelParseError)
-        rec[key] = _parse_name(ts)
+        if key in rec:
+            raise ModelParseError(f"duplicate key {key!r} in {keyword}", key_tok.line,
+                                  key_tok.col)
+        if key == "attrs":
+            rec[key] = _parse_attr_block(ts, parse_kind=(keyword == "nodetype"))
+        else:
+            ts.expect(":", error=ModelParseError)
+            rec[key] = _parse_name(ts)
+    for key in required:
+        if key not in rec:
+            raise ModelParseError(f"{keyword} needs {key!r}", start.line, start.col)
     return rec
 
 
@@ -405,44 +409,17 @@ def _parse_document(text: str):
         ts = TokenStream(tokenize(text, _KEYWORDS))
     except LexError as e:
         raise ModelParseError(e.message, e.line, e.col) from None
-    node_types: list[NodeType] = []
-    edge_types: list[EdgeType] = []
-    nodes: list[dict] = []
-    edges: list[dict] = []
+    records: dict[str, list[dict]] = {section: [] for section in _RECORDS}
     while not ts.at("EOF"):
-        section = ts.expect("nodetypes", "edgetypes", "nodes", "edges",
-                            error=ModelParseError)
+        section = ts.expect(*_RECORDS, error=ModelParseError).kind
         ts.expect("{", error=ModelParseError)
         while not ts.accept("}"):
-            if section.kind == "nodetypes":
-                rec = _parse_record(ts, "nodetype")
-                if "name" not in rec:
-                    raise ModelParseError("nodetype needs a name", ts.current.line,
-                                          ts.current.col)
-                attrs = tuple(AttrDecl(k, v) for k, v in rec.get("attrs", {}).items())
-                node_types.append(NodeType(rec["name"], attrs, rec.get("supertype")))
-            elif section.kind == "edgetypes":
-                rec = _parse_record(ts, "edgetype")
-                for key in ("name", "src", "tgt"):
-                    if key not in rec:
-                        raise ModelParseError(f"edgetype needs {key!r}", ts.current.line,
-                                              ts.current.col)
-                edge_types.append(EdgeType(rec["name"], rec["src"], rec["tgt"]))
-            elif section.kind == "nodes":
-                rec = _parse_record(ts, "node")
-                for key in ("id", "type"):
-                    if key not in rec:
-                        raise ModelParseError(f"node needs {key!r}", ts.current.line,
-                                              ts.current.col)
-                nodes.append(rec)
-            else:
-                rec = _parse_record(ts, "edge")
-                for key in ("id", "type", "src", "tgt"):
-                    if key not in rec:
-                        raise ModelParseError(f"edge needs {key!r}", ts.current.line,
-                                              ts.current.col)
-                edges.append(rec)
-    return node_types, edge_types, nodes, edges
+            records[section].append(_parse_record(ts, *_RECORDS[section]))
+    node_types = [NodeType(r["name"], tuple(AttrDecl(*a) for a in r.get("attrs", {}).items()),
+                           r.get("supertype"))
+                  for r in records["nodetypes"]]
+    edge_types = [EdgeType(r["name"], r["src"], r["tgt"]) for r in records["edgetypes"]]
+    return node_types, edge_types, records["nodes"], records["edges"]
 
 
 def load_metamodel(text: str) -> Metamodel:
@@ -471,23 +448,13 @@ def load_model(text: str) -> tuple[Metamodel, Graph]:
 
 
 def _fmt_name(name: str) -> str:
-    if name and (name[0].isalpha() or name[0] == "_") and \
-            all(c.isalnum() or c == "_" for c in name) and name not in _KEYWORDS:
-        return name
-    escaped = name.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    return f'"{escaped}"'
+    return name if is_word(name) and name not in _KEYWORDS else quote(name)
 
 
 def _fmt_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        s = repr(value)
-        return s if ("." in s or "e" in s or "E" in s) else s + ".0"
-    escaped = str(value).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    return f'"{escaped}"'
+    return quote(value) if isinstance(value, str) else repr(value)
 
 
 def serialize_metamodel(mm: Metamodel) -> str:

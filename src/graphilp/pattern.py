@@ -200,17 +200,15 @@ def _fresh_id(base: str, taken) -> str:
     return f"{base}_{k}"
 
 
-def apply_rule(g: Graph, r: Rule, m: Match, assume_valid: bool = False) -> GraphDelta:
+def apply_rule(g: Graph, r: Rule, m: Match) -> GraphDelta:
     """Evaluate the rule's actions on a valid match and return the delta.
 
     Attribute expressions see the pre-application graph. Raises
-    StaleMatchError when the match no longer holds. Callers that already know
-    the match is untouched (its binding is disjoint from every delta applied
-    since it was found) may pass `assume_valid` to skip the recheck.
+    StaleMatchError when the match no longer holds.
     """
     if m.rule != r.name and m.rule != r.lhs.name:
         raise PatternError(f"match of {m.rule!r} applied to rule {r.name!r}")
-    if not assume_valid and not revalidate(g, m):
+    if not revalidate(g, m):
         raise StaleMatchError(f"match of {r.name!r} is stale: {m.binding}")
     env: dict[str, object] = {name: NodeRef(gid) for name, gid in m.binding.items()}
     created_nodes: list[Node] = []

@@ -40,6 +40,43 @@ def test_check_empty_spec_mentions_global_objective(two_links, tmp_path, capsys)
     assert "missing global objective" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("\u00b23", "unexpected character '\u00b2'"),
+    ("7" * 5000, "integer literal too long"),
+], ids=["superscript-digit", "5000-digit-int"])
+def test_check_bad_numeral_is_one_located_error(literal, message, two_links, tmp_path, capsys):
+    model, _ = two_links
+    bad = tmp_path / "bad.gipsl"
+    bad.write_text(f"global objective : min {{ {literal} }}\n")
+    assert main(["check", "--model", str(model), "--spec", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: 1:26: {message}"]
+
+
+REAL_DOC = """
+nodetypes { nodetype { name: N  attrs { x: real } } }
+nodes { node { id: n  type: N  attrs { x: 1e300 } } }
+"""
+
+
+def test_non_finite_real_exits_1(tmp_path, capsys):
+    model = tmp_path / "m.model"
+    spec = tmp_path / "s.gipsl"
+    model.write_text(REAL_DOC.replace("1e300", "1e999"))
+    spec.write_text("global objective : min { 0 }\n")
+    assert main(["check", "--model", str(model), "--spec", str(spec)]) == 1
+    assert capsys.readouterr().err == "error: node 'n' attribute 'x' is not a real\n"
+    # an action that overflows the attribute ends the same way
+    model.write_text(REAL_DOC)
+    spec.write_text("rule grow { nodes { a: N }  actions { set a.x := a.x * 1e300 } }\n"
+                    "mapping g with grow;\n"
+                    "objective o -> mapping::g { -1 }\n"
+                    "global objective : min { o }\n")
+    out = tmp_path / "out.model"
+    assert main(["solve", "--model", str(model), "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: node 'n' attribute 'x' is not a real\n"
+    assert not out.exists()
+
+
 def test_generate_dumps_rows(two_links, capsys):
     model, spec = two_links
     assert main(["generate", "--model", str(model), "--spec", str(spec)]) == 0

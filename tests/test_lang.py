@@ -5,10 +5,12 @@ import pytest
 from graphilp import load_metamodel, load_model, parse, pretty, typecheck
 from graphilp.lang import ast as A
 from graphilp.lang.eval import EvalError, eval_expr
+from graphilp.lang.lexer import LexError, is_word, quote, tokenize
 from graphilp.lang.parser import DslSyntaxError, parse_expression
 from graphilp.lang.printer import pretty_expr
 from graphilp.lang.typecheck import TypecheckError
-from graphilp.vne_model import VNE_SCHEMA, EMBEDDING_SPEC, TWO_LINKS_SPEC
+from graphilp.model import ModelError
+from graphilp.vne_model import EMBEDDING_SPEC, TWO_LINKS_MODEL, TWO_LINKS_SPEC, VNE_SCHEMA
 
 from conftest import TASK_DOC, TASK_SPEC
 
@@ -137,6 +139,114 @@ def test_set_expression_shapes():
 def test_filter_requires_sum():
     with pytest.raises(DslSyntaxError, match="expected '->'"):
         parse_expression("mappings.put->filter(m | true)")
+
+
+# --- lexing ---------------------------------------------------------------------
+
+LEX_CASES = [
+    ("12.", [("INT", 12, 1, 1), (".", ".", 1, 3), ("EOF", None, 1, 4)]),
+    ("1e", [("INT", 1, 1, 1), ("IDENT", "e", 1, 2), ("EOF", None, 1, 3)]),
+    ("1e+", [("INT", 1, 1, 1), ("IDENT", "e", 1, 2), ("+", "+", 1, 3), ("EOF", None, 1, 4)]),
+    ("1.5e-3", [("REAL", 1.5e-3, 1, 1), ("EOF", None, 1, 7)]),
+    ("1e5e\u00b2", [("REAL", 1e5, 1, 1), ("IDENT", "e\u00b2", 1, 4), ("EOF", None, 1, 6)]),
+    (".5", [(".", ".", 1, 1), ("INT", 5, 1, 2), ("EOF", None, 1, 3)]),
+    ("1_0", [("INT", 1, 1, 1), ("IDENT", "_0", 1, 2), ("EOF", None, 1, 4)]),
+    ("\u0663", [("INT", 3, 1, 1), ("EOF", None, 1, 2)]),  # ARABIC-INDIC DIGIT THREE
+    ("\u00e9 x\u00b2", [("IDENT", "\u00e9", 1, 1), ("IDENT", "x\u00b2", 1, 3),
+                       ("EOF", None, 1, 5)]),
+    ('"\\n\\t\\"\\\\"', [("STRING", '\n\t"\\', 1, 1), ("EOF", None, 1, 11)]),
+    ("a\r\n  b", [("IDENT", "a", 1, 1), ("IDENT", "b", 2, 3), ("EOF", None, 2, 4)]),
+    ("a // c", [("IDENT", "a", 1, 1), ("EOF", None, 1, 7)]),
+    ("a //", [("IDENT", "a", 1, 1), ("EOF", None, 1, 5)]),
+    ("\tx", [("IDENT", "x", 1, 2), ("EOF", None, 1, 3)]),  # a tab is one column
+]
+
+LEX_ERROR_CASES = [
+    ("\u00b2", "unexpected character '\u00b2'", 1, 1),  # a digit, but not a decimal one
+    ("x = 1024\u00b2", "unexpected character '\u00b2'", 1, 9),
+    ("1e\u00b2", "unexpected character '\u00b2'", 1, 3),
+    ("\u216b", "unexpected character '\u216b'", 1, 1),  # ROMAN NUMERAL TWELVE
+    ("\n  " + "7" * 5000, "integer literal too long", 2, 3),
+    ('"a\\\nb"', "bad escape in string", 1, 3),  # backslash-newline
+    ('"a\\', "bad escape in string", 1, 3),  # backslash at EOF
+    ('"a\\q"', "bad escape in string", 1, 3),
+    ('x "ab\nc"', "unterminated string", 1, 3),
+    ('x "ab', "unterminated string", 1, 3),
+]
+
+
+@pytest.mark.parametrize("text, tokens", LEX_CASES, ids=[ascii(c[0]) for c in LEX_CASES])
+def test_tokenize_edge_cases(text, tokens):
+    assert [(t.kind, t.value, t.line, t.col) for t in tokenize(text)] == tokens
+
+
+@pytest.mark.parametrize("text, message, line, col", LEX_ERROR_CASES,
+                         ids=[ascii(c[0])[:16] for c in LEX_ERROR_CASES])
+def test_tokenize_errors_are_located(text, message, line, col):
+    with pytest.raises(LexError) as info:
+        tokenize(text)
+    assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize("s", ["", "plain", "tab\there", 'q"uote', "back\\slash",
+                               "new\nline", "\\n", "\u00e9\u00b2"])
+def test_quote_reads_back(s):
+    assert [(t.kind, t.value) for t in tokenize(quote(s))] == [("STRING", s), ("EOF", None)]
+
+
+@pytest.mark.parametrize("s, word", [("a", True), ("_1", True), ("\u00e9x\u00b2", True),
+                                     ("1a", False), ("\u00b2", False), ("a b", False),
+                                     ("", False), ("a-b", False)])
+def test_is_word_agrees_with_tokenize(s, word):
+    assert is_word(s) == word
+    try:
+        tokens = [(t.kind, t.value) for t in tokenize(s)]
+    except LexError:
+        tokens = None
+    assert (tokens == [("IDENT", s), ("EOF", None)]) == word
+
+
+# Each mutation inserts, replaces, deletes or duplicates text; the pool holds what
+# the lexer must reject cleanly: quotes, backslashes, a non-decimal digit and an
+# integer literal too long for int().
+FUZZ_POOL = ['"', "\\", "\\n", "\u00b2", "7" * 5000, "1e", "1.", "\u0663", "\u216b", "\u00e9",
+             "\n", "\r\n", "\t", " ", "//", "/", ".", "-", "{", "}", "(", ")", ":", ";",
+             "->", ":=", "==", "a", "_", "0", "9", "#", "\x0c"]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + rng.choice(FUZZ_POOL) + text[i:]
+        elif op == 1:
+            text = text[:i] + rng.choice(FUZZ_POOL) + text[i + 1:]
+        elif op == 2:
+            text = text[:i] + text[i + rng.randint(1, 20):]
+        else:
+            j = rng.randrange(len(text) + 1)
+            text = text[:i] + text[min(i, j):max(i, j)] + text[i:]
+    return text
+
+
+def test_front_end_fuzz_raises_only_diagnostics():
+    rng = random.Random(10)
+    mm = vne_mm()
+    seen = set()
+    for _ in range(1000):
+        which = rng.choice(("model", "two-links", "embedding"))
+        source = {"model": TWO_LINKS_MODEL, "two-links": TWO_LINKS_SPEC,
+                  "embedding": EMBEDDING_SPEC}[which]
+        text = _mutate(rng, source)
+        try:
+            if which == "model":
+                load_model(text)
+            else:
+                typecheck(parse(text), mm)
+        except (DslSyntaxError, TypecheckError, ModelError) as exc:
+            seen.add(type(exc).__name__)
+    assert {"DslSyntaxError", "TypecheckError", "ModelParseError"} <= seen
 
 
 # --- typechecking ---------------------------------------------------------------

@@ -139,11 +139,55 @@ def test_serialize_round_trip_structural_equality(task_model):
 
 def test_serialize_quotes_awkward_ids(task_model):
     mm, _ = task_model
-    g = Graph(mm, [Node("weird id", "Server", {"cpu": 1, "resCpu": 1})], [])
+    ids = ["weird id", "tab\there", 'q"uote\\', "node", "1st", "\u00e9t\u00e9"]
+    g = Graph(mm, [Node(i, "Server", {"cpu": 1, "resCpu": 1}) for i in ids], [])
     text = serialize_graph(g)
-    assert '"weird id"' in text
+    assert '"weird id"' in text and '"tab\\there"' in text and '"node"' in text
+    assert " \u00e9t\u00e9 " in text, "a word of any script needs no quotes"
     g2 = load_graph(text, mm)
-    assert "weird id" in g2.nodes
+    assert sorted(g2.nodes) == sorted(ids)
+
+
+@pytest.mark.parametrize("record, message, col", [
+    ("edge { id: e  type: host  src: t1  tgt: s1  attrs { } }",
+     "unexpected key 'attrs' in edge", 45),
+    ("node { id: n  type: Task  name: x }", "unexpected key 'name' in node", 27),
+    ("node { id: n  type: Task  supertype: Element }", "unexpected key 'supertype' in node", 27),
+    ("nodetype { name: N  id: x }", "unexpected key 'id' in nodetype", 21),
+    ("edgetype { name: e  src: Task  tgt: Task  type: x }",
+     "unexpected key 'type' in edgetype", 43),
+    ("edge { id: e1  type: host  src: t1  tgt: s1  id: e9 }", "duplicate key 'id' in edge", 46),
+    ("node { id: n  type: Task  attrs { cpu: 1  cpu: 2  placed: true } }",
+     "duplicate attribute 'cpu'", 43),
+    ("nodetype { name: N  attrs { x: int  x: real } }", "duplicate attribute 'x'", 37),
+    ("edge { id: e  type: host  src: t1 }", "edge needs 'tgt'", 1),
+    ("nodetype { supertype: Element }", "nodetype needs 'name'", 1),
+])
+def test_record_keys_are_checked(record, message, col):
+    section = {"edge": "edges", "node": "nodes", "nodetype": "nodetypes",
+               "edgetype": "edgetypes"}[record.split()[0]]
+    with pytest.raises(ModelParseError) as err:
+        load_model(f"{TASK_DOC}{section} {{\n{record}\n}}\n")
+    line = TASK_DOC.count("\n") + 2
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize("value", ["1e999", "-1e999", "1" * 400 + ".0"])
+def test_non_finite_real_is_rejected(value):
+    doc = ("nodetypes { nodetype { name: N  attrs { x: real } } }\n"
+           f"nodes {{ node {{ id: n  type: N  attrs {{ x: {value} }} }} }}\n")
+    with pytest.raises(ConformanceError, match="attribute 'x' is not a real"):
+        load_model(doc)
+
+
+def test_extreme_finite_reals_round_trip():
+    doc = ("nodetypes { nodetype { name: N  attrs { x: real  y: real  z: real } } }\n"
+           "nodes { node { id: n  type: N  attrs { x: 1.7976931348623157e308  y: -5e-324"
+           "  z: " + "9" * 400 + " } } }\n")
+    mm, g = load_model(doc)
+    mm2, g2 = load_model(serialize_model(mm, g))
+    assert g.structurally_equal(g2)
+    assert g2.attr("n", "z") == int("9" * 400), "an int stays exact in a real attribute"
 
 
 def test_apply_delta_empty_is_identity(task_model):

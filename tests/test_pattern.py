@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from graphilp import (Edge, Graph, Node, apply_delta, apply_rule, find_matches,
-                      load_model, revalidate)
+from graphilp import (Edge, Graph, GraphDelta, Node, apply_delta, apply_rule,
+                      find_matches, load_model, revalidate)
 from graphilp.lang.parser import parse, parse_expression
 from graphilp.lang.typecheck import typecheck
 from graphilp.vne_model import two_links_model, two_links_spec, vne_metamodel
@@ -146,7 +146,7 @@ global objective : min { 0 }
 """), mm)
     rule = spec.rules["observe"]
     m = find_matches(g, rule.lhs)[0]
-    assert apply_rule(g, rule, m).is_empty()
+    assert apply_rule(g, rule, m) == GraphDelta()
 
 
 def test_apply_rule_rejects_stale_match(task_model, task_spec):
@@ -164,14 +164,12 @@ def test_revalidate_after_unrelated_change(task_model, task_spec):
     rule = task_spec.rules["place"]
     matches = find_matches(g, rule.lhs)
     m = next(m for m in matches if m.binding == {"t": "t1", "s": "s1"})
-    from graphilp import GraphDelta
     g2 = apply_delta(g, GraphDelta(created_edges=(Edge("w", "wire", "t2", "s2"),)))
     assert revalidate(g2, m)
 
 
 def test_revalidate_fails_when_bound_node_deleted(task_model, task_spec):
     _, g = task_model
-    from graphilp import GraphDelta
     rule = task_spec.rules["place"]
     m = next(m for m in find_matches(g, rule.lhs)
              if m.binding == {"t": "t1", "s": "s1"})
@@ -220,23 +218,8 @@ global objective : min { 0 }
     assert d3.created_nodes[0].id == "spawn_shadow_1"
 
 
-def test_apply_rule_assume_valid_skips_staleness_check(task_model, task_spec):
-    # an untouched match may be applied without rechecking; a touched one
-    # must not be trusted
-    _, g = task_model
-    rule = task_spec.rules["place"]
-    m = next(m for m in find_matches(g, rule.lhs)
-             if m.binding == {"t": "t1", "s": "s1"})
-    g2 = apply_delta(g, apply_rule(g, rule, m))
-    with pytest.raises(StaleMatchError):
-        apply_rule(g2, rule, m)
-    delta = apply_rule(g2, rule, m, assume_valid=True)  # caller's responsibility
-    assert delta.created_edges
-
-
 def test_delete_actions_use_single_pushout(task_model):
     mm, g = task_model
-    from graphilp import GraphDelta
     g = apply_delta(g, GraphDelta(created_edges=(
         Edge("w1", "wire", "t1", "s1"), Edge("w2", "wire", "s1", "s2"))))
     spec = typecheck(parse("""
