@@ -9,8 +9,10 @@ structure is put into conjunctive normal form and linearized:
 * a conjunction of bare relations becomes one inequality per relation
   (the fast path, no auxiliary variables);
 * every other atom gets an auxiliary binary indicator tied to the relation
-  with a pair of big-M rows, and each clause becomes `sum of literals >= 1`
-  with negated literals contributing `(1 - v)`.
+  by big-M rows, each side with its own M from the term's bounds and only
+  the implications the atom's literal polarities need, and each clause
+  becomes `sum of literals >= 1` with negated literals contributing
+  `(1 - v)`. An equality over a term that keeps one sign is one such atom.
 
 Strict comparisons over integer-valued terms are exact (`< 0` becomes
 `<= -1`); real-valued terms use a 1e-6 separation margin. See
@@ -543,11 +545,6 @@ def _leq_form(atom: Atom) -> LinearTerm:
     return term
 
 
-def _big_m(term: LinearTerm) -> float:
-    lo, hi = term.bounds()
-    return 2 * max(abs(lo), abs(hi), 1)
-
-
 def _direct_rows(atom: Atom) -> list[Row]:
     if atom.op == "==":
         return [Row(dict(atom.term.coeffs), "=", -atom.term.constant)]
@@ -559,27 +556,52 @@ def _direct_rows(atom: Atom) -> list[Row]:
     return [Row(dict(f.coeffs), ">=", -f.constant)]
 
 
-def _indicator_rows(f: LinearTerm, v: str) -> list[Row]:
-    """Rows forcing binary `v` to 1 exactly when `f <= 0`."""
-    m = _big_m(f)
+def _indicator_rows(f: LinearTerm, v: str, upper: bool = True,
+                    lower: bool = True) -> list[Row]:
+    """Rows tying binary `v` to `f <= 0`, each side with its own big-M from
+    the bounds of `f`: the upper row makes `v = 1` imply `f <= 0`, the lower
+    row makes `v = 0` imply `f >= eps`."""
+    lo, hi = f.bounds()
     eps = 1 if f.int_valued() else REAL_EPS
-    upper = Row({**f.coeffs, v: m}, "<=", m - f.constant)
-    lower = Row({**f.coeffs, v: m}, ">=", eps - f.constant)
-    return [upper, lower]
+    rows = []
+    if upper:
+        m = max(hi, 0)
+        rows.append(Row({**f.coeffs, v: m}, "<=", m - f.constant))
+    if lower:
+        m = max(eps - lo, 0)
+        rows.append(Row({**f.coeffs, v: m}, ">=", eps - f.constant))
+    return rows
+
+
+def _one_signed(term: LinearTerm) -> LinearTerm | None:
+    """`f` with `term == 0` exactly when `f <= 0`, for a term that keeps one
+    sign over the 0/1 box; None for a term that can take both signs."""
+    lo, hi = term.bounds()
+    if lo >= 0:
+        return term
+    if hi <= 0:
+        return term.scale(-1)
+    return None
 
 
 def linearize(cnf: Cnf, alloc: _Alloc | None = None) -> tuple[list[Row], list[Variable]]:
     """Lower a CNF to rows plus the auxiliary indicator variables it needs.
 
     Singleton positive clauses whose atom occurs nowhere else are emitted as
-    bare inequalities. Every other atom gets an indicator; equality atoms use
-    a conjunction of two indicators. Clauses become `sum of literals >= 1`.
+    bare inequalities. Every other atom gets an indicator `v` for `f <= 0`
+    (an equality over a one-signed term is one such atom) with only the
+    implications its literals use: `v = 1 => f <= 0` if it occurs positively,
+    `v = 0 => f >= eps` if it occurs negatively. An equality over a term of
+    either sign conjoins two fully tied indicators. Clauses become
+    `sum of literals >= 1`.
     """
     alloc = alloc or _Alloc()
-    occurrences: dict[int, int] = {}
+    positive: dict[int, int] = {}
+    negative: dict[int, int] = {}
     for clause in cnf.clauses:
         for lit in clause:
-            occurrences[lit.atom.index] = occurrences.get(lit.atom.index, 0) + 1
+            seen = positive if lit.positive else negative
+            seen[lit.atom.index] = seen.get(lit.atom.index, 0) + 1
 
     rows: list[Row] = []
     aux: list[Variable] = []
@@ -589,7 +611,8 @@ def linearize(cnf: Cnf, alloc: _Alloc | None = None) -> tuple[list[Row], list[Va
         have = indicator.get(atom.index)
         if have is not None:
             return have
-        if atom.op == "==":
+        f = _one_signed(atom.term) if atom.op == "==" else _leq_form(atom)
+        if f is None:
             v_le = alloc.aux()
             v_ge = alloc.aux()
             v_eq = alloc.aux()
@@ -603,7 +626,8 @@ def linearize(cnf: Cnf, alloc: _Alloc | None = None) -> tuple[list[Row], list[Va
             return v_eq
         v = alloc.aux()
         aux.append(Variable(v, AUX_BINARY))
-        rows.extend(_indicator_rows(_leq_form(atom), v))
+        rows.extend(_indicator_rows(f, v, upper=atom.index in positive,
+                                    lower=atom.index in negative))
         indicator[atom.index] = v
         return v
 
@@ -612,7 +636,8 @@ def linearize(cnf: Cnf, alloc: _Alloc | None = None) -> tuple[list[Row], list[Va
             rows.append(Row({}, "<=", -1))  # unsatisfiable body
             continue
         if (len(clause) == 1 and clause[0].positive
-                and occurrences[clause[0].atom.index] == 1):
+                and positive[clause[0].atom.index] == 1
+                and clause[0].atom.index not in negative):
             rows.extend(_direct_rows(clause[0].atom))
             continue
         coeffs: dict[str, float] = {}

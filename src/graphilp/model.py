@@ -386,6 +386,9 @@ def _parse_record(ts: TokenStream, keyword: str, allowed, required) -> dict:
     rec: dict = {}
     while not ts.accept("}"):
         key_tok = ts.advance()
+        if key_tok.kind == "EOF":
+            raise ModelParseError(f"unexpected end of input in {keyword}", key_tok.line,
+                                  key_tok.col)
         key = str(key_tok.value)
         if key not in allowed:
             raise ModelParseError(f"unexpected key {key!r} in {keyword}", key_tok.line,
@@ -457,6 +460,14 @@ def _fmt_value(value) -> str:
     return quote(value) if isinstance(value, str) else repr(value)
 
 
+def _fmt_attr(nd: Node, name: str) -> str:
+    try:
+        return _fmt_value(nd.attrs[name])
+    except ValueError:  # an int of more digits than the interpreter converts
+        raise ModelError(f"node {nd.id!r} attribute {name!r} is an integer too long "
+                         f"to write") from None
+
+
 def serialize_metamodel(mm: Metamodel) -> str:
     lines = ["nodetypes {"]
     for nt in mm.node_types.values():
@@ -484,7 +495,7 @@ def serialize_graph(g: Graph) -> str:
         parts = [f"id: {_fmt_name(nd.id)}", f"type: {_fmt_name(nd.type)}"]
         declared = g.mm.attrs_of(nd.type)
         if declared:
-            attrs = "  ".join(f"{_fmt_name(a)}: {_fmt_value(nd.attrs[a])}" for a in declared)
+            attrs = "  ".join(f"{_fmt_name(a)}: {_fmt_attr(nd, a)}" for a in declared)
             parts.append("attrs { %s }" % attrs)
         lines.append("  node { %s }" % "  ".join(parts))
     lines.append("}")

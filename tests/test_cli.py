@@ -77,6 +77,31 @@ def test_non_finite_real_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_out_of_an_unwritable_integer_exits_1(tmp_path, capsys):
+    # 3,000 digits read back; squared, 6,000 are more than the writer converts
+    model = tmp_path / "m.model"
+    spec = tmp_path / "s.gipsl"
+    model.write_text("nodetypes { nodetype { name: N  attrs { x: int } } }\n"
+                     f"nodes {{ node {{ id: a  type: N  attrs {{ x: {'9' * 3000} }} }} }}\n")
+    spec.write_text("rule grow { nodes { a: N }  actions { set a.x := a.x * a.x } }\n"
+                    "mapping g with grow;\n"
+                    "objective o -> mapping::g { -1 }\n"
+                    "global objective : min { o }\n")
+    out = tmp_path / "out.model"
+    assert main(["solve", "--model", str(model), "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: node 'a' attribute 'x' is an integer too long to write\n"
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_check_model_ending_inside_a_record_names_the_end(two_links, tmp_path, capsys):
+    _, spec = two_links
+    model = tmp_path / "cut.model"
+    model.write_text("nodes { node { id: a")
+    assert main(["check", "--model", str(model), "--spec", str(spec)]) == 1
+    assert capsys.readouterr().err == "error: 1:21: unexpected end of input in node\n"
+
+
 def test_generate_dumps_rows(two_links, capsys):
     model, spec = two_links
     assert main(["generate", "--model", str(model), "--spec", str(spec)]) == 0

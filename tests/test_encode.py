@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import graphilp.encode as encode_mod
-from graphilp import (Edge, Graph, Node, StaleMatchError, apply_solution, dump_problem,
-                      find_matches, full_scale_config, generate, generate_scenario,
-                      load_graph, load_model, parse, parse_scenario_config,
-                      typecheck)
+from graphilp import (Edge, Graph, Node, StaleMatchError, apply_solution, brute_force,
+                      dump_problem, find_matches, full_scale_config, generate,
+                      generate_scenario, load_graph, load_model, parse,
+                      parse_scenario_config, solve, typecheck)
 from graphilp.encode import (AUX_BINARY, BINARY, Atom, GenerationError,
                              LinearTerm, Literal, MappingTable, Row, _Alloc, _negate,
                              build_objective, collect_matches, expand_contexts,
@@ -345,8 +345,9 @@ def test_forced_disjunction_enumeration():
 
 
 def test_equality_atom_uses_conjoined_indicators():
+    # x - y takes both signs, so == 0 needs both sides tied
     alloc = _Alloc()
-    eq = Literal(alloc.atom("==", LinearTerm({"x": 1}, -1)))
+    eq = Literal(alloc.atom("==", LinearTerm({"x": 1, "y": -1})))
     other = Literal(alloc.atom("<=", LinearTerm({"x": 1})))
     rows, aux = linearize(to_cnf(("or", eq, other)), alloc)
     assert len(aux) == 4  # le + ge + eq indicators, plus one for the <= atom
@@ -359,6 +360,58 @@ def test_strict_comparison_on_integer_terms_is_exact():
     lt = Literal(alloc.atom("<", LinearTerm({"x": 1}, 0)))   # x < 0 -> x <= -1
     rows, aux = linearize(to_cnf(lt), alloc)
     assert rows[0].rel == "<=" and rows[0].rhs == -1
+
+
+@pytest.mark.parametrize("positive", [True, False], ids=["eq", "ne"])
+@pytest.mark.parametrize("term", [LinearTerm({"x": 1, "y": 2}),
+                                  LinearTerm({"x": -1, "y": -2}, 0),
+                                  LinearTerm({"x": 3, "y": 1}, 1)],
+                         ids=["non-negative", "non-positive", "positive"])
+def test_one_signed_equality_gets_one_indicator(term, positive):
+    alloc = _Alloc()
+    eq = Literal(alloc.atom("==", term), positive)
+    other = Literal(alloc.atom("<=", LinearTerm({"z": 1}, -1)))
+    body = ("or", eq, other)
+    rows, aux = linearize(to_cnf(body), alloc)
+    assert len(aux) == 2  # one for the equality, one for the <= atom
+    for x, y, z in itertools.product([0, 1], repeat=3):
+        xs = {"x": x, "y": y, "z": z}
+        assert rows_feasible(rows, aux, xs) == lowered_truth(body, xs)
+
+
+def _rows_with(rows, var):
+    return [r for r in rows if var in r.coeffs]
+
+
+def test_indicator_rows_follow_literal_polarity():
+    # f = 2x + y - 1 over the box: lo = -1, hi = 2; integer-valued, eps = 1
+    def rows_of_f(make_body):
+        alloc = _Alloc()
+        f = alloc.atom("<=", LinearTerm({"x": 2, "y": 1}, -1))
+        g = Literal(alloc.atom("<=", LinearTerm({"z": 1}, -1)))
+        h = Literal(alloc.atom("<=", LinearTerm({"w": 1}, -1)))
+        rows, aux = linearize(to_cnf(make_body(Literal(f), g, h)), alloc)
+        return _rows_with(rows, "x")
+
+    upper = Row({"x": 2, "y": 1, "aux_0": 2}, "<=", 3)  # v = 1 => f <= 0
+    lower = Row({"x": 2, "y": 1, "aux_0": 2}, ">=", 2)  # v = 0 => f >= 1
+    assert rows_of_f(lambda f, g, h: ("or", f, g)) == [upper]
+    assert rows_of_f(lambda f, g, h: ("or", f.negate(), g)) == [lower]
+    assert rows_of_f(lambda f, g, h: ("and", ("or", f, g),
+                                      ("or", f.negate(), h))) == [upper, lower]
+
+
+def test_two_signed_equality_keeps_per_side_big_m():
+    # t = x - 2y + 1: lo = -1, hi = 2; -t: lo = -2, hi = 1
+    alloc = _Alloc()
+    eq = Literal(alloc.atom("==", LinearTerm({"x": 1, "y": -2}, 1)))
+    other = Literal(alloc.atom("<=", LinearTerm({"z": 1}, -1)))
+    rows, aux = linearize(to_cnf(("or", eq, other)), alloc)
+    assert [v.id for v in aux[:3]] == ["aux_0", "aux_1", "aux_2"]
+    assert rows[:4] == [Row({"x": 1, "y": -2, "aux_0": 2}, "<=", 1),
+                        Row({"x": 1, "y": -2, "aux_0": 2}, ">=", 0),
+                        Row({"x": -1, "y": 2, "aux_1": 1}, "<=", 2),
+                        Row({"x": -1, "y": 2, "aux_1": 3}, ">=", 2)]
 
 
 def random_lowered_tree(rng, alloc, n_vars, max_atoms, eq_budget=2):
@@ -406,13 +459,34 @@ def lowered_truth(node, xs):
     return lowered_truth(a, xs) or lowered_truth(b, xs)
 
 
+def indicator_atoms(cnf):
+    """(atom, set of its polarities) for every atom off the fast path, which
+    takes an atom that occurs once, positively, in a clause of its own."""
+    uses: dict = {}
+    for clause in cnf.clauses:
+        for lit in clause:
+            uses.setdefault(lit.atom.index, []).append((lit, len(clause)))
+    return [(u[0][0].atom, {lit.positive for lit, _ in u}) for u in uses.values()
+            if not (len(u) == 1 and u[0][0].positive and u[0][1] == 1)]
+
+
 def check_semantic_preservation(seed, trials, n_vars_max=6, atoms_max=6):
+    """Linearize random bodies and compare, on every 0/1 point, whether some
+    auxiliary assignment satisfies the rows with the body's truth value.
+    Asserts that the draws include one-signed equalities and single-polarity
+    atoms under an indicator, and returns their counts."""
     rng = random.Random(seed)
+    one_signed = single_polarity = 0
     for _ in range(trials):
         n_vars = rng.randint(1, n_vars_max)
         alloc = _Alloc()
         tree = random_lowered_tree(rng, alloc, n_vars, rng.randint(1, atoms_max))
-        rows, aux = linearize(to_cnf(tree), alloc)
+        cnf = to_cnf(tree)
+        for a, signs in indicator_atoms(cnf):
+            lo, hi = a.term.bounds()
+            one_signed += a.op == "==" and (lo >= 0 or hi <= 0)
+            single_polarity += len(signs) == 1
+        rows, aux = linearize(cnf, alloc)
         names = [f"x{i}" for i in range(n_vars)] + [v.id for v in aux]
         idx = {v: j for j, v in enumerate(names)}
         A = np.zeros((len(rows), len(names)))
@@ -442,10 +516,82 @@ def check_semantic_preservation(seed, trials, n_vars_max=6, atoms_max=6):
                     feas &= np.abs(lhs[:, i] - b[i]) <= 1e-9
             got = bool(feas.any())
             assert got == expect, (bits, tree)
+    assert one_signed > 0 and single_polarity > 0
+    return one_signed, single_polarity
 
 
 def test_semantic_preservation_sample():
     check_semantic_preservation(seed=99, trials=150)
+
+
+# the exact-solving demo's domain: the or-body of its third constraint keeps
+# every server at most half loaded or hosting at most two tasks
+DEMO03_DOC = """
+nodetypes {{
+  nodetype {{ name: Server  attrs {{ resCpu: int }} }}
+  nodetype {{ name: Task  attrs {{ cpu: int  placed: bool }} }}
+}}
+edgetypes {{ edgetype {{ name: host  src: Task  tgt: Server }} }}
+nodes {{
+  node {{ id: s1  type: Server  attrs {{ resCpu: {0} }} }}
+  node {{ id: s2  type: Server  attrs {{ resCpu: {1} }} }}
+  node {{ id: t1  type: Task  attrs {{ cpu: {2}  placed: false }} }}
+  node {{ id: t2  type: Task  attrs {{ cpu: {3}  placed: false }} }}
+  node {{ id: t3  type: Task  attrs {{ cpu: {4}  placed: false }} }}
+}}
+"""
+
+DEMO03_SPEC = """
+rule place {
+  nodes { t: Task  s: Server }
+  condition { !t.placed & s.resCpu >= t.cpu }
+  actions { create edge host(t -> s)  set t.placed := true
+            set s.resCpu := s.resCpu - t.cpu }
+}
+mapping put with place;
+constraint -> class::Server {
+  mappings.put->filter(m | m.nodes().s == self)->sum(m | m.nodes().t.cpu) <= self.resCpu
+}
+constraint -> class::Task {
+  self.placed | mappings.put->filter(m | m.nodes().t == self)->sum(m | 1) == 1
+}
+constraint -> class::Server {
+  mappings.put->filter(m | m.nodes().s == self)->sum(m | m.nodes().t.cpu) <= 5
+  | mappings.put->filter(m | m.nodes().s == self)->sum(m | 1) <= 2
+}
+objective fill -> mapping::put { self.nodes().t.cpu }
+global objective : max { fill }
+"""
+
+
+def _demo03(res_s1=10, res_s2=6, cpus=(4, 6, 5)):
+    mm, g = load_model(DEMO03_DOC.format(res_s1, res_s2, *cpus))
+    return generate(typecheck(parse(DEMO03_SPEC), mm), g)
+
+
+def test_demo03_or_body_rows_by_hand():
+    problem, table = _demo03()
+    on_s1 = {m.binding["t"]: vid for vid, (_, m) in table.items() if m.binding["s"] == "s1"}
+    a, b, c = on_s1["t1"], on_s1["t2"], on_s1["t3"]
+    # both atoms occur only positively: each gets the v = 1 => f <= 0 row alone,
+    # with M = hi = 15 - 5 and 3 - 2
+    body = [r for r in problem.constraints if a in r.coeffs and "aux_0" in r.coeffs]
+    assert body == [Row({a: 4, b: 6, c: 5, "aux_0": 10}, "<=", 15)]
+    assert _rows_with(problem.constraints, "aux_1") == [
+        Row({a: 1, b: 1, c: 1, "aux_1": 1}, "<=", 3),
+        Row({"aux_0": 1, "aux_1": 1}, ">=", 1)]
+    assert sum(v.kind == AUX_BINARY for v in problem.variables) == 4
+
+
+def test_demo03_solve_equals_brute_force_over_seeded_draws():
+    rng = random.Random(3)
+    for _ in range(8):
+        problem, _ = _demo03(rng.randint(4, 14), rng.randint(4, 14),
+                             [rng.randint(1, 8) for _ in range(3)])
+        s, b = solve(problem), brute_force(problem)
+        assert s.status == b.status
+        if s.status == "optimal":
+            assert s.objective_value == pytest.approx(b.objective_value, abs=1e-9)
 
 
 # --- objective -----------------------------------------------------------------------
@@ -675,12 +821,12 @@ def test_non_finite_program_number_is_a_generation_error(old, new, where):
 
 
 def test_non_finite_big_m_is_a_generation_error(task_model):
-    # finite coefficients (4e307, 7e307 on s1), but the or-body needs
-    # indicator rows, and their big-M, 2 * 1.1e308, overflows
+    # finite coefficients (9e307 for each of t1, t2 on s1), but the or-body
+    # needs indicator rows, and their big-M, the bound 1.8e308, overflows
     mm, g = task_model
     spec = typecheck(parse(TASK_SPEC.replace(
         "->sum(m | m.nodes().t.cpu) <= self.resCpu",
-        "->sum(m | m.nodes().t.cpu * 1e307) <= self.resCpu"
+        "->sum(m | 9e307) <= self.resCpu"
         " | mappings.put->filter(m | m.nodes().s == self)->sum(m | 1) >= 2")), mm)
     with pytest.raises(GenerationError, match=r"^constraint 1 .*non-finite"):
         generate(spec, g)
