@@ -1,10 +1,11 @@
 """Construction of 0/1 integer programs from a typed spec and a graph.
 
-One binary variable per (mapping, match) pair. Constraint bodies are expanded
-per context element, mapping sums are lowered to linear terms with
-generation-time coefficients (filters that start with key comparisons are
-served from a hash index over the matches), and the remaining Boolean
-structure is put into conjunctive normal form and linearized:
+One binary variable per (mapping, match) pair. Each constraint and objective
+body is compiled once per `generate` call into closures, which then run per
+context element: mapping sums are lowered to linear terms with generation-time
+coefficients (filters that start with key comparisons are served from a
+hash index over the matches), and the remaining Boolean structure is put
+into conjunctive normal form and linearized:
 
 * a conjunction of bare relations becomes one inequality per relation
   (the fast path, no auxiliary variables);
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .lang import ast as A
-from .lang.eval import EvalError, NodeRef, compare, eval_expr
+from .lang.eval import EvalError, NodeRef, compare, compile_expr
 from .lang.typecheck import TypedConstraint, TypedObjective, TypedSpec
 from .model import Graph, apply_delta
 from .pattern import Match, apply_rule, find_matches
@@ -285,12 +287,6 @@ def _index_plan(var: str, pred, rule_nodes) -> tuple | None:
     return tuple(fields), exprs, rest
 
 
-def _match_key(match: Match, field: str | None):
-    if field is _WHOLE_MATCH:
-        return match
-    return dict(match.bound)[field]
-
-
 class _SumIndex:
     """Mapping-sum candidates for one `generate` call, shared by every
     constraint (the objective builds its own).
@@ -298,11 +294,13 @@ class _SumIndex:
     A filter that starts with key conjuncts (see `_index_plan`) is served from
     a hash index over the mapping's matches, keyed by the bound node ids or
     the whole match and built on first use; only the rest of the filter is
-    evaluated, on the bucket's matches. Buckets keep match order, so the
-    coefficients come out in the same order as a scan over every match. Any
-    other filter, or a key that is not a node (a match, for `m == <e>`) or
-    cannot be evaluated, is served by that scan, which then gives the same
-    result or raises the same error as it always did.
+    evaluated, on the bucket's matches. Each sum's plan, with its key and
+    rest expressions compiled, is built the first time the sum is lowered.
+    Buckets keep match order, so the coefficients come out in the same order
+    as a scan over every match. Any other filter, or a key that is not a node
+    (a match, for `m == <e>`) or cannot be evaluated, is served by that scan,
+    which then gives the same result or raises the same error as it always
+    did.
     """
 
     def __init__(self, spec: TypedSpec, table: MappingTable,
@@ -312,7 +310,7 @@ class _SumIndex:
         self.matches = matches_by_rule
         self._pairs: dict[str, list[tuple[str, Match]]] = {}
         self._buckets: dict[tuple, dict] = {}
-        self._plans: dict[int, tuple | None] = {}
+        self._plans: dict[_Sum, tuple | None] = {}
 
     def pairs(self, mapping: str) -> list[tuple[str, Match]]:
         """(variable, match) for every match of the mapping, in match order."""
@@ -323,39 +321,49 @@ class _SumIndex:
             self._pairs[mapping] = out
         return out
 
-    def candidates(self, e: A.SetSum, env: dict, g: Graph):
-        """(variable, match) pairs that may pass the filter of `e`, and the
-        part of the filter still to be checked on each (None: nothing)."""
+    def _plan(self, e: A.SetSum) -> tuple | None:
+        rule = self.spec.rule_of_mapping(e.mapping)
+        plan = _index_plan(e.filter_var, e.filter_pred, rule.lhs.node_names())
+        if plan is None:
+            return None
+        fields, exprs, rest = plan
+        return (fields, [compile_expr(x) for x in exprs],
+                None if rest is None else compile_expr(rest))
+
+    def candidates(self, s: _Sum, env: dict, g: Graph):
+        """(variable, match) pairs that may pass the filter of `s`, and the
+        compiled part of the filter still to be checked on each (None:
+        nothing)."""
+        e = s.expr
         everything = self.pairs(e.mapping)
         if e.filter_pred is None or not everything:
-            return everything, e.filter_pred
-        if id(e) not in self._plans:
-            rule = self.spec.rule_of_mapping(e.mapping)
-            self._plans[id(e)] = _index_plan(e.filter_var, e.filter_pred,
-                                             rule.lhs.node_names())
-        plan = self._plans[id(e)]
+            return everything, None
+        if s not in self._plans:
+            self._plans[s] = self._plan(e)
+        plan = self._plans[s]
         if plan is None:
-            return everything, e.filter_pred
-        fields, exprs, rest = plan
+            return everything, s.filter
+        fields, keys, rest = plan
         key = []
-        for field, expr in zip(fields, exprs):
+        for field, key_of in zip(fields, keys):
             try:
-                value = eval_expr(expr, env, g)
+                value = key_of(env, g)
             except Exception:
                 # the scan reaches this key only if an earlier one holds for
                 # some match; let it raise (or not) exactly where it did
-                return everything, e.filter_pred
+                return everything, s.filter
             if field is _WHOLE_MATCH and isinstance(value, Match):
                 key.append(value)
             elif field is not _WHOLE_MATCH and isinstance(value, NodeRef):
                 key.append(value.id)
             else:
-                return everything, e.filter_pred
+                return everything, s.filter
         buckets = self._buckets.get((e.mapping, fields))
         if buckets is None:
             buckets = {}
             for pair in everything:
-                k = tuple(_match_key(pair[1], f) for f in fields)
+                bound = dict(pair[1].bound)
+                k = tuple([pair[1] if f is _WHOLE_MATCH else bound[f] for f in fields])
                 buckets.setdefault(k, []).append(pair)
             self._buckets[(e.mapping, fields)] = buckets
         return buckets.get(tuple(key), []), rest
@@ -363,118 +371,167 @@ class _SumIndex:
 
 # --- lowering -------------------------------------------------------------------
 
+@dataclass
 class _Lowerer:
-    """Turns one expanded constraint/objective body into lowered form.
+    """What compiled lowering closures `f(env, low)` run against in one
+    `generate` call: the graph, the mapping-sum index and the allocator.
 
-    Only subexpressions that contain a mapping sum are lowered here: the sum
-    itself, unary `-` and `+ - * /` over linear terms, `!`, `&` and `|`, and
-    relations. Every sum-free subexpression is a generation-time value and
-    goes to `eval_expr` whole, so a sum-free `&`/`|` short-circuits there as
-    it does in filters. A sum under any other operator is an error.
+    A constraint or objective body is compiled once per `generate` call, and
+    which of its subexpressions contain a mapping sum is decided then.
+    Only those are lowered: the sum itself, unary `-` and `+ - * /` over
+    linear terms, `!`, `&` and `|`, and relations. Every sum-free
+    subexpression is a generation-time value compiled whole by
+    `compile_expr`, so a sum-free `&`/`|` short-circuits as it does in
+    filters. A sum under any other operator compiles to a closure that
+    raises GenerationError.
     """
 
-    def __init__(self, g: Graph, index: _SumIndex, alloc: _Alloc):
-        self.g = g
-        self.index = index
-        self.alloc = alloc
-        self._has_sum: dict[int, bool] = {}
-
-    def has_sum(self, e) -> bool:
-        """Whether `e` contains a mapping sum; memoized per AST node."""
-        known = self._has_sum.get(id(e))
-        if known is None:
-            known = isinstance(e, A.SetSum) or any(
-                self.has_sum(v) for v in vars(e).values() if isinstance(v, A.Expr))
-            self._has_sum[id(e)] = known
-        return known
-
-    def term(self, e, env: dict) -> LinearTerm:
-        value = self.arith(e, env)
-        return value if isinstance(value, LinearTerm) else LinearTerm.const(value)
-
-    def arith(self, e, env: dict):
-        """Value of an arithmetic subexpression: a LinearTerm if it contains a
-        mapping sum, else the plain value."""
-        if not self.has_sum(e):
-            return eval_expr(e, env, self.g)
-        if isinstance(e, A.SetSum):
-            pairs, pred = self.index.candidates(e, env, self.g)
-            coeffs: dict[str, float] = {}
-            for var, match in pairs:
-                if pred is not None:
-                    fenv = dict(env)
-                    fenv[e.filter_var] = match
-                    if not eval_expr(pred, fenv, self.g):
-                        continue
-                senv = dict(env)
-                senv[e.sum_var] = match
-                coeff = eval_expr(e.sum_body, senv, self.g)
-                coeffs[var] = coeffs.get(var, 0) + coeff
-            return LinearTerm(coeffs, 0)
-        if isinstance(e, A.Unary) and e.op == "-":
-            return self.term(e.operand, env).scale(-1)
-        if not (isinstance(e, A.Binary) and e.op in ("+", "-", "*", "/")):
-            raise _misplaced_sum(e)
-        left = self.term(e.left, env)
-        right = self.term(e.right, env)
-        if e.op == "+":
-            return left.add(right)
-        if e.op == "-":
-            return left.sub(right)
-        if e.op == "*":
-            if not left.is_constant() and not right.is_constant():
-                raise GenerationError("nonlinear term: variable * variable")
-            if left.is_constant():
-                return right.scale(left.constant)
-            return left.scale(right.constant)
-        # division
-        if not right.is_constant():
-            raise GenerationError("division by a mapping-variable term")
-        if right.constant == 0:
-            raise GenerationError("division by zero")
-        return left.scale(1.0 / right.constant)
-
-    def boolean(self, e, env: dict):
-        """Lower a Boolean body to ('const', bool), a Literal tree, or nodes
-        ('and', a, b) / ('or', a, b)."""
-        if not self.has_sum(e):
-            value = eval_expr(e, env, self.g)
-            if not isinstance(value, bool):
-                raise GenerationError("constraint body did not evaluate to a boolean")
-            return ("const", value)
-        if isinstance(e, A.Unary) and e.op == "!":
-            return _negate(self.boolean(e.operand, env))
-        if isinstance(e, A.Binary) and e.op in ("&", "|"):
-            left = self.boolean(e.left, env)
-            right = self.boolean(e.right, env)
-            if e.op == "&":
-                if left == _FALSE or right == _FALSE:
-                    return _FALSE
-                if left == _TRUE:
-                    return right
-                if right == _TRUE:
-                    return left
-                return ("and", left, right)
-            if left == _TRUE or right == _TRUE:
-                return _TRUE
-            if left == _FALSE:
-                return right
-            if right == _FALSE:
-                return left
-            return ("or", left, right)
-        if not isinstance(e, A.Rel):
-            raise _misplaced_sum(e)
-        diff = self.term(e.left, env).sub(self.term(e.right, env))
-        if diff.is_constant():
-            return ("const", compare(e.op, diff.constant, 0))
-        if e.op == "!=":
-            return Literal(self.alloc.atom("==", diff), positive=False)
-        return Literal(self.alloc.atom(e.op, diff))
+    g: Graph
+    index: _SumIndex
+    alloc: _Alloc
 
 
-def _misplaced_sum(e) -> GenerationError:
+class _Sum:
+    """One mapping sum of a compiled body, with its body compiled. Calling it
+    lowers the sum to a LinearTerm."""
+
+    def __init__(self, e: A.SetSum):
+        self.expr = e
+        self.body = compile_expr(e.sum_body)
+
+    @cached_property
+    def filter(self):
+        """The whole filter compiled, for a scan over every match; an indexed
+        sum never needs it."""
+        return compile_expr(self.expr.filter_pred)
+
+    def __call__(self, env: dict, low: _Lowerer) -> LinearTerm:
+        g = low.g
+        pairs, pred = low.index.candidates(self, env, g)
+        filter_var, sum_var, body = self.expr.filter_var, self.expr.sum_var, self.body
+        fenv = None if pred is None else dict(env)
+        senv = dict(env)
+        coeffs: dict[str, float] = {}
+        for var, match in pairs:
+            if pred is not None:
+                fenv[filter_var] = match
+                if not pred(fenv, g):
+                    continue
+            senv[sum_var] = match
+            coeffs[var] = coeffs.get(var, 0) + body(senv, g)
+        return LinearTerm(coeffs, 0)
+
+
+def _has_sum(e) -> bool:
+    return isinstance(e, A.SetSum) or any(
+        _has_sum(v) for v in vars(e).values() if isinstance(v, A.Expr))
+
+
+def _times(left: LinearTerm, right: LinearTerm) -> LinearTerm:
+    if not left.is_constant() and not right.is_constant():
+        raise GenerationError("nonlinear term: variable * variable")
+    if left.is_constant():
+        return right.scale(left.constant)
+    return left.scale(right.constant)
+
+
+def _divide(left: LinearTerm, right: LinearTerm) -> LinearTerm:
+    if not right.is_constant():
+        raise GenerationError("division by a mapping-variable term")
+    if right.constant == 0:
+        raise GenerationError("division by zero")
+    return left.scale(1.0 / right.constant)
+
+
+_COMBINE = {"+": LinearTerm.add, "-": LinearTerm.sub, "*": _times, "/": _divide}
+
+
+def _misplaced_sum(e):
     where = repr(e.op) if hasattr(e, "op") else type(e).__name__
-    return GenerationError(f"a mapping sum cannot be lowered under {where}")
+    message = f"a mapping sum cannot be lowered under {where}"
+
+    def run(env, low):
+        raise GenerationError(message)
+    return run
+
+
+def _lower_term(e):
+    """Closure giving the LinearTerm of an arithmetic subexpression."""
+    if _has_sum(e):
+        return _lower_arith(e)
+    value = compile_expr(e)
+    return lambda env, low: LinearTerm.const(value(env, low.g))
+
+
+def _lower_arith(e):
+    """Closure giving the value of an arithmetic subexpression: a LinearTerm
+    if it contains a mapping sum, else the plain value."""
+    if not _has_sum(e):
+        value = compile_expr(e)
+        return lambda env, low: value(env, low.g)
+    if isinstance(e, A.SetSum):
+        return _Sum(e)
+    if isinstance(e, A.Unary) and e.op == "-":
+        operand = _lower_term(e.operand)
+        return lambda env, low: operand(env, low).scale(-1)
+    combine = _COMBINE.get(e.op) if isinstance(e, A.Binary) else None
+    if combine is None:
+        return _misplaced_sum(e)
+    left, right = _lower_term(e.left), _lower_term(e.right)
+    return lambda env, low: combine(left(env, low), right(env, low))
+
+
+def _conjoin(left, right):
+    if left == _FALSE or right == _FALSE:
+        return _FALSE
+    if left == _TRUE:
+        return right
+    if right == _TRUE:
+        return left
+    return ("and", left, right)
+
+
+def _disjoin(left, right):
+    if left == _TRUE or right == _TRUE:
+        return _TRUE
+    if left == _FALSE:
+        return right
+    if right == _FALSE:
+        return left
+    return ("or", left, right)
+
+
+def _lower_bool(e):
+    """Closure lowering a Boolean body to ('const', bool), a Literal tree, or
+    nodes ('and', a, b) / ('or', a, b)."""
+    if not _has_sum(e):
+        value = compile_expr(e)
+
+        def run(env, low):
+            v = value(env, low.g)
+            if v is True or v is False:
+                return ("const", v)
+            raise GenerationError("constraint body did not evaluate to a boolean")
+        return run
+    if isinstance(e, A.Unary) and e.op == "!":
+        operand = _lower_bool(e.operand)
+        return lambda env, low: _negate(operand(env, low))
+    if isinstance(e, A.Binary) and e.op in ("&", "|"):
+        left, right = _lower_bool(e.left), _lower_bool(e.right)
+        join = _conjoin if e.op == "&" else _disjoin
+        return lambda env, low: join(left(env, low), right(env, low))
+    if not isinstance(e, A.Rel):
+        return _misplaced_sum(e)
+    left, right, op = _lower_term(e.left), _lower_term(e.right), e.op
+
+    def run(env, low):
+        diff = left(env, low).sub(right(env, low))
+        if diff.is_constant():
+            return ("const", compare(op, diff.constant, 0))
+        if op == "!=":
+            return Literal(low.alloc.atom("==", diff), positive=False)
+        return Literal(low.alloc.atom(op, diff))
+    return run
 
 
 def _negate(node):
@@ -704,7 +761,7 @@ def lower_sets(body, self_value, spec: TypedSpec, g: Graph, table: MappingTable,
     """Lower one expanded Boolean body (with `self` bound) to a Boolean tree
     over linear-term atoms."""
     low = _Lowerer(g, _SumIndex(spec, table, matches_by_rule), alloc or _Alloc())
-    return low.boolean(body, {"self": self_value})
+    return _lower_bool(body)({"self": self_value}, low)
 
 
 def build_objective(spec: TypedSpec, g: Graph,
@@ -719,25 +776,26 @@ def build_objective(spec: TypedSpec, g: Graph,
         weight = glob.weights.get(obj.name, 0.0)
         if weight == 0.0:
             continue
+        lower = _lower_arith(obj.body)
         for self_value, label in expand_contexts(obj, g, matches_by_rule, spec):
             try:
-                value = low.arith(obj.body, {"self": self_value})
-            except (EvalError, GenerationError) as exc:
+                value = lower({"self": self_value}, low)
+                if obj.context_kind == "mapping":
+                    if isinstance(value, LinearTerm):
+                        raise GenerationError("mapping-context body must be "
+                                              "constant per match")
+                    var = table.var_of(obj.context_target, self_value)
+                    terms[var] = terms.get(var, 0) + weight * value
+                elif isinstance(value, LinearTerm):
+                    for var, c in value.coeffs.items():
+                        terms[var] = terms.get(var, 0) + weight * c
+                    constant += weight * value.constant
+                else:
+                    constant += weight * value
+            except (EvalError, GenerationError, OverflowError) as exc:
+                # OverflowError: an int beyond the float range met a float
                 raise GenerationError(
                     f"objective {obj.name!r}, {label}: {exc}") from None
-            if obj.context_kind == "mapping":
-                if isinstance(value, LinearTerm):
-                    raise GenerationError(
-                        f"objective {obj.name!r}: mapping-context body must be "
-                        f"constant per match")
-                var = table.var_of(obj.context_target, self_value)
-                terms[var] = terms.get(var, 0) + weight * value
-            elif isinstance(value, LinearTerm):
-                for var, c in value.coeffs.items():
-                    terms[var] = terms.get(var, 0) + weight * c
-                constant += weight * value.constant
-            else:
-                constant += weight * value
         try:
             _require_finite(terms, constant)
         except GenerationError as exc:
@@ -755,15 +813,15 @@ def generate(spec: TypedSpec, g: Graph) -> tuple[IlpProblem, MappingTable]:
     rows: list[Row] = []
     aux: list[Variable] = []
     for ci, cons in enumerate(spec.constraints):
+        lower = _lower_bool(cons.body)
         for self_value, label in expand_contexts(cons, g, matches_by_rule, spec):
-            where = (f"constraint {ci + 1} "
-                     f"({cons.context_kind}::{cons.context_target}), {label}")
             try:
-                lowered = low.boolean(cons.body, {"self": self_value})
-                cnf = to_cnf(lowered)
+                cnf = to_cnf(lower({"self": self_value}, low))
                 new_rows, new_aux = linearize(cnf, alloc)
-            except (EvalError, GenerationError) as exc:
-                raise GenerationError(f"{where}: {exc}") from None
+            except (EvalError, GenerationError, OverflowError) as exc:
+                raise GenerationError(
+                    f"constraint {ci + 1} ({cons.context_kind}::"
+                    f"{cons.context_target}), {label}: {exc}") from None
             rows.extend(new_rows)
             aux.extend(new_aux)
     objective = build_objective(spec, g, matches_by_rule, table)

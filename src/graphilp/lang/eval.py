@@ -1,13 +1,20 @@
 """Generation-time evaluation of variable-free expressions against a graph.
 
-Environment values are numbers, booleans, strings, `NodeRef`s, or match-like
-objects (anything exposing `.rule` and `.binding`). Mapping sums never reach
-the evaluator; the encoder lowers them first.
+`compile_expr` turns an expression into a closure `f(env, graph)` once, so
+evaluating it does no dispatch on the tree (Feeley & Lapalme, *Using
+closures for code generation*, Computer Languages, 1987). Environment
+values are numbers, booleans, strings, `NodeRef`s, or match-like objects
+(anything exposing `.rule` and `.bound`). Operands are evaluated left to
+right, `&` and `|` short-circuit, and an operand's type is checked before
+the next one is evaluated (a relation evaluates both sides first). Mapping
+sums never reach the evaluator; the encoder lowers them first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .ast import (AttrRef, Binary, BoolLit, Name, NodesNav, Num, Rel, SelfRef,
@@ -24,7 +31,7 @@ class NodeRef:
 
 
 def _is_match(v) -> bool:
-    return hasattr(v, "rule") and hasattr(v, "binding")
+    return hasattr(v, "rule") and hasattr(v, "bound")
 
 
 def _require_number(v, what: str):
@@ -49,7 +56,7 @@ def values_equal(a, b) -> bool:
     if isinstance(a, NodeRef) and isinstance(b, NodeRef):
         return a.id == b.id
     if _is_match(a) and _is_match(b):
-        return a.rule == b.rule and dict(a.binding) == dict(b.binding)
+        return a.rule == b.rule and dict(a.bound) == dict(b.bound)
     if isinstance(a, bool) or isinstance(b, bool):
         return a is b if isinstance(a, bool) and isinstance(b, bool) else False
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
@@ -59,97 +66,164 @@ def values_equal(a, b) -> bool:
     raise EvalError("cannot compare values of different kinds")
 
 
+def _ordering(test):
+    def relation(left, right):
+        return test(_require_number(left, "comparison operand"),
+                    _require_number(right, "comparison operand"))
+    return relation
+
+
+_RELATIONS = {"==": values_equal,
+              "!=": lambda left, right: not values_equal(left, right),
+              "<": _ordering(operator.lt), "<=": _ordering(operator.le),
+              ">=": _ordering(operator.ge), ">": _ordering(operator.gt)}
+
+
 def compare(op: str, left, right) -> bool:
     """`left <op> right` for the six relation operators: `==` and `!=` on two
     values of one kind, the orderings on numbers only."""
-    if op == "==":
-        return values_equal(left, right)
-    if op == "!=":
-        return not values_equal(left, right)
-    left = _require_number(left, "comparison operand")
-    right = _require_number(right, "comparison operand")
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">=":
-        return left >= right
-    return left > right
+    return _RELATIONS[op](left, right)
 
 
-def eval_expr(e, env: dict, graph):
-    """Evaluate `e` under `env` reading attributes from `graph`."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, BoolLit):
-        return e.value
-    if isinstance(e, StrLit):
-        return e.value
-    if isinstance(e, Name):
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+# --- compilation ----------------------------------------------------------------
+
+def compile_expr(e):
+    """Compile `e` into a closure `f(env, graph)` that evaluates it.
+
+    Compiling a node of a kind the evaluator does not know gives a closure
+    that raises EvalError when it runs.
+    """
+    compiler = _COMPILERS.get(type(e))
+    if compiler is None:
+        return _failing(f"cannot evaluate {type(e).__name__}")
+    return compiler(e)
+
+
+def _failing(message: str):
+    def run(env, graph):
+        raise EvalError(message)
+    return run
+
+
+def _literal(e):
+    value = e.value
+    return lambda env, graph: value
+
+
+def _lookup(name: str, missing: str):
+    def run(env, graph):
         try:
-            return env[e.id]
+            return env[name]
         except KeyError:
-            raise EvalError(f"unbound name {e.id!r}") from None
-    if isinstance(e, SelfRef):
-        try:
-            return env["self"]
-        except KeyError:
-            raise EvalError("'self' is not bound here") from None
-    if isinstance(e, NodesNav):
-        base = eval_expr(e.base, env, graph)
-        if not _is_match(base):
+            raise EvalError(missing) from None
+    return run
+
+
+def _name(e):
+    return _lookup(e.id, f"unbound name {e.id!r}")
+
+
+def _self_ref(e):
+    return _lookup("self", "'self' is not bound here")
+
+
+def _nodes_nav(e):
+    base, node = compile_expr(e.base), e.node
+    missing = f"match has no pattern node {node!r}"
+
+    def run(env, graph):
+        match = base(env, graph)
+        if not _is_match(match):
             raise EvalError("nodes() applies to a match")
-        binding = dict(base.binding)
-        if e.node not in binding:
-            raise EvalError(f"match has no pattern node {e.node!r}")
-        return NodeRef(binding[e.node])
-    if isinstance(e, AttrRef):
-        base = eval_expr(e.base, env, graph)
-        if not isinstance(base, NodeRef):
-            raise EvalError(f"attribute {e.attr!r} read on a non-node value")
-        node = graph.nodes.get(base.id)
+        for name, gid in match.bound:
+            if name == node:
+                return NodeRef(gid)
+        raise EvalError(missing)
+    return run
+
+
+def _attr_ref(e):
+    base, attr = compile_expr(e.base), e.attr
+    non_node = f"attribute {attr!r} read on a non-node value"
+
+    def run(env, graph):
+        ref = base(env, graph)
+        if not isinstance(ref, NodeRef):
+            raise EvalError(non_node)
+        node = graph.nodes.get(ref.id)
         if node is None:
-            raise EvalError(f"node {base.id!r} not in graph")
-        if e.attr not in node.attrs:
-            raise EvalError(f"node {base.id!r} has no attribute {e.attr!r}")
-        return node.attrs[e.attr]
-    if isinstance(e, Unary):
-        if e.op == "!":
-            v = eval_expr(e.operand, env, graph)
-            if not isinstance(v, bool):
-                raise EvalError("'!' applies to a boolean")
-            return not v
-        v = eval_expr(e.operand, env, graph)
-        if e.op == "-":
-            return -_require_number(v, "negation operand")
-        return apply_function(e.op, _require_number(v, f"{e.op} argument"))
-    if isinstance(e, Binary):
-        if e.op in ("&", "|"):
-            left = eval_expr(e.left, env, graph)
-            if not isinstance(left, bool):
-                raise EvalError(f"{e.op!r} applies to booleans")
-            if e.op == "&" and not left:
-                return False
-            if e.op == "|" and left:
-                return True
-            right = eval_expr(e.right, env, graph)
-            if not isinstance(right, bool):
-                raise EvalError(f"{e.op!r} applies to booleans")
-            return right
-        left = _require_number(eval_expr(e.left, env, graph), "left operand")
-        right = _require_number(eval_expr(e.right, env, graph), "right operand")
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if right == 0:
-            raise EvalError("division by zero")
-        return left / right
-    if isinstance(e, Rel):
-        return compare(e.op, eval_expr(e.left, env, graph),
-                       eval_expr(e.right, env, graph))
-    if isinstance(e, SetSum):
-        raise EvalError("mapping sums cannot be evaluated directly")
-    raise EvalError(f"cannot evaluate {type(e).__name__}")
+            raise EvalError(f"node {ref.id!r} not in graph")
+        try:
+            return node.attrs[attr]
+        except KeyError:
+            raise EvalError(f"node {ref.id!r} has no attribute {attr!r}") from None
+    return run
+
+
+def _unary(e):
+    operand, op = compile_expr(e.operand), e.op
+    if op == "!":
+        def run(env, graph):
+            v = operand(env, graph)
+            if v is True or v is False:
+                return not v
+            raise EvalError("'!' applies to a boolean")
+        return run
+    if op == "-":
+        apply, what = operator.neg, "negation operand"
+    else:
+        apply, what = functools.partial(apply_function, op), f"{op} argument"
+
+    def run(env, graph):
+        return apply(_require_number(operand(env, graph), what))
+    return run
+
+
+def _binary(e):
+    left, right, op = compile_expr(e.left), compile_expr(e.right), e.op
+    if op in ("&", "|"):
+        stop = op == "|"  # the left value that decides the result alone
+        go_on = not stop
+        not_boolean = f"{op!r} applies to booleans"
+
+        def run(env, graph):
+            v = left(env, graph)
+            if v is stop:
+                return stop
+            if v is not go_on:
+                raise EvalError(not_boolean)
+            v = right(env, graph)
+            if v is True or v is False:
+                return v
+            raise EvalError(not_boolean)
+        return run
+    apply = _ARITHMETIC.get(op)  # None: division
+    overflow = f"{op!r} overflows the float range"
+
+    def run(env, graph):
+        a = _require_number(left(env, graph), "left operand")
+        b = _require_number(right(env, graph), "right operand")
+        try:
+            if apply is not None:
+                return apply(a, b)
+            if b == 0:
+                raise EvalError("division by zero")
+            return a / b
+        except OverflowError:  # an int operand or quotient beyond the float range
+            raise EvalError(overflow) from None
+    return run
+
+
+def _rel(e):
+    left, right = compile_expr(e.left), compile_expr(e.right)
+    relation = _RELATIONS[e.op]
+    return lambda env, graph: relation(left(env, graph), right(env, graph))
+
+
+_COMPILERS = {Num: _literal, BoolLit: _literal, StrLit: _literal, Name: _name,
+              SelfRef: _self_ref, NodesNav: _nodes_nav, AttrRef: _attr_ref,
+              Unary: _unary, Binary: _binary, Rel: _rel,
+              SetSum: lambda e: _failing("mapping sums cannot be evaluated directly")}

@@ -3,15 +3,19 @@
 A match binds pattern nodes to graph nodes injectively; every pattern edge
 must be realized by a graph edge of the declared type and the attribute
 condition must hold under the binding. `find_matches` is exhaustive and
-deterministic: results come back sorted by their bound id sets.
+deterministic: results come back sorted by their bound id sets. A pattern
+compiles its condition, and a rule its action values, once, on first use.
+An error while evaluating either is a PatternError that names the rule and
+the binding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .lang import ast as A
-from .lang.eval import EvalError, NodeRef, eval_expr
+from .lang.eval import EvalError, NodeRef, compile_expr
 from .model import Edge, Graph, GraphDelta, Node
 
 
@@ -47,12 +51,32 @@ class Pattern:
     def node_names(self) -> list[str]:
         return [n.name for n in self.nodes]
 
+    @cached_property
+    def compiled_condition(self):
+        """The condition as a closure `f(env, graph)`; None without one."""
+        return None if self.condition is None else compile_expr(self.condition)
+
 
 @dataclass(frozen=True)
 class Rule:
     name: str
     lhs: Pattern
     actions: tuple[object, ...] = ()
+
+    @cached_property
+    def compiled_actions(self) -> tuple:
+        """Each action with its value closures: `(attr, f)` pairs for a created
+        node, `f` for a `set`, None for the other actions."""
+        out = []
+        for action in self.actions:
+            if isinstance(action, A.CreateNodeAction):
+                out.append((action, tuple((attr, compile_expr(expr))
+                                          for attr, expr in action.attr_inits)))
+            elif isinstance(action, A.SetAttrAction):
+                out.append((action, compile_expr(action.value)))
+            else:
+                out.append((action, None))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -75,11 +99,18 @@ class Match:
         return [gid for _, gid in self.bound]
 
 
+def _where(rule: str, what: str, binding: dict[str, str]) -> str:
+    """Where an evaluation error happened: `rule 'r', condition on a=n1 b=n2`."""
+    nodes = " ".join(f"{k}={v}" for k, v in sorted(binding.items()))
+    return f"rule {rule!r}, {what}" + (f" on {nodes}" if nodes else "")
+
+
 def _condition_holds(g: Graph, p: Pattern, binding: dict[str, str]) -> bool:
-    if p.condition is None:
+    condition = p.compiled_condition
+    if condition is None:
         return True
     env = {name: NodeRef(gid) for name, gid in binding.items()}
-    result = eval_expr(p.condition, env, g)
+    result = condition(env, g)
     if not isinstance(result, bool):
         raise PatternError(f"pattern {p.name!r}: condition is not boolean")
     return result
@@ -104,7 +135,8 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
 
     Backtracking assignment, most-constrained pattern node first: prefer
     nodes adjacent to the partial binding (their candidates come from the
-    adjacency index), smallest candidate pool breaking ties.
+    adjacency index), smallest candidate pool breaking ties. An EvalError in
+    the condition becomes a PatternError naming the rule and the binding.
     """
     mm = g.mm
     pools: dict[str, list[str]] = {}
@@ -112,8 +144,6 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
         pools[pn.name] = [n.id for n in g.nodes_of_type(pn.type)]
         if not pools[pn.name]:
             return []
-    if not p.nodes:
-        return [Match.of(p, {})] if _condition_holds(g, p, {}) else []
 
     neighbors: dict[str, list[tuple[PatternEdge, bool]]] = {n.name: [] for n in p.nodes}
     for pe in p.edges:
@@ -163,10 +193,18 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
                 backtrack(binding)
             del binding[name]
 
-    backtrack({})
+    binding: dict[str, str] = {}
+    try:
+        backtrack(binding)
+    except EvalError as exc:
+        # backtracking stops at the error, so `binding` is the one it failed on
+        raise PatternError(f"{_where(p.name, 'condition', binding)}: {exc}") from None
     order = p.node_names()
-    results.sort(key=lambda m: (sorted(m.bound_ids()),
-                                tuple(m.binding[n] for n in order)))
+
+    def key(m: Match):
+        bound = dict(m.bound)
+        return sorted(bound.values()), tuple(bound[n] for n in order)
+    results.sort(key=key)
     return results
 
 
@@ -204,13 +242,15 @@ def apply_rule(g: Graph, r: Rule, m: Match) -> GraphDelta:
     """Evaluate the rule's actions on a valid match and return the delta.
 
     Attribute expressions see the pre-application graph. Raises
-    StaleMatchError when the match no longer holds.
+    StaleMatchError when the match no longer holds, and PatternError naming
+    the rule, the action and the binding when an action value cannot be
+    evaluated.
     """
     if m.rule != r.name and m.rule != r.lhs.name:
         raise PatternError(f"match of {m.rule!r} applied to rule {r.name!r}")
     if not revalidate(g, m):
         raise StaleMatchError(f"match of {r.name!r} is stale: {m.binding}")
-    env: dict[str, object] = {name: NodeRef(gid) for name, gid in m.binding.items()}
+    env: dict[str, object] = {name: NodeRef(gid) for name, gid in m.bound}
     created_nodes: list[Node] = []
     created_edges: list[Edge] = []
     deleted_edges: list[str] = []
@@ -225,13 +265,19 @@ def apply_rule(g: Graph, r: Rule, m: Match) -> GraphDelta:
             raise PatternError(f"rule {r.name!r}: unknown node {name!r} in action")
         return ref.id
 
-    for action in r.actions:
+    def value_of(compiled, what: str):
+        try:
+            return compiled(env, g)
+        except EvalError as exc:
+            raise PatternError(f"{_where(r.name, what, m.binding)}: {exc}") from None
+
+    for action, compiled in r.compiled_actions:
         if isinstance(action, A.CreateNodeAction):
             nid = _fresh_id(f"{r.name}_{action.name}", taken_nodes)
             taken_nodes.add(nid)
             attrs = {}
-            for attr, expr in action.attr_inits:
-                value = eval_expr(expr, env, g)
+            for attr, value_fn in compiled:
+                value = value_of(value_fn, f"action 'create node {action.name}, {attr}'")
                 kind = g.mm.attrs_of(action.type).get(attr)
                 if kind == "real" and isinstance(value, int):
                     value = float(value)
@@ -258,7 +304,7 @@ def apply_rule(g: Graph, r: Rule, m: Match) -> GraphDelta:
             deleted_nodes.append(node_id(action.name))
         elif isinstance(action, A.SetAttrAction):
             nid = node_id(action.node)
-            value = eval_expr(action.value, env, g)
+            value = value_of(compiled, f"action 'set {action.node}.{action.attr}'")
             node_type = g.nodes[nid].type if nid in g.nodes else None
             if node_type is not None:
                 kind = g.mm.attrs_of(node_type).get(action.attr)

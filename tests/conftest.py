@@ -12,7 +12,7 @@ import pytest
 from graphilp import (Edge, Graph, IlpProblem, Metamodel, Node, ObjectiveFunc,
                       Row, Variable, load_model)
 from graphilp.encode import BINARY
-from graphilp.lang.eval import NodeRef, eval_expr
+from graphilp.lang.eval import NodeRef, compile_expr
 from graphilp.lang.parser import parse
 from graphilp.lang.typecheck import typecheck
 from graphilp.pattern import Pattern, PatternEdge, PatternNode
@@ -146,6 +146,7 @@ def random_pattern(rng: random.Random, mm: Metamodel, max_nodes: int = 3) -> Pat
 def brute_matches(g: Graph, p: Pattern) -> set:
     """Oracle: enumerate every injective typed binding, filter edges + condition."""
     names = [n.name for n in p.nodes]
+    condition = None if p.condition is None else compile_expr(p.condition)
     out = set()
     for combo in itertools.permutations(sorted(g.nodes), len(names)):
         binding = dict(zip(names, combo))
@@ -156,9 +157,9 @@ def brute_matches(g: Graph, p: Pattern) -> set:
         if not all(g.has_edge(pe.type, binding[pe.src], binding[pe.tgt])
                    for pe in p.edges):
             continue
-        if p.condition is not None:
+        if condition is not None:
             env = {name: NodeRef(gid) for name, gid in binding.items()}
-            if not eval_expr(p.condition, env, g):
+            if not condition(env, g):
                 continue
         out.add(tuple(sorted(binding.items())))
     return out

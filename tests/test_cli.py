@@ -379,3 +379,42 @@ def test_help_exits_0(capsys):
         main(["solve", "-h"])
     assert exc.value.code == 0
     assert "--time-limit" in capsys.readouterr().out
+
+
+# a runtime error in a rule's condition or action names the rule and the
+# binding, and exits 1 with one line (it used to end in an EvalError traceback)
+REAL_TASK_DOC = TASK_DOC.replace("cpu: int", "cpu: real").replace("resCpu: int", "resCpu: real")
+
+
+@pytest.mark.parametrize("doc, old, new, message", [
+    (TASK_DOC.replace("cpu: 4  placed", "cpu: 2  placed"),
+     "condition { !t.placed & s.resCpu >= t.cpu }",
+     "condition { !t.placed & s.cpu / (t.cpu - 2) >= 0 }",
+     "rule 'place', condition on s=s1 t=t1: division by zero"),
+    (REAL_TASK_DOC.replace("cpu: 4  placed", "cpu: 2  placed"),
+     "set t.placed := true", "set t.placed := true  set t.cpu := t.cpu / (t.cpu - 2)",
+     "rule 'place', action 'set t.cpu' on s=s2 t=t1: division by zero"),
+    (TASK_DOC.replace("cpu: 32  resCpu: 10", f"cpu: {'9' * 400}  resCpu: 10"),
+     "condition { !t.placed & s.resCpu >= t.cpu }",
+     "condition { !t.placed & s.cpu * 0.5 >= t.cpu }",
+     "rule 'place', condition on s=s1 t=t1: '*' overflows the float range"),
+    (TASK_DOC.replace("cpu: 32  resCpu: 10", f"cpu: {'9' * 400}  resCpu: 10"),
+     "self.nodes().s.resCpu / self.nodes().s.cpu", "self.nodes().s.cpu / 7",
+     "objective 'packObj', match 0 of place: '/' overflows the float range"),
+    (TASK_DOC.replace("cpu: 32  resCpu: 10", f"cpu: {'9' * 400}  resCpu: 10"),
+     "self.nodes().s.resCpu / self.nodes().s.cpu", "self.nodes().s.cpu",
+     "objective 'packObj', match 0 of place: int too large to convert to float"),
+    (TASK_DOC.replace("cpu: 32  resCpu: 10", f"cpu: {'9' * 400}  resCpu: 10"),
+     "->sum(m | m.nodes().t.cpu) <= self.resCpu",
+     "->sum(m | m.nodes().s.cpu) * 0.5 <= self.resCpu",
+     "constraint 1 (class::Server), s1: int too large to convert to float"),
+], ids=["condition-division-by-zero", "action-division-by-zero", "condition-overflow",
+        "objective-overflow", "objective-weight-overflow", "lowered-term-overflow"])
+def test_solve_evaluation_error_exits_1(doc, old, new, message, tmp_path, capsys):
+    assert old in TASK_SPEC
+    model = tmp_path / "m.model"
+    spec = tmp_path / "s.gipsl"
+    model.write_text(doc)
+    spec.write_text(TASK_SPEC.replace(old, new))
+    assert main(["solve", "--model", str(model), "--spec", str(spec)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

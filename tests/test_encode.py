@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
+import importlib.util
 import itertools
 import pathlib
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -674,6 +677,34 @@ def test_two_links_dump_golden():
     assert dump_problem(problem, table) == TWO_LINKS_DUMP_GOLDEN
 
 
+def _perfbench_placement(monkeypatch):
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "placement.py"
+    spec = importlib.util.spec_from_file_location("perfbench_placement", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sha256_of_dump(spec, g) -> str:
+    return hashlib.sha256(dump_problem(*generate(spec, g)).encode()).hexdigest()
+
+
+def test_dump_problem_golden_hashes(monkeypatch):
+    """The programs of the `fullscale-compile` benchmark workload (the first
+    two-server request of full_scale_config(1) on the fresh substrate) and of
+    the `disjunctive` workload's instance 0 for seed 1 (indicator rows),
+    pinned byte for byte."""
+    substrate, vnrs = generate_scenario(full_scale_config(1))
+    vnr = next(v for v in vnrs if len(v.nodes) == 5)
+    assert _sha256_of_dump(embedding_spec(), merge_graphs(substrate, vnr)) == \
+        "295f8e91493e393aac933da282c4279ec8abde8fd9eaec041325edc796e1b379"
+    placement = _perfbench_placement(monkeypatch)
+    mm, g = load_model(placement.model_text(placement.make_instance(random.Random(1))))
+    assert _sha256_of_dump(typecheck(parse(placement.spec_text()), mm), g) == \
+        "38df21f716202cc9311937e14001e7a075a1f9b73cf6004288e24f2be7a747a2"
+
+
 def test_variable_term_divided_by_constant_is_linear(task_model, task_spec):
     mm, g = task_model
     spec = typecheck(parse(TASK_SPEC.replace(
@@ -943,20 +974,22 @@ def test_index_matches_scan_smoke_full_scale_request(monkeypatch):
     g = merge_graphs(substrate, vnr)
     spec = embedding_spec()
     _assert_same(spec, g, monkeypatch)
-    # and the index really skips work: count filter/body evaluations
-    calls = []
-    counting = encode_mod.eval_expr
+    # and the index really skips work: count the (variable, match) pairs the
+    # mapping sums examine, each one a filter or body evaluation
+    examined = []
+    candidates = encode_mod._SumIndex.candidates
 
-    def counted(*args):
-        calls.append(1)
-        return counting(*args)
-    monkeypatch.setattr(encode_mod, "eval_expr", counted)
+    def counted(self, *args):
+        pairs, rest = candidates(self, *args)
+        examined.append(len(pairs))
+        return pairs, rest
+    monkeypatch.setattr(encode_mod._SumIndex, "candidates", counted)
     generate(spec, g)
-    indexed = len(calls)
-    calls.clear()
+    indexed = sum(examined)
+    examined.clear()
     monkeypatch.setattr(encode_mod, "_index_plan", lambda *args: None)
     generate(spec, g)
-    assert 4 * indexed < len(calls)
+    assert 0 < 4 * indexed < sum(examined)
 
 
 PLACEMENT_SCHEMA = """

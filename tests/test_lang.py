@@ -4,12 +4,13 @@ import pytest
 
 from graphilp import load_metamodel, load_model, parse, pretty, typecheck
 from graphilp.lang import ast as A
-from graphilp.lang.eval import EvalError, eval_expr
+from graphilp.lang.eval import EvalError, NodeRef, compile_expr
 from graphilp.lang.lexer import LexError, is_word, quote, tokenize
 from graphilp.lang.parser import DslSyntaxError, parse_expression
 from graphilp.lang.printer import pretty_expr
 from graphilp.lang.typecheck import TypecheckError
 from graphilp.model import ModelError
+from graphilp.pattern import Match, Pattern
 from graphilp.vne_model import EMBEDDING_SPEC, TWO_LINKS_MODEL, TWO_LINKS_SPEC, VNE_SCHEMA
 
 from conftest import TASK_DOC, TASK_SPEC
@@ -304,7 +305,73 @@ def test_sqrt_of_constant_allowed():
 def test_undefined_function_value_is_an_eval_error(text):
     # math raises ValueError (or OverflowError for an int beyond the float range)
     with pytest.raises(EvalError, match="is undefined"):
-        eval_expr(parse_expression(text), {"huge": 10 ** 400}, None)
+        compile_expr(parse_expression(text))({"huge": 10 ** 400}, None)
+
+
+def _eval_env():
+    _, g = load_model(TASK_DOC)
+    match = Match("place", (("s", "s1"), ("t", "t1")), Pattern("place", ()))
+    return {"m": match, "n": NodeRef("s1"), "ghost": NodeRef("s9"),
+            "huge": 10 ** 400}, g
+
+
+# `value` is the expected result, or the EvalError message the evaluation ends in
+@pytest.mark.parametrize("text, value", [
+    ("false & (1 / 0 > 0)", False),
+    ("true | (1 / 0 > 0)", True),
+    ("(1 / 0 > 0) & false", "division by zero"),
+    ("true & false | true", True),
+    ("!3", "'!' applies to a boolean"),
+    ("true & 3", "'&' applies to booleans"),
+    ("false | 3", "'|' applies to booleans"),
+    ('"a" < 1', "comparison operand is not a number"),
+    ('1 == "a"', "cannot compare values of different kinds"),
+    ("n == n & m == m & n != m.nodes().t", True),
+    # the left operand's type is checked before the right one is evaluated
+    ("3 & (1 / 0 > 0)", "'&' applies to booleans"),
+    ("true + 1 / 0", "left operand is not a number"),
+    ("1 / 0 + true", "division by zero"),
+    ("1 + true", "right operand is not a number"),
+    ("-true", "negation operand is not a number"),
+    ('sqrt("a")', "sqrt argument is not a number"),
+    # a relation evaluates both sides before it checks either
+    ('"a" < 1 / 0', "division by zero"),
+    ("n.nodes().s", "nodes() applies to a match"),
+    ("m.nodes().x", "match has no pattern node 'x'"),
+    ("m.nodes().s.cpu + m.nodes().t.cpu", 36),
+    ("m.nodes().s.nope", "node 's1' has no attribute 'nope'"),
+    ("ghost.cpu", "node 's9' not in graph"),
+    ("m.cpu", "attribute 'cpu' read on a non-node value"),
+    ("zz", "unbound name 'zz'"),
+    ("self", "'self' is not bound here"),
+    ("7 / 2 - 2 * 3", -2.5),
+    # an int beyond the float range, met by a float or divided, is an EvalError
+    ("huge * 0.5 >= 1", "'*' overflows the float range"),
+    ("0.5 - huge", "'-' overflows the float range"),
+    ("huge + 0.5", "'+' overflows the float range"),
+    ("huge / 7", "'/' overflows the float range"),
+    ("huge * huge > huge", True),
+    ("huge >= 0.5", True),
+])
+def test_evaluation_semantics(text, value):
+    env, g = _eval_env()
+    run = compile_expr(parse_expression(text))
+    if isinstance(value, str):
+        with pytest.raises(EvalError) as err:
+            run(env, g)
+        assert str(err.value) == value
+    else:
+        got = run(env, g)
+        assert got == value and type(got) is type(value)
+        assert run(env, g) == value  # a closure can run again
+
+
+def test_compile_expr_defers_errors_to_evaluation():
+    run = compile_expr(parse_expression("mappings.put->sum(m | 1)"))
+    with pytest.raises(EvalError, match="^mapping sums cannot be evaluated directly$"):
+        run({}, None)
+    with pytest.raises(EvalError, match="^cannot evaluate RuleDecl$"):
+        compile_expr(A.RuleDecl("r", (), (), None, ()))({}, None)
 
 
 def test_unknown_rule_in_mapping_diagnosed():

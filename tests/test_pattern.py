@@ -7,7 +7,7 @@ from graphilp import (Edge, Graph, GraphDelta, Node, apply_delta, apply_rule,
 from graphilp.lang.parser import parse, parse_expression
 from graphilp.lang.typecheck import typecheck
 from graphilp.vne_model import two_links_model, two_links_spec, vne_metamodel
-from graphilp.pattern import Match, Pattern, PatternNode, StaleMatchError
+from graphilp.pattern import Match, Pattern, PatternError, PatternNode, StaleMatchError
 
 from conftest import (TASK_DOC, TASK_SPEC, brute_matches, random_graph,
                       random_pattern)
@@ -236,3 +236,25 @@ global objective : min { 0 }
     g2 = apply_delta(g, apply_rule(g, rule, matches[0]))
     assert "s1" not in g2.nodes
     assert "w1" not in g2.edges and "w2" not in g2.edges
+
+
+def test_evaluation_errors_name_the_rule_and_the_binding(task_model):
+    mm, g = task_model
+    # a Pattern built directly compiles its condition on first use
+    p = Pattern("tight", (PatternNode("t", "Task"),), (),
+                parse_expression("t.cpu / (t.cpu - 4) >= 0"))
+    with pytest.raises(PatternError, match="^rule 'tight', condition on t=t1: "
+                                           "division by zero$"):
+        find_matches(g, p)
+    unit = Pattern("unit", (), (), parse_expression("1 / 0 > 0"))
+    with pytest.raises(PatternError, match="^rule 'unit', condition: division by zero$"):
+        find_matches(g, unit)
+    spec = typecheck(parse(TASK_SPEC.replace(
+        "set t.placed := true",
+        "set t.placed := true\n    create node n: Task { cpu := t.cpu"
+        "  placed := 1 / (s.cpu - 32) > 0 }")), mm)
+    rule = spec.rules["place"]
+    m = next(m for m in find_matches(g, rule.lhs) if m.binding == {"t": "t1", "s": "s1"})
+    with pytest.raises(PatternError, match="^rule 'place', action 'create node n, placed' "
+                                           "on s=s1 t=t1: division by zero$"):
+        apply_rule(g, rule, m)
