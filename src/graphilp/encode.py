@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .lang import ast as A
 from .lang.eval import EvalError, NodeRef, compare, compile_expr
-from .lang.typecheck import TypedConstraint, TypedObjective, TypedSpec
+from .lang.typecheck import TypedSpec
 from .model import Graph, apply_delta
 from .pattern import Match, apply_rule, find_matches
 
@@ -171,7 +171,10 @@ class LinearTerm:
         return LinearTerm({v: c * k for v, c in self.coeffs.items()}, self.constant * k)
 
     def sub(self, other: "LinearTerm") -> "LinearTerm":
-        return self.add(other.scale(-1))
+        coeffs = dict(self.coeffs)
+        for v, c in other.coeffs.items():
+            coeffs[v] = coeffs.get(v, 0) - c
+        return LinearTerm(coeffs, self.constant - other.constant)
 
     def bounds(self) -> tuple[float, float]:
         """Value interval over binary assignments of the term's variables."""
@@ -457,18 +460,9 @@ def _misplaced_sum(e):
 
 def _lower_term(e):
     """Closure giving the LinearTerm of an arithmetic subexpression."""
-    if _has_sum(e):
-        return _lower_arith(e)
-    value = compile_expr(e)
-    return lambda env, low: LinearTerm.const(value(env, low.g))
-
-
-def _lower_arith(e):
-    """Closure giving the value of an arithmetic subexpression: a LinearTerm
-    if it contains a mapping sum, else the plain value."""
     if not _has_sum(e):
         value = compile_expr(e)
-        return lambda env, low: value(env, low.g)
+        return lambda env, low: LinearTerm.const(value(env, low.g))
     if isinstance(e, A.SetSum):
         return _Sum(e)
     if isinstance(e, A.Unary) and e.op == "-":
@@ -740,7 +734,7 @@ def instantiate_mappings(spec: TypedSpec,
     return variables, table
 
 
-def expand_contexts(item: TypedConstraint | TypedObjective, g: Graph,
+def expand_contexts(item: A.ConstraintDecl | A.ObjectiveDecl, g: Graph,
                     matches_by_rule: dict[str, list[Match]], spec: TypedSpec
                     ) -> list[tuple[object, str]]:
     """(self binding, human label) per context element, deterministic order."""
@@ -776,22 +770,20 @@ def build_objective(spec: TypedSpec, g: Graph,
         weight = glob.weights.get(obj.name, 0.0)
         if weight == 0.0:
             continue
-        lower = _lower_arith(obj.body)
+        lower = _lower_term(obj.body)
         for self_value, label in expand_contexts(obj, g, matches_by_rule, spec):
             try:
                 value = lower({"self": self_value}, low)
                 if obj.context_kind == "mapping":
-                    if isinstance(value, LinearTerm):
+                    if not value.is_constant():
                         raise GenerationError("mapping-context body must be "
                                               "constant per match")
                     var = table.var_of(obj.context_target, self_value)
-                    terms[var] = terms.get(var, 0) + weight * value
-                elif isinstance(value, LinearTerm):
+                    terms[var] = terms.get(var, 0) + weight * value.constant
+                else:
                     for var, c in value.coeffs.items():
                         terms[var] = terms.get(var, 0) + weight * c
                     constant += weight * value.constant
-                else:
-                    constant += weight * value
             except (EvalError, GenerationError, OverflowError) as exc:
                 # OverflowError: an int beyond the float range met a float
                 raise GenerationError(

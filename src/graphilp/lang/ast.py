@@ -160,10 +160,6 @@ class SetAttrAction:
     pos: Pos = _pos_field()
 
 
-Action = (CreateEdgeAction, CreateNodeAction, DeleteEdgeAction, DeleteNodeAction,
-          SetAttrAction)
-
-
 @dataclass(frozen=True)
 class RuleDecl:
     name: str
@@ -179,9 +175,6 @@ class MappingDecl:
     name: str
     rule: str
     pos: Pos = _pos_field()
-
-
-CONTEXT_KINDS = ("class", "pattern", "mapping")
 
 
 @dataclass(frozen=True)

@@ -59,29 +59,6 @@ def _promote(a: str, b: str) -> str:
 
 
 @dataclass(frozen=True)
-class MappingDef:
-    name: str
-    rule: str
-
-
-@dataclass(frozen=True)
-class TypedConstraint:
-    context_kind: str
-    context_target: str
-    body: object
-    pos: A.Pos
-
-
-@dataclass(frozen=True)
-class TypedObjective:
-    name: str
-    context_kind: str
-    context_target: str
-    body: object
-    pos: A.Pos
-
-
-@dataclass(frozen=True)
 class GlobalObjective:
     sense: str
     weights: dict[str, float]
@@ -92,13 +69,13 @@ class GlobalObjective:
 class TypedSpec:
     mm: Metamodel
     rules: dict[str, Rule]
-    mappings: list[MappingDef]
-    constraints: list[TypedConstraint]
-    objectives: list[TypedObjective]
+    mappings: list[A.MappingDecl]
+    constraints: list[A.ConstraintDecl]
+    objectives: list[A.ObjectiveDecl]
     global_objective: GlobalObjective
     warnings: list[Diagnostic] = field(default_factory=list)
 
-    def mapping(self, name: str) -> MappingDef:
+    def mapping(self, name: str) -> A.MappingDecl:
         return next(m for m in self.mappings if m.name == name)
 
     def rule_of_mapping(self, name: str) -> Rule:
@@ -111,7 +88,7 @@ class _Checker:
         self.diags: list[Diagnostic] = []
         self.warnings: list[Diagnostic] = []
         self.rules: dict[str, Rule] = {}
-        self.mappings: dict[str, MappingDef] = {}
+        self.mappings: dict[str, A.MappingDecl] = {}
 
     def error(self, pos: A.Pos, message: str) -> Ty:
         self.diags.append(Diagnostic(pos.line, pos.col, message))
@@ -459,7 +436,7 @@ def typecheck(spec: A.SpecAst, mm: Metamodel) -> TypedSpec:
             ck.error(md.pos, f"mapping {md.name!r} references unknown rule "
                              f"{md.rule!r}")
             continue
-        ck.mappings[md.name] = MappingDef(md.name, md.rule)
+        ck.mappings[md.name] = md
     constraints = []
     for cd in spec.constraints:
         scope = ck.context_scope(cd.context_kind, cd.context_target, cd.pos)
@@ -468,8 +445,7 @@ def typecheck(spec: A.SpecAst, mm: Metamodel) -> TypedSpec:
         ty = ck.expr(cd.body, scope, allow_sets=True)
         if ty.kind != "bool":
             ck.error(cd.pos, "constraint body must be boolean")
-        constraints.append(TypedConstraint(cd.context_kind, cd.context_target,
-                                           cd.body, cd.pos))
+        constraints.append(cd)
     objectives = []
     names_seen = set()
     for od in spec.objectives:
@@ -491,8 +467,7 @@ def typecheck(spec: A.SpecAst, mm: Metamodel) -> TypedSpec:
                 od.pos.line, od.pos.col,
                 f"objective {od.name!r} contributes only generation-time constants "
                 f"(a {od.context_kind} context carries no decision variable)"))
-        objectives.append(TypedObjective(od.name, od.context_kind, od.context_target,
-                                         od.body, od.pos))
+        objectives.append(od)
     weights, constant = ck.fold_global(spec.global_objective.expr,
                                        {o.name for o in objectives})
     if not all(map(math.isfinite, (constant, *weights.values()))):

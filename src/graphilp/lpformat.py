@@ -2,15 +2,18 @@
 
 Section keywords are emitted exactly as `Minimize`/`Maximize`, `Subject To`,
 `Bounds`, `Binary`, `End`; numeric literals carry 12 significant digits. The
-reader accepts the writer's output plus the usual spelling variants
-(case-insensitive keywords, `<`/`>` for `<=`/`>=`). Constraints must be
-labelled (`name: terms rel rhs`), which the writer always does.
+reader accepts the writer's output plus the spellings in `_SECTIONS` and
+`_RELATIONS`: keywords in any ASCII case, with any blanks around a header,
+and `<`/`>` for `<=`/`>=`. `\\` starts a comment that runs to the end of the
+line. Constraints must be labelled (`name: terms rel rhs`), which the writer
+always does.
 
 Every variable is binary: the writer lists each one under `Binary` and leaves
 `Bounds` empty, and the reader rejects a `Bounds` entry, a `General` section
 and any name used without being listed under `Binary`. Variable kinds on
 import follow the id scheme: names starting with `aux_` come back as
-auxiliary binaries, the others as mapping variables.
+auxiliary binaries, the others as mapping variables. The writer refuses a
+variable that would not read back as itself (see `export_lp`).
 """
 
 from __future__ import annotations
@@ -32,13 +35,65 @@ class LpExportError(Exception):
     """A program the LP format cannot express."""
 
 
+# Header spelling (lower case, words one blank apart) -> section.
+_SECTIONS = {
+    "minimize": "min", "min": "min", "maximize": "max", "max": "max",
+    "subject to": "rows", "such that": "rows", "st": "rows", "s.t.": "rows",
+    "bounds": "bounds", "binary": "binary", "binaries": "binary", "bin": "binary",
+    "general": "general", "generals": "general", "gen": "general", "end": "end",
+}
+
+# Relation spelling -> the row relation it means.
+_RELATIONS = {"<=": "<=", "=<": "<=", "<": "<=", ">=": ">=", "=>": ">=", ">": ">=",
+              "=": "="}
+
+# Alternatives are tried in order, so `<=` wins over `<` and a name over the
+# numeral its tail could start (`e5` is a name, `2z` a numeral and a name).
+# `\w` is a letter, digit or `_` of any script; `bad` catches every character
+# nothing else accepts.
+_TOKEN = re.compile("|".join([
+    r"(?P<blank>\s+)",
+    r"(?P<comment>\\.*)",
+    "(?P<rel>%s)" % "|".join(map(re.escape, sorted(_RELATIONS, key=len, reverse=True))),
+    r"(?P<sign>[+-])",
+    r"(?P<colon>:)",
+    r"(?P<name>[A-Za-z_][\w.]*)",
+    r"(?P<num>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)",
+    r"(?P<bad>.)",
+]))
+
+
+def _header(line: str) -> str | None:
+    """The section `line` opens, if it is a header line."""
+    return _SECTIONS.get(" ".join(line.split()).lower())
+
+
+def _scan(text: str):
+    """(kind, text, line) tokens, without blanks and comments. A header line
+    is one `header` token whose text is its section."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        section = _header(line)
+        if section:
+            yield "header", section, line_no
+            continue
+        for m in _TOKEN.finditer(line):
+            kind = m.lastgroup
+            if kind != "blank" and kind != "comment":
+                yield kind, m.group(), line_no
+
+
 def _num(x) -> str:
     return f"{x:.12g}"
 
 
 def _terms(coeffs: dict, order: dict[str, int]) -> str:
+    try:
+        ordered = sorted(coeffs, key=order.__getitem__)
+    except KeyError as exc:
+        raise LpExportError(f"cannot export variable {exc.args[0]!r}: it is used but "
+                            f"not among the program's variables") from None
     parts = []
-    for vid in sorted(coeffs, key=lambda v: order.get(v, 1 << 30)):
+    for vid in ordered:
         c = coeffs[vid]
         if not parts:
             head = "- " if c < 0 else ""
@@ -53,8 +108,17 @@ def export_lp(p: IlpProblem, table: MappingTable | None = None) -> str:
     """Serialize a problem to LP-format text.
 
     The mapping table is accepted for interface parity; variable names are the
-    deterministic ids the encoder already assigned.
+    deterministic ids the encoder already assigned. A variable `import_lp`
+    would not read back as itself is an LpExportError: a name that is not one
+    `name` token or is a section header (`end`, `St`), or a row or objective
+    variable missing from `p.variables`.
     """
+    for v in p.variables:
+        m = _TOKEN.fullmatch(v.id)
+        if m is None or m.lastgroup != "name" or _header(v.id):
+            raise LpExportError(f"cannot export variable {v.id!r}: an LP name is a letter "
+                                f"or '_' followed by letters, digits, '_' or '.', and "
+                                f"no section header")
     order = {v.id: i for i, v in enumerate(p.variables)}
     out = []
     out.append("Minimize" if p.objective.sense == "min" else "Maximize")
@@ -73,8 +137,7 @@ def export_lp(p: IlpProblem, table: MappingTable | None = None) -> str:
                 raise LpExportError(f"cannot export constraint c{i}: it has no "
                                     f"variables and the program has none")
             body = f"0 {anchor}"
-        rel = {"<=": "<=", ">=": ">=", "=": "="}[row.rel]
-        out.append(f" c{i}: {body} {rel} {_num(row.rhs)}")
+        out.append(f" c{i}: {body} {row.rel} {_num(row.rhs)}")
     out.append("Bounds")
     if p.variables:
         out.append("Binary")
@@ -84,83 +147,36 @@ def export_lp(p: IlpProblem, table: MappingTable | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-_SECTION_RE = re.compile(
-    r"^\s*(minimize|maximize|min|max|subject\s+to|such\s+that|st|s\.t\.|bounds|"
-    r"binary|binaries|bin|general|generals|gen|end)\s*$", re.IGNORECASE)
-
-_TOKEN_RE = re.compile(
-    r"(<=|>=|=<|=>|<|>|=|\+|-|:|[A-Za-z_][\w.]*|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)")
-
-_NUM_RE = re.compile(r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?")
-
-
-def _section_of(word: str) -> str:
-    w = re.sub(r"\s+", " ", word.strip().lower())
-    if w in ("minimize", "min"):
-        return "minimize"
-    if w in ("maximize", "max"):
-        return "maximize"
-    if w in ("subject to", "such that", "st", "s.t."):
-        return "subject"
-    if w in ("binary", "binaries", "bin"):
-        return "binary"
-    if w in ("general", "generals", "gen"):
-        return "general"
-    return w  # bounds, end
-
-
-def _tokenize_lp(text: str):
-    """(token, line_no) pairs for one section body; `\\` comments stripped."""
-    tokens = []
-    for ln, line in text:
-        line = line.split("\\", 1)[0]
-        pos = 0
-        while pos < len(line):
-            ch = line[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(line, pos)
-            if not m:
-                raise LpParseError(f"unexpected character {ch!r}", ln)
-            tokens.append((m.group(0), ln))
-            pos = m.end()
-    return tokens
-
-
-def _parse_terms(tokens, start, stop_kinds):
-    """Parse a run of `[+|-] [coef] [name]` terms; returns (coeffs, const, next)."""
+def _parse_terms(tokens, i, stop):
+    """Parse a run of `[+|-] [coef] [name]` terms from `tokens[i]` up to a token
+    of kind `stop` or the end; returns (coeffs, const, next)."""
     coeffs: dict[str, float] = {}
     const = 0.0
-    i = start
     sign = 1.0
     pending: float | None = None
     while i < len(tokens):
-        tok, ln = tokens[i]
-        if tok in stop_kinds:
-            break
-        if tok in ("+", "-"):
+        kind, text, line = tokens[i]
+        if kind == "name":
+            coef = sign * (pending if pending is not None else 1.0)
+            coeffs[text] = coeffs.get(text, 0.0) + coef
+            pending = None
+            sign = 1.0
+        elif kind == "num":
             if pending is not None:  # the number before was a constant term
+                const += sign * pending
+                sign = 1.0
+            pending = float(text)
+        elif kind == "sign":
+            if pending is not None:
                 const += sign * pending
                 pending = None
                 sign = 1.0
-            if tok == "-":
+            if text == "-":
                 sign = -sign
-            i += 1
-            continue
-        if _NUM_RE.fullmatch(tok):
-            if pending is not None:
-                const += sign * pending
-                sign = 1.0
-            pending = float(tok)
-            i += 1
-            continue
-        if not re.match(r"[A-Za-z_]", tok):
-            raise LpParseError(f"unexpected token {tok!r}", ln)
-        coef = sign * (pending if pending is not None else 1.0)
-        coeffs[tok] = coeffs.get(tok, 0.0) + coef
-        pending = None
-        sign = 1.0
+        elif kind == stop:
+            break
+        else:
+            raise LpParseError(f"unexpected token {text!r}", line)
         i += 1
     if pending is not None:
         const += sign * pending
@@ -169,86 +185,76 @@ def _parse_terms(tokens, start, stop_kinds):
 
 def import_lp(text: str) -> IlpProblem:
     """Parse LP-format text back into a problem. Inverse of `export_lp` on its
-    own output."""
+    own output. Errors come in section order (objective, rows, `Bounds`,
+    `General`, `Binary`), a section's unexpected character first."""
     sections: dict[str, list] = {}
-    current = None
-    sense = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        m = _SECTION_RE.match(raw)
-        if m:
-            current = _section_of(m.group(1))
-            if current in ("minimize", "maximize"):
-                sense = "min" if current == "minimize" else "max"
-                current = "objective"
-            if current == "end":
+    unreadable: dict[str, LpParseError] = {}  # section -> its first bad character
+    sense = current = tokens = None
+    for kind, word, line in _scan(text):
+        if kind == "header":
+            if word == "end":
                 break
-            sections.setdefault(current, [])
-            continue
-        if current is None:
-            if raw.strip() and not raw.strip().startswith("\\"):
-                raise LpParseError("expected a section header", ln)
-            continue
-        sections.setdefault(current, []).append((ln, raw))
+            if word in ("min", "max"):
+                sense, word = word, "objective"
+            current, tokens = word, sections.setdefault(word, [])
+        elif tokens is None:
+            raise LpParseError("expected a section header", line)
+        elif kind == "bad":
+            unreadable.setdefault(current, LpParseError(f"unexpected character {word!r}",
+                                                        line))
+        else:
+            tokens.append((kind, word, line))
     if sense is None:
         raise LpParseError("missing Minimize/Maximize section", 1)
 
-    # objective
-    obj_tokens = _tokenize_lp(sections.get("objective", []))
-    i = 0
-    if len(obj_tokens) >= 2 and obj_tokens[1][0] == ":":
-        i = 2
-    obj_coeffs, obj_const, i = _parse_terms(obj_tokens, i, stop_kinds=())
-    if i != len(obj_tokens):
-        raise LpParseError("unexpected content after the objective",
-                           obj_tokens[i][1])
+    def section(name):
+        if name in unreadable:
+            raise unreadable[name]
+        return sections.get(name, [])
+
+    obj = section("objective")
+    start = 2 if len(obj) >= 2 and obj[1][0] == "colon" else 0
+    obj_coeffs, obj_const, _ = _parse_terms(obj, start, None)
     try:
         objective = ObjectiveFunc(sense, obj_coeffs, obj_const)
     except GenerationError as exc:  # a number beyond the float range
-        raise LpParseError(str(exc), obj_tokens[0][1]) from None
-    seen: dict[str, int] = {}  # variable -> line of its first use
-    for vid in obj_coeffs:
-        seen.setdefault(vid, obj_tokens[0][1])
+        raise LpParseError(str(exc), obj[0][2]) from None
+    seen = {vid: obj[0][2] for vid in obj_coeffs}  # variable -> line of its first use
 
-    # constraints
     rows: list[Row] = []
-    tokens = _tokenize_lp(sections.get("subject", []))
+    tokens = section("rows")
     i = 0
     while i < len(tokens):
-        if i + 1 >= len(tokens) or tokens[i + 1][0] != ":":
-            raise LpParseError("constraints must be labelled 'name: ...'",
-                               tokens[i][1])
-        row_line = tokens[i][1]
-        i += 2
-        coeffs, const, i = _parse_terms(tokens, i, stop_kinds=("<=", ">=", "<", ">",
-                                                               "=", "=<", "=>"))
+        row_line = tokens[i][2]
+        if i + 1 >= len(tokens) or tokens[i + 1][0] != "colon":
+            raise LpParseError("constraints must be labelled 'name: ...'", row_line)
+        coeffs, const, i = _parse_terms(tokens, i + 2, "rel")
         if i >= len(tokens):
-            raise LpParseError("constraint without relation", tokens[-1][1])
-        rel_tok, ln = tokens[i]
-        rel = {"<=": "<=", "<": "<=", "=<": "<=", ">=": ">=", ">": ">=",
-               "=>": ">=", "=": "="}[rel_tok]
+            raise LpParseError("constraint without relation", tokens[-1][2])
+        _, rel, rel_line = tokens[i]
         i += 1
-        rhs_sign = 1.0
-        if i < len(tokens) and tokens[i][0] in ("+", "-"):
-            rhs_sign = -1.0 if tokens[i][0] == "-" else 1.0
+        sign = 1.0
+        if i < len(tokens) and tokens[i][0] == "sign":
+            sign = -1.0 if tokens[i][1] == "-" else 1.0
             i += 1
-        if i >= len(tokens) or not _NUM_RE.fullmatch(tokens[i][0]):
-            raise LpParseError("constraint needs a numeric right-hand side", ln)
-        rhs = rhs_sign * float(tokens[i][0])
+        if i >= len(tokens) or tokens[i][0] != "num":
+            raise LpParseError("constraint needs a numeric right-hand side", rel_line)
+        rhs = sign * float(tokens[i][1])
         i += 1
         for vid in coeffs:
             seen.setdefault(vid, row_line)
         try:
-            rows.append(Row(coeffs, rel, rhs - const))
+            rows.append(Row(coeffs, _RELATIONS[rel], rhs - const))
         except GenerationError as exc:  # a number beyond the float range
             raise LpParseError(str(exc), row_line) from None
 
-    for section, what in (("bounds", "bounds"), ("general", "general integer variables")):
-        extra = _tokenize_lp(sections.get(section, []))
+    for name, what in (("bounds", "bounds"), ("general", "general integer variables")):
+        extra = section(name)
         if extra:
             raise LpParseError(f"{what} are not supported: every variable is binary",
-                               extra[0][1])
-    variables = [Variable(name, AUX_BINARY if name.startswith("aux_") else BINARY)
-                 for name, _ in _tokenize_lp(sections.get("binary", []))]
+                               extra[0][2])
+    variables = [Variable(word, AUX_BINARY if word.startswith("aux_") else BINARY)
+                 for _, word, _ in section("binary")]
     declared = {v.id for v in variables}
     for name, line in seen.items():
         if name not in declared:

@@ -19,9 +19,9 @@ from graphilp.encode import (AUX_BINARY, BINARY, Atom, GenerationError,
                              LinearTerm, Literal, MappingTable, Row, _Alloc, _negate,
                              build_objective, collect_matches, expand_contexts,
                              instantiate_mappings, linearize, lower_sets, to_cnf)
+from graphilp.lang import ast as A
 from graphilp.lang.eval import NodeRef
 from graphilp.lang.parser import parse_expression
-from graphilp.lang.typecheck import TypedConstraint
 from graphilp.vne import merge_graphs
 from graphilp.vne_model import (TWO_LINKS_MODEL, TWO_LINKS_SPEC, VNE_SCHEMA, two_links_model,
                                 two_links_spec, vne_metamodel, embedding_spec)
@@ -1087,7 +1087,7 @@ def test_index_matches_scan_disjunctive_specs(variant, monkeypatch):
 
 def _task_spec_with_body(mm, body, kind="class", target="Server"):
     spec = typecheck(parse(TASK_SPEC), mm)
-    cons = TypedConstraint(kind, target, parse_expression(body), spec.constraints[0].pos)
+    cons = A.ConstraintDecl(kind, target, parse_expression(body), spec.constraints[0].pos)
     return dataclasses.replace(spec, constraints=[cons])
 
 
@@ -1155,3 +1155,15 @@ def test_leading_non_key_conjunct_falls_back_to_scan(task_model, monkeypatch):
     assert built == [None]
     monkeypatch.undo()
     assert _assert_same(spec, g, monkeypatch) == indexed
+
+
+def test_mapping_context_objective_body_with_variables_is_refused(task_model, task_spec):
+    # the typechecker refuses this body; the encoder still checks a spec built in code
+    _, g = task_model
+    packed = task_spec.objectives[0]
+    body = parse_expression("mappings.put->sum(m | 1)")
+    spec = dataclasses.replace(task_spec,
+                               objectives=[dataclasses.replace(packed, body=body)])
+    with pytest.raises(GenerationError, match="objective 'packObj', match 0 of place: "
+                                              "mapping-context body must be constant per match"):
+        generate(spec, g)

@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
 from graphilp import export_lp, generate, import_lp, problems_equal
 from graphilp.encode import BINARY, IlpProblem, ObjectiveFunc, Row, Variable
-from graphilp.lpformat import LpParseError
+from graphilp.lpformat import LpExportError, LpParseError
 from graphilp.vne_model import two_links_model, two_links_spec
 
 from conftest import random_problem
@@ -162,3 +163,100 @@ def test_case_insensitive_keywords_accepted():
     text = "minimize\n obj: 2 x\nsubject to\n c0: x <= 1\nbinary\n x\nend\n"
     p = import_lp(text)
     assert p.objective.terms == {"x": 2}
+
+
+def _program(sense, rows, binaries=("x", "y"), terms=None, constant=0.0):
+    return IlpProblem([Variable(v, BINARY) for v in binaries], rows,
+                      ObjectiveFunc(sense, {"x": 2} if terms is None else terms, constant))
+
+
+_XY_LE_1 = [Row({"x": 1, "y": 1}, "<=", 1)]
+
+
+@pytest.mark.parametrize("text,expected", [
+    # every section spelling, in any case, headers indented with blanks
+    ("min\n obj: 2 x\nst\n c0: x + y <= 1\nbin\n x\n y\nend\n",
+     _program("min", _XY_LE_1)),
+    ("MAX\n obj: 2 x\nS.T.\n c0: x + y <= 1\nBINARIES\n x\n y\nEND\n",
+     _program("max", _XY_LE_1)),
+    ("  Maximize  \n obj: 2 x\n\tsuch  that\n c0: x + y <= 1\n Binary\n x\n y\n  End\n",
+     _program("max", _XY_LE_1)),
+    ("MiNiMiZe\n obj: 2 x\nsubject   to\n c0: x + y <= 1\nBounds\nbinary\n x\n y\nEnd\n",
+     _program("min", _XY_LE_1)),
+    ("Minimize\n obj: 2 x\nSubject To\n c0: x + y <= 1\nBinary\n x\n y\nEnd\n"
+     "anything after End is ignored ?\n",
+     _program("min", _XY_LE_1)),
+    # every relation spelling
+    ("Minimize\n obj: 2 x\nSubject To\n c0: x + y < 1\n c1: x =< 1\n c2: y > 0\n"
+     " c3: y => 0\n c4: x - y = 0\n c5: x >= -1\nBinary\n x\n y\nEnd\n",
+     _program("min", [Row({"x": 1, "y": 1}, "<=", 1), Row({"x": 1}, "<=", 1),
+                      Row({"y": 1}, ">=", 0), Row({"y": 1}, ">=", 0),
+                      Row({"x": 1, "y": -1}, "=", 0), Row({"x": 1}, ">=", -1)])),
+    # backslash comments: before the first header, alone on a line, after tokens
+    ("\\ a program\n  \\ indented\n\nMinimize\n obj: 2 x \\ weight two\n\\ rows next\n"
+     "Subject To\n c0: x + y <= 1 \\ at most one\nBinary\n x\n y \\ last\nEnd\n",
+     _program("min", _XY_LE_1)),
+    # a row that spans two lines, and two rows on one line
+    ("Minimize\n obj: 2 x\nSubject To\n c0: x +\n y <= 1\n c1: x >= 0 c2: y <= 1\n"
+     "Binary\n x\n y\nEnd\n",
+     _program("min", [Row({"x": 1, "y": 1}, "<=", 1), Row({"x": 1}, ">=", 0),
+                      Row({"y": 1}, "<=", 1)])),
+    # labels are optional on the objective; constants and repeated names fold
+    ("Minimize\n 3 + x - 2 x - 1.5\nSubject To\n c0: 2 + x + x <= 4\nBinary\n x\nEnd\n",
+     _program("min", [Row({"x": 2}, "<=", 2)], binaries=("x",),
+              terms={"x": -1}, constant=1.5)),
+    # empty General sections are harmless
+    ("Minimize\n obj: 2 x\nGenerals\nGen\nBinary\n x\n y\nEnd\n", _program("min", [])),
+    # numerals: a name may look like an exponent, and `2z` is two tokens
+    ("Minimize\n obj: e5 + .5 y + 1e1 z\nSubject To\n c0: 2z <= 1\nBinary\n e5\n y\n z\nEnd\n",
+     _program("min", [Row({"z": 2}, "<=", 1)], binaries=("e5", "y", "z"),
+              terms={"e5": 1, "y": 0.5, "z": 10})),
+])
+def test_reader_accepts(text, expected):
+    assert import_lp(text) == expected
+
+
+@pytest.mark.parametrize("text,message,line", [
+    ("Minimize\n obj: x\nSubject To\n c0: x ? 1\nBinary\n x\nEnd\n",
+     "unexpected character '?'", 4),
+    ("Minimize\n obj: x\nSubject To\n c0: x <= 1\nBinary\n x\n y!\nEnd\n",
+     "unexpected character '!'", 7),
+    ("Minimize\n obj: x <= 1\nSubject To\n c0: x ? 1\nEnd\n",
+     "unexpected token '<='", 2),
+    ("Minimize\n obj: x\nSubject To\n c0: x : y <= 1\n c1: y ? 1\nEnd\n",
+     "unexpected character '?'", 5),
+    ("Minimize\n obj: x\nSubject To\n c0: x : y <= 1\nEnd\n",
+     "unexpected token ':'", 4),
+    ("Minimize\n obj: x\nSubject To\n c0: x +\n y\nBinary\n x\n y\nEnd\n",
+     "constraint without relation", 5),
+    ("Minimize\n obj: x\nSubject To\n c0: x <=\n y\nBinary\n x\n y\nEnd\n",
+     "constraint needs a numeric right-hand side", 4),
+    ("x\nMinimize\n obj: x\nEnd\n", "expected a section header", 1),
+    ("\\ comment\nMinimize \\ not a header\n obj: x\nEnd\n",
+     "expected a section header", 2),
+    ("Minimize\n obj: x\nSubject To\n c0: x <= 1\nGeneral\n\n x\nBinary\n x\nEnd\n",
+     "general integer variables are not supported: every variable is binary", 7),
+])
+def test_reader_rejects(text, message, line):
+    with pytest.raises(LpParseError) as info:
+        import_lp(text)
+    assert (info.value.message, info.value.line) == (message, line)
+
+
+@pytest.mark.parametrize("names,row,objective,refused", [
+    (["x", "end"], {"x": 1}, {"x": 1}, "end"),
+    (["St", "x"], {"x": 1}, {"x": 1}, "St"),
+    (["x", "s.t."], {"x": 1}, {"x": 1}, "s.t."),
+    (["MIN", "x"], {"x": 1}, {"x": 1}, "MIN"),
+    (["bin"], {"bin": 1}, {}, "bin"),
+    (["x y", "2z"], {"x y": 1}, {"2z": 1}, "x y"),
+    (["x", "2z"], {"x": 1}, {"2z": 1}, "2z"),
+    (["x", ""], {"x": 1}, {"x": 1}, ""),
+    (["x"], {"x": 1, "y": 1}, {"x": 1}, "y"),
+    (["x"], {"x": 1}, {"z": 1}, "z"),
+])
+def test_export_refuses_what_import_cannot_read_back(names, row, objective, refused):
+    p = IlpProblem([Variable(v, BINARY) for v in names], [Row(row, "<=", 1)],
+                   ObjectiveFunc("min", objective))
+    with pytest.raises(LpExportError, match=f"variable {re.escape(repr(refused))}"):
+        export_lp(p)
