@@ -2,7 +2,9 @@
 
 Operator precedence, loosest to tightest: `|`, `&`, comparisons, `+ -`,
 `* /`, unary (`!`, `-`, `sin`, `cos`, `sqrt`). Binary operators associate
-left. See docs/grammar.md for the full grammar.
+left; a comparison does not chain (`a < b < c` is an error). Expressions
+are parsed by precedence climbing (Norvell, "Parsing Expressions by
+Recursive Descent", 1999). See docs/grammar.md for the full grammar.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ KEYWORDS = frozenset({
 })
 
 
+# The binding level of each binary operator, from 1 (loosest) to _TIGHTEST.
+_REL_LEVEL, _TIGHTEST = 3, 5
+_LEVELS = {"|": 1, "&": 2, "+": 4, "-": 4, "*": 5, "/": 5,
+           **dict.fromkeys(("<", "<=", "==", "!=", ">=", ">"), _REL_LEVEL)}
+
+
 class DslSyntaxError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
@@ -36,29 +44,27 @@ def _pos(tok: Token) -> Pos:
     return Pos(tok.line, tok.col)
 
 
-class _Parser:
+class _Parser(TokenStream):
     def __init__(self, text: str):
         try:
-            self.ts = TokenStream(tokenize(text, KEYWORDS))
+            tokens = tokenize(text, KEYWORDS)
         except LexError as e:
             raise DslSyntaxError(e.message, e.line, e.col) from None
-
-    def expect(self, *kinds: str) -> Token:
-        return self.ts.expect(*kinds, error=DslSyntaxError)
+        super().__init__(tokens, DslSyntaxError)
 
     def ident(self, what: str = "identifier") -> Token:
-        tok = self.ts.current
+        tok = self.current
         if tok.kind != "IDENT":
             raise DslSyntaxError(f"expected {what}, got {tok.value!r}", tok.line, tok.col)
-        return self.ts.advance()
+        return self.advance()
 
     # -- declarations ---------------------------------------------------------
 
     def spec(self) -> SpecAst:
         rules, mappings, constraints, objectives = [], [], [], []
         global_obj: GlobalObjectiveDecl | None = None
-        while not self.ts.at("EOF"):
-            tok = self.ts.current
+        while self.current.kind != "EOF":
+            tok = self.current
             if tok.kind == "rule":
                 rules.append(self.rule_decl())
             elif tok.kind == "mapping":
@@ -77,7 +83,7 @@ class _Parser:
                     f"expected 'rule', 'mapping', 'constraint', 'objective' or "
                     f"'global', got {tok.value!r}", tok.line, tok.col)
         if global_obj is None:
-            end = self.ts.current
+            end = self.current
             raise DslSyntaxError("missing global objective", end.line, end.col)
         return SpecAst(tuple(rules), tuple(mappings), tuple(constraints),
                        tuple(objectives), global_obj)
@@ -90,17 +96,17 @@ class _Parser:
         edges: list[PatternEdgeDecl] = []
         condition = None
         actions: list[object] = []
-        while not self.ts.accept("}"):
+        while not self.accept("}"):
             section = self.expect("nodes", "edges", "condition", "actions")
             self.expect("{")
             if section.kind == "nodes":
-                while not self.ts.accept("}"):
+                while not self.accept("}"):
                     n = self.ident("pattern node name")
                     self.expect(":")
                     t = self.ident("node type")
                     nodes.append(PatternNodeDecl(n.value, t.value, _pos(n)))
             elif section.kind == "edges":
-                while not self.ts.accept("}"):
+                while not self.accept("}"):
                     n = self.ident("pattern edge name")
                     self.expect(":")
                     t = self.ident("edge type")
@@ -115,7 +121,7 @@ class _Parser:
                 condition = self.expression()
                 self.expect("}")
             else:
-                while not self.ts.accept("}"):
+                while not self.accept("}"):
                     actions.append(self.action())
         return RuleDecl(name.value, tuple(nodes), tuple(edges), condition,
                         tuple(actions), _pos(start))
@@ -137,7 +143,7 @@ class _Parser:
             t = self.ident("node type")
             inits = []
             self.expect("{")
-            while not self.ts.accept("}"):
+            while not self.accept("}"):
                 attr = self.ident("attribute name")
                 self.expect(":=")
                 inits.append((attr.value, self.expression()))
@@ -199,54 +205,34 @@ class _Parser:
 
     # -- expressions ------------------------------------------------------------
 
-    def expression(self):
-        return self.or_expr()
+    def expression(self, min_level: int = 1):
+        """An expression whose binary operators bind at `min_level` or tighter.
 
-    def or_expr(self):
-        left = self.and_expr()
-        while self.ts.at("|"):
-            op = self.ts.advance()
-            left = Binary("|", left, self.and_expr(), _pos(op))
-        return left
-
-    def and_expr(self):
-        left = self.rel_expr()
-        while self.ts.at("&"):
-            op = self.ts.advance()
-            left = Binary("&", left, self.rel_expr(), _pos(op))
-        return left
-
-    def rel_expr(self):
-        left = self.sum_expr()
-        if self.ts.at("<", "<=", "==", "!=", ">=", ">"):
-            op = self.ts.advance()
-            return Rel(op.kind, left, self.sum_expr(), _pos(op))
-        return left
-
-    def sum_expr(self):
-        left = self.term()
-        while self.ts.at("+", "-"):
-            op = self.ts.advance()
-            left = Binary(op.kind, left, self.term(), _pos(op))
-        return left
-
-    def term(self):
+        After an operator of level L, the next may bind at L at most (L - 1
+        after a relation), so `+` and `*` chain to the left and relations do
+        not chain.
+        """
         left = self.unary()
-        while self.ts.at("*", "/"):
-            op = self.ts.advance()
-            left = Binary(op.kind, left, self.unary(), _pos(op))
-        return left
+        max_level = _TIGHTEST
+        while True:
+            op = self.current
+            level = _LEVELS.get(op.kind, 0)
+            if not min_level <= level <= max_level:
+                return left
+            self.advance()
+            right = self.expression(level + 1)
+            if level == _REL_LEVEL:
+                left, max_level = Rel(op.kind, left, right, _pos(op)), level - 1
+            else:
+                left, max_level = Binary(op.kind, left, right, _pos(op)), level
 
     def unary(self):
-        tok = self.ts.current
-        if tok.kind == "!":
-            self.ts.advance()
-            return Unary("!", self.unary(), _pos(tok))
-        if tok.kind == "-":
-            self.ts.advance()
-            return Unary("-", self.unary(), _pos(tok))
+        tok = self.current
+        if tok.kind == "!" or tok.kind == "-":
+            self.advance()
+            return Unary(tok.kind, self.unary(), _pos(tok))
         if tok.kind in ("sin", "cos", "sqrt"):
-            self.ts.advance()
+            self.advance()
             self.expect("(")
             arg = self.expression()
             self.expect(")")
@@ -255,10 +241,10 @@ class _Parser:
 
     def postfix(self):
         expr = self.primary()
-        while self.ts.at("."):
-            dot = self.ts.advance()
-            if self.ts.at("nodes") and self.ts.peek().kind == "(":
-                self.ts.advance()
+        while self.current.kind == ".":
+            dot = self.advance()
+            if self.current.kind == "nodes" and self.peek().kind == "(":
+                self.advance()
                 self.expect("(")
                 self.expect(")")
                 self.expect(".")
@@ -270,31 +256,28 @@ class _Parser:
         return expr
 
     def primary(self):
-        tok = self.ts.current
+        tok = self.current
         if tok.kind == "INT" or tok.kind == "REAL":
-            self.ts.advance()
+            self.advance()
             return Num(tok.value, _pos(tok))
-        if tok.kind == "true":
-            self.ts.advance()
-            return BoolLit(True, _pos(tok))
-        if tok.kind == "false":
-            self.ts.advance()
-            return BoolLit(False, _pos(tok))
+        if tok.kind == "true" or tok.kind == "false":
+            self.advance()
+            return BoolLit(tok.kind == "true", _pos(tok))
         if tok.kind == "STRING":
-            self.ts.advance()
+            self.advance()
             return StrLit(tok.value, _pos(tok))
         if tok.kind == "(":
-            self.ts.advance()
+            self.advance()
             inner = self.expression()
             self.expect(")")
             return inner
         if tok.kind == "self":
-            self.ts.advance()
+            self.advance()
             return SelfRef(_pos(tok))
         if tok.kind == "mappings":
             return self.set_sum()
         if tok.kind == "IDENT":
-            self.ts.advance()
+            self.advance()
             return Name(tok.value, _pos(tok))
         raise DslSyntaxError(f"expected an expression, got {tok.value!r}",
                              tok.line, tok.col)

@@ -147,9 +147,10 @@ def export_lp(p: IlpProblem, table: MappingTable | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def _parse_terms(tokens, i, stop):
+def _parse_terms(tokens, i, stop, seen: dict[str, int]):
     """Parse a run of `[+|-] [coef] [name]` terms from `tokens[i]` up to a token
-    of kind `stop` or the end; returns (coeffs, const, next)."""
+    of kind `stop` or the end; returns (coeffs, const, next). Adds each name
+    not yet in `seen` with the line it is on."""
     coeffs: dict[str, float] = {}
     const = 0.0
     sign = 1.0
@@ -159,6 +160,7 @@ def _parse_terms(tokens, i, stop):
         if kind == "name":
             coef = sign * (pending if pending is not None else 1.0)
             coeffs[text] = coeffs.get(text, 0.0) + coef
+            seen.setdefault(text, line)
             pending = None
             sign = 1.0
         elif kind == "num":
@@ -212,14 +214,14 @@ def import_lp(text: str) -> IlpProblem:
             raise unreadable[name]
         return sections.get(name, [])
 
+    seen: dict[str, int] = {}  # variable -> line of its first use
     obj = section("objective")
     start = 2 if len(obj) >= 2 and obj[1][0] == "colon" else 0
-    obj_coeffs, obj_const, _ = _parse_terms(obj, start, None)
+    obj_coeffs, obj_const, _ = _parse_terms(obj, start, None, seen)
     try:
         objective = ObjectiveFunc(sense, obj_coeffs, obj_const)
     except GenerationError as exc:  # a number beyond the float range
         raise LpParseError(str(exc), obj[0][2]) from None
-    seen = {vid: obj[0][2] for vid in obj_coeffs}  # variable -> line of its first use
 
     rows: list[Row] = []
     tokens = section("rows")
@@ -228,7 +230,7 @@ def import_lp(text: str) -> IlpProblem:
         row_line = tokens[i][2]
         if i + 1 >= len(tokens) or tokens[i + 1][0] != "colon":
             raise LpParseError("constraints must be labelled 'name: ...'", row_line)
-        coeffs, const, i = _parse_terms(tokens, i + 2, "rel")
+        coeffs, const, i = _parse_terms(tokens, i + 2, "rel", seen)
         if i >= len(tokens):
             raise LpParseError("constraint without relation", tokens[-1][2])
         _, rel, rel_line = tokens[i]
@@ -241,8 +243,6 @@ def import_lp(text: str) -> IlpProblem:
             raise LpParseError("constraint needs a numeric right-hand side", rel_line)
         rhs = sign * float(tokens[i][1])
         i += 1
-        for vid in coeffs:
-            seen.setdefault(vid, row_line)
         try:
             rows.append(Row(coeffs, _RELATIONS[rel], rhs - const))
         except GenerationError as exc:  # a number beyond the float range
@@ -253,13 +253,17 @@ def import_lp(text: str) -> IlpProblem:
         if extra:
             raise LpParseError(f"{what} are not supported: every variable is binary",
                                extra[0][2])
-    variables = [Variable(word, AUX_BINARY if word.startswith("aux_") else BINARY)
-                 for _, word, _ in section("binary")]
-    declared = {v.id for v in variables}
+    declared: dict[str, Variable] = {}
+    for kind, word, line in section("binary"):
+        if kind != "name":
+            raise LpParseError(f"expected a variable name, got {word!r}", line)
+        if word in declared:
+            raise LpParseError(f"variable {word!r} is declared binary twice", line)
+        declared[word] = Variable(word, AUX_BINARY if word.startswith("aux_") else BINARY)
     for name, line in seen.items():
         if name not in declared:
             raise LpParseError(f"variable {name!r} is not declared binary", line)
-    return IlpProblem(variables, rows, objective)
+    return IlpProblem(list(declared.values()), rows, objective)
 
 
 def problems_equal(a: IlpProblem, b: IlpProblem, tol: float = 1e-9) -> bool:

@@ -338,7 +338,7 @@ def _parse_value(ts: TokenStream):
         return False
     if tok.kind == "-":
         ts.advance()
-        num = ts.expect("INT", "REAL", error=ModelParseError)
+        num = ts.expect("INT", "REAL")
         return -num.value
     raise ModelParseError(f"expected attribute value, got {tok.value!r}", tok.line, tok.col)
 
@@ -353,15 +353,15 @@ def _parse_name(ts: TokenStream) -> str:
 
 def _parse_attr_block(ts: TokenStream, parse_kind: bool):
     out = {}
-    ts.expect("{", error=ModelParseError)
+    ts.expect("{")
     while not ts.accept("}"):
         name_tok = ts.current
         name = _parse_name(ts)
         if name in out:
             raise ModelParseError(f"duplicate attribute {name!r}", name_tok.line, name_tok.col)
-        ts.expect(":", error=ModelParseError)
+        ts.expect(":")
         if parse_kind:
-            kind_tok = ts.expect("IDENT", error=ModelParseError)
+            kind_tok = ts.expect("IDENT")
             if kind_tok.value not in ATTR_KINDS:
                 raise ModelParseError(f"unknown attribute kind {kind_tok.value!r}",
                                       kind_tok.line, kind_tok.col)
@@ -381,8 +381,8 @@ _RECORDS = {
 
 
 def _parse_record(ts: TokenStream, keyword: str, allowed, required) -> dict:
-    start = ts.expect(keyword, error=ModelParseError)
-    ts.expect("{", error=ModelParseError)
+    start = ts.expect(keyword)
+    ts.expect("{")
     rec: dict = {}
     while not ts.accept("}"):
         key_tok = ts.advance()
@@ -399,7 +399,7 @@ def _parse_record(ts: TokenStream, keyword: str, allowed, required) -> dict:
         if key == "attrs":
             rec[key] = _parse_attr_block(ts, parse_kind=(keyword == "nodetype"))
         else:
-            ts.expect(":", error=ModelParseError)
+            ts.expect(":")
             rec[key] = _parse_name(ts)
     for key in required:
         if key not in rec:
@@ -409,13 +409,13 @@ def _parse_record(ts: TokenStream, keyword: str, allowed, required) -> dict:
 
 def _parse_document(text: str):
     try:
-        ts = TokenStream(tokenize(text, _KEYWORDS))
+        ts = TokenStream(tokenize(text, _KEYWORDS), ModelParseError)
     except LexError as e:
         raise ModelParseError(e.message, e.line, e.col) from None
     records: dict[str, list[dict]] = {section: [] for section in _RECORDS}
-    while not ts.at("EOF"):
-        section = ts.expect(*_RECORDS, error=ModelParseError).kind
-        ts.expect("{", error=ModelParseError)
+    while ts.current.kind != "EOF":
+        section = ts.expect(*_RECORDS).kind
+        ts.expect("{")
         while not ts.accept("}"):
             records[section].append(_parse_record(ts, *_RECORDS[section]))
     node_types = [NodeType(r["name"], tuple(AttrDecl(*a) for a in r.get("attrs", {}).items()),

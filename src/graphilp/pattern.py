@@ -105,11 +105,14 @@ def _where(rule: str, what: str, binding: dict[str, str]) -> str:
     return f"rule {rule!r}, {what}" + (f" on {nodes}" if nodes else "")
 
 
-def _condition_holds(g: Graph, p: Pattern, binding: dict[str, str]) -> bool:
+def _condition_holds(g: Graph, p: Pattern, binding: dict[str, str],
+                     refs: dict[str, NodeRef]) -> bool:
+    """Whether `p`'s condition holds on `binding`; `refs` maps each bound
+    graph node id to its NodeRef."""
     condition = p.compiled_condition
     if condition is None:
         return True
-    env = {name: NodeRef(gid) for name, gid in binding.items()}
+    env = {name: refs[gid] for name, gid in binding.items()}
     result = condition(env, g)
     if not isinstance(result, bool):
         raise PatternError(f"pattern {p.name!r}: condition is not boolean")
@@ -151,6 +154,8 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
         neighbors[pe.tgt].append((pe, False))
 
     ptype = {n.name: n.type for n in p.nodes}
+    # every candidate conforms to its pattern node's type, so it is in a pool
+    refs = {gid: NodeRef(gid) for pool in pools.values() for gid in pool}
     results: list[Match] = []
 
     def candidates(name: str, binding: dict[str, str]) -> list[str]:
@@ -180,7 +185,7 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
 
     def backtrack(binding: dict[str, str]):
         if len(binding) == len(p.nodes):
-            if _condition_holds(g, p, binding):
+            if _condition_holds(g, p, binding, refs):
                 results.append(Match.of(p, binding))
             return
         name = pick_next(binding)
@@ -224,7 +229,7 @@ def revalidate(g: Graph, m: Match) -> bool:
     if not _edges_ok(g, p, binding):
         return False
     try:
-        return _condition_holds(g, p, binding)
+        return _condition_holds(g, p, binding, {gid: NodeRef(gid) for gid in seen})
     except EvalError:
         return False
 

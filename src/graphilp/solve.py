@@ -273,15 +273,12 @@ class _Arrays:
             self.c[self.index[vid]] = sign * coeff
         self.constant = p.objective.constant
         self.sign = sign
-        rows = []
-        for row in p.constraints:
-            coefs = np.zeros(self.n)
+        self.A = np.zeros((len(p.constraints), self.n))
+        for coefs, row in zip(self.A, p.constraints):  # each `coefs` is a view of a row of A
             for vid, coeff in row.coeffs.items():
                 coefs[self.index[vid]] = coeff
-            rows.append((coefs, row.rel, float(row.rhs)))
-        self.A = np.array([r[0] for r in rows]) if rows else np.zeros((0, self.n))
-        self.b = np.array([r[2] for r in rows]) if rows else np.zeros(0)
-        rels = np.array([r[1] for r in rows], dtype=str)
+        self.b = np.array([float(row.rhs) for row in p.constraints])
+        rels = np.array([row.rel for row in p.constraints], dtype=str)
         self.ge = rels == ">="
         self.eq = rels == "="
 

@@ -6,9 +6,11 @@ from graphilp import load_metamodel, load_model, parse, pretty, typecheck
 from graphilp.lang import ast as A
 from graphilp.lang.eval import EvalError, NodeRef, compile_expr
 from graphilp.lang.lexer import LexError, is_word, quote, tokenize
+from graphilp.lang.parser import KEYWORDS as SPEC_KEYWORDS
 from graphilp.lang.parser import DslSyntaxError, parse_expression
 from graphilp.lang.printer import pretty_expr
 from graphilp.lang.typecheck import TypecheckError
+from graphilp.model import _KEYWORDS as MODEL_KEYWORDS
 from graphilp.model import ModelError
 from graphilp.pattern import Match, Pattern
 from graphilp.vne_model import EMBEDDING_SPEC, TWO_LINKS_MODEL, TWO_LINKS_SPEC, VNE_SCHEMA
@@ -122,6 +124,19 @@ def test_left_associativity():
     assert e.right == A.Num(3)
 
 
+@pytest.mark.parametrize("text, got, col", [
+    ("a < b < c", "'<'", 32),
+    ("a == b + 1 != c", "'!='", 37),
+    ("a <= (b < c) >= d", "'>='", 39),
+    ("a < b & c > d < e", "'<'", 40),
+])
+def test_relations_do_not_chain(text, got, col):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(f"global objective : min {{ {text} }}")
+    assert (err.value.message, err.value.line, err.value.col) == (f"expected '}}', got {got}",
+                                                                  1, col)
+
+
 def test_comments_and_strings():
     spec = parse("// a comment\nglobal objective : min { 0 } // trailing\n")
     assert spec.global_objective is not None
@@ -160,6 +175,13 @@ LEX_CASES = [
     ("a // c", [("IDENT", "a", 1, 1), ("EOF", None, 1, 7)]),
     ("a //", [("IDENT", "a", 1, 1), ("EOF", None, 1, 5)]),
     ("\tx", [("IDENT", "x", 1, 2), ("EOF", None, 1, 3)]),  # a tab is one column
+    # only \n ends a line: \r is a blank, and a comment or string holds any other break
+    ("a\r\n\r\nb\r\n", [("IDENT", "a", 1, 1), ("IDENT", "b", 3, 1), ("EOF", None, 4, 1)]),
+    ("a // \x0c\x85\u2028\nb", [("IDENT", "a", 1, 1), ("IDENT", "b", 2, 1),
+                                 ("EOF", None, 2, 2)]),
+    ('"\x85\u2028" x', [("STRING", "\x85\u2028", 1, 1), ("IDENT", "x", 1, 6),
+                       ("EOF", None, 1, 7)]),
+    ("x  \t\r", [("IDENT", "x", 1, 1), ("EOF", None, 1, 6)]),
 ]
 
 LEX_ERROR_CASES = [
@@ -173,6 +195,10 @@ LEX_ERROR_CASES = [
     ('"a\\q"', "bad escape in string", 1, 3),
     ('x "ab\nc"', "unterminated string", 1, 3),
     ('x "ab', "unterminated string", 1, 3),
+    ('x "ab  \r\n', "unterminated string", 1, 3),
+    ("a\n \x0cb", "unexpected character '\\x0c'", 2, 2),
+    ("a\r\nb \x85", "unexpected character '\\x85'", 2, 3),
+    ("a\u2028b", "unexpected character '\\u2028'", 1, 2),
 ]
 
 
@@ -197,7 +223,10 @@ def test_quote_reads_back(s):
 
 @pytest.mark.parametrize("s, word", [("a", True), ("_1", True), ("\u00e9x\u00b2", True),
                                      ("1a", False), ("\u00b2", False), ("a b", False),
-                                     ("", False), ("a-b", False)])
+                                     ("", False), ("a-b", False), (" a", False),
+                                     ("a ", False), ("a\t", False), ("\ra", False),
+                                     ("a\n", False), ("//", False), ("a//", False),
+                                     ("a //", False)])
 def test_is_word_agrees_with_tokenize(s, word):
     assert is_word(s) == word
     try:
@@ -229,6 +258,29 @@ def _mutate(rng: random.Random, text: str) -> str:
             j = rng.randrange(len(text) + 1)
             text = text[:i] + text[min(i, j):max(i, j)] + text[i:]
     return text
+
+
+def test_token_positions_point_at_their_lexemes():
+    """Each token of a mutated text reads back as itself from its (line, col),
+    and EOF sits just past the last character."""
+    rng = random.Random(14)
+    sources = ((TWO_LINKS_SPEC, SPEC_KEYWORDS), (EMBEDDING_SPEC, SPEC_KEYWORDS),
+               (TWO_LINKS_MODEL, MODEL_KEYWORDS))
+    checked = 0
+    for _ in range(300):
+        source, keywords = rng.choice(sources)
+        text = _mutate(rng, source)
+        try:
+            tokens = tokenize(text, keywords)
+        except LexError:
+            continue
+        lines = text.split("\n")
+        for tok in tokens[:-1]:
+            first = tokenize(lines[tok.line - 1][tok.col - 1:], keywords)[0]
+            assert (first.kind, first.value, first.line, first.col) == (tok.kind, tok.value, 1, 1)
+        assert (tokens[-1].line, tokens[-1].col) == (len(lines), len(lines[-1]) + 1)
+        checked += len(tokens)
+    assert checked > 10_000
 
 
 def test_front_end_fuzz_raises_only_diagnostics():

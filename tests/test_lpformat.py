@@ -236,6 +236,18 @@ def test_reader_accepts(text, expected):
      "expected a section header", 2),
     ("Minimize\n obj: x\nSubject To\n c0: x <= 1\nGeneral\n\n x\nBinary\n x\nEnd\n",
      "general integer variables are not supported: every variable is binary", 7),
+    # only names go under Binary, each once
+    ("Minimize\n obj: x\nBinary\n x + 3 <= :\nEnd\n", "expected a variable name, got '+'", 4),
+    ("Minimize\n obj: x\nBinary\n x\n 3\nEnd\n", "expected a variable name, got '3'", 5),
+    ("Minimize\n obj: x\nBinary\n x\n y: x\nEnd\n", "expected a variable name, got ':'", 5),
+    ("Minimize\n obj: x\nBinary\n x x\nEnd\n", "variable 'x' is declared binary twice", 4),
+    ("Minimize\n obj: x\nBinary\n x\nBin\n y\n x\nEnd\n",
+     "variable 'x' is declared binary twice", 7),
+    # an undeclared name is reported on its own line
+    ("Minimize\n obj: x\n + y\nSubject To\nBinary\n x\nEnd\n",
+     "variable 'y' is not declared binary", 3),
+    ("Minimize\n obj: x\nSubject To\n c0: x\n + y <= 1\nBinary\n x\nEnd\n",
+     "variable 'y' is not declared binary", 5),
 ])
 def test_reader_rejects(text, message, line):
     with pytest.raises(LpParseError) as info:
