@@ -19,6 +19,7 @@ variable that would not read back as itself (see `export_lp`).
 from __future__ import annotations
 
 import re
+import string
 
 from .encode import (AUX_BINARY, BINARY, GenerationError, IlpProblem, MappingTable,
                      ObjectiveFunc, Row, Variable)
@@ -47,39 +48,28 @@ _SECTIONS = {
 _RELATIONS = {"<=": "<=", "=<": "<=", "<": "<=", ">=": ">=", "=>": ">=", ">": ">=",
               "=": "="}
 
-# Alternatives are tried in order, so `<=` wins over `<` and a name over the
-# numeral its tail could start (`e5` is a name, `2z` a numeral and a name).
-# `\w` is a letter, digit or `_` of any script; `bad` catches every character
-# nothing else accepts.
-_TOKEN = re.compile("|".join([
-    r"(?P<blank>\s+)",
-    r"(?P<comment>\\.*)",
-    "(?P<rel>%s)" % "|".join(map(re.escape, sorted(_RELATIONS, key=len, reverse=True))),
-    r"(?P<sign>[+-])",
-    r"(?P<colon>:)",
-    r"(?P<name>[A-Za-z_][\w.]*)",
-    r"(?P<num>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)",
-    r"(?P<bad>.)",
-]))
+# A name: what the scanner reads as one and what `export_lp` checks each
+# variable against. `\w` is a letter, digit or `_` of any script.
+_NAME = re.compile(r"[A-Za-z_][\w.]*")
+
+# One token per match, after any blanks. Alternatives are tried in order, so
+# `<=` wins over `<` and a name over the numeral its tail could start (`e5` is
+# a name, `2z` a numeral and a name); `.` takes one character nothing else
+# accepts. On a line without trailing blanks every match is a token.
+_SCAN = re.compile(r"\s*(\\.*|%s|[+-]|:|%s|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?|.)" % (
+    "|".join(map(re.escape, sorted(_RELATIONS, key=len, reverse=True))), _NAME.pattern))
+
+# A token's kind, from its first character; any other character is `bad`. A
+# comment runs to the end of its line, and a lone `.` is `bad` (`.5` is a num).
+_KIND = {**dict.fromkeys(string.ascii_letters + "_", "name"),
+         **dict.fromkeys(string.digits + ".", "num"), **dict.fromkeys("<>=", "rel"),
+         "+": "sign", "-": "sign", ":": "colon", "\\": "comment"}
 
 
 def _header(line: str) -> str | None:
-    """The section `line` opens, if it is a header line."""
-    return _SECTIONS.get(" ".join(line.split()).lower())
-
-
-def _scan(text: str):
-    """(kind, text, line) tokens, without blanks and comments. A header line
-    is one `header` token whose text is its section."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        section = _header(line)
-        if section:
-            yield "header", section, line_no
-            continue
-        for m in _TOKEN.finditer(line):
-            kind = m.lastgroup
-            if kind != "blank" and kind != "comment":
-                yield kind, m.group(), line_no
+    """The section `line` opens, if it is a header line (at most two words)."""
+    words = line.split(None, 2)
+    return _SECTIONS.get(" ".join(words).lower()) if len(words) < 3 else None
 
 
 def _num(x) -> str:
@@ -114,8 +104,7 @@ def export_lp(p: IlpProblem, table: MappingTable | None = None) -> str:
     variable missing from `p.variables`.
     """
     for v in p.variables:
-        m = _TOKEN.fullmatch(v.id)
-        if m is None or m.lastgroup != "name" or _header(v.id):
+        if not _NAME.fullmatch(v.id) or _header(v.id):
             raise LpExportError(f"cannot export variable {v.id!r}: an LP name is a letter "
                                 f"or '_' followed by letters, digits, '_' or '.', and "
                                 f"no section header")
@@ -147,39 +136,46 @@ def export_lp(p: IlpProblem, table: MappingTable | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def _parse_terms(tokens, i, stop, seen: dict[str, int]):
-    """Parse a run of `[+|-] [coef] [name]` terms from `tokens[i]` up to a token
+def _parse_terms(texts, kinds, lines, i, stop, seen: dict[str, int]):
+    """Parse a run of `[+|-] [coef] [name]` terms from token `i` up to a token
     of kind `stop` or the end; returns (coeffs, const, next). Adds each name
-    not yet in `seen` with the line it is on."""
+    not yet in `seen` with the line it is on. A sign needs a term after it."""
     coeffs: dict[str, float] = {}
     const = 0.0
     sign = 1.0
     pending: float | None = None
-    while i < len(tokens):
-        kind, text, line = tokens[i]
+    dangling = None  # the last sign, until a term follows it
+    n = len(kinds)
+    while i < n:
+        kind = kinds[i]
         if kind == "name":
+            name = texts[i]
             coef = sign * (pending if pending is not None else 1.0)
-            coeffs[text] = coeffs.get(text, 0.0) + coef
-            seen.setdefault(text, line)
-            pending = None
+            coeffs[name] = coeffs.get(name, 0.0) + coef
+            seen.setdefault(name, lines[i])
+            pending = dangling = None
             sign = 1.0
         elif kind == "num":
             if pending is not None:  # the number before was a constant term
                 const += sign * pending
                 sign = 1.0
-            pending = float(text)
+            pending = float(texts[i])
+            dangling = None
         elif kind == "sign":
             if pending is not None:
                 const += sign * pending
                 pending = None
                 sign = 1.0
-            if text == "-":
+            if texts[i] == "-":
                 sign = -sign
+            dangling = i
         elif kind == stop:
             break
         else:
-            raise LpParseError(f"unexpected token {text!r}", line)
+            raise LpParseError(f"unexpected token {texts[i]!r}", lines[i])
         i += 1
+    if dangling is not None and (i < n or stop is None):  # else the caller reports no `stop`
+        raise LpParseError(f"sign {texts[dangling]!r} has no term after it", lines[dangling])
     if pending is not None:
         const += sign * pending
     return coeffs, const, i
@@ -189,59 +185,81 @@ def import_lp(text: str) -> IlpProblem:
     """Parse LP-format text back into a problem. Inverse of `export_lp` on its
     own output. Errors come in section order (objective, rows, `Bounds`,
     `General`, `Binary`), a section's unexpected character first."""
-    sections: dict[str, list] = {}
+    # section -> its tokens as three parallel lists: texts, kinds, lines
+    sections: dict[str, tuple[list, list, list]] = {}
     unreadable: dict[str, LpParseError] = {}  # section -> its first bad character
-    sense = current = tokens = None
-    for kind, word, line in _scan(text):
-        if kind == "header":
-            if word == "end":
+    sense = current = texts = None
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        header = _header(line)
+        if header:
+            if header == "end":
                 break
-            if word in ("min", "max"):
-                sense, word = word, "objective"
-            current, tokens = word, sections.setdefault(word, [])
-        elif tokens is None:
-            raise LpParseError("expected a section header", line)
-        elif kind == "bad":
-            unreadable.setdefault(current, LpParseError(f"unexpected character {word!r}",
-                                                        line))
-        else:
-            tokens.append((kind, word, line))
+            if header in ("min", "max"):
+                sense, header = header, "objective"
+            current = header
+            texts, kinds, lines = sections.setdefault(header, ([], [], []))
+            continue
+        found = _SCAN.findall(line.rstrip())
+        kind = [_KIND.get(t[0], "bad") for t in found]
+        if kind and kind[-1] == "comment":
+            del found[-1], kind[-1]
+        if not found:
+            continue
+        if texts is None:
+            raise LpParseError("expected a section header", line_no)
+        if current not in unreadable and ("bad" in kind or "." in found):
+            bad = next(t for t, k in zip(found, kind) if k == "bad" or t == ".")
+            unreadable[current] = LpParseError(f"unexpected character {bad!r}", line_no)
+        texts += found
+        kinds += kind
+        lines += [line_no] * len(found)
     if sense is None:
         raise LpParseError("missing Minimize/Maximize section", 1)
 
     def section(name):
         if name in unreadable:
             raise unreadable[name]
-        return sections.get(name, [])
+        return sections.get(name, ([], [], []))
 
     seen: dict[str, int] = {}  # variable -> line of its first use
-    obj = section("objective")
-    start = 2 if len(obj) >= 2 and obj[1][0] == "colon" else 0
-    obj_coeffs, obj_const, _ = _parse_terms(obj, start, None, seen)
+    texts, kinds, lines = section("objective")
+    start = 0
+    if len(kinds) >= 2 and kinds[1] == "colon":
+        if kinds[0] != "name":
+            raise LpParseError(f"an objective label must be a name, got {texts[0]!r}",
+                               lines[0])
+        start = 2
+    obj_coeffs, obj_const, _ = _parse_terms(texts, kinds, lines, start, None, seen)
     try:
         objective = ObjectiveFunc(sense, obj_coeffs, obj_const)
     except GenerationError as exc:  # a number beyond the float range
-        raise LpParseError(str(exc), obj[0][2]) from None
+        raise LpParseError(str(exc), lines[0]) from None
 
     rows: list[Row] = []
-    tokens = section("rows")
-    i = 0
-    while i < len(tokens):
-        row_line = tokens[i][2]
-        if i + 1 >= len(tokens) or tokens[i + 1][0] != "colon":
+    labels: set[str] = set()
+    texts, kinds, lines = section("rows")
+    i, n = 0, len(kinds)
+    while i < n:
+        label, row_line = texts[i], lines[i]
+        if i + 1 >= n or kinds[i + 1] != "colon":
             raise LpParseError("constraints must be labelled 'name: ...'", row_line)
-        coeffs, const, i = _parse_terms(tokens, i + 2, "rel", seen)
-        if i >= len(tokens):
-            raise LpParseError("constraint without relation", tokens[-1][2])
-        _, rel, rel_line = tokens[i]
+        if kinds[i] != "name":
+            raise LpParseError(f"a constraint label must be a name, got {label!r}", row_line)
+        if label in labels:
+            raise LpParseError(f"constraint label {label!r} is used twice", row_line)
+        labels.add(label)
+        coeffs, const, i = _parse_terms(texts, kinds, lines, i + 2, "rel", seen)
+        if i >= n:
+            raise LpParseError("constraint without relation", lines[-1])
+        rel, rel_line = texts[i], lines[i]
         i += 1
         sign = 1.0
-        if i < len(tokens) and tokens[i][0] == "sign":
-            sign = -1.0 if tokens[i][1] == "-" else 1.0
+        if i < n and kinds[i] == "sign":
+            sign = -1.0 if texts[i] == "-" else 1.0
             i += 1
-        if i >= len(tokens) or tokens[i][0] != "num":
+        if i >= n or kinds[i] != "num":
             raise LpParseError("constraint needs a numeric right-hand side", rel_line)
-        rhs = sign * float(tokens[i][1])
+        rhs = sign * float(texts[i])
         i += 1
         try:
             rows.append(Row(coeffs, _RELATIONS[rel], rhs - const))
@@ -249,12 +267,12 @@ def import_lp(text: str) -> IlpProblem:
             raise LpParseError(str(exc), row_line) from None
 
     for name, what in (("bounds", "bounds"), ("general", "general integer variables")):
-        extra = section(name)
-        if extra:
+        lines = section(name)[2]
+        if lines:
             raise LpParseError(f"{what} are not supported: every variable is binary",
-                               extra[0][2])
+                               lines[0])
     declared: dict[str, Variable] = {}
-    for kind, word, line in section("binary"):
+    for word, kind, line in zip(*section("binary")):
         if kind != "name":
             raise LpParseError(f"expected a variable name, got {word!r}", line)
         if word in declared:

@@ -49,6 +49,13 @@ def test_random_problem_round_trips():
         assert problems_equal(p, q)
 
 
+def test_export_is_a_fixed_point_of_import():
+    rng = random.Random(5)
+    for _ in range(80):
+        text = export_lp(random_problem(rng))
+        assert export_lp(import_lp(text)) == text
+
+
 def test_negative_coefficients_and_constant_round_trip():
     p = IlpProblem(
         [Variable("a", BINARY), Variable("b", BINARY)],
@@ -211,6 +218,21 @@ _XY_LE_1 = [Row({"x": 1, "y": 1}, "<=", 1)]
     ("Minimize\n obj: e5 + .5 y + 1e1 z\nSubject To\n c0: 2z <= 1\nBinary\n e5\n y\n z\nEnd\n",
      _program("min", [Row({"z": 2}, "<=", 1)], binaries=("e5", "y", "z"),
               terms={"e5": 1, "y": 0.5, "z": 10})),
+    # `x.1.2` is one name, `1e5x` a numeral and a name
+    ("Minimize\n obj: x.1.2 + 1e5x\nBinary\n x.1.2\n x\nEnd\n",
+     _program("min", [], binaries=("x.1.2", "x"), terms={"x.1.2": 1, "x": 1e5})),
+    # a no-break space is a blank; a comment may touch the token before it
+    ("Minimize\n obj:\xa02\xa0x\\c\nSubject To\n c0: x + y <= 1\\c\nBinary\n x\\c\n y\nEnd\n",
+     _program("min", _XY_LE_1)),
+    # trailing blanks and tabs
+    ("Minimize \t\n obj: 2 x \t \nSubject To\t\n c0: x + y <= 1\t\t\nBinary\n x \n y\t\nEnd\n",
+     _program("min", _XY_LE_1)),
+    # a term may continue on the next line after its sign
+    ("Minimize\n obj: x +\n x\nSubject To\n c0: x +\n y <= 1\nBinary\n x\n y\nEnd\n",
+     _program("min", _XY_LE_1)),
+    # every line boundary `str.splitlines` knows ends a line
+    ("Minimize\r\n obj: 2 x\x0cSubject To\x85 c0: x + y <= 1\u2028Binary\r\n x\n y\nEnd\n",
+     _program("min", _XY_LE_1)),
 ])
 def test_reader_accepts(text, expected):
     assert import_lp(text) == expected
@@ -248,6 +270,35 @@ def test_reader_accepts(text, expected):
      "variable 'y' is not declared binary", 3),
     ("Minimize\n obj: x\nSubject To\n c0: x\n + y <= 1\nBinary\n x\nEnd\n",
      "variable 'y' is not declared binary", 5),
+    # token boundaries: a lone `.`, `1.`, characters outside ASCII names
+    ("Minimize\n obj: x .\nBinary\n x\nEnd\n", "unexpected character '.'", 2),
+    ("Minimize\n obj: 1. x\nBinary\n x\nEnd\n", "unexpected character '.'", 2),
+    ("Minimize\n obj: \u00e9\nEnd\n", "unexpected character '\u00e9'", 2),
+    ("Minimize\n obj: x\nSubject To\n c0: \u017f <= 1\nEnd\n",
+     "unexpected character '\u017f'", 4),
+    # lines end at `\r\n`, `\x0c`, `\x85` and `\u2028`
+    ("Minimize\r\n obj: x\x0c\x85\u2028 ?\nEnd\n", "unexpected character '?'", 5),
+    # a label is a name, and a row label is used once
+    ("Minimize\n obj: x\nSubject To\n <=: x <= 1\nBinary\n x\nEnd\n",
+     "a constraint label must be a name, got '<='", 4),
+    ("Minimize\n obj: x\nSubject To\n c0: x >= 0\n 7: x <= 1\nBinary\n x\nEnd\n",
+     "a constraint label must be a name, got '7'", 5),
+    ("Minimize\n +: x\nSubject To\n c0: x <= 1\nBinary\n x\nEnd\n",
+     "an objective label must be a name, got '+'", 2),
+    ("Minimize\n obj: x\nSubject To\n c: x <= 1\n c: x >= 0\nBinary\n x\nEnd\n",
+     "constraint label 'c' is used twice", 5),
+    # a sign needs a term after it
+    ("Minimize\n obj: x\nSubject To\n c0: x + <= 1\nBinary\n x\nEnd\n",
+     "sign '+' has no term after it", 4),
+    ("Minimize\n obj: x\nSubject To\n c0: - <= 1\nBinary\n x\nEnd\n",
+     "sign '-' has no term after it", 4),
+    ("Minimize\n obj: x -\nSubject To\n c0: x <= 1\nBinary\n x\nEnd\n",
+     "sign '-' has no term after it", 2),
+    ("Minimize\n obj: x\nSubject To\n c0: x\n - <= 1\nBinary\n x\nEnd\n",
+     "sign '-' has no term after it", 5),
+    # ... but a row that never reaches its relation is reported as such
+    ("Minimize\n obj: x\nSubject To\n c0: x +\nBinary\n x\nEnd\n",
+     "constraint without relation", 4),
 ])
 def test_reader_rejects(text, message, line):
     with pytest.raises(LpParseError) as info:
