@@ -635,7 +635,7 @@ def _one_signed(term: LinearTerm) -> LinearTerm | None:
     return None
 
 
-def linearize(cnf: Cnf, alloc: _Alloc | None = None) -> tuple[list[Row], list[Variable]]:
+def linearize(cnf: Cnf, alloc: _Alloc) -> tuple[list[Row], list[Variable]]:
     """Lower a CNF to rows plus the auxiliary indicator variables it needs.
 
     Singleton positive clauses whose atom occurs nowhere else are emitted as
@@ -646,7 +646,6 @@ def linearize(cnf: Cnf, alloc: _Alloc | None = None) -> tuple[list[Row], list[Va
     either sign conjoins two fully tied indicators. Clauses become
     `sum of literals >= 1`.
     """
-    alloc = alloc or _Alloc()
     positive: dict[int, int] = {}
     negative: dict[int, int] = {}
     for clause in cnf.clauses:
@@ -751,10 +750,10 @@ def expand_contexts(item: A.ConstraintDecl | A.ObjectiveDecl, g: Graph,
 
 
 def lower_sets(body, self_value, spec: TypedSpec, g: Graph, table: MappingTable,
-               matches_by_rule: dict[str, list[Match]], alloc: _Alloc | None = None):
+               matches_by_rule: dict[str, list[Match]]):
     """Lower one expanded Boolean body (with `self` bound) to a Boolean tree
     over linear-term atoms."""
-    low = _Lowerer(g, _SumIndex(spec, table, matches_by_rule), alloc or _Alloc())
+    low = _Lowerer(g, _SumIndex(spec, table, matches_by_rule), _Alloc())
     return _lower_bool(body)({"self": self_value}, low)
 
 

@@ -1,4 +1,6 @@
-"""AST for the specification language.
+"""AST for the specification language: expressions, rule actions and the
+declarations other than rules. A rule is a `pattern.Rule`, which the parser
+builds directly and the typechecker checks in place.
 
 Position fields never take part in equality so structural comparison (and the
 parse/pretty-print round-trip) ignores source locations.
@@ -15,7 +17,7 @@ class Pos:
     col: int = 0
 
 
-def _pos_field():
+def pos_field():
     return field(default_factory=Pos, compare=False, repr=False)
 
 
@@ -29,31 +31,31 @@ class Expr:
 @dataclass(frozen=True)
 class Num(Expr):
     value: object  # int or float
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
 class BoolLit(Expr):
     value: bool
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
 class StrLit(Expr):
     value: str
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
 class Name(Expr):
     """A bare identifier: pattern node, lambda variable, or objective reference."""
     id: str
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
 class SelfRef(Expr):
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class NodesNav(Expr):
     """`base.nodes().node` - select a bound pattern node from a match."""
     base: Expr
     node: str
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
@@ -69,14 +71,14 @@ class AttrRef(Expr):
     """`base.attr` - read an attribute of a node-valued expression."""
     base: Expr
     attr: str
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
 class Unary(Expr):
     op: str  # '!', '-', 'sin', 'cos', 'sqrt'
     operand: Expr
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class Binary(Expr):
     op: str  # '+', '-', '*', '/', '&', '|'
     left: Expr
     right: Expr
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class Rel(Expr):
     op: str  # '<', '<=', '==', '!=', '>=', '>'
     left: Expr
     right: Expr
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
@@ -103,33 +105,17 @@ class SetSum(Expr):
     filter_pred: Expr | None
     sum_var: str
     sum_body: Expr
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 # --- declarations -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PatternNodeDecl:
-    name: str
-    type: str
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class PatternEdgeDecl:
-    name: str
-    type: str
-    src: str
-    tgt: str
-    pos: Pos = _pos_field()
-
 
 @dataclass(frozen=True)
 class CreateEdgeAction:
     edge_type: str
     src: str
     tgt: str
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
@@ -137,19 +123,19 @@ class CreateNodeAction:
     name: str
     type: str
     attr_inits: tuple[tuple[str, Expr], ...]
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
 class DeleteEdgeAction:
     name: str  # LHS edge name
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
 class DeleteNodeAction:
     name: str  # LHS node name
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
@@ -157,24 +143,14 @@ class SetAttrAction:
     node: str
     attr: str
     value: Expr
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class RuleDecl:
-    name: str
-    nodes: tuple[PatternNodeDecl, ...]
-    edges: tuple[PatternEdgeDecl, ...]
-    condition: Expr | None
-    actions: tuple[object, ...]
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
 class MappingDecl:
     name: str
     rule: str
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
@@ -182,7 +158,7 @@ class ConstraintDecl:
     context_kind: str
     context_target: str
     body: Expr
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
@@ -191,19 +167,19 @@ class ObjectiveDecl:
     context_kind: str
     context_target: str
     body: Expr
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
 class GlobalObjectiveDecl:
     sense: str  # 'min' or 'max'
     expr: Expr
-    pos: Pos = _pos_field()
+    pos: Pos = pos_field()
 
 
 @dataclass(frozen=True)
 class SpecAst:
-    rules: tuple[RuleDecl, ...]
+    rules: tuple  # of pattern.Rule, which the parser builds directly
     mappings: tuple[MappingDecl, ...]
     constraints: tuple[ConstraintDecl, ...]
     objectives: tuple[ObjectiveDecl, ...]

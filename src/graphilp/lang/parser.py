@@ -4,16 +4,18 @@ Operator precedence, loosest to tightest: `|`, `&`, comparisons, `+ -`,
 `* /`, unary (`!`, `-`, `sin`, `cos`, `sqrt`). Binary operators associate
 left; a comparison does not chain (`a < b < c` is an error). Expressions
 are parsed by precedence climbing (Norvell, "Parsing Expressions by
-Recursive Descent", 1999). See docs/grammar.md for the full grammar.
+Recursive Descent", 1999). A rule comes out as the `pattern.Rule` that the
+matcher runs. See docs/grammar.md for the full grammar.
 """
 
 from __future__ import annotations
 
+from ..pattern import Pattern, PatternEdge, PatternNode, Rule
 from .ast import (AttrRef, Binary, BoolLit, ConstraintDecl, CreateEdgeAction,
                   CreateNodeAction, DeleteEdgeAction, DeleteNodeAction,
                   GlobalObjectiveDecl, MappingDecl, Name, NodesNav, Num,
-                  ObjectiveDecl, PatternEdgeDecl, PatternNodeDecl, Pos, Rel,
-                  RuleDecl, SelfRef, SetAttrAction, SetSum, SpecAst, StrLit, Unary)
+                  ObjectiveDecl, Pos, Rel, SelfRef, SetAttrAction, SetSum, SpecAst,
+                  StrLit, Unary)
 from .lexer import LexError, Token, TokenStream, tokenize
 
 KEYWORDS = frozenset({
@@ -30,6 +32,13 @@ KEYWORDS = frozenset({
 _REL_LEVEL, _TIGHTEST = 3, 5
 _LEVELS = {"|": 1, "&": 2, "+": 4, "-": 4, "*": 5, "/": 5,
            **dict.fromkeys(("<", "<=", "==", "!=", ">=", ">"), _REL_LEVEL)}
+
+# The deepest an expression may nest: the height of its tree, where each
+# operator, function call, attribute access, mapping sum and pair of
+# parentheses is one level. The parser and every later stage walk
+# expressions by recursion, so deeper input is a syntax error at the token
+# that goes past the limit, not a stack overflow later on.
+MAX_DEPTH = 100
 
 
 class DslSyntaxError(Exception):
@@ -51,6 +60,8 @@ class _Parser(TokenStream):
         except LexError as e:
             raise DslSyntaxError(e.message, e.line, e.col) from None
         super().__init__(tokens, DslSyntaxError)
+        self.depth = 0  # levels open above the token being read
+        self.height = 0  # the height of the expression parsed last
 
     def ident(self, what: str = "identifier") -> Token:
         tok = self.current
@@ -88,12 +99,12 @@ class _Parser(TokenStream):
         return SpecAst(tuple(rules), tuple(mappings), tuple(constraints),
                        tuple(objectives), global_obj)
 
-    def rule_decl(self) -> RuleDecl:
+    def rule_decl(self) -> Rule:
         start = self.expect("rule")
         name = self.ident("rule name")
         self.expect("{")
-        nodes: list[PatternNodeDecl] = []
-        edges: list[PatternEdgeDecl] = []
+        nodes: list[PatternNode] = []
+        edges: list[PatternEdge] = []
         condition = None
         actions: list[object] = []
         while not self.accept("}"):
@@ -104,7 +115,7 @@ class _Parser(TokenStream):
                     n = self.ident("pattern node name")
                     self.expect(":")
                     t = self.ident("node type")
-                    nodes.append(PatternNodeDecl(n.value, t.value, _pos(n)))
+                    nodes.append(PatternNode(n.value, t.value, _pos(n)))
             elif section.kind == "edges":
                 while not self.accept("}"):
                     n = self.ident("pattern edge name")
@@ -115,16 +126,17 @@ class _Parser(TokenStream):
                     self.expect("->")
                     tgt = self.ident("target pattern node")
                     self.expect(")")
-                    edges.append(PatternEdgeDecl(n.value, t.value, src.value, tgt.value,
-                                                 _pos(n)))
+                    edges.append(PatternEdge(n.value, t.value, src.value, tgt.value,
+                                             _pos(n)))
             elif section.kind == "condition":
                 condition = self.expression()
                 self.expect("}")
             else:
                 while not self.accept("}"):
                     actions.append(self.action())
-        return RuleDecl(name.value, tuple(nodes), tuple(edges), condition,
-                        tuple(actions), _pos(start))
+        return Rule(name.value,
+                    Pattern(name.value, tuple(nodes), tuple(edges), condition),
+                    tuple(actions), _pos(start))
 
     def action(self):
         tok = self.expect("create", "delete", "set")
@@ -205,6 +217,22 @@ class _Parser(TokenStream):
 
     # -- expressions ------------------------------------------------------------
 
+    def limit(self, height: int, tok: Token) -> int:
+        """`height`, unless an expression that high at `tok` is too deep."""
+        if height > MAX_DEPTH:
+            raise DslSyntaxError(f"expression nests more than {MAX_DEPTH} levels deep",
+                                 tok.line, tok.col)
+        return height
+
+    def nested(self, tok: Token, parse):
+        """`parse()` one level below `tok`. The level counts on the way down,
+        which bounds the parser's recursion, and in the height of the result."""
+        self.depth = self.limit(self.depth + 1, tok)
+        node = parse()
+        self.depth -= 1
+        self.height = self.limit(self.height + 1, tok)
+        return node
+
     def expression(self, min_level: int = 1):
         """An expression whose binary operators bind at `min_level` or tighter.
 
@@ -213,14 +241,16 @@ class _Parser(TokenStream):
         not chain.
         """
         left = self.unary()
-        max_level = _TIGHTEST
+        height, max_level = self.height, _TIGHTEST
         while True:
             op = self.current
             level = _LEVELS.get(op.kind, 0)
             if not min_level <= level <= max_level:
+                self.height = height
                 return left
             self.advance()
             right = self.expression(level + 1)
+            height = self.limit(max(height, self.height) + 1, op)
             if level == _REL_LEVEL:
                 left, max_level = Rel(op.kind, left, right, _pos(op)), level - 1
             else:
@@ -230,11 +260,11 @@ class _Parser(TokenStream):
         tok = self.current
         if tok.kind == "!" or tok.kind == "-":
             self.advance()
-            return Unary(tok.kind, self.unary(), _pos(tok))
+            return Unary(tok.kind, self.nested(tok, self.unary), _pos(tok))
         if tok.kind in ("sin", "cos", "sqrt"):
             self.advance()
             self.expect("(")
-            arg = self.expression()
+            arg = self.nested(tok, self.expression)
             self.expect(")")
             return Unary(tok.kind, arg, _pos(tok))
         return self.postfix()
@@ -243,6 +273,7 @@ class _Parser(TokenStream):
         expr = self.primary()
         while self.current.kind == ".":
             dot = self.advance()
+            self.height = self.limit(self.height + 1, dot)
             if self.current.kind == "nodes" and self.peek().kind == "(":
                 self.advance()
                 self.expect("(")
@@ -257,6 +288,7 @@ class _Parser(TokenStream):
 
     def primary(self):
         tok = self.current
+        self.height = 0
         if tok.kind == "INT" or tok.kind == "REAL":
             self.advance()
             return Num(tok.value, _pos(tok))
@@ -268,7 +300,7 @@ class _Parser(TokenStream):
             return StrLit(tok.value, _pos(tok))
         if tok.kind == "(":
             self.advance()
-            inner = self.expression()
+            inner = self.nested(tok, self.expression)
             self.expect(")")
             return inner
         if tok.kind == "self":
@@ -287,13 +319,15 @@ class _Parser(TokenStream):
         self.expect(".")
         mapping = self.ident("mapping name")
         filter_var = filter_pred = None
+        filter_height = 0
         self.expect("->")
         head = self.ident("'filter' or 'sum'")
         if head.value == "filter":
             self.expect("(")
             var = self.ident("filter variable")
             self.expect("|")
-            filter_var, filter_pred = var.value, self.expression()
+            filter_var, filter_pred = var.value, self.nested(start, self.expression)
+            filter_height = self.height
             self.expect(")")
             self.expect("->")
             head = self.ident("'sum'")
@@ -303,7 +337,8 @@ class _Parser(TokenStream):
         self.expect("(")
         var = self.ident("sum variable")
         self.expect("|")
-        body = self.expression()
+        body = self.nested(start, self.expression)
+        self.height = max(self.height, filter_height)
         self.expect(")")
         return SetSum(mapping.value, filter_var, filter_pred, var.value, body,
                       _pos(start))

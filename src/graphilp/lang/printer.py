@@ -5,16 +5,14 @@
 
 from __future__ import annotations
 
-from .ast import (AttrRef, Binary, BoolLit, ConstraintDecl, CreateEdgeAction,
-                  CreateNodeAction, DeleteEdgeAction, DeleteNodeAction,
-                  GlobalObjectiveDecl, MappingDecl, Name, NodesNav, Num,
-                  ObjectiveDecl, Rel, RuleDecl, SelfRef, SetSum, SpecAst, StrLit,
-                  Unary)
+from ..pattern import Rule
+from .ast import (AttrRef, Binary, BoolLit, CreateEdgeAction, CreateNodeAction,
+                  DeleteEdgeAction, DeleteNodeAction, Name, NodesNav, Num, Rel,
+                  SelfRef, SetSum, SpecAst, StrLit, Unary)
 from .lexer import quote
+from .parser import _LEVELS, _REL_LEVEL, _TIGHTEST
 
-_PREC = {"|": 1, "&": 2, "+": 4, "-": 4, "*": 5, "/": 5}
-_REL_PREC = 3
-_UNARY_PREC = 6
+_UNARY_PREC = _TIGHTEST + 1
 
 
 def pretty_expr(e, parent_prec: int = 0) -> str:
@@ -44,11 +42,11 @@ def pretty_expr(e, parent_prec: int = 0) -> str:
         inner = pretty_expr(e.operand, _UNARY_PREC)
         return f"{e.op}{inner}"
     if isinstance(e, Rel):
-        text = (f"{pretty_expr(e.left, _REL_PREC + 1)} {e.op} "
-                f"{pretty_expr(e.right, _REL_PREC + 1)}")
-        return f"({text})" if parent_prec > _REL_PREC else text
+        text = (f"{pretty_expr(e.left, _REL_LEVEL + 1)} {e.op} "
+                f"{pretty_expr(e.right, _REL_LEVEL + 1)}")
+        return f"({text})" if parent_prec > _REL_LEVEL else text
     if isinstance(e, Binary):
-        prec = _PREC[e.op]
+        prec = _LEVELS[e.op]
         text = (f"{pretty_expr(e.left, prec)} {e.op} "
                 f"{pretty_expr(e.right, prec + 1)}")
         return f"({text})" if parent_prec > prec else text
@@ -68,20 +66,21 @@ def _pretty_action(a) -> str:
     return f"set {a.node}.{a.attr} := {pretty_expr(a.value)}"
 
 
-def _pretty_rule(r: RuleDecl) -> str:
+def _pretty_rule(r: Rule) -> str:
     lines = [f"rule {r.name} {{"]
-    if r.nodes:
+    lhs = r.lhs
+    if lhs.nodes:
         lines.append("  nodes {")
-        for n in r.nodes:
+        for n in lhs.nodes:
             lines.append(f"    {n.name}: {n.type}")
         lines.append("  }")
-    if r.edges:
+    if lhs.edges:
         lines.append("  edges {")
-        for e in r.edges:
+        for e in lhs.edges:
             lines.append(f"    {e.name}: {e.type}({e.src} -> {e.tgt})")
         lines.append("  }")
-    if r.condition is not None:
-        lines.append(f"  condition {{ {pretty_expr(r.condition)} }}")
+    if lhs.condition is not None:
+        lines.append(f"  condition {{ {pretty_expr(lhs.condition)} }}")
     if r.actions:
         lines.append("  actions {")
         for a in r.actions:

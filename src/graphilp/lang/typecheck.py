@@ -1,10 +1,11 @@
 """Semantic checks for parsed specifications.
 
 Resolves every attribute access against the metamodel, binds `self` per
-context, verifies that constraint bodies are boolean and objective bodies are
-linear in the mapping variables, and lowers rule declarations to executable
-rules. All diagnostics carry a source location; every problem found in one
-pass is reported together.
+context, checks each rule's pattern and actions, and verifies that constraint
+bodies are boolean and objective bodies are linear in the mapping variables.
+The checked spec holds the parser's own objects: the rules are the parsed
+`pattern.Rule`s. All diagnostics carry a source location; every problem found
+in one pass is reported together.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..model import Metamodel
-from ..pattern import Pattern, PatternEdge, PatternNode, Rule
+from ..pattern import Rule
 from . import ast as A
 from .eval import EvalError, apply_function
 
@@ -88,6 +89,8 @@ class _Checker:
         self.diags: list[Diagnostic] = []
         self.warnings: list[Diagnostic] = []
         self.rules: dict[str, Rule] = {}
+        # rule -> {pattern node: type} of the nodes the check accepted
+        self.node_types: dict[str, dict[str, str]] = {}
         self.mappings: dict[str, A.MappingDecl] = {}
 
     def error(self, pos: A.Pos, message: str) -> Ty:
@@ -100,24 +103,20 @@ class _Checker:
 
     # -- rules -----------------------------------------------------------------
 
-    def check_rule(self, decl: A.RuleDecl):
-        if decl.name in self.rules:
-            self.error(decl.pos, f"duplicate rule {decl.name!r}")
+    def check_rule(self, rule: Rule):
+        if rule.name in self.rules:
+            self.error(rule.pos, f"duplicate rule {rule.name!r}")
             return
         node_types: dict[str, str] = {}
-        pnodes = []
-        for n in decl.nodes:
+        for n in rule.lhs.nodes:
             if n.name in node_types:
                 self.error(n.pos, f"duplicate pattern node {n.name!r}")
-                continue
-            if n.type not in self.mm.node_types:
+            elif n.type not in self.mm.node_types:
                 self.error(n.pos, f"unknown node type {n.type!r}")
-                continue
-            node_types[n.name] = n.type
-            pnodes.append(PatternNode(n.name, n.type))
-        pedges = []
+            else:
+                node_types[n.name] = n.type
         edge_names = set()
-        for e in decl.edges:
+        for e in rule.lhs.edges:
             if e.name in edge_names:
                 self.error(e.pos, f"duplicate pattern edge {e.name!r}")
                 continue
@@ -126,36 +125,29 @@ class _Checker:
             if et is None:
                 self.error(e.pos, f"unknown edge type {e.type!r}")
                 continue
-            ok = True
             for endpoint, declared in ((e.src, et.source_type), (e.tgt, et.target_type)):
                 if endpoint not in node_types:
                     self.error(e.pos, f"edge {e.name!r} references undeclared node "
                                       f"{endpoint!r}")
-                    ok = False
                 elif not (self.mm.conforms(node_types[endpoint], declared)
                           or self.mm.conforms(declared, node_types[endpoint])):
                     self.error(e.pos, f"edge {e.name!r}: node {endpoint!r} of type "
                                       f"{node_types[endpoint]!r} can never conform to "
                                       f"{declared!r}")
-                    ok = False
-            if ok:
-                pedges.append(PatternEdge(e.name, e.type, e.src, e.tgt))
         scope = {name: Ty("node", t) for name, t in node_types.items()}
-        if decl.condition is not None:
-            ty = self.expr(decl.condition, scope, allow_sets=False)
+        if rule.lhs.condition is not None:
+            ty = self.expr(rule.lhs.condition, scope, allow_sets=False)
             if ty.kind != "bool":
-                self.error(decl.pos, f"rule {decl.name!r}: condition must be boolean")
-        self.check_actions(decl, node_types, dict(scope))
-        self.rules[decl.name] = Rule(decl.name,
-                                     Pattern(decl.name, tuple(pnodes), tuple(pedges),
-                                             decl.condition),
-                                     decl.actions)
+                self.error(rule.pos, f"rule {rule.name!r}: condition must be boolean")
+        self.check_actions(rule, node_types, dict(scope))
+        self.rules[rule.name] = rule
+        self.node_types[rule.name] = node_types
 
-    def check_actions(self, decl: A.RuleDecl, node_types: dict[str, str],
+    def check_actions(self, rule: Rule, node_types: dict[str, str],
                       scope: dict[str, Ty]):
         lhs_nodes = set(node_types)
-        lhs_edges = {e.name for e in decl.edges}
-        for action in decl.actions:
+        lhs_edges = {e.name for e in rule.lhs.edges}
+        for action in rule.actions:
             if isinstance(action, A.CreateNodeAction):
                 if action.type not in self.mm.node_types:
                     self.error(action.pos, f"unknown node type {action.type!r}")
@@ -247,14 +239,13 @@ class _Checker:
                 return self.error(e.pos, "nodes() cannot be used in a class context")
             if base.kind != "match":
                 return self.error(e.pos, "nodes() applies to a match")
-            rule = self.rules.get(base.of)
-            if rule is None:
+            node_types = self.node_types.get(base.of)
+            if node_types is None:
                 return self.error(e.pos, f"unknown rule {base.of!r}")
-            pn = next((n for n in rule.lhs.nodes if n.name == e.node), None)
-            if pn is None:
+            if e.node not in node_types:
                 return self.error(e.pos, f"rule {base.of!r} has no pattern node "
                                          f"{e.node!r}")
-            return Ty("node", pn.type)
+            return Ty("node", node_types[e.node])
         if isinstance(e, A.AttrRef):
             base = self.expr(e.base, scope, allow_sets)
             if base.kind == "match":
@@ -426,8 +417,8 @@ def typecheck(spec: A.SpecAst, mm: Metamodel) -> TypedSpec:
     """Validate a parsed spec against `mm`; raises TypecheckError with all
     diagnostics found."""
     ck = _Checker(mm)
-    for rd in spec.rules:
-        ck.check_rule(rd)
+    for rule in spec.rules:
+        ck.check_rule(rule)
     for md in spec.mappings:
         if md.name in ck.mappings:
             ck.error(md.pos, f"duplicate mapping {md.name!r}")

@@ -18,6 +18,7 @@ variable that would not read back as itself (see `export_lp`).
 
 from __future__ import annotations
 
+import math
 import re
 import string
 
@@ -136,6 +137,14 @@ def export_lp(p: IlpProblem, table: MappingTable | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
+def _number(text: str, line: int) -> float:
+    """A numeral's value; one beyond the float range is refused at its line."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise LpParseError("non-finite coefficient or constant", line)
+    return value
+
+
 def _parse_terms(texts, kinds, lines, i, stop, seen: dict[str, int]):
     """Parse a run of `[+|-] [coef] [name]` terms from token `i` up to a token
     of kind `stop` or the end; returns (coeffs, const, next). Adds each name
@@ -159,7 +168,7 @@ def _parse_terms(texts, kinds, lines, i, stop, seen: dict[str, int]):
             if pending is not None:  # the number before was a constant term
                 const += sign * pending
                 sign = 1.0
-            pending = float(texts[i])
+            pending = _number(texts[i], lines[i])
             dangling = None
         elif kind == "sign":
             if pending is not None:
@@ -232,7 +241,7 @@ def import_lp(text: str) -> IlpProblem:
     obj_coeffs, obj_const, _ = _parse_terms(texts, kinds, lines, start, None, seen)
     try:
         objective = ObjectiveFunc(sense, obj_coeffs, obj_const)
-    except GenerationError as exc:  # a number beyond the float range
+    except GenerationError as exc:  # finite numerals whose sum overflows
         raise LpParseError(str(exc), lines[0]) from None
 
     rows: list[Row] = []
@@ -259,11 +268,11 @@ def import_lp(text: str) -> IlpProblem:
             i += 1
         if i >= n or kinds[i] != "num":
             raise LpParseError("constraint needs a numeric right-hand side", rel_line)
-        rhs = sign * float(texts[i])
+        rhs = sign * _number(texts[i], lines[i])
         i += 1
         try:
             rows.append(Row(coeffs, _RELATIONS[rel], rhs - const))
-        except GenerationError as exc:  # a number beyond the float range
+        except GenerationError as exc:  # finite numerals whose sum overflows
             raise LpParseError(str(exc), row_line) from None
 
     for name, what in (("bounds", "bounds"), ("general", "general integer variables")):

@@ -85,10 +85,22 @@ class Metamodel:
             if et.name in self.node_types or et.name in self.edge_types:
                 raise ConformanceError(f"duplicate type name {et.name!r}", et.name)
             self.edge_types[et.name] = et
-        self._check_supertypes()
-        self._attr_cache: dict[str, dict[str, str]] = {}
-        for name in self.node_types:
-            self._attr_cache[name] = self._collect_attrs(name)
+        # each node type's chain: itself, then its supertypes up to the root
+        self._chain: dict[str, tuple[str, ...]] = {}
+        for name, nt in self.node_types.items():
+            chain = [name]
+            cur = nt.supertype
+            while cur is not None:
+                if cur not in self.node_types:
+                    raise ConformanceError(
+                        f"node type {name!r} has undeclared supertype {cur!r}", name)
+                if cur in chain:
+                    raise ConformanceError(f"cyclic supertype chain at {name!r}", name)
+                chain.append(cur)
+                cur = self.node_types[cur].supertype
+            self._chain[name] = tuple(chain)
+        self._attrs = {name: self._collect_attrs(chain)
+                       for name, chain in self._chain.items()}
         for et in self.edge_types.values():
             for endpoint in (et.source_type, et.target_type):
                 if endpoint not in self.node_types:
@@ -96,49 +108,26 @@ class Metamodel:
                         f"edge type {et.name!r} references undeclared node type {endpoint!r}",
                         et.name)
 
-    def _check_supertypes(self):
-        for name, nt in self.node_types.items():
-            seen = {name}
-            cur = nt.supertype
-            while cur is not None:
-                if cur not in self.node_types:
-                    raise ConformanceError(
-                        f"node type {name!r} has undeclared supertype {cur!r}", name)
-                if cur in seen:
-                    raise ConformanceError(f"cyclic supertype chain at {name!r}", name)
-                seen.add(cur)
-                cur = self.node_types[cur].supertype
-
-    def _collect_attrs(self, name: str) -> dict[str, str]:
-        chain = []
-        cur: str | None = name
-        while cur is not None:
-            chain.append(self.node_types[cur])
-            cur = self.node_types[cur].supertype
+    def _collect_attrs(self, chain: tuple[str, ...]) -> dict[str, str]:
         attrs: dict[str, str] = {}
-        for nt in reversed(chain):  # supertypes first, declaration order within
-            for a in nt.attributes:
+        for name in reversed(chain):  # supertypes first, declaration order within
+            for a in self.node_types[name].attributes:
                 if a.kind not in ATTR_KINDS:
                     raise ConformanceError(
-                        f"attribute {nt.name}.{a.name} has unknown kind {a.kind!r}", nt.name)
+                        f"attribute {name}.{a.name} has unknown kind {a.kind!r}", name)
                 if a.name in attrs:
                     raise ConformanceError(
-                        f"attribute {a.name!r} redeclared in {nt.name!r}", nt.name)
+                        f"attribute {a.name!r} redeclared in {name!r}", name)
                 attrs[a.name] = a.kind
         return attrs
 
     def attrs_of(self, type_name: str) -> dict[str, str]:
         """All attributes of a node type, inherited included, name -> kind."""
-        return self._attr_cache[type_name]
+        return self._attrs[type_name]
 
     def conforms(self, sub: str, sup: str) -> bool:
         """True iff node type `sub` equals `sup` or inherits from it."""
-        cur: str | None = sub
-        while cur is not None:
-            if cur == sup:
-                return True
-            cur = self.node_types[cur].supertype
-        return False
+        return sup in self._chain[sub]
 
     def __eq__(self, other):
         return (isinstance(other, Metamodel)
@@ -182,8 +171,9 @@ class Graph:
             if e.id in self.edges:
                 raise ConformanceError(f"duplicate edge id {e.id!r}", e.id)
             self.edges[e.id] = e
-        self._out: dict[str, list[Edge]] | None = None
-        self._in: dict[str, list[Edge]] | None = None
+        # edge type -> node id -> its outgoing / incoming edges, by edge id
+        self._out: dict[str, dict[str, list[Edge]]] | None = None
+        self._in: dict[str, dict[str, list[Edge]]] | None = None
         if validate:
             validate_graph(self)
 
@@ -197,25 +187,25 @@ class Graph:
 
     def _index(self):
         if self._out is None:
-            out: dict[str, list[Edge]] = {i: [] for i in self.nodes}
-            inc: dict[str, list[Edge]] = {i: [] for i in self.nodes}
+            out: dict[str, dict[str, list[Edge]]] = {t: {} for t in self.mm.edge_types}
+            inc: dict[str, dict[str, list[Edge]]] = {t: {} for t in self.mm.edge_types}
             for eid in sorted(self.edges):
                 e = self.edges[eid]
-                out[e.src].append(e)
-                inc[e.tgt].append(e)
+                out[e.type].setdefault(e.src, []).append(e)
+                inc[e.type].setdefault(e.tgt, []).append(e)
             self._out = out
             self._in = inc
         return self._out, self._in
 
-    def out_edges(self, node_id: str, edge_type: str | None = None) -> list[Edge]:
-        out, _ = self._index()
-        es = out.get(node_id, [])
-        return es if edge_type is None else [e for e in es if e.type == edge_type]
+    def out_edges(self, node_id: str, edge_type: str) -> list[Edge]:
+        """The edges of type `edge_type` leaving `node_id`, by edge id."""
+        by_node = self._index()[0].get(edge_type)
+        return by_node.get(node_id, []) if by_node else []
 
-    def in_edges(self, node_id: str, edge_type: str | None = None) -> list[Edge]:
-        _, inc = self._index()
-        es = inc.get(node_id, [])
-        return es if edge_type is None else [e for e in es if e.type == edge_type]
+    def in_edges(self, node_id: str, edge_type: str) -> list[Edge]:
+        """The edges of type `edge_type` entering `node_id`, by edge id."""
+        by_node = self._index()[1].get(edge_type)
+        return by_node.get(node_id, []) if by_node else []
 
     def has_edge(self, edge_type: str, src: str, tgt: str) -> bool:
         return any(e.tgt == tgt for e in self.out_edges(src, edge_type))

@@ -6,7 +6,8 @@ condition must hold under the binding. `find_matches` is exhaustive and
 deterministic: results come back sorted by their bound id sets. A pattern
 compiles its condition, and a rule its action values, once, on first use.
 An error while evaluating either is a PatternError that names the rule and
-the binding.
+the binding. The parser builds rules directly; their `pos` fields locate
+diagnostics and, as in the AST, take no part in equality.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class StaleMatchError(PatternError):
 class PatternNode:
     name: str
     type: str
+    pos: A.Pos = A.pos_field()
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,7 @@ class PatternEdge:
     type: str
     src: str
     tgt: str
+    pos: A.Pos = A.pos_field()
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,7 @@ class Rule:
     name: str
     lhs: Pattern
     actions: tuple[object, ...] = ()
+    pos: A.Pos = A.pos_field()
 
     @cached_property
     def compiled_actions(self) -> tuple:
@@ -94,9 +98,6 @@ class Match:
     @property
     def binding(self) -> dict[str, str]:
         return dict(self.bound)
-
-    def bound_ids(self) -> list[str]:
-        return [gid for _, gid in self.bound]
 
 
 def _where(rule: str, what: str, binding: dict[str, str]) -> str:

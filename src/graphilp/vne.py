@@ -11,7 +11,7 @@ in the middle, a virtual link per virtual server.
 Embedding runs one request at a time: merge the request into the working
 model, generate and solve the program, apply the selected matches. A request
 is embedded only if every one of its elements is mapped; otherwise the
-working model rolls back to the snapshot (all-or-nothing). `verify_embedding`
+working model stays as it was (all-or-nothing). `verify_embedding`
 recomputes placement counts, residual arithmetic, and link-endpoint
 contiguity straight from the graphs, independently of the solver.
 """
@@ -147,10 +147,10 @@ def _link(nid: str, bw: int, src: str, tgt: str, nodes, edges):
     edges.append(Edge(f"e_{nid}_t", "strg", nid, tgt))
 
 
-def generate_scenario(cfg: ScenarioConfig, mm=None) -> tuple[Graph, list[Graph]]:
+def generate_scenario(cfg: ScenarioConfig) -> tuple[Graph, list[Graph]]:
     """Deterministic substrate plus request list for (cfg, cfg.seed)."""
     cfg.validate()
-    mm = mm or vne_metamodel()
+    mm = vne_metamodel()
     rng = random.Random(cfg.seed)
 
     nodes: list[Node] = []
@@ -255,7 +255,6 @@ def embed_incremental(substrate: Graph, vnrs: list[Graph], spec: TypedSpec,
     working = substrate
     records: list[VnrRecord] = []
     for idx, vnr in enumerate(vnrs):
-        snapshot = working
         t0 = time.perf_counter()
         try:
             merged = merge_graphs(working, vnr)
@@ -264,7 +263,6 @@ def embed_incremental(substrate: Graph, vnrs: list[Graph], spec: TypedSpec,
             sol = solve(problem, time_limit=time_limit)
         except (GenerationError, ConformanceError, PatternError, ScenarioError) as exc:
             records.append(VnrRecord(idx, "rejected", f"error: {exc}"))
-            working = snapshot
             continue
         rec = VnrRecord(idx, "rejected", variables=len(problem.variables),
                         rows=len(problem.constraints),
@@ -274,7 +272,6 @@ def embed_incremental(substrate: Graph, vnrs: list[Graph], spec: TypedSpec,
         if sol.status != "optimal":
             rec.reason = sol.status
             records.append(rec)
-            working = snapshot
             continue
         try:
             applied, _ = apply_solution(merged, spec, table, sol.assignment)
@@ -282,7 +279,6 @@ def embed_incremental(substrate: Graph, vnrs: list[Graph], spec: TypedSpec,
         except (PatternError, ConformanceError, ScenarioError) as exc:
             rec.reason = f"error: {exc}"
             records.append(rec)
-            working = snapshot
             continue
         rec.status = "embedded"
         rec.objective = sol.objective_value

@@ -55,5 +55,5 @@ def two_links_spec() -> TypedSpec:
     return typecheck(parse(_text("TWO_LINKS_SPEC")), vne_metamodel())
 
 
-def embedding_spec(mm: Metamodel | None = None) -> TypedSpec:
-    return typecheck(parse(_text("EMBEDDING_SPEC")), mm or vne_metamodel())
+def embedding_spec() -> TypedSpec:
+    return typecheck(parse(_text("EMBEDDING_SPEC")), vne_metamodel())

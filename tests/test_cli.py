@@ -3,6 +3,7 @@ import json
 import pytest
 
 from graphilp.cli import main
+from graphilp.lang.parser import MAX_DEPTH, DslSyntaxError, parse
 from graphilp.vne_model import TWO_LINKS_MODEL, TWO_LINKS_SPEC, VNE_SCHEMA
 
 from conftest import TASK_DOC, TASK_SPEC
@@ -163,6 +164,42 @@ def test_solve_timeout_exit_code(tmp_path, capsys):
                "--time-limit", "0"])
     assert rc == 3
     assert "timeout" in capsys.readouterr().err
+
+
+PLACED_ONCE = "self.placed | mappings.put->filter(m | m.nodes().t == self)->sum(m | 1) == 1"
+DEEP_BODIES = {
+    "parentheses": lambda k: "(" * k + PLACED_ONCE + ")" * k,
+    "not": lambda k: "!" * (2 * k) + f"({PLACED_ONCE})",
+    "minus": lambda k: PLACED_ONCE.replace("mappings", "- - " * k + "mappings"),
+    "plus": lambda k: PLACED_ONCE.replace(" == 1", " + 0" * k + " == 1"),
+    "and": lambda k: PLACED_ONCE + " & true" * k,
+}
+
+
+@pytest.mark.parametrize("kind", DEEP_BODIES)
+def test_solve_takes_the_deepest_spec_and_refuses_deeper(kind, tmp_path, capsys):
+    model, spec = tmp_path / "m.model", tmp_path / "s.gipsl"
+    model.write_text(TASK_DOC)
+
+    def deep(k):
+        return TASK_SPEC.replace(PLACED_ONCE, DEEP_BODIES[kind](k))
+
+    deepest = MAX_DEPTH
+    while True:  # the largest k the parser takes
+        try:
+            parse(deep(deepest))
+            break
+        except DslSyntaxError:
+            deepest -= 1
+    spec.write_text(deep(deepest))
+    assert main(["solve", "--model", str(model), "--spec", str(spec)]) == 0
+    capsys.readouterr()
+    for k in (deepest + 1, 3000):
+        spec.write_text(deep(k))
+        assert main(["solve", "--model", str(model), "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: 16:"), err
+        assert err[0].endswith(f": expression nests more than {MAX_DEPTH} levels deep")
 
 
 def test_export_lp_subcommand(two_links, tmp_path):

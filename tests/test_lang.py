@@ -7,7 +7,7 @@ from graphilp.lang import ast as A
 from graphilp.lang.eval import EvalError, NodeRef, compile_expr
 from graphilp.lang.lexer import LexError, is_word, quote, tokenize
 from graphilp.lang.parser import KEYWORDS as SPEC_KEYWORDS
-from graphilp.lang.parser import DslSyntaxError, parse_expression
+from graphilp.lang.parser import MAX_DEPTH, DslSyntaxError, parse_expression
 from graphilp.lang.printer import pretty_expr
 from graphilp.lang.typecheck import TypecheckError
 from graphilp.model import _KEYWORDS as MODEL_KEYWORDS
@@ -122,6 +122,41 @@ def test_left_associativity():
     e = parse_expression("10 - 4 - 3")
     assert isinstance(e.left, A.Binary) and e.left.op == "-"
     assert e.right == A.Num(3)
+
+
+# Each builds an expression `k` levels high; the column of the token one level
+# past MAX_DEPTH, in a text of depth MAX_DEPTH + 1.
+NESTINGS = {
+    "parentheses": (lambda k: "(" * k + "1" + ")" * k, MAX_DEPTH + 1),
+    "not": (lambda k: "!" * k + "true", MAX_DEPTH + 1),
+    "minus": (lambda k: "- " * k + "1", 2 * MAX_DEPTH + 1),
+    "plus": (lambda k: " + ".join(["1"] * (k + 1)), 4 * MAX_DEPTH + 3),
+    "and": (lambda k: " & ".join(["true"] * (k + 1)), 7 * MAX_DEPTH + 6),
+}
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_nesting_past_the_limit_is_a_located_syntax_error(kind):
+    make, col = NESTINGS[kind]
+    parse_expression(make(MAX_DEPTH))
+    for k in (MAX_DEPTH + 1, 3000):
+        with pytest.raises(DslSyntaxError) as err:
+            parse_expression(make(k))
+        assert (err.value.message, err.value.line, err.value.col) == (
+            f"expression nests more than {MAX_DEPTH} levels deep", 1, col)
+    with pytest.raises(DslSyntaxError, match=f"^2:{col}: expression nests"):
+        parse(f"global objective : min {{\n{make(MAX_DEPTH + 1)} }}")
+
+
+def test_nesting_counts_every_level_of_the_tree():
+    sums = "mappings.m->filter(v | {})->sum(v | {})"
+    for text in ("x" + ".a" * MAX_DEPTH, "sin(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH,
+                 sums.format("(" * 99 + "true" + ")" * 99, 1),
+                 sums.format(1, "(" * 99 + "1" + ")" * 99),
+                 "(" * 50 + "- " * 50 + "1" + ")" * 50):
+        parse_expression(text)
+        with pytest.raises(DslSyntaxError, match="nests more than"):
+            parse_expression(f"({text})")
 
 
 @pytest.mark.parametrize("text, got, col", [
@@ -422,8 +457,8 @@ def test_compile_expr_defers_errors_to_evaluation():
     run = compile_expr(parse_expression("mappings.put->sum(m | 1)"))
     with pytest.raises(EvalError, match="^mapping sums cannot be evaluated directly$"):
         run({}, None)
-    with pytest.raises(EvalError, match="^cannot evaluate RuleDecl$"):
-        compile_expr(A.RuleDecl("r", (), (), None, ()))({}, None)
+    with pytest.raises(EvalError, match="^cannot evaluate MappingDecl$"):
+        compile_expr(A.MappingDecl("m", "r"))({}, None)
 
 
 def test_unknown_rule_in_mapping_diagnosed():
@@ -531,6 +566,28 @@ global objective : min { 0 }
         typecheck(parse(text), vne_mm())
     assert [str(d) for d in err.value.diagnostics] == [
         "3:11: unknown node type 'Ghost'", "4:11: unknown edge type 'ghost'"]
+
+
+def test_nodes_of_a_rejected_pattern_node_is_no_pattern_node():
+    text = """
+rule r { nodes { a: Ghost  s: SubstrateServer } }
+mapping m with r;
+constraint -> mapping::m { self.nodes().a >= 0 }
+global objective : min { 0 }
+"""
+    with pytest.raises(TypecheckError) as err:
+        typecheck(parse(text), vne_mm())
+    assert [str(d) for d in err.value.diagnostics] == [
+        "2:18: unknown node type 'Ghost'", "4:32: rule 'r' has no pattern node 'a'"]
+
+
+@pytest.mark.parametrize("source", [TASK_SPEC, EMBEDDING_SPEC, TWO_LINKS_SPEC])
+def test_typecheck_keeps_the_parsed_rules(source):
+    ast = parse(source)
+    mm = load_model(TASK_DOC)[0] if source is TASK_SPEC else vne_mm()
+    typed = typecheck(ast, mm)
+    assert ast.rules and len(typed.rules) == len(ast.rules)
+    assert all(typed.rules[r.name] is r for r in ast.rules)
 
 
 def test_diagnostics_carry_locations():

@@ -94,6 +94,23 @@ def test_non_finite_objective_number_rejected(obj):
         import_lp(text)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("Minimize\n obj: x\n + 1e999 y\nSubject To\nBinary\n x\n y\nEnd\n", 3),
+    ("Minimize\n obj: x\nSubject To\n c0: x\n + 1e999 y\n <= 4\nBinary\n x\n y\nEnd\n", 5),
+    ("Minimize\n obj: x\nSubject To\n c0: x\n + y\n <= 1e999\nBinary\n x\n y\nEnd\n", 6),
+], ids=["objective-coefficient", "row-coefficient", "rhs"])
+def test_non_finite_number_is_reported_at_its_own_line(text, line):
+    with pytest.raises(LpParseError) as err:
+        import_lp(text)
+    assert (err.value.message, err.value.line) == ("non-finite coefficient or constant", line)
+
+
+def test_finite_numbers_summing_past_the_float_range_are_rejected():
+    text = "Minimize\n obj: x\nSubject To\n c0: 1e308 x\n + 1e308 x <= 4\nBinary\n x\nEnd\n"
+    with pytest.raises(LpParseError, match="^line 4: non-finite coefficient or constant$"):
+        import_lp(text)
+
+
 def test_aux_binaries_keep_their_kind():
     p = IlpProblem(
         [Variable("m_put_0", BINARY), Variable("aux_0", "auxiliary-binary")],

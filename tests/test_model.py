@@ -1,9 +1,10 @@
 import pytest
 
-from graphilp import (ConformanceError, Edge, Graph, GraphDelta, Node,
+from graphilp import (ConformanceError, Edge, Graph, GraphDelta, Metamodel, Node,
                       apply_delta, load_graph, load_metamodel, load_model,
                       serialize_graph, serialize_model, validate_graph)
 import graphilp.model as model_mod
+from graphilp.model import AttrDecl, EdgeType, NodeType
 from graphilp.vne_model import TWO_LINKS_MODEL, VNE_SCHEMA
 from graphilp.model import ModelParseError
 
@@ -51,6 +52,59 @@ def test_cyclic_supertype_rejected():
     """
     with pytest.raises(ConformanceError, match="cyclic"):
         load_metamodel(doc)
+
+
+def test_undeclared_supertype_rejected():
+    doc = """
+    nodetypes {
+      nodetype { name: A }
+      nodetype { name: B  supertype: A }
+      nodetype { name: C  supertype: B }
+      nodetype { name: D  supertype: Ghost }
+    }
+    """
+    with pytest.raises(ConformanceError,
+                       match="^node type 'D' has undeclared supertype 'Ghost'$"):
+        load_metamodel(doc)
+
+
+def test_metamodel_faults_come_supertypes_then_attributes_then_edges():
+    a = NodeType("A", (AttrDecl("x", "int"),))
+    b = NodeType("B", (AttrDecl("x", "int"),), "A")
+    c = NodeType("C", (AttrDecl("y", "float"),))
+    d = NodeType("D", (), "D")
+    edges = [EdgeType("e", "A", "Ghost")]
+    for types, message in (
+            ([a, b, c, d], "cyclic supertype chain at 'D'"),
+            ([a, b, c], "attribute 'x' redeclared in 'B'"),
+            ([a, c], "attribute C.y has unknown kind 'float'"),
+            ([a], "edge type 'e' references undeclared node type 'Ghost'")):
+        with pytest.raises(ConformanceError, match=f"^{message}$"):
+            Metamodel(types, edges)
+
+
+def test_conforms_and_attrs_follow_the_supertype_chain():
+    mm = load_metamodel(VNE_SCHEMA)
+    for sub, nt in mm.node_types.items():
+        chain = [sub]
+        while mm.node_types[chain[-1]].supertype:
+            chain.append(mm.node_types[chain[-1]].supertype)
+        assert [t for t in mm.node_types if mm.conforms(sub, t)] == \
+            [t for t in mm.node_types if t in chain]
+        assert list(mm.attrs_of(sub)) == [a.name for t in reversed(chain)
+                                          for a in mm.node_types[t].attributes]
+
+
+def test_adjacency_is_by_edge_type_in_edge_id_order(task_model):
+    mm, g = task_model
+    edges = [Edge("h2", "host", "t1", "s1"), Edge("w1", "wire", "t1", "s1"),
+             Edge("h1", "host", "t2", "s1"), Edge("w0", "wire", "s1", "t1")]
+    g = Graph(mm, list(g.nodes.values()), edges)
+    assert [e.id for e in g.in_edges("s1", "host")] == ["h1", "h2"]
+    assert [e.id for e in g.out_edges("t1", "wire")] == ["w1"]
+    assert [e.id for e in g.in_edges("t1", "wire")] == ["w0"]
+    assert g.out_edges("s1", "host") == [] and g.in_edges("s2", "wire") == []
+    assert g.has_edge("wire", "s1", "t1") and not g.has_edge("host", "s1", "t1")
 
 
 def test_inherited_attribute_shadowing_rejected():

@@ -73,7 +73,7 @@ def test_matches_are_deterministically_ordered(task_model, task_spec):
     a = find_matches(g, lhs)
     b = find_matches(Graph(g.mm, list(g.nodes.values()), list(g.edges.values())), lhs)
     assert [m.bound for m in a] == [m.bound for m in b]
-    keys = [sorted(m.bound_ids()) for m in a]
+    keys = [sorted(gid for _, gid in m.bound) for m in a]
     assert keys == sorted(keys)
 
 
