@@ -11,12 +11,19 @@ write, an unreadable or non-UTF-8 input file, or an unwritable output path;
 `main` turns each into `error:` lines on stderr (one per diagnostic for a type
 error), never a traceback. A usage error, such as a missing flag or a time
 limit that is not a finite number of seconds >= 0, also exits 1, after
-argparse's usage line and `error:` message.
+argparse's usage line and `error:` message. A syntax or type error names its
+file: `error: PATH:LINE:COL: message`.
+
+`build_parser` builds the argument parser once per process, on first use, and
+every later `main` call reuses it. That saves only in-process callers (tests,
+benchmarks, library code) the rebuild; a one-shot `graphilp` process builds
+the parser once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,7 +34,8 @@ from .lang.parser import DslSyntaxError, parse
 from .lang.typecheck import TypecheckError, typecheck
 from .lpformat import LpExportError, export_lp
 # unused here, but perfbench/tracing.py wraps apply_rule and apply_delta by these names
-from .model import ModelError, apply_delta, load_model, serialize_model  # noqa: F401
+from .model import (ModelError, ModelParseError, apply_delta,  # noqa: F401
+                    load_model, serialize_model)
 from .pattern import PatternError, apply_rule  # noqa: F401
 from .solve import solve
 from .vne_model import embedding_spec
@@ -158,6 +166,7 @@ def cmd_vne(args) -> int:
     return EXIT_OK if not violations else EXIT_SPEC_ERROR
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="graphilp",
@@ -205,12 +214,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TypecheckError as exc:
-        # `vne` typechecks its built-in spec, which has no file name
-        source = getattr(args, "spec", "embedding spec")
-        for d in exc.diagnostics:
+    except (TypecheckError, DslSyntaxError, ModelParseError) as exc:
+        # `vne` reads only its built-in model and spec, which have no file names
+        if isinstance(exc, ModelParseError):
+            source = getattr(args, "model", "embedding model")
+        else:
+            source = getattr(args, "spec", "embedding spec")
+        for d in getattr(exc, "diagnostics", [exc]):
             print(f"error: {source}:{d}", file=sys.stderr)
-    except (ModelError, DslSyntaxError, GenerationError, PatternError,
+    except (ModelError, GenerationError, PatternError,
             vne_mod.ScenarioError, OSError, InputError, LpExportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return EXIT_SPEC_ERROR

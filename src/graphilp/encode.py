@@ -66,7 +66,7 @@ def _require_finite(coeffs: dict, constant) -> None:
         raise GenerationError("non-finite coefficient or constant")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Row:
     """One linear constraint: coeffs . x  <rel>  rhs, rel in {<=, =, >=}."""
 
@@ -75,18 +75,18 @@ class Row:
     rhs: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _clean(self.coeffs))
+        self.coeffs = _clean(self.coeffs)
         _require_finite(self.coeffs, self.rhs)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ObjectiveFunc:
     sense: str  # 'min' or 'max'
     terms: dict
     constant: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _clean(self.terms))
+        self.terms = _clean(self.terms)
         _require_finite(self.terms, self.constant)
 
 
@@ -141,13 +141,13 @@ def apply_solution(g: Graph, spec: TypedSpec, table: MappingTable,
     return g, len(chosen)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LinearTerm:
     coeffs: dict
     constant: float = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _clean(self.coeffs))
+        self.coeffs = _clean(self.coeffs)
 
     @staticmethod
     def const(value) -> "LinearTerm":
@@ -245,7 +245,7 @@ _WHOLE_MATCH = None  # key field of `m == <e>`: the match itself, not one of its
 def _mentions(e, name: str) -> bool:
     if isinstance(e, A.Name):
         return e.id == name
-    return any(_mentions(v, name) for v in vars(e).values() if isinstance(v, A.Expr))
+    return any(_mentions(v, name) for v in A.children(e))
 
 
 def _conjuncts(e) -> list:
@@ -426,8 +426,7 @@ class _Sum:
 
 
 def _has_sum(e) -> bool:
-    return isinstance(e, A.SetSum) or any(
-        _has_sum(v) for v in vars(e).values() if isinstance(v, A.Expr))
+    return isinstance(e, A.SetSum) or any(map(_has_sum, A.children(e)))
 
 
 def _times(left: LinearTerm, right: LinearTerm) -> LinearTerm:

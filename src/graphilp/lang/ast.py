@@ -2,16 +2,19 @@
 declarations other than rules. A rule is a `pattern.Rule`, which the parser
 builds directly and the typechecker checks in place.
 
-Position fields never take part in equality so structural comparison (and the
-parse/pretty-print round-trip) ignores source locations.
+Nodes are plain slotted dataclasses, neither frozen nor hashable: the parser
+builds them and no later stage writes to one. Position fields never take part
+in equality or repr, so structural comparison (and the parse/pretty-print
+round-trip) ignores source locations.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Pos:
     line: int = 0
     col: int = 0
@@ -23,42 +26,50 @@ def pos_field():
 
 # --- expressions --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Expr:
     pass
 
 
-@dataclass(frozen=True)
+def children(e: Expr) -> Iterator[Expr]:
+    """The subexpressions `e` holds directly, in field order."""
+    for name in e.__slots__:
+        value = getattr(e, name)
+        if isinstance(value, Expr):
+            yield value
+
+
+@dataclass(slots=True)
 class Num(Expr):
     value: object  # int or float
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoolLit(Expr):
     value: bool
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StrLit(Expr):
     value: str
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Name(Expr):
     """A bare identifier: pattern node, lambda variable, or objective reference."""
     id: str
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SelfRef(Expr):
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NodesNav(Expr):
     """`base.nodes().node` - select a bound pattern node from a match."""
     base: Expr
@@ -66,7 +77,7 @@ class NodesNav(Expr):
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AttrRef(Expr):
     """`base.attr` - read an attribute of a node-valued expression."""
     base: Expr
@@ -74,14 +85,14 @@ class AttrRef(Expr):
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Unary(Expr):
     op: str  # '!', '-', 'sin', 'cos', 'sqrt'
     operand: Expr
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Binary(Expr):
     op: str  # '+', '-', '*', '/', '&', '|'
     left: Expr
@@ -89,7 +100,7 @@ class Binary(Expr):
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Rel(Expr):
     op: str  # '<', '<=', '==', '!=', '>=', '>'
     left: Expr
@@ -97,7 +108,7 @@ class Rel(Expr):
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetSum(Expr):
     """`mappings.name->filter(v | pred)->sum(v | body)`; filter is optional."""
     mapping: str
@@ -110,7 +121,7 @@ class SetSum(Expr):
 
 # --- declarations -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CreateEdgeAction:
     edge_type: str
     src: str
@@ -118,7 +129,7 @@ class CreateEdgeAction:
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CreateNodeAction:
     name: str
     type: str
@@ -126,19 +137,19 @@ class CreateNodeAction:
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeleteEdgeAction:
     name: str  # LHS edge name
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeleteNodeAction:
     name: str  # LHS node name
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetAttrAction:
     node: str
     attr: str
@@ -146,14 +157,14 @@ class SetAttrAction:
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MappingDecl:
     name: str
     rule: str
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConstraintDecl:
     context_kind: str
     context_target: str
@@ -161,7 +172,7 @@ class ConstraintDecl:
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ObjectiveDecl:
     name: str
     context_kind: str
@@ -170,14 +181,14 @@ class ObjectiveDecl:
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GlobalObjectiveDecl:
     sense: str  # 'min' or 'max'
     expr: Expr
     pos: Pos = pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpecAst:
     rules: tuple  # of pattern.Rule, which the parser builds directly
     mappings: tuple[MappingDecl, ...]

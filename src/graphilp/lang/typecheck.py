@@ -5,7 +5,8 @@ context, checks each rule's pattern and actions, and verifies that constraint
 bodies are boolean and objective bodies are linear in the mapping variables.
 The checked spec holds the parser's own objects: the rules are the parsed
 `pattern.Rule`s. All diagnostics carry a source location; every problem found
-in one pass is reported together.
+in one pass is reported together, each once: an expression already reported
+gets the type `ERROR`, which every later check accepts silently.
 """
 
 from __future__ import annotations
@@ -41,12 +42,15 @@ class TypecheckError(Exception):
 
 @dataclass(frozen=True)
 class Ty:
-    kind: str  # 'int', 'real', 'bool', 'string', 'node', 'match'
+    kind: str  # 'int', 'real', 'bool', 'string', 'node', 'match', or 'error'
     of: str | None = None  # node type for 'node', rule name for 'match'
     varbearing: bool = False  # term contains mapping variables
 
     def numeric(self) -> bool:
         return self.kind in NUMERIC
+
+
+ERROR = Ty("error")  # the type of an expression already reported
 
 
 def _mismatch(a: str, b: str) -> str:
@@ -95,11 +99,7 @@ class _Checker:
 
     def error(self, pos: A.Pos, message: str) -> Ty:
         self.diags.append(Diagnostic(pos.line, pos.col, message))
-        return Ty("real")  # recovery type keeps checking going
-
-    def bad_comparison(self, pos: A.Pos, message: str) -> Ty:
-        self.error(pos, message)
-        return Ty("bool")  # still a condition, so the enclosing check stays quiet
+        return ERROR
 
     # -- rules -----------------------------------------------------------------
 
@@ -137,7 +137,7 @@ class _Checker:
         scope = {name: Ty("node", t) for name, t in node_types.items()}
         if rule.lhs.condition is not None:
             ty = self.expr(rule.lhs.condition, scope, allow_sets=False)
-            if ty.kind != "bool":
+            if ty is not ERROR and ty.kind != "bool":
                 self.error(rule.pos, f"rule {rule.name!r}: condition must be boolean")
         self.check_actions(rule, node_types, dict(scope))
         self.rules[rule.name] = rule
@@ -204,6 +204,8 @@ class _Checker:
                 self._check_assignable(value_ty, kind, action.pos, action.attr)
 
     def _check_assignable(self, ty: Ty, kind: str, pos: A.Pos, attr: str):
+        if ty is ERROR:
+            return
         if ty.varbearing:
             self.error(pos, f"value for {attr!r} must not involve mapping variables")
         if kind in NUMERIC:
@@ -235,6 +237,8 @@ class _Checker:
             return ty
         if isinstance(e, A.NodesNav):
             base = self.expr(e.base, scope, allow_sets)
+            if base is ERROR:
+                return ERROR
             if base.kind == "node":
                 return self.error(e.pos, "nodes() cannot be used in a class context")
             if base.kind != "match":
@@ -248,6 +252,8 @@ class _Checker:
             return Ty("node", node_types[e.node])
         if isinstance(e, A.AttrRef):
             base = self.expr(e.base, scope, allow_sets)
+            if base is ERROR:
+                return ERROR
             if base.kind == "match":
                 return self.error(e.pos, "select a node with nodes() before reading "
                                          "an attribute")
@@ -260,12 +266,13 @@ class _Checker:
                                          f"{e.attr!r}")
             return Ty(kind)
         if isinstance(e, A.Unary):
+            ty = self.expr(e.operand, scope, allow_sets)
+            if ty is ERROR:
+                return ERROR
             if e.op == "!":
-                ty = self.expr(e.operand, scope, allow_sets)
                 if ty.kind != "bool":
                     return self.error(e.pos, "'!' applies to a boolean")
                 return ty
-            ty = self.expr(e.operand, scope, allow_sets)
             if not ty.numeric():
                 return self.error(e.pos, f"{e.op!r} applies to a number")
             if e.op == "-":
@@ -274,14 +281,14 @@ class _Checker:
                 return self.error(e.pos, f"{e.op} requires a constant subexpression")
             return Ty("real")
         if isinstance(e, A.Binary):
+            lt = self.expr(e.left, scope, allow_sets)
+            rt = self.expr(e.right, scope, allow_sets)
+            if lt is ERROR or rt is ERROR:
+                return ERROR
             if e.op in ("&", "|"):
-                lt = self.expr(e.left, scope, allow_sets)
-                rt = self.expr(e.right, scope, allow_sets)
                 if lt.kind != "bool" or rt.kind != "bool":
                     return self.error(e.pos, f"{e.op!r} applies to booleans")
                 return Ty("bool", varbearing=lt.varbearing or rt.varbearing)
-            lt = self.expr(e.left, scope, allow_sets)
-            rt = self.expr(e.right, scope, allow_sets)
             if not lt.numeric() or not rt.numeric():
                 return self.error(e.pos, f"{e.op!r} applies to numbers")
             if e.op == "*" and lt.varbearing and rt.varbearing:
@@ -295,24 +302,25 @@ class _Checker:
         if isinstance(e, A.Rel):
             lt = self.expr(e.left, scope, allow_sets)
             rt = self.expr(e.right, scope, allow_sets)
+            if lt is ERROR or rt is ERROR:
+                return ERROR
             if lt.kind in ("node", "match") or rt.kind in ("node", "match"):
                 if e.op not in ("==", "!="):
-                    return self.bad_comparison(e.pos, f"{e.op!r} does not apply to "
-                                                      f"graph elements")
+                    return self.error(e.pos, f"{e.op!r} does not apply to graph elements")
                 if lt.kind != rt.kind:
-                    return self.bad_comparison(e.pos, _mismatch(lt.kind, rt.kind))
+                    return self.error(e.pos, _mismatch(lt.kind, rt.kind))
                 return Ty("bool")
             if lt.kind in ("bool", "string") or rt.kind in ("bool", "string"):
                 if e.op not in ("==", "!="):
-                    return self.bad_comparison(e.pos, f"{e.op!r} applies to numbers")
+                    return self.error(e.pos, f"{e.op!r} applies to numbers")
                 if lt.kind != rt.kind:
-                    return self.bad_comparison(e.pos, _mismatch(lt.kind, rt.kind))
+                    return self.error(e.pos, _mismatch(lt.kind, rt.kind))
                 if lt.varbearing or rt.varbearing:
-                    return self.bad_comparison(e.pos, "comparison operands must not "
-                                                      "involve mapping variables")
+                    return self.error(e.pos, "comparison operands must not "
+                                             "involve mapping variables")
                 return Ty("bool")
             if not lt.numeric() or not rt.numeric():
-                return self.bad_comparison(e.pos, f"{e.op!r} applies to numbers")
+                return self.error(e.pos, f"{e.op!r} applies to numbers")
             return Ty("bool", varbearing=lt.varbearing or rt.varbearing)
         if isinstance(e, A.SetSum):
             if not allow_sets:
@@ -325,7 +333,7 @@ class _Checker:
                 inner = dict(scope)
                 inner[e.filter_var] = match_ty
                 pt = self.expr(e.filter_pred, inner, allow_sets=False)
-                if pt.kind != "bool":
+                if pt is not ERROR and pt.kind != "bool":
                     self.error(e.pos, "filter predicate must be boolean")
                 if pt.varbearing:
                     self.error(e.pos, "filter predicate must not involve mapping "
@@ -333,7 +341,7 @@ class _Checker:
             inner = dict(scope)
             inner[e.sum_var] = match_ty
             bt = self.expr(e.sum_body, inner, allow_sets=False)
-            if not bt.numeric():
+            if bt is not ERROR and not bt.numeric():
                 self.error(e.pos, "sum body must be numeric")
             if bt.varbearing:
                 self.error(e.pos, "sum body must not involve mapping variables")
@@ -434,7 +442,7 @@ def typecheck(spec: A.SpecAst, mm: Metamodel) -> TypedSpec:
         if scope is None:
             continue
         ty = ck.expr(cd.body, scope, allow_sets=True)
-        if ty.kind != "bool":
+        if ty is not ERROR and ty.kind != "bool":
             ck.error(cd.pos, "constraint body must be boolean")
         constraints.append(cd)
     objectives = []
@@ -448,7 +456,7 @@ def typecheck(spec: A.SpecAst, mm: Metamodel) -> TypedSpec:
         if scope is None:
             continue
         ty = ck.expr(od.body, scope, allow_sets=True)
-        if not ty.numeric():
+        if ty is not ERROR and not ty.numeric():
             ck.error(od.pos, "objective body must be numeric")
         if od.context_kind == "mapping" and ty.varbearing:
             ck.error(od.pos, "a mapping-context objective gives the coefficient of "

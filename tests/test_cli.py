@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from graphilp.cli import main
+import graphilp.cli as cli
+from graphilp.cli import build_parser, main
 from graphilp.lang.parser import MAX_DEPTH, DslSyntaxError, parse
 from graphilp.vne_model import TWO_LINKS_MODEL, TWO_LINKS_SPEC, VNE_SCHEMA
 
@@ -50,7 +51,7 @@ def test_check_bad_numeral_is_one_located_error(literal, message, two_links, tmp
     bad = tmp_path / "bad.gipsl"
     bad.write_text(f"global objective : min {{ {literal} }}\n")
     assert main(["check", "--model", str(model), "--spec", str(bad)]) == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: 1:26: {message}"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}:1:26: {message}"]
 
 
 REAL_DOC = """
@@ -100,7 +101,7 @@ def test_check_model_ending_inside_a_record_names_the_end(two_links, tmp_path, c
     model = tmp_path / "cut.model"
     model.write_text("nodes { node { id: a")
     assert main(["check", "--model", str(model), "--spec", str(spec)]) == 1
-    assert capsys.readouterr().err == "error: 1:21: unexpected end of input in node\n"
+    assert capsys.readouterr().err == f"error: {model}:1:21: unexpected end of input in node\n"
 
 
 def test_generate_dumps_rows(two_links, capsys):
@@ -198,7 +199,7 @@ def test_solve_takes_the_deepest_spec_and_refuses_deeper(kind, tmp_path, capsys)
         spec.write_text(deep(k))
         assert main(["solve", "--model", str(model), "--spec", str(spec)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: 16:"), err
+        assert len(err) == 1 and err[0].startswith(f"error: {spec}:16:"), err
         assert err[0].endswith(f": expression nests more than {MAX_DEPTH} levels deep")
 
 
@@ -416,6 +417,27 @@ def test_help_exits_0(capsys):
         main(["solve", "-h"])
     assert exc.value.code == 0
     assert "--time-limit" in capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call(two_links, monkeypatch, capsys):
+    assert build_parser() is build_parser()
+    model, spec = two_links
+    limits = []
+    real_solve = cli.solve
+
+    def spy(problem, time_limit):
+        limits.append(time_limit)
+        return real_solve(problem, time_limit=time_limit)
+    monkeypatch.setattr(cli, "solve", spy)
+    argv = ["solve", "--model", str(model), "--spec", str(spec)]
+    assert main(argv + ["--time-limit", "5"]) == 0
+    assert main(argv) == 0
+    assert limits == [5.0, None]  # the first call's value does not stay behind
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:3])
+    assert exc.value.code == 1
+    assert main(["check"] + argv[1:]) == 0
+    assert capsys.readouterr().out.endswith("ok\n")
 
 
 # a runtime error in a rule's condition or action names the rule and the

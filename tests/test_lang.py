@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -84,6 +85,38 @@ def test_constraint_with_literal_true_body():
     spec = parse("constraint -> class::X { true }\nglobal objective : max { 0 }")
     assert spec.constraints[0].body == A.BoolLit(True)
     assert spec.global_objective.sense == "max"
+
+
+@pytest.mark.parametrize("cls", A.Expr.__subclasses__(), ids=lambda c: c.__name__)
+def test_children_are_the_expression_fields(cls):
+    values, expected = {}, []
+    for f in dataclasses.fields(cls):
+        if f.name == "pos":
+            continue
+        if "Expr" in f.type:  # `Expr` or `Expr | None`
+            expected.append(A.Num(len(expected)))
+            values[f.name] = expected[-1]
+        else:
+            values[f.name] = "v"
+    children = list(A.children(cls(**values)))
+    assert len(children) == len(expected)
+    assert all(c is e for c, e in zip(children, expected))
+    if cls is A.SetSum:  # without a filter
+        node = A.SetSum("m", None, None, "v", A.Num(1))
+        assert list(A.children(node)) == [A.Num(1)]
+
+
+def test_ast_nodes_are_slotted_and_compare_without_positions():
+    classes = [c for c in vars(A).values()
+               if isinstance(c, type) and c.__module__ == A.__name__]
+    assert classes and all(dataclasses.is_dataclass(c) and "__slots__" in vars(c)
+                           for c in classes)
+    ast, shifted = parse(TASK_SPEC), parse("\n\n  " + TASK_SPEC)
+    body, moved = ast.constraints[0].body, shifted.constraints[0].body
+    for node in (ast, ast.global_objective, body, body.left, body.pos):
+        assert not hasattr(node, "__dict__")
+    assert moved.pos != body.pos and moved == body and shifted == ast
+    assert repr(A.Num(1, A.Pos(2, 3))) == "Num(value=1)"
 
 
 def test_missing_global_objective_is_an_error():
@@ -551,6 +584,21 @@ def test_node_equality_only_supports_eq_and_ne():
 def test_bad_filter_comparison_gives_one_diagnostic(predicate, message):
     with pytest.raises(TypecheckError) as err:
         check_body(f"mappings.srv2srv->filter(m | {predicate})->sum(m | 1) >= 0")
+    assert [d.message for d in err.value.diagnostics] == [message]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("self.mapped |", "self.mapped.x.x.x |", "attribute 'x' read on a non-node value"),
+    ("self.mapped |", "!(-ghost * 2 > 1) |", "unknown name 'ghost'"),
+    ("self.mapped |", "self == 1 |", "cannot compare a node with a number"),
+    ("m.nodes().vl.bw)", "m.nodes().vl.x.y)", "type 'VirtualLink' has no attribute 'x'"),
+    ("sl.resBw / self", "sl.ghost.x / self", "type 'SubstrateLink' has no attribute 'ghost'"),
+], ids=["attribute-chain", "unknown-name", "bad-comparison", "sum-body", "objective"])
+def test_a_fault_gives_one_diagnostic(old, new, message):
+    # the expression's type after its diagnostic is accepted by every later check
+    assert old in TWO_LINKS_SPEC
+    with pytest.raises(TypecheckError) as err:
+        typecheck(parse(TWO_LINKS_SPEC.replace(old, new, 1)), vne_mm())
     assert [d.message for d in err.value.diagnostics] == [message]
 
 
