@@ -52,6 +52,10 @@ class Variable:
 
 
 def _clean(coeffs: dict) -> dict:
+    """`coeffs` without its zero entries; `coeffs` itself when it has none, so
+    every caller passes a dict it owns."""
+    if 0 not in coeffs.values():
+        return coeffs
     return {v: c for v, c in coeffs.items() if c != 0}
 
 
@@ -296,14 +300,15 @@ class _SumIndex:
 
     A filter that starts with key conjuncts (see `_index_plan`) is served from
     a hash index over the mapping's matches, keyed by the bound node ids or
-    the whole match and built on first use; only the rest of the filter is
-    evaluated, on the bucket's matches. Each sum's plan, with its key and
-    rest expressions compiled, is built the first time the sum is lowered.
-    Buckets keep match order, so the coefficients come out in the same order
-    as a scan over every match. Any other filter, or a key that is not a node
-    (a match, for `m == <e>`) or cannot be evaluated, is served by that scan,
-    which then gives the same result or raises the same error as it always
-    did.
+    the whole match; only the rest of the filter is evaluated, on the
+    bucket's matches. Each sum resolves its plan the first time it is
+    lowered and keeps it: its (variable, match) pairs, its key and rest
+    expressions compiled, and its bucket dict, which sums with the same
+    mapping and key nodes share. Buckets keep match order, so the
+    coefficients come out in the same order as a scan over every match. Any
+    other filter, or a key that is not a node (a match, for `m == <e>`) or
+    cannot be evaluated, is served by that scan, which then gives the same
+    result or raises the same error as it always did.
     """
 
     def __init__(self, spec: TypedSpec, table: MappingTable,
@@ -313,7 +318,6 @@ class _SumIndex:
         self.matches = matches_by_rule
         self._pairs: dict[str, list[tuple[str, Match]]] = {}
         self._buckets: dict[tuple, dict] = {}
-        self._plans: dict[_Sum, tuple | None] = {}
 
     def pairs(self, mapping: str) -> list[tuple[str, Match]]:
         """(variable, match) for every match of the mapping, in match order."""
@@ -324,31 +328,45 @@ class _SumIndex:
             self._pairs[mapping] = out
         return out
 
-    def _plan(self, e: A.SetSum) -> tuple | None:
+    def _bucket_dict(self, mapping: str, fields: tuple) -> dict:
+        buckets = self._buckets.get((mapping, fields))
+        if buckets is None:
+            buckets = {}
+            for pair in self.pairs(mapping):
+                bound = dict(pair[1].bound)
+                k = tuple([pair[1] if f is _WHOLE_MATCH else bound[f] for f in fields])
+                buckets.setdefault(k, []).append(pair)
+            self._buckets[(mapping, fields)] = buckets
+        return buckets
+
+    def _plan(self, s: _Sum) -> tuple:
+        """`(pairs, keys, rest, buckets)` for `s`: `keys` is None for a sum
+        served by a scan, whose `rest` is then its whole filter (None:
+        nothing), and otherwise holds `(field, compiled key)` pairs."""
+        e = s.expr
+        everything = self.pairs(e.mapping)
+        if e.filter_pred is None or not everything:
+            return everything, None, None, None
         rule = self.spec.rule_of_mapping(e.mapping)
         plan = _index_plan(e.filter_var, e.filter_pred, rule.lhs.node_names())
         if plan is None:
-            return None
+            return everything, None, s.filter, None
         fields, exprs, rest = plan
-        return (fields, [compile_expr(x) for x in exprs],
-                None if rest is None else compile_expr(rest))
+        return (everything, tuple(zip(fields, map(compile_expr, exprs))),
+                None if rest is None else compile_expr(rest),
+                self._bucket_dict(e.mapping, fields))
 
     def candidates(self, s: _Sum, env: dict, g: Graph):
         """(variable, match) pairs that may pass the filter of `s`, and the
         compiled part of the filter still to be checked on each (None:
         nothing)."""
-        e = s.expr
-        everything = self.pairs(e.mapping)
-        if e.filter_pred is None or not everything:
-            return everything, None
-        if s not in self._plans:
-            self._plans[s] = self._plan(e)
-        plan = self._plans[s]
-        if plan is None:
-            return everything, s.filter
-        fields, keys, rest = plan
+        if s.index is not self:
+            s.index, s.plan = self, self._plan(s)
+        everything, keys, rest, buckets = s.plan
+        if keys is None:
+            return everything, rest
         key = []
-        for field, key_of in zip(fields, keys):
+        for field, key_of in keys:
             try:
                 value = key_of(env, g)
             except Exception:
@@ -361,15 +379,7 @@ class _SumIndex:
                 key.append(value.id)
             else:
                 return everything, s.filter
-        buckets = self._buckets.get((e.mapping, fields))
-        if buckets is None:
-            buckets = {}
-            for pair in everything:
-                bound = dict(pair[1].bound)
-                k = tuple([pair[1] if f is _WHOLE_MATCH else bound[f] for f in fields])
-                buckets.setdefault(k, []).append(pair)
-            self._buckets[(e.mapping, fields)] = buckets
-        return buckets.get(tuple(key), []), rest
+        return buckets.get(tuple(key), ()), rest
 
 
 # --- lowering -------------------------------------------------------------------
@@ -401,6 +411,8 @@ class _Sum:
     def __init__(self, e: A.SetSum):
         self.expr = e
         self.body = compile_expr(e.sum_body)
+        self.index: _SumIndex | None = None  # the index `plan` was resolved by
+        self.plan: tuple | None = None
 
     @cached_property
     def filter(self):
@@ -544,8 +556,12 @@ def to_cnf(lowered) -> Cnf:
     """Distribute a lowered Boolean tree into CNF; atoms pass through unchanged.
 
     `true` gives an empty CNF; `false` gives one empty clause. Tautological
-    clauses are dropped, duplicate literals and clauses are merged.
+    clauses are dropped, duplicate literals and clauses are merged. A lone
+    literal is its own one clause.
     """
+    if isinstance(lowered, Literal):
+        return Cnf(((lowered,),))
+
     def clauses_of(node) -> list[tuple[Literal, ...]]:
         if node == _TRUE:
             return []
@@ -595,15 +611,19 @@ def _leq_form(atom: Atom) -> LinearTerm:
     return term
 
 
+_DIRECT_REL = {"==": "=", "<=": "<=", "<": "<=", ">=": ">=", ">": ">="}
+
+
 def _direct_rows(atom: Atom) -> list[Row]:
-    if atom.op == "==":
-        return [Row(dict(atom.term.coeffs), "=", -atom.term.constant)]
-    if atom.op in ("<=", "<"):
-        f = _leq_form(atom)
-        return [Row(dict(f.coeffs), "<=", -f.constant)]
-    # >= or >: keep orientation for readability
-    f = _leq_form(atom).scale(-1)
-    return [Row(dict(f.coeffs), ">=", -f.constant)]
+    """The one row of `term <op> 0`, in the orientation of `op`; a strict
+    op moves the right-hand side by its exactness margin."""
+    term, op = atom.term, atom.op
+    rhs = -term.constant
+    if op == "<":
+        rhs = -(term.constant + (1 if term.int_valued() else REAL_EPS))
+    elif op == ">":
+        rhs = -term.constant + (1 if term.int_valued() else REAL_EPS)
+    return [Row(dict(term.coeffs), _DIRECT_REL[op], rhs)]
 
 
 def _indicator_rows(f: LinearTerm, v: str, upper: bool = True,

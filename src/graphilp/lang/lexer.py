@@ -25,6 +25,11 @@ class Token:
     def __repr__(self):
         return f"Token({self.kind}, {self.value!r}, {self.line}:{self.col})"
 
+    def shown(self) -> str:
+        """The token as an error message quotes it: its value, or `end of
+        input` for EOF."""
+        return "end of input" if self.kind == "EOF" else repr(self.value)
+
 
 # Longest first so '->' wins over '-', '<=' over '<', etc.
 _OPERATORS = (
@@ -151,5 +156,7 @@ class TokenStream:
             return self.advance()
         expected = " or ".join(f"'{k}'" if k not in ("IDENT", "INT", "REAL", "STRING", "EOF") else k
                                for k in kinds)
-        got = tok.kind if tok.kind in ("IDENT", "INT", "REAL", "STRING", "EOF") else f"'{tok.kind}'"
+        got = ("end of input" if tok.kind == "EOF"
+               else tok.kind if tok.kind in ("IDENT", "INT", "REAL", "STRING")
+               else f"'{tok.kind}'")
         raise self.error(f"expected {expected}, got {got}", tok.line, tok.col)

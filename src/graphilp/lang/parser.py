@@ -66,7 +66,7 @@ class _Parser(TokenStream):
     def ident(self, what: str = "identifier") -> Token:
         tok = self.current
         if tok.kind != "IDENT":
-            raise DslSyntaxError(f"expected {what}, got {tok.value!r}", tok.line, tok.col)
+            raise DslSyntaxError(f"expected {what}, got {tok.shown()}", tok.line, tok.col)
         return self.advance()
 
     # -- declarations ---------------------------------------------------------
@@ -92,7 +92,7 @@ class _Parser(TokenStream):
             else:
                 raise DslSyntaxError(
                     f"expected 'rule', 'mapping', 'constraint', 'objective' or "
-                    f"'global', got {tok.value!r}", tok.line, tok.col)
+                    f"'global', got {tok.shown()}", tok.line, tok.col)
         if global_obj is None:
             end = self.current
             raise DslSyntaxError("missing global objective", end.line, end.col)
@@ -311,7 +311,7 @@ class _Parser(TokenStream):
         if tok.kind == "IDENT":
             self.advance()
             return Name(tok.value, _pos(tok))
-        raise DslSyntaxError(f"expected an expression, got {tok.value!r}",
+        raise DslSyntaxError(f"expected an expression, got {tok.shown()}",
                              tok.line, tok.col)
 
     def set_sum(self) -> SetSum:

@@ -153,8 +153,9 @@ class Edge:
 class Graph:
     """Instance graph conforming to a metamodel.
 
-    Treated as immutable once constructed; all mutation goes through
-    `apply_delta`, which returns a fresh graph. Adjacency indexes are built
+    Treated as immutable once constructed: only `__init__` writes `nodes`
+    and `edges`, and all mutation goes through `apply_delta`, which returns a
+    fresh graph. The adjacency indexes and the per-type node pools are built
     lazily and cached, which is safe under that contract.
     """
 
@@ -174,16 +175,25 @@ class Graph:
         # edge type -> node id -> its outgoing / incoming edges, by edge id
         self._out: dict[str, dict[str, list[Edge]]] | None = None
         self._in: dict[str, dict[str, list[Edge]]] | None = None
+        # node type -> the nodes conforming to it, by id
+        self._pools: dict[str, tuple[Node, ...]] | None = None
         if validate:
             validate_graph(self)
 
     def attr(self, node_id: str, name: str):
         return self.nodes[node_id].attrs[name]
 
-    def nodes_of_type(self, type_name: str) -> list[Node]:
-        """Nodes whose type conforms to `type_name`, sorted by id."""
-        return [self.nodes[i] for i in sorted(self.nodes)
-                if self.mm.conforms(self.nodes[i].type, type_name)]
+    def nodes_of_type(self, type_name: str) -> tuple[Node, ...]:
+        """Nodes whose type conforms to `type_name`, sorted by id. The pools of
+        every type are built together on the first call."""
+        if self._pools is None:
+            pools: dict[str, list[Node]] = {}
+            for i in sorted(self.nodes):
+                nd = self.nodes[i]
+                for t in self.mm._chain[nd.type]:
+                    pools.setdefault(t, []).append(nd)
+            self._pools = {t: tuple(pool) for t, pool in pools.items()}
+        return self._pools.get(type_name, ())
 
     def _index(self):
         if self._out is None:
@@ -330,7 +340,7 @@ def _parse_value(ts: TokenStream):
         ts.advance()
         num = ts.expect("INT", "REAL")
         return -num.value
-    raise ModelParseError(f"expected attribute value, got {tok.value!r}", tok.line, tok.col)
+    raise ModelParseError(f"expected attribute value, got {tok.shown()}", tok.line, tok.col)
 
 
 def _parse_name(ts: TokenStream) -> str:
@@ -338,7 +348,7 @@ def _parse_name(ts: TokenStream) -> str:
     if tok.kind in ("IDENT", "STRING") or tok.kind in _KEYWORDS:
         ts.advance()
         return str(tok.value)
-    raise ModelParseError(f"expected a name, got {tok.value!r}", tok.line, tok.col)
+    raise ModelParseError(f"expected a name, got {tok.shown()}", tok.line, tok.col)
 
 
 def _parse_attr_block(ts: TokenStream, parse_kind: bool):

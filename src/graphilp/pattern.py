@@ -120,88 +120,104 @@ def _condition_holds(g: Graph, p: Pattern, binding: dict[str, str],
     return result
 
 
-def _edges_ok(g: Graph, p: Pattern, binding: dict[str, str],
-              only_with: str | None = None) -> bool:
-    for pe in p.edges:
-        if only_with is not None and only_with not in (pe.src, pe.tgt):
-            continue
-        src = binding.get(pe.src)
-        tgt = binding.get(pe.tgt)
-        if src is None or tgt is None:
-            continue
-        if not g.has_edge(pe.type, src, tgt):
-            return False
-    return True
+def _search_order(p: Pattern, pool_size: dict[str, int]) -> list[tuple]:
+    """The order in which `find_matches` binds the nodes of `p`, most
+    constrained first: the node with the most pattern edges to nodes already
+    bound, then the smallest candidate pool, then the name. Which node that
+    is depends only on which nodes are bound, so every branch of the search
+    binds the nodes in this one order.
 
-
-def find_matches(g: Graph, p: Pattern) -> list[Match]:
-    """All matches of `p` in `g`, sorted by bound ids.
-
-    Backtracking assignment, most-constrained pattern node first: prefer
-    nodes adjacent to the partial binding (their candidates come from the
-    adjacency index), smallest candidate pool breaking ties. An EvalError in
-    the condition becomes a PatternError naming the rule and the binding.
+    Each step is `(name, anchors, checks)`: `anchors` are the edges to bound
+    nodes that can supply candidates, as `(edge type, outgoing, other node)`
+    in edge order; `checks` are the edges a candidate must realize once it
+    is bound, as `(edge type, source, target)`: every edge between it and a
+    node bound before it, and its self-loops. A step with one anchor takes
+    its candidates along that edge, so the edge is not checked again.
     """
-    mm = g.mm
-    pools: dict[str, list[str]] = {}
-    for pn in p.nodes:
-        pools[pn.name] = [n.id for n in g.nodes_of_type(pn.type)]
-        if not pools[pn.name]:
-            return []
-
     neighbors: dict[str, list[tuple[PatternEdge, bool]]] = {n.name: [] for n in p.nodes}
     for pe in p.edges:
         neighbors[pe.src].append((pe, True))   # outgoing from this node
         neighbors[pe.tgt].append((pe, False))
 
-    ptype = {n.name: n.type for n in p.nodes}
+    def other(pe: PatternEdge, outgoing: bool) -> str:
+        return pe.tgt if outgoing else pe.src
+
+    bound: set[str] = set()
+
+    def score(name: str):
+        anchored = sum(1 for pe, outgoing in neighbors[name] if other(pe, outgoing) in bound)
+        return (-anchored, pool_size[name], name)
+
+    steps = []
+    for _ in p.nodes:
+        name = min((n.name for n in p.nodes if n.name not in bound), key=score)
+        anchors = tuple((pe.type, outgoing, other(pe, outgoing))
+                        for pe, outgoing in neighbors[name] if other(pe, outgoing) in bound)
+        bound.add(name)
+        checks = [(pe.type, pe.src, pe.tgt) for pe in p.edges
+                  if name in (pe.src, pe.tgt) and pe.src in bound and pe.tgt in bound]
+        if len(anchors) == 1:
+            edge_type, outgoing, far = anchors[0]
+            given = (edge_type, name, far) if outgoing else (edge_type, far, name)
+            checks = [c for c in checks if c != given]
+        steps.append((name, anchors, tuple(checks)))
+    return steps
+
+
+def find_matches(g: Graph, p: Pattern) -> list[Match]:
+    """All matches of `p` in `g`, sorted by bound ids.
+
+    Backtracking assignment in one search order fixed per call (see
+    `_search_order`): a node adjacent to bound nodes takes its candidates
+    from the adjacency index, along the edge that gives the fewest, and a
+    candidate is kept only if it realizes the step's edges. An EvalError in
+    the condition becomes a PatternError naming the rule and the binding.
+    """
+    pools: dict[str, list[str]] = {}
+    for pn in p.nodes:
+        pools[pn.name] = [n.id for n in g.nodes_of_type(pn.type)]
+        if not pools[pn.name]:
+            return []
+    steps = _search_order(p, {name: len(pool) for name, pool in pools.items()})
+    members = {name: set(pool) for name, pool in pools.items()}
     # every candidate conforms to its pattern node's type, so it is in a pool
     refs = {gid: NodeRef(gid) for pool in pools.values() for gid in pool}
     results: list[Match] = []
+    binding: dict[str, str] = {}
+    used: set[str] = set()
+    complete = len(steps)
 
-    def candidates(name: str, binding: dict[str, str]) -> list[str]:
+    def candidates(name: str, anchors: tuple) -> list[str]:
         best: list[str] | None = None
-        for pe, outgoing in neighbors[name]:
-            other = pe.tgt if outgoing else pe.src
-            anchor = binding.get(other)
-            if anchor is None:
-                continue
+        member = members[name]
+        for edge_type, outgoing, other in anchors:
+            anchor = binding[other]
             if outgoing:
-                cands = [e.src for e in g.in_edges(anchor, pe.type)]
+                cands = sorted({e.src for e in g.in_edges(anchor, edge_type) if e.src in member})
             else:
-                cands = [e.tgt for e in g.out_edges(anchor, pe.type)]
-            cands = sorted({c for c in cands
-                            if mm.conforms(g.nodes[c].type, ptype[name])})
+                cands = sorted({e.tgt for e in g.out_edges(anchor, edge_type) if e.tgt in member})
             if best is None or len(cands) < len(best):
                 best = cands
-        return best if best is not None else pools[name]
+        return best
 
-    def pick_next(binding: dict[str, str]) -> str:
-        unbound = [n.name for n in p.nodes if n.name not in binding]
-        def score(name: str):
-            anchored = sum(1 for pe, outgoing in neighbors[name]
-                           if (pe.tgt if outgoing else pe.src) in binding)
-            return (-anchored, len(pools[name]), name)
-        return min(unbound, key=score)
-
-    def backtrack(binding: dict[str, str]):
-        if len(binding) == len(p.nodes):
+    def backtrack(depth: int):
+        if depth == complete:
             if _condition_holds(g, p, binding, refs):
                 results.append(Match.of(p, binding))
             return
-        name = pick_next(binding)
-        used = set(binding.values())
-        for gid in candidates(name, binding):
+        name, anchors, checks = steps[depth]
+        for gid in candidates(name, anchors) if anchors else pools[name]:
             if gid in used:
                 continue
             binding[name] = gid
-            if _edges_ok(g, p, binding, only_with=name):
-                backtrack(binding)
+            if all(g.has_edge(t, binding[s], binding[u]) for t, s, u in checks):
+                used.add(gid)
+                backtrack(depth + 1)
+                used.discard(gid)
             del binding[name]
 
-    binding: dict[str, str] = {}
     try:
-        backtrack(binding)
+        backtrack(0)
     except EvalError as exc:
         # backtracking stops at the error, so `binding` is the one it failed on
         raise PatternError(f"{_where(p.name, 'condition', binding)}: {exc}") from None
@@ -227,7 +243,7 @@ def revalidate(g: Graph, m: Match) -> bool:
         node = g.nodes.get(gid)
         if node is None or not g.mm.conforms(node.type, pn.type):
             return False
-    if not _edges_ok(g, p, binding):
+    if not all(g.has_edge(pe.type, binding[pe.src], binding[pe.tgt]) for pe in p.edges):
         return False
     try:
         return _condition_holds(g, p, binding, {gid: NodeRef(gid) for gid in seen})

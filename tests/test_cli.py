@@ -104,6 +104,15 @@ def test_check_model_ending_inside_a_record_names_the_end(two_links, tmp_path, c
     assert capsys.readouterr().err == f"error: {model}:1:21: unexpected end of input in node\n"
 
 
+def test_check_spec_ending_inside_a_body_names_the_end(two_links, tmp_path, capsys):
+    model, _ = two_links
+    spec = tmp_path / "cut.gipsl"
+    spec.write_text("global objective : min {\n")
+    assert main(["check", "--model", str(model), "--spec", str(spec)]) == 1
+    assert capsys.readouterr().err == (f"error: {spec}:2:1: expected an expression, "
+                                       "got end of input\n")
+
+
 def test_generate_dumps_rows(two_links, capsys):
     model, spec = two_links
     assert main(["generate", "--model", str(model), "--spec", str(spec)]) == 0

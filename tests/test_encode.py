@@ -236,6 +236,58 @@ def test_false_gives_empty_clause():
     assert to_cnf(("const", False)).clauses == ((),)
 
 
+@pytest.mark.parametrize("positive", [True, False], ids=["positive", "negated"])
+def test_a_lone_literal_is_its_own_clause(positive):
+    alloc = _Alloc()
+    lit = Literal(atom(alloc, "<=", {"x": 2, "y": -1}, 1), positive)
+    cnf = to_cnf(lit)
+    assert cnf.clauses == ((lit,),) and cnf.clauses[0][0] is lit
+    assert cnf == to_cnf(("or", lit, ("const", False))) == to_cnf(("and", ("const", True), lit))
+
+
+# --- rows --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("op, rel, rhs", [("==", "=", -5), ("<=", "<=", -5), (">=", ">=", -5),
+                                          ("<", "<=", -6), (">", ">=", -4)])
+def test_direct_row_of_an_integer_term(op, rel, rhs):
+    term = LinearTerm({"x": 2, "y": -3}, 5)
+    [row] = encode_mod._direct_rows(_Alloc().atom(op, term))
+    assert (row.rel, list(row.coeffs.items()), row.rhs) == (rel, [("x", 2), ("y", -3)], rhs)
+    assert all(type(c) is int for c in row.coeffs.values()) and type(row.rhs) is int
+    assert row.coeffs is not term.coeffs and term == LinearTerm({"x": 2, "y": -3}, 5)
+
+
+@pytest.mark.parametrize("op, rel, rhs", [("==", "=", -1.25), ("<=", "<=", -1.25),
+                                          (">=", ">=", -1.25), ("<", "<=", -(1.25 + 1e-6)),
+                                          (">", ">=", -1.25 + 1e-6)])
+def test_direct_row_of_a_real_term(op, rel, rhs):
+    term = LinearTerm({"x": 0.5, "y": -3}, 1.25)
+    [row] = encode_mod._direct_rows(_Alloc().atom(op, term))
+    assert (row.rel, list(row.coeffs.items()), row.rhs) == (rel, [("x", 0.5), ("y", -3)], rhs)
+    assert type(row.coeffs["y"]) is int and type(row.rhs) is float
+
+
+def test_linear_term_arithmetic_neither_aliases_nor_mutates_its_operands():
+    t = LinearTerm({"x": 1, "y": 2}, 3)
+    u = LinearTerm({"y": -2, "z": 1.5}, 1)
+    results = [t.add(u), t.sub(u), u.sub(u), t.scale(1), t.scale(0), t.scale(-1),
+               LinearTerm.const(4).add(LinearTerm.const(5))]
+    assert [(list(r.coeffs.items()), r.constant) for r in results] == [
+        ([("x", 1), ("z", 1.5)], 4), ([("x", 1), ("y", 4), ("z", -1.5)], 2), ([], 0),
+        ([("x", 1), ("y", 2)], 3), ([], 0), ([("x", -1), ("y", -2)], -3), ([], 9)]
+    for r in results:
+        assert r.coeffs is not t.coeffs and r.coeffs is not u.coeffs
+        r.coeffs["w"] = 7
+    assert t == LinearTerm({"x": 1, "y": 2}, 3) and u == LinearTerm({"y": -2, "z": 1.5}, 1)
+    assert len({id(r.coeffs) for r in results}) == len(results)
+
+
+def test_rows_drop_zero_coefficients_without_touching_the_given_dict():
+    given = {"x": 1, "y": 0, "z": 0.0}
+    row = Row(given, "<=", 1)
+    assert row.coeffs == {"x": 1} and given == {"x": 1, "y": 0, "z": 0.0}
+
+
 def truth_table(node, atoms):
     rows = {}
     for values in itertools.product([False, True], repeat=len(atoms)):

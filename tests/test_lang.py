@@ -138,6 +138,19 @@ def test_syntax_error_has_location_and_expectation():
     assert "expected" in err.value.message
 
 
+@pytest.mark.parametrize("text, line, col, message", [
+    ("global objective : min {\n", 2, 1, "expected an expression, got end of input"),
+    ("global objective : min { 1 +", 1, 29, "expected an expression, got end of input"),
+    ("rule", 1, 5, "expected rule name, got end of input"),
+    ("rule r {\n  nodes { a", 2, 12, "expected ':', got end of input"),
+    ("objective o -> class::", 1, 23, "expected context target, got end of input"),
+])
+def test_end_of_input_is_named_as_such(text, line, col, message):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
 def test_operator_precedence():
     e = parse_expression("1 + 2 * 3 - 4 / 2")
     # ((1 + (2*3)) - (4/2))

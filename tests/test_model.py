@@ -124,6 +124,20 @@ def test_parse_error_carries_location():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("cut, col, message", [
+    ("nodes { node { id:", 19, "expected a name, got end of input"),
+    ("nodes { node { id: t9 type: Task attrs { cpu:", 46,
+     "expected attribute value, got end of input"),
+    ("nodes { node { id: t9 type: Task attrs { cpu: -", 48,
+     "expected INT or REAL, got end of input"),
+])
+def test_end_of_input_is_named_as_such(cut, col, message):
+    with pytest.raises(ModelParseError) as err:
+        load_model(TASK_DOC + cut)
+    line = TASK_DOC.count("\n") + 1
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
 def test_instance_attribute_values_readable():
     # substrate link with total 1000 and residual 900, virtual link demanding 100
     doc = VNE_SCHEMA + """
@@ -308,3 +322,38 @@ def test_load_model_parses_the_document_once(monkeypatch):
     mm, g = load_model(TWO_LINKS_MODEL)
     assert len(calls) == 1
     assert g.mm is mm and g.attr("sl2", "resBw") == 500
+
+
+def test_nodes_of_type_is_sorted_and_follows_supertypes():
+    mm, g = load_model(TASK_DOC)
+    assert [n.id for n in g.nodes_of_type("Server")] == ["s1", "s2"]
+    assert [n.id for n in g.nodes_of_type("Element")] == ["s1", "s2", "t1", "t2"]
+    assert g.nodes_of_type("host") == () and g.nodes_of_type("Nothing") == ()
+    assert Graph(mm).nodes_of_type("Task") == ()
+
+
+def test_nodes_of_type_cannot_be_changed_through_its_result():
+    _, g = load_model(TASK_DOC)
+    pool = g.nodes_of_type("Task")
+    assert isinstance(pool, tuple)
+    as_list = list(pool)
+    as_list.append(g.nodes["s1"])
+    as_list.reverse()
+    assert [n.id for n in g.nodes_of_type("Task")] == ["t1", "t2"]
+
+
+def test_a_delta_that_creates_or_deletes_a_node_gets_its_own_pools():
+    _, g = load_model(TASK_DOC)
+    before = [n.id for n in g.nodes_of_type("Task")]
+    grown = apply_delta(g, GraphDelta(created_nodes=(
+        Node("t0", "Task", {"cpu": 1, "placed": False}),)))
+    shrunk = apply_delta(g, GraphDelta(deleted_nodes=("t1", "s2")))
+    assert [n.id for n in grown.nodes_of_type("Task")] == ["t0", "t1", "t2"]
+    assert [n.id for n in grown.nodes_of_type("Element")] == ["s1", "s2", "t0", "t1", "t2"]
+    assert [n.id for n in shrunk.nodes_of_type("Task")] == ["t2"]
+    assert [n.id for n in shrunk.nodes_of_type("Server")] == ["s1"]
+    assert [n.id for n in g.nodes_of_type("Task")] == before == ["t1", "t2"]
+    # an attribute update keeps the node's place and shows its new value
+    updated = apply_delta(g, GraphDelta(attr_updates=(("t2", "cpu", 9),)))
+    assert [n.attrs["cpu"] for n in updated.nodes_of_type("Task")] == [4, 9]
+    assert [n.attrs["cpu"] for n in g.nodes_of_type("Task")] == [4, 7]

@@ -4,10 +4,12 @@ import pytest
 
 from graphilp import (Edge, Graph, GraphDelta, Node, apply_delta, apply_rule,
                       find_matches, load_model, revalidate)
+from graphilp.lang.eval import EvalError, NodeRef, compile_expr
 from graphilp.lang.parser import parse, parse_expression
 from graphilp.lang.typecheck import typecheck
 from graphilp.vne_model import two_links_model, two_links_spec, vne_metamodel
-from graphilp.pattern import Match, Pattern, PatternError, PatternNode, StaleMatchError
+from graphilp.pattern import (Match, Pattern, PatternEdge, PatternError, PatternNode,
+                              StaleMatchError)
 
 from conftest import (TASK_DOC, TASK_SPEC, brute_matches, random_graph,
                       random_pattern)
@@ -258,3 +260,160 @@ def test_evaluation_errors_name_the_rule_and_the_binding(task_model):
     with pytest.raises(PatternError, match="^rule 'place', action 'create node n, placed' "
                                            "on s=s1 t=t1: division by zero$"):
         apply_rule(g, rule, m)
+
+
+# --- the search order ----------------------------------------------------------
+
+ATTR_OF = {"T0": "x", "T1": "x", "T2": "z"}
+
+
+def dense_graph(rng: random.Random, mm, types: list[str], p_edge: float) -> Graph:
+    """One node per entry of `types` (MATCH_DOC types), every allowed edge
+    with chance `p_edge` (self-loops included), sometimes twice."""
+    nodes = [Node(f"n{i}", t, {"x": rng.randint(0, 4), "y": 0} if t == "T1" else
+                  {ATTR_OF[t]: rng.randint(0, 4)})
+             for i, t in enumerate(types)]
+    edges = []
+    for src in nodes:
+        for tgt in nodes:
+            if src.type == "T2" or rng.random() >= p_edge:
+                continue
+            kind = "b" if tgt.type == "T2" else "a"
+            for _ in range(rng.choice([1, 1, 2])):
+                edges.append(Edge(f"e{len(edges)}", kind, src.id, tgt.id))
+    return Graph(mm, nodes, edges)
+
+
+def link2link_shaped(rng: random.Random, extra: int) -> Pattern:
+    """Six nodes as in `link2link`, two stars of an `a` and a `b` edge, plus
+    `extra` random edges: parallel edges, self-loops, and edges between
+    nodes that the search binds far apart."""
+    types = [rng.choice(["T0", "T1"]), rng.choice(["T0", "T1"]), "T2"] * 2
+    nodes = tuple(PatternNode(f"p{i}", t) for i, t in enumerate(types))
+    ends = [(0, 1), (0, 2), (3, 4), (3, 5)]
+    for _ in range(extra):
+        ends.append((rng.choice([0, 1, 3, 4]), rng.randrange(6)))
+    edges = tuple(PatternEdge(f"q{k}", "b" if types[t] == "T2" else "a", f"p{s}", f"p{t}")
+                  for k, (s, t) in enumerate(ends))
+    return Pattern("shaped", nodes, edges, raising_condition(rng, nodes))
+
+
+def raising_condition(rng: random.Random, nodes):
+    """A condition that is false on some bindings and, for some graphs,
+    divides by zero on some bindings but not on others."""
+    a, b = rng.sample(nodes, 2)
+    return parse_expression(f"{a.name}.{ATTR_OF[a.type]} / ({b.name}.{ATTR_OF[b.type]}"
+                            f" - {rng.randint(0, 6)}) >= 0")
+
+
+def rescored_bindings(g: Graph, p: Pattern) -> list[dict]:
+    """Every injective, typed binding that realizes the edges of `p`, in the
+    order of a backtracking search that scores the unbound nodes again at
+    every branch (most edges to bound nodes, then smallest pool, then name)
+    and tries candidates by id."""
+    pools = {pn.name: [n.id for n in g.nodes_of_type(pn.type)] for pn in p.nodes}
+
+    def score(name, binding):
+        anchored = sum((pe.src == name and pe.tgt in binding)
+                       + (pe.tgt == name and pe.src in binding) for pe in p.edges)
+        return -anchored, len(pools[name]), name
+
+    def extend(binding):
+        if len(binding) == len(p.nodes):
+            yield dict(binding)
+            return
+        name = min((pn.name for pn in p.nodes if pn.name not in binding),
+                   key=lambda n: score(n, binding))
+        for gid in pools[name]:
+            if gid in binding.values():
+                continue
+            binding[name] = gid
+            if all(g.has_edge(pe.type, binding[pe.src], binding[pe.tgt])
+                   for pe in p.edges if pe.src in binding and pe.tgt in binding):
+                yield from extend(binding)
+            del binding[name]
+    return list(extend({}))
+
+
+def rescored_outcome(g: Graph, p: Pattern):
+    """(bindings whose condition holds, None), or (None, the PatternError
+    text for the first binding whose condition raises)."""
+    condition = compile_expr(p.condition)
+    found = []
+    for binding in rescored_bindings(g, p):
+        try:
+            holds = condition({k: NodeRef(v) for k, v in binding.items()}, g)
+        except EvalError as exc:
+            where = " ".join(f"{k}={v}" for k, v in sorted(binding.items()))
+            return None, f"rule {p.name!r}, condition on {where}: {exc}"
+        if holds:
+            found.append(tuple(sorted(binding.items())))
+    return found, None
+
+
+def test_six_node_patterns_match_as_brute_force_finds(match_mm):
+    rng = random.Random(2024)
+    compared = nonempty = 0
+    for _ in range(40):
+        types = ["T0", "T1", "T2", "T0", "T1", "T2", rng.choice(["T0", "T1", "T2"])]
+        rng.shuffle(types)
+        g = dense_graph(rng, match_mm, types, 0.6)
+        p = link2link_shaped(rng, rng.randint(0, 3))
+        try:
+            found = find_matches(g, p)
+        except PatternError:
+            continue
+        compared += 1
+        assert binding_set(found) == brute_matches(g, p)
+        assert len(found) == len(binding_set(found))
+        nonempty += len(found) > 0
+    assert compared >= 20 and nonempty >= 8
+
+
+def test_search_order_reports_what_rescoring_every_branch_reports(match_mm):
+    rng = random.Random(99)
+    outcomes = {"matches": 0, "raised": 0}
+    for _ in range(60):
+        types = [rng.choice(["T0", "T1", "T2"]) for _ in range(rng.randint(10, 14))]
+        g = dense_graph(rng, match_mm, types, rng.choice([0.35, 0.5]))
+        p = link2link_shaped(rng, rng.randint(0, 4))
+        expected, message = rescored_outcome(g, p)
+        if message is None:
+            got = [m.bound for m in find_matches(g, p)]
+            assert sorted(got) == sorted(expected) and len(got) == len(expected)
+            outcomes["matches"] += len(got) > 0
+        else:
+            with pytest.raises(PatternError) as err:
+                find_matches(g, p)
+            assert str(err.value) == message
+            outcomes["raised"] += 1
+    assert outcomes["matches"] >= 10 and outcomes["raised"] >= 10
+
+
+def test_first_failing_binding_is_pinned(match_mm):
+    # bound in the order c, w, u, d, s, v: the binding u=t1 v=t2 is false,
+    # u=t1 v=t3 holds, and u=t2 v=t1 is the first to divide by zero
+    x = {"h1": 0, "h2": 0, "t1": 3, "t2": 1, "t3": 5}
+    nodes = [Node(n, "T1" if n[0] == "h" else "T0", {"x": v, "y": 0} if n[0] == "h" else {"x": v})
+             for n, v in x.items()] + [Node(z, "T2", {"z": 0}) for z in ("z1", "z2")]
+    ends = [("a", h, t) for h in ("h1", "h2") for t in ("t1", "t2", "t3")]
+    ends += [("b", "h1", "z1"), ("b", "h2", "z2")]
+    g = Graph(match_mm, nodes, [Edge(f"e{k}", *end) for k, end in enumerate(ends)])
+    types = {"c": "T1", "u": "T0", "w": "T2", "d": "T1", "v": "T0", "s": "T2"}
+    p = Pattern("shaped", tuple(PatternNode(n, t) for n, t in types.items()),
+                tuple(PatternEdge(f"q{k}", kind, src, tgt) for k, (kind, src, tgt) in
+                      enumerate([("a", "c", "u"), ("b", "c", "w"), ("a", "d", "v"),
+                                 ("b", "d", "s")])),
+                parse_expression("u.x / (v.x - 3) >= 0"))
+    with pytest.raises(PatternError) as err:
+        find_matches(g, p)
+    assert str(err.value) == ("rule 'shaped', condition on c=h1 d=h2 s=z2 u=t2 v=t1 w=z1: "
+                              "division by zero")
+    assert rescored_outcome(g, p) == (None, str(err.value))
+    holds = Pattern(p.name, p.nodes, p.edges, parse_expression("u.x / (v.x - 4) >= 0"))
+    # holds exactly when v=t3; sorted by bound ids, then in pattern node order
+    assert [m.binding for m in find_matches(g, holds)] == [
+        {"c": "h1", "d": "h2", "s": "z2", "u": "t1", "v": "t3", "w": "z1"},
+        {"c": "h2", "d": "h1", "s": "z1", "u": "t1", "v": "t3", "w": "z2"},
+        {"c": "h1", "d": "h2", "s": "z2", "u": "t2", "v": "t3", "w": "z1"},
+        {"c": "h2", "d": "h1", "s": "z1", "u": "t2", "v": "t3", "w": "z2"}]
