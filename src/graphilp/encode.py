@@ -2,10 +2,11 @@
 
 One binary variable per (mapping, match) pair. Each constraint and objective
 body is compiled once per `generate` call into closures, which then run per
-context element: mapping sums are lowered to linear terms with generation-time
-coefficients (filters that start with key comparisons are served from a
-hash index over the matches), and the remaining Boolean structure is put
-into conjunctive normal form and linearized:
+context element against the call's one lowering context (`_Lowerer`): mapping
+sums are lowered to linear terms with generation-time coefficients (filters
+that start with key comparisons are served from a hash index over the
+matches, which constraints and objective share), and the remaining Boolean
+structure is put into conjunctive normal form and linearized:
 
 * a conjunction of bare relations becomes one inequality per relation
   (the fast path, no auxiliary variables);
@@ -23,7 +24,7 @@ docs/encoding.md.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .lang import ast as A
@@ -107,6 +108,7 @@ class MappingTable:
     def __init__(self):
         self._by_var: dict[str, tuple[str, Match]] = {}
         self._by_key: dict[tuple[str, Match], str] = {}
+        self._pairs: dict[str, list[tuple[str, Match]]] = {}
 
     def add(self, var_id: str, mapping: str, match: Match):
         key = (mapping, match)
@@ -114,6 +116,12 @@ class MappingTable:
             raise GenerationError(f"mapping table entry for {var_id!r} not bijective")
         self._by_var[var_id] = (mapping, match)
         self._by_key[key] = var_id
+        self._pairs.setdefault(mapping, []).append((var_id, match))
+
+    def pairs(self, mapping: str) -> list[tuple[str, Match]]:
+        """(variable, match) for every match of the mapping, in the order
+        added, which `instantiate_mappings` makes match order."""
+        return self._pairs.get(mapping, [])
 
     def match_of(self, var_id: str) -> tuple[str, Match]:
         return self._by_var[var_id]
@@ -294,45 +302,47 @@ def _index_plan(var: str, pred, rule_nodes) -> tuple | None:
     return tuple(fields), exprs, rest
 
 
-class _SumIndex:
-    """Mapping-sum candidates for one `generate` call, shared by every
-    constraint (the objective builds its own).
+# --- lowering -------------------------------------------------------------------
+
+class _Lowerer:
+    """The state of one `generate` call, which the compiled lowering closures
+    `f(env, low)` of every constraint and objective body run against: the
+    spec, the graph, the mapping table, the allocator and the mapping-sum
+    buckets.
+
+    A body is compiled once per `generate` call, and which of its
+    subexpressions contain a mapping sum is decided then. Only those are
+    lowered: the sum itself, unary `-` and `+ - * /` over linear terms, `!`,
+    `&` and `|`, and relations. Every sum-free subexpression is a
+    generation-time value compiled whole by `compile_expr`, so a sum-free
+    `&`/`|` short-circuits as it does in filters. A sum under any other
+    operator compiles to a closure that raises GenerationError.
 
     A filter that starts with key conjuncts (see `_index_plan`) is served from
     a hash index over the mapping's matches, keyed by the bound node ids or
     the whole match; only the rest of the filter is evaluated, on the
     bucket's matches. Each sum resolves its plan the first time it is
     lowered and keeps it: its (variable, match) pairs, its key and rest
-    expressions compiled, and its bucket dict, which sums with the same
-    mapping and key nodes share. Buckets keep match order, so the
-    coefficients come out in the same order as a scan over every match. Any
-    other filter, or a key that is not a node (a match, for `m == <e>`) or
-    cannot be evaluated, is served by that scan, which then gives the same
-    result or raises the same error as it always did.
+    expressions compiled, and its bucket dict, which every sum with the same
+    mapping and key nodes shares, constraint or objective. Buckets keep match
+    order, so the coefficients come out in the same order as a scan over
+    every match. Any other filter, or a key that is not a node (a match, for
+    `m == <e>`) or cannot be evaluated, is served by that scan, which then
+    gives the same result or raises the same error as it always did.
     """
 
-    def __init__(self, spec: TypedSpec, table: MappingTable,
-                 matches_by_rule: dict[str, list[Match]]):
+    def __init__(self, spec: TypedSpec, g: Graph, table: MappingTable):
         self.spec = spec
+        self.g = g
         self.table = table
-        self.matches = matches_by_rule
-        self._pairs: dict[str, list[tuple[str, Match]]] = {}
+        self.alloc = _Alloc()
         self._buckets: dict[tuple, dict] = {}
-
-    def pairs(self, mapping: str) -> list[tuple[str, Match]]:
-        """(variable, match) for every match of the mapping, in match order."""
-        out = self._pairs.get(mapping)
-        if out is None:
-            rule = self.spec.mapping(mapping).rule
-            out = [(self.table.var_of(mapping, m), m) for m in self.matches[rule]]
-            self._pairs[mapping] = out
-        return out
 
     def _bucket_dict(self, mapping: str, fields: tuple) -> dict:
         buckets = self._buckets.get((mapping, fields))
         if buckets is None:
             buckets = {}
-            for pair in self.pairs(mapping):
+            for pair in self.table.pairs(mapping):
                 bound = dict(pair[1].bound)
                 k = tuple([pair[1] if f is _WHOLE_MATCH else bound[f] for f in fields])
                 buckets.setdefault(k, []).append(pair)
@@ -344,7 +354,7 @@ class _SumIndex:
         served by a scan, whose `rest` is then its whole filter (None:
         nothing), and otherwise holds `(field, compiled key)` pairs."""
         e = s.expr
-        everything = self.pairs(e.mapping)
+        everything = self.table.pairs(e.mapping)
         if e.filter_pred is None or not everything:
             return everything, None, None, None
         rule = self.spec.rule_of_mapping(e.mapping)
@@ -356,19 +366,19 @@ class _SumIndex:
                 None if rest is None else compile_expr(rest),
                 self._bucket_dict(e.mapping, fields))
 
-    def candidates(self, s: _Sum, env: dict, g: Graph):
+    def candidates(self, s: _Sum, env: dict):
         """(variable, match) pairs that may pass the filter of `s`, and the
         compiled part of the filter still to be checked on each (None:
         nothing)."""
-        if s.index is not self:
-            s.index, s.plan = self, self._plan(s)
+        if s.plan is None:
+            s.plan = self._plan(s)
         everything, keys, rest, buckets = s.plan
         if keys is None:
             return everything, rest
         key = []
         for field, key_of in keys:
             try:
-                value = key_of(env, g)
+                value = key_of(env, self.g)
             except Exception:
                 # the scan reaches this key only if an earlier one holds for
                 # some match; let it raise (or not) exactly where it did
@@ -382,28 +392,6 @@ class _SumIndex:
         return buckets.get(tuple(key), ()), rest
 
 
-# --- lowering -------------------------------------------------------------------
-
-@dataclass
-class _Lowerer:
-    """What compiled lowering closures `f(env, low)` run against in one
-    `generate` call: the graph, the mapping-sum index and the allocator.
-
-    A constraint or objective body is compiled once per `generate` call, and
-    which of its subexpressions contain a mapping sum is decided then.
-    Only those are lowered: the sum itself, unary `-` and `+ - * /` over
-    linear terms, `!`, `&` and `|`, and relations. Every sum-free
-    subexpression is a generation-time value compiled whole by
-    `compile_expr`, so a sum-free `&`/`|` short-circuits as it does in
-    filters. A sum under any other operator compiles to a closure that
-    raises GenerationError.
-    """
-
-    g: Graph
-    index: _SumIndex
-    alloc: _Alloc
-
-
 class _Sum:
     """One mapping sum of a compiled body, with its body compiled. Calling it
     lowers the sum to a LinearTerm."""
@@ -411,8 +399,7 @@ class _Sum:
     def __init__(self, e: A.SetSum):
         self.expr = e
         self.body = compile_expr(e.sum_body)
-        self.index: _SumIndex | None = None  # the index `plan` was resolved by
-        self.plan: tuple | None = None
+        self.plan: tuple | None = None  # resolved on first use
 
     @cached_property
     def filter(self):
@@ -422,7 +409,7 @@ class _Sum:
 
     def __call__(self, env: dict, low: _Lowerer) -> LinearTerm:
         g = low.g
-        pairs, pred = low.index.candidates(self, env, g)
+        pairs, pred = low.candidates(self, env)
         filter_var, sum_var, body = self.expr.filter_var, self.expr.sum_var, self.body
         fenv = None if pred is None else dict(env)
         senv = dict(env)
@@ -768,22 +755,20 @@ def expand_contexts(item: A.ConstraintDecl | A.ObjectiveDecl, g: Graph,
     return out
 
 
-def lower_sets(body, self_value, spec: TypedSpec, g: Graph, table: MappingTable,
-               matches_by_rule: dict[str, list[Match]]):
+def lower_sets(body, self_value, spec: TypedSpec, g: Graph, table: MappingTable):
     """Lower one expanded Boolean body (with `self` bound) to a Boolean tree
-    over linear-term atoms."""
-    low = _Lowerer(g, _SumIndex(spec, table, matches_by_rule), _Alloc())
-    return _lower_bool(body)({"self": self_value}, low)
+    over linear-term atoms, in a context of its own."""
+    return _lower_bool(body)({"self": self_value}, _Lowerer(spec, g, table))
 
 
-def build_objective(spec: TypedSpec, g: Graph,
-                    matches_by_rule: dict[str, list[Match]],
-                    table: MappingTable) -> ObjectiveFunc:
-    """Weighted sum of all objective instances per the global objective."""
+def build_objective(low: _Lowerer,
+                    matches_by_rule: dict[str, list[Match]]) -> ObjectiveFunc:
+    """Weighted sum of all objective instances per the global objective,
+    lowered in the `generate` call's context `low`."""
+    spec, g, table = low.spec, low.g, low.table
     glob = spec.global_objective
     terms: dict[str, float] = {}
     constant = glob.constant
-    low = _Lowerer(g, _SumIndex(spec, table, matches_by_rule), _Alloc())
     for obj in spec.objectives:
         weight = glob.weights.get(obj.name, 0.0)
         if weight == 0.0:
@@ -815,11 +800,11 @@ def build_objective(spec: TypedSpec, g: Graph,
 
 def generate(spec: TypedSpec, g: Graph) -> tuple[IlpProblem, MappingTable]:
     """Full pipeline: match, instantiate variables, lower constraints, build
-    the objective. Deterministic for equal inputs."""
+    the objective, all in one lowering context. Deterministic for equal
+    inputs."""
     matches_by_rule = collect_matches(spec, g)
     variables, table = instantiate_mappings(spec, matches_by_rule)
-    alloc = _Alloc()
-    low = _Lowerer(g, _SumIndex(spec, table, matches_by_rule), alloc)
+    low = _Lowerer(spec, g, table)
     rows: list[Row] = []
     aux: list[Variable] = []
     for ci, cons in enumerate(spec.constraints):
@@ -827,14 +812,14 @@ def generate(spec: TypedSpec, g: Graph) -> tuple[IlpProblem, MappingTable]:
         for self_value, label in expand_contexts(cons, g, matches_by_rule, spec):
             try:
                 cnf = to_cnf(lower({"self": self_value}, low))
-                new_rows, new_aux = linearize(cnf, alloc)
+                new_rows, new_aux = linearize(cnf, low.alloc)
             except (EvalError, GenerationError, OverflowError) as exc:
                 raise GenerationError(
                     f"constraint {ci + 1} ({cons.context_kind}::"
                     f"{cons.context_target}), {label}: {exc}") from None
             rows.extend(new_rows)
             aux.extend(new_aux)
-    objective = build_objective(spec, g, matches_by_rule, table)
+    objective = build_objective(low, matches_by_rule)
     return IlpProblem(variables + aux, rows, objective), table
 
 

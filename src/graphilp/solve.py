@@ -57,6 +57,7 @@ GUARD_TOL = 1e-6
 # doubled peak memory without saving time
 STACK_TABLEAU_BYTES = 8 << 20
 BLAND_AFTER = 30  # consecutive degenerate pivots before the dual Bland rule
+MAX_PIVOTS = 20000  # simplex iterations before an LP is reported 'stalled'
 
 
 class SolveError(Exception):
@@ -179,10 +180,10 @@ class _Lp:
         at = nonbasic.nonzero()[0]
         self.x[basis] = T[:, -1] - T[:, at] @ nonbasic[at]
 
-    def run(self, deadline=None, max_iter=20000):
+    def run(self, deadline=None):
         """Dual simplex pivots to optimality. Returns (status, pivots): status
         'optimal', 'infeasible' (the dual ratio test finds no entering
-        column), 'stalled' (`max_iter` iterations) or 'timeout' (`deadline`, a
+        column), 'stalled' (`MAX_PIVOTS` iterations) or 'timeout' (`deadline`, a
         `perf_counter` value, passed), and the number of pivots taken.
 
         Leaving variable: the basic one farthest outside its bounds. Entering
@@ -203,7 +204,7 @@ class _Lp:
         exact = True
         degenerate_streak = 0
         pivots = 0
-        for it in range(max_iter):
+        for it in range(MAX_PIVOTS):
             if it % 64 == 63 and not exact:
                 self._refresh()
                 exact = True
@@ -307,8 +308,7 @@ def _fallback_bound(ar: _Arrays, lo, hi) -> float:
     return float(np.minimum(ar.c * lo, ar.c * hi).sum())
 
 
-def solve(p: IlpProblem, time_limit: float | None = None,
-          node_budget: int | None = None) -> Solution:
+def solve(p: IlpProblem, time_limit: float | None = None) -> Solution:
     """Exact optimum of a 0/1 problem by branch and bound.
 
     Deterministic for equal inputs and limits. On hitting a limit the status
@@ -332,9 +332,6 @@ def solve(p: IlpProblem, time_limit: float | None = None,
     stacked_bytes = 0  # tableaux held by the stack
     while stack:
         if deadline is not None and perf_counter() > deadline:
-            timed_out = True
-            break
-        if node_budget is not None and nodes >= node_budget:
             timed_out = True
             break
         lo, hi, parent_bound, lp = stack.pop()

@@ -3,8 +3,11 @@ generators with a brute-force matching oracle, and random 0/1 problems."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import pathlib
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +69,17 @@ def task_model():
 def task_spec(task_model):
     mm, _ = task_model
     return typecheck(parse(TASK_SPEC), mm)
+
+
+def perfbench_placement(monkeypatch):
+    """The `disjunctive` workload's instance generator, perfbench/placement.py,
+    loaded read-only."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "placement.py"
+    spec = importlib.util.spec_from_file_location("perfbench_placement", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 # --- random typed graphs + matching oracle ------------------------------------

@@ -1,11 +1,9 @@
 import dataclasses
 import hashlib
-import importlib.util
 import itertools
 import pathlib
 import random
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -26,7 +24,7 @@ from graphilp.vne import merge_graphs
 from graphilp.vne_model import (TWO_LINKS_MODEL, TWO_LINKS_SPEC, VNE_SCHEMA, two_links_model,
                                 two_links_spec, vne_metamodel, embedding_spec)
 
-from conftest import TASK_DOC, TASK_SPEC
+from conftest import TASK_DOC, TASK_SPEC, perfbench_placement
 
 
 @pytest.fixture
@@ -183,7 +181,7 @@ def test_capacity_sum_lowering_by_hand(task_model, task_spec):
     matches = collect_matches(task_spec, g)
     variables, table = instantiate_mappings(task_spec, matches)
     cons = task_spec.constraints[0]
-    lowered = lower_sets(cons.body, NodeRef("s1"), task_spec, g, table, matches)
+    lowered = lower_sets(cons.body, NodeRef("s1"), task_spec, g, table)
     assert isinstance(lowered, Literal)
     atom = lowered.atom
     assert atom.op == "<="
@@ -201,7 +199,7 @@ def test_filter_eliminating_all_matches_gives_constant(task_model, task_spec):
     from graphilp.lang.parser import parse_expression
     body = parse_expression(
         "mappings.put->filter(m | m.nodes().t.cpu >= 99)->sum(m | 1) <= 0")
-    lowered = lower_sets(body, NodeRef("s1"), task_spec, g, table, matches)
+    lowered = lower_sets(body, NodeRef("s1"), task_spec, g, table)
     assert lowered == ("const", True)
 
 
@@ -729,15 +727,6 @@ def test_two_links_dump_golden():
     assert dump_problem(problem, table) == TWO_LINKS_DUMP_GOLDEN
 
 
-def _perfbench_placement(monkeypatch):
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "placement.py"
-    spec = importlib.util.spec_from_file_location("perfbench_placement", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
-
-
 def _sha256_of_dump(spec, g) -> str:
     return hashlib.sha256(dump_problem(*generate(spec, g)).encode()).hexdigest()
 
@@ -751,7 +740,7 @@ def test_dump_problem_golden_hashes(monkeypatch):
     vnr = next(v for v in vnrs if len(v.nodes) == 5)
     assert _sha256_of_dump(embedding_spec(), merge_graphs(substrate, vnr)) == \
         "295f8e91493e393aac933da282c4279ec8abde8fd9eaec041325edc796e1b379"
-    placement = _perfbench_placement(monkeypatch)
+    placement = perfbench_placement(monkeypatch)
     mm, g = load_model(placement.model_text(placement.make_instance(random.Random(1))))
     assert _sha256_of_dump(typecheck(parse(placement.spec_text()), mm), g) == \
         "38df21f716202cc9311937e14001e7a075a1f9b73cf6004288e24f2be7a747a2"
@@ -880,7 +869,7 @@ def test_mapping_sum_under_an_operator_that_cannot_lower_it(task_model, task_spe
     matches = collect_matches(task_spec, g)
     _, table = instantiate_mappings(task_spec, matches)
     with pytest.raises(GenerationError, match=re.escape(f"cannot be lowered under {op}") + "$"):
-        lower_sets(parse_expression(body), NodeRef("s1"), task_spec, g, table, matches)
+        lower_sets(parse_expression(body), NodeRef("s1"), task_spec, g, table)
 
 
 # 1e308 * 10 overflows to inf; without the finiteness check the program
@@ -1029,13 +1018,13 @@ def test_index_matches_scan_smoke_full_scale_request(monkeypatch):
     # and the index really skips work: count the (variable, match) pairs the
     # mapping sums examine, each one a filter or body evaluation
     examined = []
-    candidates = encode_mod._SumIndex.candidates
+    candidates = encode_mod._Lowerer.candidates
 
     def counted(self, *args):
         pairs, rest = candidates(self, *args)
         examined.append(len(pairs))
         return pairs, rest
-    monkeypatch.setattr(encode_mod._SumIndex, "candidates", counted)
+    monkeypatch.setattr(encode_mod._Lowerer, "candidates", counted)
     generate(spec, g)
     indexed = sum(examined)
     examined.clear()
@@ -1207,6 +1196,34 @@ def test_leading_non_key_conjunct_falls_back_to_scan(task_model, monkeypatch):
     assert built == [None]
     monkeypatch.undo()
     assert _assert_same(spec, g, monkeypatch) == indexed
+
+
+def test_constraint_and_objective_share_a_bucket_dict(task_model, monkeypatch):
+    # the Server capacity constraint and this objective both filter `put` by
+    # node `s`: one bucket dict serves both, built once per generate call
+    mm, g = task_model
+    spec = typecheck(parse(TASK_SPEC.replace("global objective : min { packObj }", """
+objective load -> class::Server {
+  mappings.put->filter(m | m.nodes().s == self)->sum(m | m.nodes().t.cpu)
+}
+global objective : min { packObj + load }""")), mm)
+    sums = []
+    init = encode_mod._Sum.__init__
+
+    def recorded(self, e):
+        init(self, e)
+        sums.append(self)
+    monkeypatch.setattr(encode_mod._Sum, "__init__", recorded)
+
+    def buckets_keyed_by_s():
+        sums.clear()
+        generate(spec, g)
+        return [s.plan[3] for s in sums if s.plan is not None and s.plan[1] is not None
+                and [field for field, _ in s.plan[1]] == ["s"]]
+    first = buckets_keyed_by_s()
+    assert len(first) == 2 and first[0] is first[1]
+    again = buckets_keyed_by_s()
+    assert again[0] is again[1] and again[0] is not first[0]
 
 
 def test_mapping_context_objective_body_with_variables_is_refused(task_model, task_spec):

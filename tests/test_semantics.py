@@ -1,0 +1,183 @@
+"""A spec-semantics oracle for the whole encoder.
+
+`Semantics` interprets a typed spec on a graph directly. A selection is a set
+of (mapping, match) pairs. Under a selection, `mappings.M->filter(m | p)
+->sum(m | b)` is the sum of `b` over the selected matches of M that pass `p`.
+A selection is feasible iff every expanded constraint instance holds. Its
+objective is the weighted sum of every objective instance, where a
+mapping-context instance counts only when its match is selected.
+
+The oracle enumerates every selection and compares feasibility and the
+optimum, in both senses, with `solve(generate(...))`. It reuses the parser,
+the typechecker, `find_matches` and `compile_expr`, and nothing of the
+encoder's lowering (`_Lowerer`, `to_cnf`, `linearize`). Each mapping sum
+becomes a name that the compiled body reads from its environment. The sum's
+value per selection comes from evaluating its filter and body on every match
+of its mapping.
+"""
+
+import dataclasses
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from graphilp import (IlpProblem, ObjectiveFunc, find_matches, generate, load_model,
+                      parse, solve, typecheck)
+from graphilp.lang import ast as A
+from graphilp.lang.eval import NodeRef, compile_expr
+from graphilp.vne_model import two_links_model, two_links_spec
+
+from conftest import TASK_DOC, TASK_SPEC, perfbench_placement
+
+MAX_SLOTS = 12  # 4,096 selections
+
+
+def _without_sums(e, sums: list):
+    """`e` with each mapping sum replaced by the name `$k`, where `k` is the
+    sum's index in `sums`, to which the sum is appended."""
+    if isinstance(e, A.SetSum):
+        sums.append(e)
+        return A.Name(f"${len(sums) - 1}")
+    changed = {f: _without_sums(getattr(e, f), sums) for f in e.__slots__
+               if isinstance(getattr(e, f), A.Expr)}
+    return dataclasses.replace(e, **changed) if changed else e
+
+
+class Semantics:
+    def __init__(self, spec, g):
+        self.spec, self.g = spec, g
+        self.matches = {}
+        self.slots = [(m.name, match) for m in spec.mappings
+                      for match in self._matches(m.rule)]
+        self.slot_of = {slot: k for k, slot in enumerate(self.slots)}
+        self.constraints = [self._instances(c) for c in spec.constraints]
+        weights = spec.global_objective.weights
+        self.objectives = [(weights[o.name], o, self._instances(o))
+                           for o in spec.objectives if weights.get(o.name, 0)]
+
+    def _matches(self, rule):
+        if rule not in self.matches:
+            self.matches[rule] = find_matches(self.g, self.spec.rules[rule].lhs)
+        return self.matches[rule]
+
+    def _contexts(self, decl):
+        if decl.context_kind == "class":
+            return [NodeRef(n.id) for n in self.g.nodes_of_type(decl.context_target)]
+        if decl.context_kind == "mapping":
+            return self._matches(self.spec.mapping(decl.context_target).rule)
+        return self._matches(decl.context_target)
+
+    def _instances(self, decl):
+        """(compiled body, [(self, coefficient matrix)]): the body with its sums
+        as names, and per context element one row per sum, one column per
+        slot."""
+        sums = []
+        body = compile_expr(_without_sums(decl.body, sums))
+        parts = [(compile_expr(s.filter_pred) if s.filter_pred else None,
+                  compile_expr(s.sum_body)) for s in sums]
+        out = []
+        for self_value in self._contexts(decl):
+            coeffs = np.zeros((len(sums), len(self.slots)))
+            for i, (s, (pred, term)) in enumerate(zip(sums, parts)):
+                for k, (mapping, match) in enumerate(self.slots):
+                    if mapping != s.mapping:
+                        continue
+                    if pred is not None and not pred(
+                            {"self": self_value, s.filter_var: match}, self.g):
+                        continue
+                    coeffs[i, k] += term({"self": self_value, s.sum_var: match}, self.g)
+            out.append((self_value, coeffs))
+        return body, out
+
+    def _values(self, body, self_value, sums):
+        env = {"self": self_value}
+        env.update((f"${i}", v) for i, v in enumerate(sums))
+        return body(env, self.g)
+
+    def evaluate(self, S):
+        """For the selections that are the 0/1 rows of `S`: which are
+        feasible, and the objective of each feasible one (NaN otherwise)."""
+        feasible = np.ones(len(S), dtype=bool)
+        for body, instances in self.constraints:
+            for self_value, coeffs in instances:
+                sums = (S @ coeffs.T).tolist()
+                for i in feasible.nonzero()[0]:
+                    holds = self._values(body, self_value, sums[i])
+                    assert holds is True or holds is False
+                    feasible[i] = holds
+        value = np.full(len(S), float(self.spec.global_objective.constant))
+        for weight, decl, (body, instances) in self.objectives:
+            for self_value, coeffs in instances:
+                if decl.context_kind == "mapping":
+                    k = self.slot_of[(decl.context_target, self_value)]
+                    value += weight * self._values(body, self_value, []) * S[:, k]
+                    continue
+                sums = (S @ coeffs.T).tolist()
+                for i in feasible.nonzero()[0]:
+                    value[i] += weight * self._values(body, self_value, sums[i])
+        value[~feasible] = np.nan
+        return feasible, value
+
+    def selection(self, table, assignment):
+        """The selection a solution of `generate`'s program makes."""
+        S = np.zeros((1, len(self.slots)))
+        for vid, v in assignment.items():
+            if vid in table and v == 1:
+                S[0, self.slot_of[table.match_of(vid)]] = 1
+        return S
+
+
+def _flipped(problem):
+    obj = problem.objective
+    sense = "max" if obj.sense == "min" else "min"
+    return IlpProblem(problem.variables, problem.constraints,
+                      ObjectiveFunc(sense, dict(obj.terms), obj.constant))
+
+
+def assert_program_means_spec(spec, g):
+    oracle = Semantics(spec, g)
+    n = len(oracle.slots)
+    assert 0 < n <= MAX_SLOTS
+    feasible, value = oracle.evaluate(
+        np.array(list(itertools.product((0, 1), repeat=n)), dtype=float))
+    problem, table = generate(spec, g)
+    for p in (problem, _flipped(problem)):
+        sol = solve(p)
+        if not feasible.any():
+            assert sol.status == "infeasible"
+            continue
+        assert sol.status == "optimal"
+        best = np.nanmin(value) if p.objective.sense == "min" else np.nanmax(value)
+        assert sol.objective_value == pytest.approx(best, rel=1e-9, abs=1e-9)
+        ok, got = oracle.evaluate(oracle.selection(table, sol.assignment))
+        assert ok[0] and got[0] == pytest.approx(best, rel=1e-9, abs=1e-9)
+    return feasible
+
+
+def test_task_spec_means_what_it_says(task_model, task_spec):
+    _, g = task_model
+    assert_program_means_spec(task_spec, g)
+
+
+def test_two_links_means_what_it_says():
+    _, g = two_links_model()
+    assert_program_means_spec(two_links_spec(), g)
+
+
+def test_disjunctive_placements_mean_what_they_say(monkeypatch):
+    placement = perfbench_placement(monkeypatch)
+    rng = random.Random(1)
+    for _ in range(3):
+        mm, g = load_model(placement.model_text(placement.make_instance(rng)))
+        feasible = assert_program_means_spec(typecheck(parse(placement.spec_text()), mm), g)
+        assert 0 < feasible.sum() < len(feasible)
+
+
+def test_infeasible_task_spec_means_what_it_says():
+    # s1 holds only t1 and s2 neither task, so t2 cannot be placed
+    mm, g = load_model(TASK_DOC.replace("resCpu: 5", "resCpu: 3")
+                       .replace("cpu: 32  resCpu: 10", "cpu: 32  resCpu: 4"))
+    spec = typecheck(parse(TASK_SPEC), mm)
+    assert not assert_program_means_spec(spec, g).any()
