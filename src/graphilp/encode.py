@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .lang import ast as A
-from .lang.eval import EvalError, NodeRef, compare, compile_expr
+from .lang.eval import EvalError, compare, compile_expr
 from .lang.typecheck import TypedSpec
-from .model import Graph, apply_delta
+from .model import Graph, Node, apply_delta
 from .pattern import Match, apply_rule, find_matches
 
 BINARY = "binary"
@@ -385,7 +385,7 @@ class _Lowerer:
                 return everything, s.filter
             if field is _WHOLE_MATCH and isinstance(value, Match):
                 key.append(value)
-            elif field is not _WHOLE_MATCH and isinstance(value, NodeRef):
+            elif field is not _WHOLE_MATCH and isinstance(value, Node):
                 key.append(value.id)
             else:
                 return everything, s.filter
@@ -744,7 +744,7 @@ def expand_contexts(item: A.ConstraintDecl | A.ObjectiveDecl, g: Graph,
                     ) -> list[tuple[object, str]]:
     """(self binding, human label) per context element, deterministic order."""
     if item.context_kind == "class":
-        return [(NodeRef(n.id), n.id) for n in g.nodes_of_type(item.context_target)]
+        return [(n, n.id) for n in g.nodes_of_type(item.context_target)]
     if item.context_kind == "mapping":
         rule = spec.mapping(item.context_target).rule
     else:

@@ -3,11 +3,11 @@
 `compile_expr` turns an expression into a closure `f(env, graph)` once, so
 evaluating it does no dispatch on the tree (Feeley & Lapalme, *Using
 closures for code generation*, Computer Languages, 1987). Environment
-values are numbers, booleans, strings, `NodeRef`s, or match-like objects
-(anything exposing `.rule` and `.bound`). Operands are evaluated left to
-right, `&` and `|` short-circuit, and an operand's type is checked before
-the next one is evaluated (a relation evaluates both sides first). Mapping
-sums never reach the evaluator; the encoder lowers them first.
+values are numbers, booleans, strings, the graph's own `model.Node`s, or
+match-like objects (anything exposing `.rule` and `.bound`). Operands are
+evaluated left to right, `&` and `|` short-circuit, and an operand's type is
+checked before the next one is evaluated (a relation evaluates both sides
+first). Mapping sums never reach the evaluator; the encoder lowers them first.
 """
 
 from __future__ import annotations
@@ -15,19 +15,14 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
+from ..model import Node
 from .ast import (AttrRef, Binary, BoolLit, Name, NodesNav, Num, Rel, SelfRef,
                   SetSum, StrLit, Unary)
 
 
 class EvalError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class NodeRef:
-    id: str
 
 
 def _is_match(v) -> bool:
@@ -53,7 +48,8 @@ def apply_function(name: str, x):
 
 
 def values_equal(a, b) -> bool:
-    if isinstance(a, NodeRef) and isinstance(b, NodeRef):
+    # nodes are equal by id alone (dataclass equality would compare attrs too)
+    if isinstance(a, Node) and isinstance(b, Node):
         return a.id == b.id
     if _is_match(a) and _is_match(b):
         return a.rule == b.rule and dict(a.bound) == dict(b.bound)
@@ -140,7 +136,10 @@ def _nodes_nav(e):
             raise EvalError("nodes() applies to a match")
         for name, gid in match.bound:
             if name == node:
-                return NodeRef(gid)
+                try:
+                    return graph.nodes[gid]
+                except KeyError:
+                    raise EvalError(f"node {gid!r} not in graph") from None
         raise EvalError(missing)
     return run
 
@@ -150,16 +149,13 @@ def _attr_ref(e):
     non_node = f"attribute {attr!r} read on a non-node value"
 
     def run(env, graph):
-        ref = base(env, graph)
-        if not isinstance(ref, NodeRef):
+        node = base(env, graph)
+        if not isinstance(node, Node):
             raise EvalError(non_node)
-        node = graph.nodes.get(ref.id)
-        if node is None:
-            raise EvalError(f"node {ref.id!r} not in graph")
         try:
             return node.attrs[attr]
         except KeyError:
-            raise EvalError(f"node {ref.id!r} has no attribute {attr!r}") from None
+            raise EvalError(f"node {node.id!r} has no attribute {attr!r}") from None
     return run
 
 

@@ -350,7 +350,7 @@ def parse(text: str) -> SpecAst:
 
 
 def parse_expression(text: str):
-    """Parse a single expression; used by tests and the scenario tooling."""
+    """Parse a single expression (exported from `graphilp`; the tests use it)."""
     p = _Parser(text)
     expr = p.expression()
     p.expect("EOF")

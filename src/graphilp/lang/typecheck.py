@@ -370,7 +370,11 @@ class _Checker:
     def fold_global(self, e, objective_names: set[str]) -> tuple[dict[str, float], float]:
         """Fold the global objective into per-objective weights plus a constant."""
         if isinstance(e, A.Num):
-            return {}, float(e.value)
+            try:
+                return {}, float(e.value)
+            except OverflowError:  # an int beyond the float range
+                self.error(e.pos, "number overflows the float range in global objective")
+                return {}, 0.0
         if isinstance(e, A.Name):
             if e.id not in objective_names:
                 self.error(e.pos, f"unknown objective {e.id!r}")

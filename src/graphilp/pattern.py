@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .lang import ast as A
-from .lang.eval import EvalError, NodeRef, compile_expr
+from .lang.eval import EvalError, compile_expr
 from .model import Edge, Graph, GraphDelta, Node
 
 
@@ -106,14 +106,12 @@ def _where(rule: str, what: str, binding: dict[str, str]) -> str:
     return f"rule {rule!r}, {what}" + (f" on {nodes}" if nodes else "")
 
 
-def _condition_holds(g: Graph, p: Pattern, binding: dict[str, str],
-                     refs: dict[str, NodeRef]) -> bool:
-    """Whether `p`'s condition holds on `binding`; `refs` maps each bound
-    graph node id to its NodeRef."""
+def _condition_holds(g: Graph, p: Pattern, binding: dict[str, str]) -> bool:
+    """Whether `p`'s condition holds on `binding`, every bound id a node of `g`."""
     condition = p.compiled_condition
     if condition is None:
         return True
-    env = {name: refs[gid] for name, gid in binding.items()}
+    env = {name: g.nodes[gid] for name, gid in binding.items()}
     result = condition(env, g)
     if not isinstance(result, bool):
         raise PatternError(f"pattern {p.name!r}: condition is not boolean")
@@ -180,8 +178,6 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
             return []
     steps = _search_order(p, {name: len(pool) for name, pool in pools.items()})
     members = {name: set(pool) for name, pool in pools.items()}
-    # every candidate conforms to its pattern node's type, so it is in a pool
-    refs = {gid: NodeRef(gid) for pool in pools.values() for gid in pool}
     results: list[Match] = []
     binding: dict[str, str] = {}
     used: set[str] = set()
@@ -202,7 +198,7 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
 
     def backtrack(depth: int):
         if depth == complete:
-            if _condition_holds(g, p, binding, refs):
+            if _condition_holds(g, p, binding):
                 results.append(Match.of(p, binding))
             return
         name, anchors, checks = steps[depth]
@@ -246,7 +242,7 @@ def revalidate(g: Graph, m: Match) -> bool:
     if not all(g.has_edge(pe.type, binding[pe.src], binding[pe.tgt]) for pe in p.edges):
         return False
     try:
-        return _condition_holds(g, p, binding, {gid: NodeRef(gid) for gid in seen})
+        return _condition_holds(g, p, binding)
     except EvalError:
         return False
 
@@ -263,16 +259,17 @@ def _fresh_id(base: str, taken) -> str:
 def apply_rule(g: Graph, r: Rule, m: Match) -> GraphDelta:
     """Evaluate the rule's actions on a valid match and return the delta.
 
-    Attribute expressions see the pre-application graph. Raises
-    StaleMatchError when the match no longer holds, and PatternError naming
-    the rule, the action and the binding when an action value cannot be
-    evaluated.
+    Attribute expressions see the pre-application graph, and a node the rule
+    creates with its creation values. An int stored in a `real` attribute
+    becomes a float. Raises StaleMatchError when the match no longer holds,
+    and PatternError naming the rule, the action and the binding when an
+    action value cannot be evaluated or stored.
     """
     if m.rule != r.name and m.rule != r.lhs.name:
         raise PatternError(f"match of {m.rule!r} applied to rule {r.name!r}")
     if not revalidate(g, m):
         raise StaleMatchError(f"match of {r.name!r} is stale: {m.binding}")
-    env: dict[str, object] = {name: NodeRef(gid) for name, gid in m.bound}
+    env: dict[str, object] = {name: g.nodes[gid] for name, gid in m.bound}
     created_nodes: list[Node] = []
     created_edges: list[Edge] = []
     deleted_edges: list[str] = []
@@ -281,33 +278,36 @@ def apply_rule(g: Graph, r: Rule, m: Match) -> GraphDelta:
     taken_nodes = set(g.nodes)
     taken_edges = set(g.edges)
 
-    def node_id(name: str) -> str:
-        ref = env.get(name)
-        if not isinstance(ref, NodeRef):
+    def node_of(name: str) -> Node:
+        node = env.get(name)
+        if not isinstance(node, Node):
             raise PatternError(f"rule {r.name!r}: unknown node {name!r} in action")
-        return ref.id
+        return node
 
-    def value_of(compiled, what: str):
+    def value_of(compiled, what: str, node_type: str, attr: str):
+        """The value an action stores in `attr` of a `node_type` node."""
         try:
-            return compiled(env, g)
+            value = compiled(env, g)
+            if isinstance(value, int) and g.mm.attrs_of(node_type).get(attr) == "real":
+                value = float(value)
         except EvalError as exc:
             raise PatternError(f"{_where(r.name, what, m.binding)}: {exc}") from None
+        except OverflowError:  # an int beyond the float range
+            raise PatternError(f"{_where(r.name, what, m.binding)}: value overflows "
+                               f"the float range of real attribute {attr!r}") from None
+        return value
 
     for action, compiled in r.compiled_actions:
         if isinstance(action, A.CreateNodeAction):
             nid = _fresh_id(f"{r.name}_{action.name}", taken_nodes)
             taken_nodes.add(nid)
-            attrs = {}
-            for attr, value_fn in compiled:
-                value = value_of(value_fn, f"action 'create node {action.name}, {attr}'")
-                kind = g.mm.attrs_of(action.type).get(attr)
-                if kind == "real" and isinstance(value, int):
-                    value = float(value)
-                attrs[attr] = value
-            created_nodes.append(Node(nid, action.type, attrs))
-            env[action.name] = NodeRef(nid)
+            attrs = {attr: value_of(value_fn, f"action 'create node {action.name}, {attr}'",
+                                    action.type, attr)
+                     for attr, value_fn in compiled}
+            env[action.name] = Node(nid, action.type, attrs)
+            created_nodes.append(env[action.name])
         elif isinstance(action, A.CreateEdgeAction):
-            src, tgt = node_id(action.src), node_id(action.tgt)
+            src, tgt = node_of(action.src).id, node_of(action.tgt).id
             eid = _fresh_id(f"{action.edge_type}_{src}_{tgt}", taken_edges)
             taken_edges.add(eid)
             created_edges.append(Edge(eid, action.edge_type, src, tgt))
@@ -315,7 +315,7 @@ def apply_rule(g: Graph, r: Rule, m: Match) -> GraphDelta:
             pe = next((e for e in r.lhs.edges if e.name == action.name), None)
             if pe is None:
                 raise PatternError(f"rule {r.name!r}: no LHS edge {action.name!r}")
-            src, tgt = node_id(pe.src), node_id(pe.tgt)
+            src, tgt = node_of(pe.src).id, node_of(pe.tgt).id
             matching = sorted(e.id for e in g.out_edges(src, pe.type)
                               if e.tgt == tgt and e.id not in deleted_edges)
             if not matching:
@@ -323,16 +323,12 @@ def apply_rule(g: Graph, r: Rule, m: Match) -> GraphDelta:
                     f"rule {r.name!r}: edge {action.name!r} vanished before deletion")
             deleted_edges.append(matching[0])
         elif isinstance(action, A.DeleteNodeAction):
-            deleted_nodes.append(node_id(action.name))
+            deleted_nodes.append(node_of(action.name).id)
         elif isinstance(action, A.SetAttrAction):
-            nid = node_id(action.node)
-            value = value_of(compiled, f"action 'set {action.node}.{action.attr}'")
-            node_type = g.nodes[nid].type if nid in g.nodes else None
-            if node_type is not None:
-                kind = g.mm.attrs_of(node_type).get(action.attr)
-                if kind == "real" and isinstance(value, int):
-                    value = float(value)
-            attr_updates.append((nid, action.attr, value))
+            node = node_of(action.node)
+            value = value_of(compiled, f"action 'set {action.node}.{action.attr}'",
+                             node.type, action.attr)
+            attr_updates.append((node.id, action.attr, value))
         else:
             raise PatternError(f"rule {r.name!r}: unsupported action {action!r}")
     return GraphDelta(tuple(created_nodes), tuple(created_edges),

@@ -205,6 +205,8 @@ def scenario_text(cfg: ScenarioConfig) -> str:
 
 
 def merge_graphs(a: Graph, b: Graph) -> Graph:
+    if a.mm is not b.mm and a.mm != b.mm:
+        raise ScenarioError("request is typed by another metamodel than the substrate")
     overlap = set(a.nodes) & set(b.nodes) or set(a.edges) & set(b.edges)
     if overlap:
         raise ScenarioError(f"id collision while merging: {sorted(overlap)[:3]}")

@@ -15,7 +15,7 @@ import pytest
 from graphilp import (Edge, Graph, IlpProblem, Metamodel, Node, ObjectiveFunc,
                       Row, Variable, load_model)
 from graphilp.encode import BINARY
-from graphilp.lang.eval import NodeRef, compile_expr
+from graphilp.lang.eval import compile_expr
 from graphilp.lang.parser import parse
 from graphilp.lang.typecheck import typecheck
 from graphilp.pattern import Pattern, PatternEdge, PatternNode
@@ -172,7 +172,7 @@ def brute_matches(g: Graph, p: Pattern) -> set:
                    for pe in p.edges):
             continue
         if condition is not None:
-            env = {name: NodeRef(gid) for name, gid in binding.items()}
+            env = {name: g.nodes[gid] for name, gid in binding.items()}
             if not condition(env, g):
                 continue
         out.add(tuple(sorted(binding.items())))

@@ -96,6 +96,34 @@ def test_solve_out_of_an_unwritable_integer_exits_1(tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+GROW_DOC = """
+nodetypes { nodetype { name: N  attrs { r: real } } }
+nodes { node { id: a  type: N  attrs { r: 1.0 } } }
+"""
+
+
+@pytest.mark.parametrize("actions, nodes", [
+    # a later action reads a created node's creation values
+    ("create node b: N { r := a.r + 1 }  set a.r := b.r * 2",
+     ["node { id: a  type: N  attrs { r: 4.0 } }",
+      "node { id: grow_b  type: N  attrs { r: 2.0 } }"]),
+    # `set` on a created node stores an int in a real attribute as a float
+    ("create node b: N { r := 3 }  set b.r := 2",
+     ["node { id: a  type: N  attrs { r: 1.0 } }",
+      "node { id: grow_b  type: N  attrs { r: 2.0 } }"]),
+], ids=["reads-created-node", "set-on-created-node"])
+def test_actions_on_a_created_node(actions, nodes, tmp_path, capsys):
+    model, spec, out = tmp_path / "m.model", tmp_path / "s.gipsl", tmp_path / "out.model"
+    model.write_text(GROW_DOC)
+    spec.write_text(f"rule grow {{ nodes {{ a: N }}  actions {{ {actions} }} }}\n"
+                    "mapping g with grow;\n"
+                    "objective o -> mapping::g { -1 }\n"
+                    "global objective : min { o }\n")
+    code = main(["solve", "--model", str(model), "--spec", str(spec), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert [line.strip() for line in out.read_text().splitlines() if "node {" in line] == nodes
+
+
 def test_check_model_ending_inside_a_record_names_the_end(two_links, tmp_path, capsys):
     _, spec = two_links
     model = tmp_path / "cut.model"
@@ -262,7 +290,9 @@ def test_typecheck_errors_one_line_each(command, two_links, tmp_path, capsys):
     ("lnkObj + sqrt(-1)", "{line}:35: sqrt of -1.0 is undefined in global objective"),
     ("lnkObj * 1e308 * 10", "{line}:1: global objective folds to a non-finite weight or "
                             "constant"),
-], ids=["sqrt-of-negative", "overflow"])
+    (f"lnkObj + 1{'0' * 400}", "{line}:35: number overflows the float range in global "
+                               "objective"),
+], ids=["sqrt-of-negative", "overflow", "huge-int"])
 def test_global_objective_domain_error_is_one_diagnostic(objective, message, two_links,
                                                          tmp_path, capsys):
     model, _ = two_links
@@ -476,8 +506,16 @@ REAL_TASK_DOC = TASK_DOC.replace("cpu: int", "cpu: real").replace("resCpu: int",
      "->sum(m | m.nodes().t.cpu) <= self.resCpu",
      "->sum(m | m.nodes().s.cpu) * 0.5 <= self.resCpu",
      "constraint 1 (class::Server), s1: int too large to convert to float"),
+    (REAL_TASK_DOC, "set t.placed := true", f"set t.placed := true  set t.cpu := 1{'0' * 400}",
+     "rule 'place', action 'set t.cpu' on s=s1 t=t2: value overflows the float range of "
+     "real attribute 'cpu'"),
+    (REAL_TASK_DOC, "set t.placed := true",
+     f"set t.placed := true  create node n: Task {{ cpu := 1{'0' * 400}  placed := true }}",
+     "rule 'place', action 'create node n, cpu' on s=s1 t=t2: value overflows the float "
+     "range of real attribute 'cpu'"),
 ], ids=["condition-division-by-zero", "action-division-by-zero", "condition-overflow",
-        "objective-overflow", "objective-weight-overflow", "lowered-term-overflow"])
+        "objective-overflow", "objective-weight-overflow", "lowered-term-overflow",
+        "set-value-overflow", "create-value-overflow"])
 def test_solve_evaluation_error_exits_1(doc, old, new, message, tmp_path, capsys):
     assert old in TASK_SPEC
     model = tmp_path / "m.model"

@@ -18,7 +18,6 @@ from graphilp.encode import (AUX_BINARY, BINARY, Atom, GenerationError,
                              build_objective, collect_matches, expand_contexts,
                              instantiate_mappings, linearize, lower_sets, to_cnf)
 from graphilp.lang import ast as A
-from graphilp.lang.eval import NodeRef
 from graphilp.lang.parser import parse_expression
 from graphilp.vne import merge_graphs
 from graphilp.vne_model import (TWO_LINKS_MODEL, TWO_LINKS_SPEC, VNE_SCHEMA, two_links_model,
@@ -102,7 +101,7 @@ def test_class_context_expands_per_element_including_subtypes():
                 if c.context_kind == "class" and c.context_target == "SubstrateServer")
     instances = expand_contexts(cons, g, {}, spec)
     assert len(instances) == 80
-    assert all(isinstance(v, NodeRef) for v, _ in instances)
+    assert all(v is g.nodes[label] for v, label in instances)
 
 
 def test_class_context_with_zero_instances_is_empty():
@@ -181,7 +180,7 @@ def test_capacity_sum_lowering_by_hand(task_model, task_spec):
     matches = collect_matches(task_spec, g)
     variables, table = instantiate_mappings(task_spec, matches)
     cons = task_spec.constraints[0]
-    lowered = lower_sets(cons.body, NodeRef("s1"), task_spec, g, table)
+    lowered = lower_sets(cons.body, g.nodes["s1"], task_spec, g, table)
     assert isinstance(lowered, Literal)
     atom = lowered.atom
     assert atom.op == "<="
@@ -199,7 +198,7 @@ def test_filter_eliminating_all_matches_gives_constant(task_model, task_spec):
     from graphilp.lang.parser import parse_expression
     body = parse_expression(
         "mappings.put->filter(m | m.nodes().t.cpu >= 99)->sum(m | 1) <= 0")
-    lowered = lower_sets(body, NodeRef("s1"), task_spec, g, table)
+    lowered = lower_sets(body, g.nodes["s1"], task_spec, g, table)
     assert lowered == ("const", True)
 
 
@@ -869,7 +868,7 @@ def test_mapping_sum_under_an_operator_that_cannot_lower_it(task_model, task_spe
     matches = collect_matches(task_spec, g)
     _, table = instantiate_mappings(task_spec, matches)
     with pytest.raises(GenerationError, match=re.escape(f"cannot be lowered under {op}") + "$"):
-        lower_sets(parse_expression(body), NodeRef("s1"), task_spec, g, table)
+        lower_sets(parse_expression(body), g.nodes["s1"], task_spec, g, table)
 
 
 # 1e308 * 10 overflows to inf; without the finiteness check the program

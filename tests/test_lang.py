@@ -5,14 +5,14 @@ import pytest
 
 from graphilp import load_metamodel, load_model, parse, pretty, typecheck
 from graphilp.lang import ast as A
-from graphilp.lang.eval import EvalError, NodeRef, compile_expr
+from graphilp.lang.eval import EvalError, compile_expr
 from graphilp.lang.lexer import LexError, is_word, quote, tokenize
 from graphilp.lang.parser import KEYWORDS as SPEC_KEYWORDS
 from graphilp.lang.parser import MAX_DEPTH, DslSyntaxError, parse_expression
 from graphilp.lang.printer import pretty_expr
 from graphilp.lang.typecheck import TypecheckError
 from graphilp.model import _KEYWORDS as MODEL_KEYWORDS
-from graphilp.model import ModelError
+from graphilp.model import ModelError, Node
 from graphilp.pattern import Match, Pattern
 from graphilp.vne_model import EMBEDDING_SPEC, TWO_LINKS_MODEL, TWO_LINKS_SPEC, VNE_SCHEMA
 
@@ -444,7 +444,9 @@ def test_undefined_function_value_is_an_eval_error(text):
 def _eval_env():
     _, g = load_model(TASK_DOC)
     match = Match("place", (("s", "s1"), ("t", "t1")), Pattern("place", ()))
-    return {"m": match, "n": NodeRef("s1"), "ghost": NodeRef("s9"),
+    ghost = Match("place", (("s", "s9"), ("t", "t1")), Pattern("place", ()))
+    twin = Node("s1", "Server", {})  # s1's id, other attributes
+    return {"m": match, "n": g.nodes["s1"], "ghost": ghost, "twin": twin,
             "huge": 10 ** 400}, g
 
 
@@ -460,6 +462,7 @@ def _eval_env():
     ('"a" < 1', "comparison operand is not a number"),
     ('1 == "a"', "cannot compare values of different kinds"),
     ("n == n & m == m & n != m.nodes().t", True),
+    ("n == twin & twin == m.nodes().s", True),  # nodes are equal by id
     # the left operand's type is checked before the right one is evaluated
     ("3 & (1 / 0 > 0)", "'&' applies to booleans"),
     ("true + 1 / 0", "left operand is not a number"),
@@ -473,7 +476,7 @@ def _eval_env():
     ("m.nodes().x", "match has no pattern node 'x'"),
     ("m.nodes().s.cpu + m.nodes().t.cpu", 36),
     ("m.nodes().s.nope", "node 's1' has no attribute 'nope'"),
-    ("ghost.cpu", "node 's9' not in graph"),
+    ("ghost.nodes().s.cpu", "node 's9' not in graph"),
     ("m.cpu", "attribute 'cpu' read on a non-node value"),
     ("zz", "unbound name 'zz'"),
     ("self", "'self' is not bound here"),

@@ -4,7 +4,7 @@ import pytest
 
 from graphilp import (Edge, Graph, GraphDelta, Node, apply_delta, apply_rule,
                       find_matches, load_model, revalidate)
-from graphilp.lang.eval import EvalError, NodeRef, compile_expr
+from graphilp.lang.eval import EvalError, compile_expr
 from graphilp.lang.parser import parse, parse_expression
 from graphilp.lang.typecheck import typecheck
 from graphilp.vne_model import two_links_model, two_links_spec, vne_metamodel
@@ -342,7 +342,7 @@ def rescored_outcome(g: Graph, p: Pattern):
     found = []
     for binding in rescored_bindings(g, p):
         try:
-            holds = condition({k: NodeRef(v) for k, v in binding.items()}, g)
+            holds = condition({k: g.nodes[v] for k, v in binding.items()}, g)
         except EvalError as exc:
             where = " ".join(f"{k}={v}" for k, v in sorted(binding.items()))
             return None, f"rule {p.name!r}, condition on {where}: {exc}"

@@ -26,7 +26,7 @@ import pytest
 from graphilp import (IlpProblem, ObjectiveFunc, find_matches, generate, load_model,
                       parse, solve, typecheck)
 from graphilp.lang import ast as A
-from graphilp.lang.eval import NodeRef, compile_expr
+from graphilp.lang.eval import compile_expr
 from graphilp.vne_model import two_links_model, two_links_spec
 
 from conftest import TASK_DOC, TASK_SPEC, perfbench_placement
@@ -64,7 +64,7 @@ class Semantics:
 
     def _contexts(self, decl):
         if decl.context_kind == "class":
-            return [NodeRef(n.id) for n in self.g.nodes_of_type(decl.context_target)]
+            return list(self.g.nodes_of_type(decl.context_target))
         if decl.context_kind == "mapping":
             return self._matches(self.spec.mapping(decl.context_target).rule)
         return self._matches(decl.context_target)

@@ -3,14 +3,14 @@ import pathlib
 import pytest
 
 import graphilp.vne as vne
-from graphilp import (GraphDelta, apply_delta, embed_incremental,
-                      generate_scenario, lp_relaxation, parse_scenario_config,
+from graphilp import (Graph, GraphDelta, apply_delta, embed_incremental,
+                      generate_scenario, load_model, lp_relaxation, parse_scenario_config,
                       full_scale_config, scenario_text, serialize_model,
                       verify_embedding)
-from graphilp.vne_model import embedding_spec
+from graphilp.vne_model import embedding_spec, vne_metamodel
 from graphilp.vne import Range, ScenarioConfig, ScenarioError
 
-from conftest import highs_optimum
+from conftest import TASK_DOC, highs_optimum
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "graphilp" / "data"
@@ -120,6 +120,23 @@ def test_oversized_request_rejected_and_substrate_unchanged(spec):
     assert [r.status for r in report.records] == ["rejected"]
     assert report.records[0].reason == "infeasible"
     assert report.final.structurally_equal(sub)
+    assert verify_embedding(report, sub, report.final) == []
+
+
+def test_request_over_another_schema_is_rejected(spec):
+    cfg = ScenarioConfig(racks=1, servers_per_rack=1, vnr_count=1, seed=5,
+                         vnr_servers=Range(1, 1), vnr_cpu=Range(4, 4),
+                         vnr_mem=Range(8, 8), vnr_storage=Range(10, 10),
+                         vnr_bw=Range(100, 100))
+    sub, (vnr,) = generate_scenario(cfg)
+    _, foreign = load_model(TASK_DOC)
+    # an equal metamodel that is another object merges as the same schema
+    twin = Graph(vne_metamodel(), list(vnr.nodes.values()), list(vnr.edges.values()))
+    assert twin.mm is not sub.mm
+    report = embed_incremental(sub, [foreign, twin], spec)
+    assert [(r.status, r.reason) for r in report.records] == [
+        ("rejected", "error: request is typed by another metamodel than the substrate"),
+        ("embedded", "")]
     assert verify_embedding(report, sub, report.final) == []
 
 
