@@ -60,6 +60,9 @@ def _clean(coeffs: dict) -> dict:
     return {v: c for v, c in coeffs.items() if c != 0}
 
 
+NON_FINITE = "non-finite coefficient or constant"
+
+
 def _require_finite(coeffs: dict, constant) -> None:
     """Every row coefficient and right-hand side, objective term and objective
     constant of a program passes this one check."""
@@ -68,7 +71,14 @@ def _require_finite(coeffs: dict, constant) -> None:
     except OverflowError:  # an int beyond the float range
         finite = False
     if not finite:
-        raise GenerationError("non-finite coefficient or constant")
+        raise GenerationError(NON_FINITE)
+
+
+def _reason(exc: Exception) -> str:
+    """What a generation-time error says. An int beyond the float range raises
+    OverflowError where it meets a float; it reads as the non-finite value it
+    would become."""
+    return NON_FINITE if isinstance(exc, OverflowError) else str(exc)
 
 
 @dataclass(slots=True)
@@ -788,9 +798,8 @@ def build_objective(low: _Lowerer,
                         terms[var] = terms.get(var, 0) + weight * c
                     constant += weight * value.constant
             except (EvalError, GenerationError, OverflowError) as exc:
-                # OverflowError: an int beyond the float range met a float
                 raise GenerationError(
-                    f"objective {obj.name!r}, {label}: {exc}") from None
+                    f"objective {obj.name!r}, {label}: {_reason(exc)}") from None
         try:
             _require_finite(terms, constant)
         except GenerationError as exc:
@@ -816,7 +825,7 @@ def generate(spec: TypedSpec, g: Graph) -> tuple[IlpProblem, MappingTable]:
             except (EvalError, GenerationError, OverflowError) as exc:
                 raise GenerationError(
                     f"constraint {ci + 1} ({cons.context_kind}::"
-                    f"{cons.context_target}), {label}: {exc}") from None
+                    f"{cons.context_target}), {label}: {_reason(exc)}") from None
             rows.extend(new_rows)
             aux.extend(new_aux)
     objective = build_objective(low, matches_by_rule)

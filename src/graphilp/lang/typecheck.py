@@ -42,8 +42,10 @@ class TypecheckError(Exception):
 
 @dataclass(frozen=True)
 class Ty:
-    kind: str  # 'int', 'real', 'bool', 'string', 'node', 'match', or 'error'
-    of: str | None = None  # node type for 'node', rule name for 'match'
+    # 'int', 'real', 'bool', 'string', 'node', 'match', 'error', or 'deleted'
+    # (a pattern node after the action that deletes it)
+    kind: str
+    of: str | None = None  # node type for 'node' and 'deleted', rule name for 'match'
     varbearing: bool = False  # term contains mapping variables
 
     def numeric(self) -> bool:
@@ -57,6 +59,10 @@ def _mismatch(a: str, b: str) -> str:
     """'cannot compare a node with a number', the same for either operand order."""
     first, second = sorted((a, b), key=list(_KIND_NAMES).index)
     return f"cannot compare {_KIND_NAMES[first]} with {_KIND_NAMES[second]}"
+
+
+def _after_delete(name: str) -> str:
+    return f"node {name!r} is used after an action deletes it"
 
 
 def _promote(a: str, b: str) -> str:
@@ -178,7 +184,9 @@ class _Checker:
                 for endpoint, declared in ((action.src, et.source_type),
                                            (action.tgt, et.target_type)):
                     ty = scope.get(endpoint)
-                    if ty is None or ty.kind != "node":
+                    if ty is not None and ty.kind == "deleted":
+                        self.error(action.pos, _after_delete(endpoint))
+                    elif ty is None or ty.kind != "node":
                         self.error(action.pos, f"unknown node {endpoint!r} in action")
                     elif not self.mm.conforms(ty.of, declared):
                         self.error(action.pos,
@@ -190,8 +198,15 @@ class _Checker:
             elif isinstance(action, A.DeleteNodeAction):
                 if action.name not in lhs_nodes:
                     self.error(action.pos, f"no LHS node named {action.name!r}")
+                elif scope[action.name].kind == "deleted":
+                    self.error(action.pos, _after_delete(action.name))
+                else:
+                    scope[action.name] = Ty("deleted", scope[action.name].of)
             elif isinstance(action, A.SetAttrAction):
                 ty = scope.get(action.node)
+                if ty is not None and ty.kind == "deleted":
+                    self.error(action.pos, _after_delete(action.node))
+                    continue
                 if ty is None or ty.kind != "node":
                     self.error(action.pos, f"unknown node {action.node!r} in action")
                     continue
@@ -229,6 +244,8 @@ class _Checker:
             ty = scope.get(e.id)
             if ty is None:
                 return self.error(e.pos, f"unknown name {e.id!r}")
+            if ty.kind == "deleted":
+                return self.error(e.pos, _after_delete(e.id))
             return ty
         if isinstance(e, A.SelfRef):
             ty = scope.get("self")

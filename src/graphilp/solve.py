@@ -3,8 +3,10 @@ brute-force enumeration oracle used by the test suite.
 
 Every variable of a program is binary (the encoder makes no other kind and
 the LP reader rejects any other), so the relaxation bounds each column to
-[0, 1] and the search may branch on every column. Each LP is solved by a
-self-contained dense bounded-variable dual simplex (`_Lp`). Its tableau is
+[0, 1] and the search may branch on every column. The program is read once
+into `_Arrays`, which holds its rows as CSR triplets and keeps no dense copy
+of A. Each LP is solved by a self-contained dense bounded-variable dual
+simplex (`_Lp`). Its tableau, filled from the triplets, is
 B^-1 [A | I | b]: one logical column per row, bounded to [0, inf) for a `<=`
 row, (-inf, 0] for a `>=` row and [0, 0] for an `=` row, while the
 structural columns carry the node's bounds. There are no `x <= 1` rows, no
@@ -17,16 +19,18 @@ pivots are needed. The first child takes the tableau over and its sibling
 gets a copy, unless the tableaux waiting on the search stack would pass
 `STACK_TABLEAU_BYTES`; then the sibling starts from the slack basis. A
 tableau carried from node to node is never rebuilt from A, so every warm
-answer is checked against the original rows (`_Lp.holds`); a node whose
-warm answer fails the check, or whose warm LP stalls, is solved again from
-the slack basis. The leaving variable is the basic one farthest outside its
-bounds, the entering column wins the dual ratio test (ties to the largest
-pivot entry); after 30 consecutive degenerate pivots the rules switch to the
-dual analogue of Bland's (the smallest-index infeasible basic variable, the
-first-index ratio tie), so the simplex is deterministic and cannot cycle. A
-pivot updates only the rows with a nonzero entry in its column. If the
-simplex gives up within its iteration budget from the slack basis too, the
-node falls back to a coefficient-sum bound and its children start from the
+answer is checked against the original rows, read from the triplets by
+sparse products (`_Lp.holds`); a node whose warm answer fails the check, or
+whose warm LP stalls, is solved again from the slack basis. The leaving
+variable is the basic one farthest outside its bounds, the entering column
+wins the dual ratio test (ties to the largest pivot entry); after 30
+consecutive degenerate pivots the rules switch to the dual analogue of
+Bland's (the smallest-index infeasible basic variable, the first-index ratio
+tie), so the simplex is deterministic and cannot cycle. A pivot updates only
+the rows with a nonzero entry in its column, in blocks of
+`PIVOT_BLOCK_BYTES` bytes, so its temporaries stay small. If the simplex
+gives up within its iteration budget from the slack basis too, the node
+falls back to a coefficient-sum bound and its children start from the
 slack basis, which keeps the search exact, only slower. Branching is
 most-fractional-first with a lexicographic tie-break on variable id; with a
 nonnegative minimization objective the 1-branch is explored first,
@@ -56,6 +60,11 @@ GUARD_TOL = 1e-6
 # most 1 MB, while copies of full-scale tableaux (12-91 MB each) nearly
 # doubled peak memory without saving time
 STACK_TABLEAU_BYTES = 8 << 20
+# a pivot updates the rows it touches in blocks of this many bytes: it makes
+# two temporaries the size of the rows it updates at once, which, once the
+# columns fill in, could reach twice the tableau; a tableau of at most this
+# size is one block
+PIVOT_BLOCK_BYTES = 1 << 20
 BLAND_AFTER = 30  # consecutive degenerate pivots before the dual Bland rule
 MAX_PIVOTS = 20000  # simplex iterations before an LP is reported 'stalled'
 
@@ -82,12 +91,18 @@ def _pivot(T, i, j):
     """One Gauss-Jordan step: make column j of T the unit vector of row i.
 
     Only the rows with a nonzero entry in column j are updated; the others
-    (most of them, in a sparse program) are left exactly as they are.
+    (most of them, in a sparse program) are left exactly as they are. They
+    are updated in blocks of about `PIVOT_BLOCK_BYTES`, so the step's
+    temporaries stay that small however many rows it touches; every entry
+    gets the same `x - a*b` in any block.
     """
     T[i] /= T[i, j]
     rows = T[:, j].nonzero()[0]
     rows = rows[rows != i]
-    T[rows] -= T[rows, j, None] * T[i]
+    step = PIVOT_BLOCK_BYTES // T[i].nbytes or 1
+    blocks = (rows,) if rows.size <= step else np.split(rows, range(step, rows.size, step))
+    for block in blocks:
+        T[block] -= T[block, j, None] * T[i]
 
 
 class _Lp:
@@ -107,7 +122,7 @@ class _Lp:
         """The slack basis under structural bounds `lo` and `hi`."""
         n, m = ar.n, len(ar.b)
         self.T = np.zeros((m, n + m + 1))
-        self.T[:, :n] = ar.A
+        self.T[ar.rowidx, ar.indices] = ar.data
         self.T[np.arange(m), n + np.arange(m)] = 1.0
         self.T[:, -1] = ar.b
         self.basis = np.arange(n, n + m)
@@ -117,7 +132,7 @@ class _Lp:
         self.d = self.cost.copy()
         self.x = np.zeros(n + m)
         self.x[:n] = np.where(ar.c < 0, hi, lo)
-        self.x[n:] = ar.b - ar.A @ self.x[:n]
+        self.x[n:] = ar.b - ar.row_sums(self.x[:n])
         self.side = np.zeros(n + m)
         self.side[:n] = np.where(lo == hi, 0.0, np.where(ar.c < 0, -1.0, 1.0))
         self.row = None  # the row whose dual ratio test proved infeasibility
@@ -158,7 +173,7 @@ class _Lp:
         binv = self.T[:, n:-1]
         if status == "infeasible":
             y = binv[self.row]
-            g = np.concatenate([y @ ar.A, y])
+            g = np.concatenate([ar.col_sums(y), y])
             rhs = float(y @ ar.b)
             slack_lo, slack_hi = ar.slack_box
             lo = np.concatenate([self.lo[:n], slack_lo])
@@ -167,8 +182,8 @@ class _Lp:
             high = float(np.where(g > 0, g * hi, g * lo).sum())
             return low > rhs + FEAS_TOL or high < rhs - FEAS_TOL
         y = self.cost[self.basis] @ binv
-        dual = np.concatenate([y @ ar.A, y]) - self.cost + self.d
-        primal = ar.A @ self.x[:n] + self.x[n:] - ar.b
+        dual = np.concatenate([ar.col_sums(y), y]) - self.cost + self.d
+        primal = ar.row_sums(self.x[:n]) + self.x[n:] - ar.b
         return max(np.abs(dual).max(), np.abs(primal).max(initial=0.0)) <= GUARD_TOL
 
     def _refresh(self):
@@ -260,9 +275,15 @@ class _Lp:
 # --- problem arrays -------------------------------------------------------------
 
 class _Arrays:
+    """A program as numpy arrays, built once: column ids, the objective
+    (`c`, in minimization sense), and the rows as CSR triplets. Row i holds
+    `data[indptr[i]:indptr[i+1]]` in the columns `indices[...]` (`rowidx`
+    repeats i for each of them), with right-hand side `b[i]` and relation
+    `ge`/`eq` (neither: `<=`). No dense matrix of the rows is kept."""
+
     def __init__(self, p: IlpProblem):
         self.ids = [v.id for v in p.variables]
-        self.index = {vid: j for j, vid in enumerate(self.ids)}
+        index = {vid: j for j, vid in enumerate(self.ids)}
         self.n = len(self.ids)
         # each column's position in id order, for the branching tie-break
         self.rank = np.empty(self.n, dtype=np.intp)
@@ -271,33 +292,48 @@ class _Arrays:
         self.sense = p.objective.sense
         self.c = np.zeros(self.n)
         for vid, coeff in p.objective.terms.items():
-            self.c[self.index[vid]] = sign * coeff
+            self.c[index[vid]] = sign * coeff
         self.constant = p.objective.constant
         self.sign = sign
-        self.A = np.zeros((len(p.constraints), self.n))
-        for coefs, row in zip(self.A, p.constraints):  # each `coefs` is a view of a row of A
-            for vid, coeff in row.coeffs.items():
-                coefs[self.index[vid]] = coeff
-        self.b = np.array([float(row.rhs) for row in p.constraints])
-        rels = np.array([row.rel for row in p.constraints], dtype=str)
+        rows = p.constraints
+        counts = np.array([len(row.coeffs) for row in rows], dtype=np.intp)
+        self.indptr = np.concatenate([[0], counts.cumsum()])
+        self.indices = np.array([index[v] for row in rows for v in row.coeffs], dtype=np.intp)
+        self.data = np.array([a for row in rows for a in row.coeffs.values()], dtype=float)
+        self.rowidx = np.repeat(np.arange(len(rows)), counts)
+        self.b = np.array([row.rhs for row in rows], dtype=float)
+        rels = np.array([row.rel for row in rows], dtype=str)
         self.ge = rels == ">="
         self.eq = rels == "="
+
+    def row_sums(self, x):
+        """A x, for one point `x`."""
+        return np.bincount(self.rowidx, self.data * x[self.indices], len(self.b))
+
+    def col_sums(self, y):
+        """yᵀA, for one weight `y` per row."""
+        return np.bincount(self.indices, self.data * y[self.rowidx], self.n)
 
     @cached_property
     def slack_box(self):
         """Finite bounds on each row's logical b - A x over the 0/1 box."""
-        most = np.maximum(self.A, 0).sum(axis=1)  # the largest A x
-        least = np.minimum(self.A, 0).sum(axis=1)
+        m = len(self.b)
+        most = np.bincount(self.rowidx, np.maximum(self.data, 0), m)  # the largest A x
+        least = np.bincount(self.rowidx, np.minimum(self.data, 0), m)
         return (np.where(self.ge, self.b - most, 0.0),
                 np.where(self.ge | self.eq, 0.0, self.b - least))
 
-    def feasible(self, X, tol=FEAS_TOL):
-        """Whether point `X` satisfies every row; for a batch of points (one
-        per row of `X`), one such bool per point."""
-        lhs = X @ self.A.T
+    def satisfied(self, lhs):
+        """Whether row activities `lhs` (A x) meet every row; for a batch (one
+        point per row of `lhs`), one such bool per point."""
+        tol = FEAS_TOL
         violated = np.where(self.eq, np.abs(lhs - self.b) > tol,
                             np.where(self.ge, lhs < self.b - tol, lhs > self.b + tol))
         return ~violated.any(axis=-1)
+
+    def feasible(self, x) -> bool:
+        """Whether point `x` satisfies every row."""
+        return bool(self.satisfied(self.row_sums(x)))
 
     def objective_of(self, x) -> float:
         return self.sign * float(self.c @ x) + self.constant
@@ -417,7 +453,8 @@ def solve(p: IlpProblem, time_limit: float | None = None) -> Solution:
 
 
 def lp_relaxation(p: IlpProblem) -> tuple[str, float | None]:
-    """Root LP bound in the problem's own sense; used by property tests."""
+    """Root LP bound in the problem's own sense. Used by property tests, and
+    timed by the benchmark's fullscale-compile workload."""
     ar = _Arrays(p)
     lp = _Lp(ar, np.zeros(ar.n), np.ones(ar.n))
     status, _ = lp.run()
@@ -435,6 +472,8 @@ def brute_force(p: IlpProblem) -> Solution:
     nb = ar.n
     if nb > 22:
         raise BruteForceTooLarge(f"{nb} binary variables exceed the 2^22 budget")
+    A = np.zeros((len(ar.b), nb))
+    A[ar.rowidx, ar.indices] = ar.data
 
     best_val = None
     best_x = None
@@ -446,7 +485,7 @@ def brute_force(p: IlpProblem) -> Solution:
         hi = min(total, lo + (1 << BRUTE_CHUNK_BITS))
         ks = np.arange(lo, hi, dtype=np.uint32)
         X = ((ks[:, None] >> shifts[None, :]) & 1).astype(float)
-        feas = ar.feasible(X)
+        feas = ar.satisfied(X @ A.T)
         if not np.any(feas):
             continue
         objs = X @ c_bin + ar.constant

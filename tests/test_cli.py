@@ -124,6 +124,27 @@ def test_actions_on_a_created_node(actions, nodes, tmp_path, capsys):
     assert [line.strip() for line in out.read_text().splitlines() if "node {" in line] == nodes
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("actions, col", [
+    ("delete node a  set a.r := 2", 54),
+    ("delete node a  create node b: N { r := a.r }", 78),
+    ("delete node a  delete node a", 54),
+], ids=["set", "read", "delete-twice"])
+def test_action_on_a_deleted_node_is_a_located_error(command, actions, col, tmp_path,
+                                                      capsys):
+    model, spec, out = tmp_path / "m.model", tmp_path / "s.gipsl", tmp_path / "out.model"
+    model.write_text(GROW_DOC)
+    spec.write_text(f"rule grow {{ nodes {{ a: N }}  actions {{ {actions} }} }}\n"
+                    "mapping g with grow;\n"
+                    "objective o -> mapping::g { -1 }\n"
+                    "global objective : min { o }\n")
+    args = ["--model", str(model), "--spec", str(spec)]
+    assert main([command, *args] + (["--out", str(out)] if command == "solve" else [])) == 1
+    assert capsys.readouterr().err == (f"error: {spec}:1:{col}: node 'a' is used after "
+                                       "an action deletes it\n")
+    assert not out.exists()
+
+
 def test_check_model_ending_inside_a_record_names_the_end(two_links, tmp_path, capsys):
     _, spec = two_links
     model = tmp_path / "cut.model"
@@ -501,11 +522,11 @@ REAL_TASK_DOC = TASK_DOC.replace("cpu: int", "cpu: real").replace("resCpu: int",
      "objective 'packObj', match 0 of place: '/' overflows the float range"),
     (TASK_DOC.replace("cpu: 32  resCpu: 10", f"cpu: {'9' * 400}  resCpu: 10"),
      "self.nodes().s.resCpu / self.nodes().s.cpu", "self.nodes().s.cpu",
-     "objective 'packObj', match 0 of place: int too large to convert to float"),
+     "objective 'packObj', match 0 of place: non-finite coefficient or constant"),
     (TASK_DOC.replace("cpu: 32  resCpu: 10", f"cpu: {'9' * 400}  resCpu: 10"),
      "->sum(m | m.nodes().t.cpu) <= self.resCpu",
      "->sum(m | m.nodes().s.cpu) * 0.5 <= self.resCpu",
-     "constraint 1 (class::Server), s1: int too large to convert to float"),
+     "constraint 1 (class::Server), s1: non-finite coefficient or constant"),
     (REAL_TASK_DOC, "set t.placed := true", f"set t.placed := true  set t.cpu := 1{'0' * 400}",
      "rule 'place', action 'set t.cpu' on s=s1 t=t2: value overflows the float range of "
      "real attribute 'cpu'"),

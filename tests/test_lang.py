@@ -568,6 +568,19 @@ global objective : min { 0 }
         typecheck(parse(text), vne_mm())
 
 
+def test_edge_to_a_deleted_node_rejected():
+    text = """
+rule r {
+  nodes { v: VirtualServer  s: SubstrateServer }
+  actions { delete node s  create edge host(v -> s) }
+}
+global objective : min { 0 }
+"""
+    with pytest.raises(TypecheckError, match="4:28: node 's' is used after an action "
+                                             "deletes it"):
+        typecheck(parse(text), vne_mm())
+
+
 def test_rule_condition_must_be_boolean():
     text = """
 rule r {

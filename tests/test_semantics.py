@@ -181,3 +181,19 @@ def test_infeasible_task_spec_means_what_it_says():
                        .replace("cpu: 32  resCpu: 10", "cpu: 32  resCpu: 4"))
     spec = typecheck(parse(TASK_SPEC), mm)
     assert not assert_program_means_spec(spec, g).any()
+
+
+def test_negated_atom_means_what_it_says():
+    # a used server must carry at least 5 cpu. On s1, which carries both
+    # tasks, the negated literal `!(... >= 1)` is false and the other one
+    # holds, so the lower indicator row must let the atom's indicator be 1;
+    # t1 alone on s2 (4 cpu) breaks the clause
+    mm, g = load_model(TASK_DOC.replace("cpu: 32  resCpu: 10", "cpu: 32  resCpu: 12"))
+    spec = typecheck(parse(TASK_SPEC + """
+constraint -> class::Server {
+  !(mappings.put->filter(m | m.nodes().s == self)->sum(m | 1) >= 1)
+  | mappings.put->filter(m | m.nodes().s == self)->sum(m | m.nodes().t.cpu) >= 5
+}
+"""), mm)
+    feasible = assert_program_means_spec(spec, g)
+    assert 0 < feasible.sum() < len(feasible)

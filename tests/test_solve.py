@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,75 @@ def test_root_relaxation_bounds_integer_optimum():
         else:
             assert bound >= s.objective_value - 1e-7
     assert checked > 20
+
+
+def test_program_form_matches_the_row_dicts():
+    # the solver reads rows only from `_Arrays`' CSR triplets and from the
+    # tableau filled from them: both must say what the Row dicts say, entry
+    # by entry, on random programs with fractional and zero coefficients,
+    # both senses, and the variable-free row `0 <= -1`
+    rng = random.Random(9090)
+    senses = set()
+    for k in range(80):
+        p = random_problem(rng, max_vars=20, max_rows=25, max_row_vars=6)
+        rows = [Row({v: c + rng.choice([0, 0, 0.25, -1 / 3]) for v, c in row.coeffs.items()},
+                    row.rel, row.rhs + rng.choice([0, 0.5])) for row in p.constraints]
+        rows.insert(rng.randint(0, len(rows)), Row({}, "<=", -1))
+        p = IlpProblem(p.variables, rows, p.objective)
+        senses.add(p.objective.sense)
+        ar = solve_mod._Arrays(p)
+        ids = [v.id for v in p.variables]
+        n, m = len(ids), len(rows)
+        assert ar.ids == ids and ar.n == n, k
+        assert ar.sense == p.objective.sense and ar.constant == p.objective.constant, k
+        sign = 1.0 if p.objective.sense == "min" else -1.0
+        assert ar.c.tolist() == [sign * p.objective.terms.get(v, 0) for v in ids], k
+        assert ar.indptr[0] == 0 and len(ar.indptr) == m + 1, k
+        dense = np.zeros((m, n))
+        for i, row in enumerate(rows):
+            span = slice(ar.indptr[i], ar.indptr[i + 1])
+            assert {ids[j]: a for j, a in zip(ar.indices[span], ar.data[span])} == \
+                {v: float(c) for v, c in row.coeffs.items()}, (k, i)
+            assert ar.indices[span].size == len(row.coeffs), (k, i)
+            assert ar.rowidx[span].tolist() == [i] * len(row.coeffs), (k, i)
+            rel = "=" if ar.eq[i] else ">=" if ar.ge[i] else "<="
+            assert (rel, ar.b[i]) == (row.rel, float(row.rhs)), (k, i)
+            for v, c in row.coeffs.items():
+                dense[i, ids.index(v)] = c
+        lp = solve_mod._Lp(ar, np.zeros(n), np.ones(n))
+        assert np.array_equal(lp.T[:, :n], dense), k
+        assert np.array_equal(lp.T[:, n:-1], np.eye(m)), k
+        assert lp.T[:, -1].tolist() == [float(row.rhs) for row in rows], k
+        x = np.array([rng.randint(0, 1) for _ in ids], dtype=float)
+        y = np.array([rng.uniform(-2, 2) for _ in rows])
+        assert ar.row_sums(x) == pytest.approx(dense @ x, abs=1e-12), k
+        assert ar.col_sums(y) == pytest.approx(y @ dense, abs=1e-12), k
+    assert senses == {"min", "max"}
+
+
+def test_lp_relaxation_memory_is_its_tableau(monkeypatch):
+    # an 800 x 600 program with four nonzeros a row, whose root LP takes
+    # hundreds of pivots that fill its columns in. The rows are kept as CSR
+    # triplets, not as a dense copy, and each pivot updates its rows in
+    # bounded blocks, so the peak stays near the one m x (n + m + 1) tableau
+    rng = random.Random(2)
+    m, n = 800, 600
+    ids = [f"x{j:03d}" for j in range(n)]
+    rows = [Row({ids[j]: rng.randint(1, 9) for j in rng.sample(range(n), 4)}, "<=",
+                rng.randint(4, 48)) for _ in range(m)]
+    p = IlpProblem([Variable(v, BINARY) for v in ids], rows,
+                   ObjectiveFunc("max", {v: rng.randint(1, 10) for v in ids}))
+    calls = itertools.count()
+    real = solve_mod._pivot
+    monkeypatch.setattr(solve_mod, "_pivot", lambda *a: (next(calls), real(*a)))
+    tracemalloc.start()
+    try:
+        status, _ = lp_relaxation(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == "optimal" and next(calls) >= 200
+    assert peak < 1.6 * m * (n + m + 1) * 8
 
 
 def _with_redundant_rows(p):
@@ -402,6 +472,14 @@ def test_sparse_pivot_matches_dense_reference():
         i = int(rng.integers(m))
         T[i, j] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
         _check_pivot(T, i, j)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100])
+def test_blocked_pivot_matches_dense_reference(block_bytes, monkeypatch):
+    # these tableaux fit one default block; 1 byte makes each updated row its
+    # own block, 100 bytes a few rows each
+    monkeypatch.setattr(solve_mod, "PIVOT_BLOCK_BYTES", block_bytes)
+    test_sparse_pivot_matches_dense_reference()
 
 
 def test_sparse_pivot_edge_cases():
