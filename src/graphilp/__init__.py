@@ -8,8 +8,7 @@ matches back to the graph.
 
 from .encode import (GenerationError, IlpProblem, LinearTerm, MappingTable,
                      ObjectiveFunc, Row, Variable, apply_solution,
-                     build_objective, dump_problem, expand_contexts, generate,
-                     instantiate_mappings, linearize, lower_sets, to_cnf)
+                     build_objective, dump_problem, generate)
 from .lang.parser import DslSyntaxError, parse, parse_expression
 from .lang.printer import pretty, pretty_expr
 from .lang.typecheck import TypecheckError, TypedSpec, typecheck

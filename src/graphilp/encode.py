@@ -30,8 +30,8 @@ from functools import cached_property
 from .lang import ast as A
 from .lang.eval import EvalError, compare, compile_expr
 from .lang.typecheck import TypedSpec
-from .model import Graph, Node, apply_delta
-from .pattern import Match, apply_rule, find_matches
+from .model import Graph, Match, Node, apply_delta
+from .pattern import apply_rule, find_matches
 
 BINARY = "binary"
 AUX_BINARY = "auxiliary-binary"
@@ -353,8 +353,8 @@ class _Lowerer:
         if buckets is None:
             buckets = {}
             for pair in self.table.pairs(mapping):
-                bound = dict(pair[1].bound)
-                k = tuple([pair[1] if f is _WHOLE_MATCH else bound[f] for f in fields])
+                binding = pair[1].binding
+                k = tuple([pair[1] if f is _WHOLE_MATCH else binding[f] for f in fields])
                 buckets.setdefault(k, []).append(pair)
             self._buckets[(mapping, fields)] = buckets
         return buckets
@@ -765,12 +765,6 @@ def expand_contexts(item: A.ConstraintDecl | A.ObjectiveDecl, g: Graph,
     return out
 
 
-def lower_sets(body, self_value, spec: TypedSpec, g: Graph, table: MappingTable):
-    """Lower one expanded Boolean body (with `self` bound) to a Boolean tree
-    over linear-term atoms, in a context of its own."""
-    return _lower_bool(body)({"self": self_value}, _Lowerer(spec, g, table))
-
-
 def build_objective(low: _Lowerer,
                     matches_by_rule: dict[str, list[Match]]) -> ObjectiveFunc:
     """Weighted sum of all objective instances per the global objective,
@@ -868,6 +862,6 @@ def dump_problem(p: IlpProblem, table: MappingTable | None = None) -> str:
         lines.append(f"var {v.id} {v.kind}")
     if table is not None:
         for var_id, (mapping, match) in table.items():
-            binding = " ".join(f"{k}={v}" for k, v in match.bound)
+            binding = " ".join(f"{k}={v}" for k, v in match.binding.items())
             lines.append(f"map {var_id} -> {mapping}[{binding}]")
     return "\n".join(lines) + "\n"

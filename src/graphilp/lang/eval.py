@@ -4,10 +4,11 @@
 evaluating it does no dispatch on the tree (Feeley & Lapalme, *Using
 closures for code generation*, Computer Languages, 1987). Environment
 values are numbers, booleans, strings, the graph's own `model.Node`s, or
-match-like objects (anything exposing `.rule` and `.bound`). Operands are
-evaluated left to right, `&` and `|` short-circuit, and an operand's type is
-checked before the next one is evaluated (a relation evaluates both sides
-first). Mapping sums never reach the evaluator; the encoder lowers them first.
+`model.Match`es; `m.nodes().X` is one lookup in the match's binding.
+Operands are evaluated left to right, `&` and `|` short-circuit, and an
+operand's type is checked before the next one is evaluated (a relation
+evaluates both sides first). Mapping sums never reach the evaluator; the
+encoder lowers them first.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ import functools
 import math
 import operator
 
-from ..model import Node
+from ..model import Match, Node
 from .ast import (AttrRef, Binary, BoolLit, Name, NodesNav, Num, Rel, SelfRef,
                   SetSum, StrLit, Unary)
 
 
 class EvalError(Exception):
     pass
-
-
-def _is_match(v) -> bool:
-    return hasattr(v, "rule") and hasattr(v, "bound")
 
 
 def _require_number(v, what: str):
@@ -51,8 +48,8 @@ def values_equal(a, b) -> bool:
     # nodes are equal by id alone (dataclass equality would compare attrs too)
     if isinstance(a, Node) and isinstance(b, Node):
         return a.id == b.id
-    if _is_match(a) and _is_match(b):
-        return a.rule == b.rule and dict(a.bound) == dict(b.bound)
+    if isinstance(a, Match) and isinstance(b, Match):
+        return a == b
     if isinstance(a, bool) or isinstance(b, bool):
         return a is b if isinstance(a, bool) and isinstance(b, bool) else False
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
@@ -132,15 +129,15 @@ def _nodes_nav(e):
 
     def run(env, graph):
         match = base(env, graph)
-        if not _is_match(match):
+        if not isinstance(match, Match):
             raise EvalError("nodes() applies to a match")
-        for name, gid in match.bound:
-            if name == node:
-                try:
-                    return graph.nodes[gid]
-                except KeyError:
-                    raise EvalError(f"node {gid!r} not in graph") from None
-        raise EvalError(missing)
+        gid = match.binding.get(node)
+        if gid is None:
+            raise EvalError(missing)
+        try:
+            return graph.nodes[gid]
+        except KeyError:
+            raise EvalError(f"node {gid!r} not in graph") from None
     return run
 
 

@@ -1,4 +1,4 @@
-"""Typed attributed graphs: schema, instance graphs, mutation deltas, text format.
+"""Typed attributed graphs: schema, instances, matches, deltas, text format.
 
 A model document is a sequence of brace-delimited sections. The canonical key
 order is `nodetypes`, `edgetypes`, `nodes`, `edges`; a file may hold only the
@@ -25,8 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .lang.lexer import LexError, TokenStream, is_word, quote, tokenize
+
+if TYPE_CHECKING:
+    from .pattern import Pattern
 
 ATTR_KINDS = ("int", "real", "bool", "string")
 
@@ -140,6 +144,29 @@ class Node:
     id: str
     type: str
     attrs: dict
+
+
+@dataclass(frozen=True, eq=False)
+class Match:
+    """An injective binding of one pattern's nodes to graph nodes, as
+    `pattern.find_matches` makes it; it lives next to `Node` so that the
+    evaluator knows both by type. Two matches are equal when they are of the
+    same rule and bind the same nodes."""
+
+    pattern: Pattern
+    binding: dict[str, str]  # pattern node name -> graph node id, in name order
+
+    @property
+    def rule(self) -> str:
+        return self.pattern.name
+
+    def __eq__(self, other):
+        if not isinstance(other, Match):
+            return NotImplemented
+        return self.pattern.name == other.pattern.name and self.binding == other.binding
+
+    def __hash__(self):
+        return hash((self.pattern.name, tuple(self.binding.items())))
 
 
 @dataclass(frozen=True)

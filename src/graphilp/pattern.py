@@ -1,23 +1,24 @@
 """Graph patterns, rewrite rules, batch subgraph matching, rule application.
 
-A match binds pattern nodes to graph nodes injectively; every pattern edge
-must be realized by a graph edge of the declared type and the attribute
-condition must hold under the binding. `find_matches` is exhaustive and
-deterministic: results come back sorted by their bound id sets. A pattern
-compiles its condition, and a rule its action values, once, on first use.
-An error while evaluating either is a PatternError that names the rule and
-the binding. The parser builds rules directly; their `pos` fields locate
-diagnostics and, as in the AST, take no part in equality.
+A match (`model.Match`) binds pattern nodes to graph nodes injectively;
+every pattern edge must be realized by a graph edge of the declared type and
+the attribute condition must hold under the binding. `find_matches` is the
+only maker of matches; it is exhaustive and deterministic: results come back
+sorted by their bound id sets. A pattern compiles its condition, and a rule
+its action values, once, on first use. An error while evaluating either is a
+PatternError that names the rule and the binding. The parser builds rules
+directly; their `pos` fields locate diagnostics and, as in the AST, take no
+part in equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .lang import ast as A
 from .lang.eval import EvalError, compile_expr
-from .model import Edge, Graph, GraphDelta, Node
+from .model import Edge, Graph, GraphDelta, Match, Node
 
 
 class PatternError(Exception):
@@ -81,23 +82,6 @@ class Rule:
             else:
                 out.append((action, None))
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class Match:
-    """An injective binding of one pattern's nodes to graph nodes."""
-
-    rule: str
-    bound: tuple[tuple[str, str], ...]  # (pattern node, graph node id), name-sorted
-    pattern: Pattern = field(compare=False, repr=False)
-
-    @staticmethod
-    def of(pattern: Pattern, binding: dict[str, str]) -> "Match":
-        return Match(pattern.name, tuple(sorted(binding.items())), pattern)
-
-    @property
-    def binding(self) -> dict[str, str]:
-        return dict(self.bound)
 
 
 def _where(rule: str, what: str, binding: dict[str, str]) -> str:
@@ -199,7 +183,7 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
     def backtrack(depth: int):
         if depth == complete:
             if _condition_holds(g, p, binding):
-                results.append(Match.of(p, binding))
+                results.append(Match(p, dict(sorted(binding.items()))))
             return
         name, anchors, checks = steps[depth]
         for gid in candidates(name, anchors) if anchors else pools[name]:
@@ -220,8 +204,7 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
     order = p.node_names()
 
     def key(m: Match):
-        bound = dict(m.bound)
-        return sorted(bound.values()), tuple(bound[n] for n in order)
+        return sorted(m.binding.values()), tuple(m.binding[n] for n in order)
     results.sort(key=key)
     return results
 
@@ -265,11 +248,11 @@ def apply_rule(g: Graph, r: Rule, m: Match) -> GraphDelta:
     and PatternError naming the rule, the action and the binding when an
     action value cannot be evaluated or stored.
     """
-    if m.rule != r.name and m.rule != r.lhs.name:
+    if m.rule != r.lhs.name:
         raise PatternError(f"match of {m.rule!r} applied to rule {r.name!r}")
     if not revalidate(g, m):
         raise StaleMatchError(f"match of {r.name!r} is stale: {m.binding}")
-    env: dict[str, object] = {name: g.nodes[gid] for name, gid in m.bound}
+    env: dict[str, object] = {name: g.nodes[gid] for name, gid in m.binding.items()}
     created_nodes: list[Node] = []
     created_edges: list[Edge] = []
     deleted_edges: list[str] = []

@@ -14,9 +14,9 @@ from graphilp import (Edge, Graph, Node, StaleMatchError, apply_solution, brute_
                       generate_scenario, load_graph, load_model, parse,
                       parse_scenario_config, solve, typecheck)
 from graphilp.encode import (AUX_BINARY, BINARY, Atom, GenerationError,
-                             LinearTerm, Literal, MappingTable, Row, _Alloc, _negate,
-                             build_objective, collect_matches, expand_contexts,
-                             instantiate_mappings, linearize, lower_sets, to_cnf)
+                             LinearTerm, Literal, MappingTable, Row, _Alloc, _Lowerer,
+                             _lower_bool, _negate, build_objective, collect_matches,
+                             expand_contexts, instantiate_mappings, linearize, to_cnf)
 from graphilp.lang import ast as A
 from graphilp.lang.parser import parse_expression
 from graphilp.vne import merge_graphs
@@ -172,6 +172,12 @@ def test_pattern_context_objective_contributes_constants(task_model):
 
 
 # --- lower_sets ----------------------------------------------------------------------
+
+def lower_sets(body, self_value, spec, g, table):
+    """Lower one Boolean body, with `self` bound, to a Boolean tree over
+    linear-term atoms, in a lowering context of its own."""
+    return _lower_bool(body)({"self": self_value}, _Lowerer(spec, g, table))
+
 
 def test_capacity_sum_lowering_by_hand(task_model, task_spec):
     # one server, two placeable tasks with demands 4 and 7:
@@ -907,7 +913,7 @@ def test_mapping_table_rejects_duplicates():
     table = MappingTable()
     from graphilp.pattern import Match, Pattern, PatternNode
     p = Pattern("r", (PatternNode("a", "T"),))
-    m = Match.of(p, {"a": "n1"})
+    m = Match(p, {"a": "n1"})
     table.add("v0", "map", m)
     with pytest.raises(GenerationError):
         table.add("v0", "map", m)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import types
 
 import pytest
 
@@ -443,11 +444,14 @@ def test_undefined_function_value_is_an_eval_error(text):
 
 def _eval_env():
     _, g = load_model(TASK_DOC)
-    match = Match("place", (("s", "s1"), ("t", "t1")), Pattern("place", ()))
-    ghost = Match("place", (("s", "s9"), ("t", "t1")), Pattern("place", ()))
+    match = Match(Pattern("place", ()), {"s": "s1", "t": "t1"})
+    ghost = Match(Pattern("place", ()), {"s": "s9", "t": "t1"})
     twin = Node("s1", "Server", {})  # s1's id, other attributes
+    # looks like a match to duck typing, but is not one
+    duck = types.SimpleNamespace(rule="place", bound=(("s", "s1"), ("t", "t1")),
+                                 binding={"s": "s1", "t": "t1"})
     return {"m": match, "n": g.nodes["s1"], "ghost": ghost, "twin": twin,
-            "huge": 10 ** 400}, g
+            "duck": duck, "huge": 10 ** 400}, g
 
 
 # `value` is the expected result, or the EvalError message the evaluation ends in
@@ -477,6 +481,8 @@ def _eval_env():
     ("m.nodes().s.cpu + m.nodes().t.cpu", 36),
     ("m.nodes().s.nope", "node 's1' has no attribute 'nope'"),
     ("ghost.nodes().s.cpu", "node 's9' not in graph"),
+    ("duck.nodes().s", "nodes() applies to a match"),
+    ("duck == m", "cannot compare values of different kinds"),
     ("m.cpu", "attribute 'cpu' read on a non-node value"),
     ("zz", "unbound name 'zz'"),
     ("self", "'self' is not bound here"),

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from graphilp import (Edge, Graph, GraphDelta, Node, apply_delta, apply_rule,
-                      find_matches, load_model, revalidate)
+                      find_matches, generate, load_model, revalidate)
 from graphilp.lang.eval import EvalError, compile_expr
 from graphilp.lang.parser import parse, parse_expression
 from graphilp.lang.typecheck import typecheck
@@ -16,7 +16,7 @@ from conftest import (TASK_DOC, TASK_SPEC, brute_matches, random_graph,
 
 
 def binding_set(matches):
-    return {tuple(m.bound) for m in matches}
+    return {tuple(m.binding.items()) for m in matches}
 
 
 def test_link2link_finds_two_matches_on_two_links():
@@ -74,9 +74,23 @@ def test_matches_are_deterministically_ordered(task_model, task_spec):
     lhs = task_spec.rules["place"].lhs
     a = find_matches(g, lhs)
     b = find_matches(Graph(g.mm, list(g.nodes.values()), list(g.edges.values())), lhs)
-    assert [m.bound for m in a] == [m.bound for m in b]
-    keys = [sorted(gid for _, gid in m.bound) for m in a]
+    assert [tuple(m.binding.items()) for m in a] == [tuple(m.binding.items()) for m in b]
+    keys = [sorted(m.binding.values()) for m in a]
     assert keys == sorted(keys)
+
+
+def test_matches_are_equal_by_rule_and_binding(task_model, task_spec):
+    _, g = task_model
+    lhs = task_spec.rules["place"].lhs
+    a, b = find_matches(g, lhs), find_matches(g, lhs)
+    assert a == b and [hash(m) for m in a] == [hash(m) for m in b]
+    assert all(x is not y for x, y in zip(a, b))
+    assert a[0] != a[1]
+    renamed = Pattern("other", lhs.nodes, lhs.edges, lhs.condition)
+    assert a[0] != Match(renamed, a[0].binding)
+    # a match from another call finds its variable
+    _, table = generate(task_spec, g)
+    assert [table.var_of("put", m) for m in b] == [v for v, _ in table.pairs("put")]
 
 
 def test_matcher_equals_brute_force_on_random_graphs(match_mm):
@@ -183,7 +197,7 @@ def test_revalidate_fails_after_resource_exhaustion(task_model, task_spec):
     # applying one match drops the residual below the other match's demand
     _, g = task_model
     rule = task_spec.rules["place"]
-    m_t2_s2 = Match.of(rule.lhs, {"t": "t2", "s": "s2"})  # needs 7, s2 has 5
+    m_t2_s2 = Match(rule.lhs, {"s": "s2", "t": "t2"})  # needs 7, s2 has 5
     assert not revalidate(g, m_t2_s2)
     m_t2_s1 = next(m for m in find_matches(g, rule.lhs)
                    if m.binding == {"t": "t2", "s": "s1"})
@@ -379,7 +393,7 @@ def test_search_order_reports_what_rescoring_every_branch_reports(match_mm):
         p = link2link_shaped(rng, rng.randint(0, 4))
         expected, message = rescored_outcome(g, p)
         if message is None:
-            got = [m.bound for m in find_matches(g, p)]
+            got = [tuple(m.binding.items()) for m in find_matches(g, p)]
             assert sorted(got) == sorted(expected) and len(got) == len(expected)
             outcomes["matches"] += len(got) > 0
         else:
