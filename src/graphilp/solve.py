@@ -13,29 +13,38 @@ structural columns carry the node's bounds. There are no `x <= 1` rows, no
 artificial columns and no phase 1. The root starts from the slack basis
 (every logical basic, every structural column at its upper bound where its
 cost is negative and at its lower bound otherwise), which is dual feasible.
-A child fixes one column and continues from its parent's final tableau (a
-warm start): fixing a column keeps the basis dual feasible, so only dual
-pivots are needed. The first child takes the tableau over and its sibling
-gets a copy, unless the tableaux waiting on the search stack would pass
-`STACK_TABLEAU_BYTES`; then the sibling starts from the slack basis. A
-tableau carried from node to node is never rebuilt from A, so every warm
-answer is checked against the original rows, read from the triplets by
-sparse products (`_Lp.holds`); a node whose warm answer fails the check, or
-whose warm LP stalls, is solved again from the slack basis. The leaving
-variable is the basic one farthest outside its bounds, the entering column
-wins the dual ratio test (ties to the largest pivot entry); after 30
-consecutive degenerate pivots the rules switch to the dual analogue of
-Bland's (the smallest-index infeasible basic variable, the first-index ratio
-tie), so the simplex is deterministic and cannot cycle. A pivot updates only
-the rows with a nonzero entry in its column, in blocks of
-`PIVOT_BLOCK_BYTES` bytes, so its temporaries stay small. If the simplex
-gives up within its iteration budget from the slack basis too, the node
-falls back to a coefficient-sum bound and its children start from the
-slack basis, which keeps the search exact, only slower. Branching is
-most-fractional-first with a lexicographic tie-break on variable id; with a
-nonnegative minimization objective the 1-branch is explored first,
-otherwise the 0-branch. A time limit is checked before every
-node and before every simplex pivot.
+A child continues from its parent's final tableau (a warm start), from which
+it differs in the one column it branched on, so `_Lp.fix` fixes only that
+column: a nonbasic one moves onto its value, shifting the basic values by its
+tableau column times the move, and a basic one keeps its value and leaves in
+the next dual pivots if that is now off. Fixing a column keeps the basis
+dual feasible, so only dual pivots are needed. The first child takes the
+tableau over and its sibling gets a copy, unless the tableaux waiting on the
+search stack would pass `STACK_TABLEAU_BYTES`; then the sibling starts from
+the slack basis. A tableau carried from node to node is never rebuilt from
+A, so every warm answer is checked against the original rows, read from the
+triplets by sparse products (`_Lp.holds`); a node whose warm answer fails
+the check, or whose warm LP stalls, is solved again from the slack basis, and
+the failed checks are counted in `Solution.stats["guard_rejections"]`. The
+simplex keeps the basic values and their bounds in row order while it runs
+and writes them back into `x` when it returns. The leaving variable is the
+basic one farthest outside its bounds (one `argmax` over the row-ordered
+values), the entering column wins the dual ratio test (ties to the largest
+pivot entry); after 30 consecutive degenerate pivots the rules switch to the
+dual analogue of Bland's (the smallest-index infeasible basic variable, the
+first-index ratio tie), so the simplex is deterministic and cannot cycle. A
+pivot reads its entering column once, for the step, the basic-value update
+and the row multipliers, and updates only the rows with a nonzero entry in
+it, in blocks of `PIVOT_BLOCK_BYTES` bytes, so its temporaries stay small.
+If the simplex gives up within its iteration budget from the slack basis
+too, the node falls back to a coefficient-sum bound and its children start
+from the slack basis, which keeps the search exact, only slower. A node
+rounds its LP point once, and checks the rounded point against the rows only
+if it would improve the incumbent or if the LP point is integral. Branching
+is most-fractional-first with a lexicographic tie-break on variable id; with
+a nonnegative minimization objective the 1-branch is explored first,
+otherwise the 0-branch. A time limit is checked before every node and before
+every simplex pivot.
 """
 
 from __future__ import annotations
@@ -87,22 +96,23 @@ class Solution:
 
 # --- bounded-variable dual simplex -----------------------------------------------
 
-def _pivot(T, i, j):
-    """One Gauss-Jordan step: make column j of T the unit vector of row i.
+def _pivot(T, i, col):
+    """One Gauss-Jordan step on row i: `col`, a copy of the entering column
+    read once by the caller, becomes the unit vector of row i.
 
-    Only the rows with a nonzero entry in column j are updated; the others
+    Only the rows with a nonzero entry in `col` are updated; the others
     (most of them, in a sparse program) are left exactly as they are. They
     are updated in blocks of about `PIVOT_BLOCK_BYTES`, so the step's
     temporaries stay that small however many rows it touches; every entry
     gets the same `x - a*b` in any block.
     """
-    T[i] /= T[i, j]
-    rows = T[:, j].nonzero()[0]
+    T[i] /= col[i]
+    rows = col.nonzero()[0]
     rows = rows[rows != i]
     step = PIVOT_BLOCK_BYTES // T[i].nbytes or 1
     blocks = (rows,) if rows.size <= step else np.split(rows, range(step, rows.size, step))
     for block in blocks:
-        T[block] -= T[block, j, None] * T[i]
+        T[block] -= col[block, None] * T[i]
 
 
 class _Lp:
@@ -144,22 +154,17 @@ class _Lp:
                          for name, a in self.__dict__.items()}
         return twin
 
-    def rebound(self, lo, hi):
-        """Tighten the structural bounds to `lo` and `hi`. A nonbasic column
-        moves onto its new bound, shifting the basic values with it; a basic
-        column keeps its value and, if now outside its bounds, leaves in `run`.
+    def fix(self, j, v):
+        """Fix structural column j, free until now, to `v`. A nonbasic column
+        moves onto `v`, shifting the basic values by T[:, j] times the move; a
+        basic column keeps its value and, if now off `v`, leaves in `run`.
         The basis stays dual feasible."""
-        n = len(lo)
-        self.lo[:n] = lo
-        self.hi[:n] = hi
-        x = self.x[:n]
-        shift = np.clip(x, lo, hi) - x
-        shift[self.basis[self.basis < n]] = 0.0
-        moved = shift.nonzero()[0]
-        if moved.size:
-            self.x[self.basis] -= self.T[:, moved] @ shift[moved]
-            x[moved] += shift[moved]
-        self.side[:n][lo == hi] = 0.0
+        move = v - self.x[j]
+        if self.side[j] and move:
+            self.x[self.basis] -= self.T[:, j] * move
+            self.x[j] = v
+        self.lo[j] = self.hi[j] = v
+        self.side[j] = 0.0
 
     def holds(self, ar: "_Arrays", status: str) -> bool:
         """Whether the answer of `run` holds against the original rows and not
@@ -187,13 +192,14 @@ class _Lp:
         return max(np.abs(dual).max(), np.abs(primal).max(initial=0.0)) <= GUARD_TOL
 
     def _refresh(self):
-        """Recompute the reduced costs and basic values from the tableau."""
+        """Recompute the reduced costs from the tableau, and return the basic
+        values, in row order, that the nonbasic values of `x` give."""
         T, basis = self.T, self.basis
         self.d[:] = self.cost - self.cost[basis] @ T[:, :-1]
         nonbasic = self.x.copy()
         nonbasic[basis] = 0.0
         at = nonbasic.nonzero()[0]
-        self.x[basis] = T[:, -1] - T[:, at] @ nonbasic[at]
+        return T[:, -1] - T[:, at] @ nonbasic[at]
 
     def run(self, deadline=None):
         """Dual simplex pivots to optimality. Returns (status, pivots): status
@@ -206,43 +212,49 @@ class _Lp:
         keeps the pivots well conditioned. After `BLAND_AFTER` consecutive
         degenerate pivots (a zero dual step) both rules switch to Bland's dual
         analogue, the smallest-index infeasible basic variable and the
-        first-index ratio tie, so cycling cannot happen. Reduced costs and
-        basic values are carried along incrementally and recomputed every 64
-        iterations, and before the LP is declared optimal or infeasible, to
+        first-index ratio tie, so cycling cannot happen. The basic values and
+        their bounds are kept in row order (`xb`, `lob`, `hib`) while the
+        simplex runs, and written back to `x` when it returns. Reduced costs
+        and basic values are carried along incrementally and recomputed every
+        64 iterations, and before the LP is declared optimal or infeasible, to
         keep rounding drift out of both tests. The deadline is checked before
         every pivot: a pivot of a large tableau is costly, and a whole LP may
         need few of them.
         """
         T, basis, x, d, side, lo, hi = (self.T, self.basis, self.x, self.d,
                                         self.side, self.lo, self.hi)
+        if not basis.size:
+            return "optimal", 0  # no rows: every column already sits on its best bound
         k = T.shape[1] - 1
+        xb, lob, hib = x[basis], lo[basis], hi[basis]
         exact = True
         degenerate_streak = 0
         pivots = 0
+        status = "stalled"
         for it in range(MAX_PIVOTS):
             if it % 64 == 63 and not exact:
-                self._refresh()
+                xb = self._refresh()
                 exact = True
-            xb = x[basis]
-            above = xb - hi[basis]
-            viol = np.maximum(lo[basis] - xb, above)
-            rows = (viol > FEAS_TOL).nonzero()[0]
-            if rows.size == 0:
+            viol = np.maximum(lob - xb, xb - hib)
+            bland = degenerate_streak > BLAND_AFTER
+            # Bland: the infeasible row with the smallest basic index
+            r = np.where(viol > FEAS_TOL, basis, len(x)).argmin() if bland else viol.argmax()
+            if viol[r] <= FEAS_TOL:  # no basic value is outside its bounds
                 if exact:
-                    return "optimal", pivots
-                self._refresh()
+                    status = "optimal"
+                    break
+                xb = self._refresh()
                 exact = True
                 continue
-            bland = degenerate_streak > BLAND_AFTER
-            r = rows[basis[rows].argmin()] if bland else rows[viol[rows].argmax()]
-            up = above[r] > 0  # the leaving variable goes to its upper bound
+            up = xb[r] > hib[r]  # the leaving variable goes to its upper bound
             alpha = T[r, :k] if up else -T[r, :k]
             cand = (side * alpha > FEAS_TOL).nonzero()[0]
             if cand.size == 0:
                 if exact:
                     self.row = r
-                    return "infeasible", pivots
-                self._refresh()
+                    status = "infeasible"
+                    break
+                xb = self._refresh()
                 exact = True
                 continue
             ratios = d[cand] / alpha[cand]
@@ -254,14 +266,17 @@ class _Lp:
                 q = ties[np.abs(alpha[ties]).argmax()]
             degenerate_streak = degenerate_streak + 1 if best < 1e-10 else 0
             if deadline is not None and perf_counter() > deadline:
-                return "timeout", pivots
+                status = "timeout"
+                break
             leaving = basis[r]
-            bound = hi[leaving] if up else lo[leaving]
-            step = (x[leaving] - bound) / T[r, q]
-            x[basis] -= step * T[:, q]
-            x[q] += step
+            bound = hib[r] if up else lob[r]
+            col = T[:, q].copy()
+            step = (xb[r] - bound) / col[r]
+            xb -= step * col
+            xb[r] = x[q] + step
             x[leaving] = bound
-            _pivot(T, r, q)
+            lob[r], hib[r] = lo[q], hi[q]
+            _pivot(T, r, col)
             pivots += 1
             basis[r] = q
             d -= d[q] * T[r, :k]
@@ -269,7 +284,8 @@ class _Lp:
             if lo[leaving] < hi[leaving]:
                 side[leaving] = -1.0 if up else 1.0
             exact = False
-        return "stalled", pivots
+        x[basis] = xb
+        return status, pivots
 
 
 # --- problem arrays -------------------------------------------------------------
@@ -360,17 +376,19 @@ def solve(p: IlpProblem, time_limit: float | None = None) -> Solution:
     incumbent_val = np.inf
     root_relax = None
     timed_out = False
+    guard_rejections = 0  # warm answers that failed `holds`, solved again cold
 
     # a node: its column bounds, its parent's LP bound, and the parent's final
-    # LP to continue from (None: start from the slack basis)
-    stack: list[tuple[np.ndarray, np.ndarray, float, _Lp | None]] = [
-        (np.zeros(ar.n), np.ones(ar.n), -np.inf, None)]
+    # LP to continue from with the column it branched on (None: start from
+    # the slack basis)
+    stack: list[tuple[np.ndarray, np.ndarray, float, _Lp | None, int | None]] = [
+        (np.zeros(ar.n), np.ones(ar.n), -np.inf, None, None)]
     stacked_bytes = 0  # tableaux held by the stack
     while stack:
         if deadline is not None and perf_counter() > deadline:
             timed_out = True
             break
-        lo, hi, parent_bound, lp = stack.pop()
+        lo, hi, parent_bound, lp, branched = stack.pop()
         if lp is not None:
             stacked_bytes -= lp.T.nbytes
         if parent_bound >= incumbent_val - FEAS_TOL:
@@ -378,11 +396,14 @@ def solve(p: IlpProblem, time_limit: float | None = None) -> Solution:
         nodes += 1
         status = None
         if lp is not None:
-            lp.rebound(lo, hi)
+            lp.fix(branched, lo[branched])
             status, lp_pivots = lp.run(deadline)
             pivots += lp_pivots
-            if status == "stalled" or status != "timeout" and not lp.holds(ar, status):
+            if status == "stalled":
                 status = None  # solve the node again from the slack basis
+            elif status != "timeout" and not lp.holds(ar, status):
+                status = None
+                guard_rejections += 1
         if status is None:
             lp = _Lp(ar, lo, hi)
             status, lp_pivots = lp.run(deadline)
@@ -406,18 +427,23 @@ def solve(p: IlpProblem, time_limit: float | None = None) -> Solution:
             continue
         frac = free
         if x is not None:
-            frac = free & (np.abs(x - np.round(x)) > INT_TOL)
             # rounding the relaxation is free and often lands on the optimum,
-            # which lets the equal-bound pruning bite much earlier
+            # which lets the equal-bound pruning bite much earlier; the rounded
+            # point is checked against the rows only if it would improve the
+            # incumbent or if x is integral, when it decides the node
             cand = np.round(x)
-            cand_feasible = ar.feasible(cand)
-            if cand_feasible:
-                cand_val = float(ar.c @ cand)
-                if cand_val < incumbent_val - FEAS_TOL:
+            frac = free & (np.abs(x - cand) > INT_TOL)
+            integral = not frac.any()
+            cand_val = float(ar.c @ cand)
+            improves = cand_val < incumbent_val - FEAS_TOL
+            if (improves or integral) and ar.feasible(cand):
+                if improves:
                     incumbent_val = cand_val
                     incumbent_x = cand
-            if not frac.any():
-                if cand_feasible or not free.any():
+                if integral:
+                    continue
+            elif integral:
+                if not free.any():
                     continue
                 # rounding broke feasibility; branch on the first free binary
                 frac = free
@@ -436,13 +462,13 @@ def solve(p: IlpProblem, time_limit: float | None = None) -> Solution:
         for v, warm in ((1.0 - first, sibling), (first, lp)):
             child_lo, child_hi = lo.copy(), hi.copy()
             child_lo[branch] = child_hi[branch] = v
-            stack.append((child_lo, child_hi, value, warm))
+            stack.append((child_lo, child_hi, value, warm, branch))
             if warm is not None:
                 stacked_bytes += warm.T.nbytes
 
     elapsed = perf_counter() - start
     stats = {"nodes": nodes, "pivots": pivots, "wall_time_s": elapsed,
-             "root_relaxation": root_relax}
+             "root_relaxation": root_relax, "guard_rejections": guard_rejections}
     if incumbent_x is not None:
         assignment = {vid: int(round(incumbent_x[j])) for j, vid in enumerate(ar.ids)}
         value = ar.objective_of(incumbent_x)

@@ -23,11 +23,12 @@ import random
 import numpy as np
 import pytest
 
-from graphilp import (IlpProblem, ObjectiveFunc, find_matches, generate, load_model,
-                      parse, solve, typecheck)
+from graphilp import (Graph, IlpProblem, ObjectiveFunc, find_matches, generate,
+                      load_model, parse, solve, typecheck)
 from graphilp.lang import ast as A
 from graphilp.lang.eval import compile_expr
-from graphilp.vne_model import two_links_model, two_links_spec
+from graphilp.vne import Range, ScenarioConfig, generate_scenario, merge_graphs
+from graphilp.vne_model import embedding_spec, two_links_model, two_links_spec
 
 from conftest import TASK_DOC, TASK_SPEC, perfbench_placement
 
@@ -164,6 +165,21 @@ def test_task_spec_means_what_it_says(task_model, task_spec):
 def test_two_links_means_what_it_says():
     _, g = two_links_model()
     assert_program_means_spec(two_links_spec(), g)
+
+
+def test_vne_embedding_spec_means_what_it_says():
+    # the shipped VNE spec on two substrate servers, one of them busier, and a
+    # one-link request: 8 mapping variables. It exercises the
+    # `mapping::lnk2lnk` context, whose rows key matches by `m == self`, and
+    # the real-valued `srvObj` (resCpu / cpu: 1 and 0.625)
+    cfg = ScenarioConfig(racks=1, servers_per_rack=2, core_switches=1, vnr_count=1,
+                         vnr_servers=Range(1, 1))
+    substrate, [request] = generate_scenario(cfg)
+    nodes = [dataclasses.replace(n, attrs={**n.attrs, "resCpu": 20}) if n.id == "srv_0_1"
+             else n for n in substrate.nodes.values()]
+    substrate = Graph(substrate.mm, nodes, list(substrate.edges.values()))
+    feasible = assert_program_means_spec(embedding_spec(), merge_graphs(substrate, request))
+    assert 0 < feasible.sum() < len(feasible)
 
 
 def test_disjunctive_placements_mean_what_they_say(monkeypatch):

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -270,7 +271,7 @@ def test_warm_started_lp_matches_cold_solve_and_highs(size):
                 break
             lo, hi = lo.copy(), hi.copy()
             lo[j] = hi[j] = float(rng.randint(0, 1)) if target is None else target[j]
-            warm.rebound(lo, hi)
+            warm.fix(j, lo[j])
             status, _ = warm.run()
             assert warm.holds(ar, status), k
             cold = solve_mod._Lp(ar, lo, hi)
@@ -288,23 +289,103 @@ def test_warm_started_lp_matches_cold_solve_and_highs(size):
     assert checked >= 100 and (size == "small" or chains >= 8)
 
 
-def _corrupt_after_rebound(monkeypatch):
+def _rebound(lp, lo, hi):
+    """Reference for `_Lp.fix`: clip every structural column to `lo` and
+    `hi` as one full-vector update. Each nonbasic column that moves shifts the
+    basic values by its tableau column times the move (a product, not a dot
+    product, whose added 0.0 would turn a -0.0 into 0.0)."""
+    n = len(lo)
+    lp.lo[:n] = lo
+    lp.hi[:n] = hi
+    x = lp.x[:n]
+    shift = np.clip(x, lo, hi) - x
+    shift[lp.basis[lp.basis < n]] = 0.0
+    moved = shift.nonzero()[0]
+    for j in moved:
+        lp.x[lp.basis] -= lp.T[:, j] * shift[j]
+    x[moved] += shift[moved]
+    lp.side[:n][lo == hi] = 0.0
+
+
+def _checked_run(lp):
+    """`lp.run()`, checking that when it returns, `x[basis]` holds the basic
+    values it kept in row order, and those bounds are the basic columns'."""
+    kept = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is solve_mod._Lp.run.__code__:
+            kept.append({k: frame.f_locals[k].copy() for k in ("xb", "lob", "hib")
+                         if k in frame.f_locals})
+    x_before = lp.x.copy()
+    sys.setprofile(profile)
+    try:
+        status, pivots = lp.run()
+    finally:
+        sys.setprofile(None)
+    [row_ordered] = kept
+    if not lp.basis.size:  # no rows: nothing to pivot or to keep in row order
+        assert (status, pivots) == ("optimal", 0) and not row_ordered
+        assert lp.x.tobytes() == x_before.tobytes()
+    else:
+        assert lp.x[lp.basis].tobytes() == row_ordered["xb"].tobytes()
+        assert lp.lo[lp.basis].tobytes() == row_ordered["lob"].tobytes()
+        assert lp.hi[lp.basis].tobytes() == row_ordered["hib"].tobytes()
+    return status
+
+
+def test_fix_matches_full_vector_rebound():
+    # fix columns one at a time, as a path down the search tree does. After
+    # each fixing, the one-column update leaves x, the bounds and the sides
+    # bit for bit where the full-vector reference leaves a copy of the same
+    # state; a third of the programs have no rows, which `run` must survive
+    rng = random.Random(4711)
+    kinds = {"basic": 0, "moved": 0, "on its value": 0}
+    rowless = 0
+    for k in range(150):
+        p = random_problem(rng, max_vars=15, max_rows=0 if k % 3 == 0 else 15)
+        ar = solve_mod._Arrays(p)
+        rowless += not ar.b.size
+        lo, hi = np.zeros(ar.n), np.ones(ar.n)
+        lp = solve_mod._Lp(ar, lo, hi)
+        status = _checked_run(lp)
+        while status == "optimal" and (lo < hi).any():
+            free = (lo < hi).nonzero()[0].tolist()
+            basic = [j for j in free if j in lp.basis]  # the search branches on these
+            j = rng.choice(basic if basic and rng.random() < 0.8 else free)
+            v = float(rng.randint(0, 1))
+            kinds["basic" if j in lp.basis else "moved" if lp.x[j] != v
+                  else "on its value"] += 1
+            lo, hi = lo.copy(), hi.copy()
+            lo[j] = hi[j] = v
+            reference = lp.copy()
+            _rebound(reference, lo, hi)
+            lp.fix(j, v)
+            for name in ("x", "lo", "hi", "side"):
+                assert getattr(lp, name).tobytes() == getattr(reference, name).tobytes(), \
+                    (k, j, name)
+            status = _checked_run(lp)
+    assert rowless >= 40 and min(kinds.values()) >= 50, kinds
+
+
+def _corrupt_after_fix(monkeypatch):
     """Make every warm start run on a tableau that no longer equals
     B^-1 [A | I | b]: the error that rounding drift would leave, writ large."""
     noise = np.random.default_rng(99)
-    rebound = solve_mod._Lp.rebound
+    fix = solve_mod._Lp.fix
 
-    def corrupted(lp, lo, hi):
-        rebound(lp, lo, hi)
-        lp.T[:, :len(lo)] *= 1.0 + 0.2 * noise.standard_normal((lp.T.shape[0], len(lo)))
-    monkeypatch.setattr(solve_mod._Lp, "rebound", corrupted)
+    def corrupted(lp, j, v):
+        fix(lp, j, v)
+        m = len(lp.basis)
+        n = lp.T.shape[1] - m - 1
+        lp.T[:, :n] *= 1.0 + 0.2 * noise.standard_normal((m, n))
+    monkeypatch.setattr(solve_mod._Lp, "fix", corrupted)
 
 
 def test_guard_rejects_a_corrupted_tableau(monkeypatch):
     # a warm LP's answer is checked against A: every answer that a corrupted
     # tableau gets wrong fails the check (and the search then solves the
     # node again from the slack basis)
-    _corrupt_after_rebound(monkeypatch)
+    _corrupt_after_fix(monkeypatch)
     rng = random.Random(7070)
     wrong = 0
     for k in range(200):
@@ -318,7 +399,7 @@ def test_guard_rejects_a_corrupted_tableau(monkeypatch):
         if frac.size == 0:
             continue
         lo[frac[0]] = hi[frac[0]] = 1.0  # a basic column, so the LP must pivot
-        lp.rebound(lo, hi)
+        lp.fix(frac[0], 1.0)
         status, _ = lp.run()
         cold = solve_mod._Lp(ar, lo, hi)
         expected, _ = cold.run()
@@ -334,14 +415,16 @@ def test_guard_rejects_a_corrupted_tableau(monkeypatch):
 
 @pytest.mark.parametrize("patch", ["Bland from the start", "cold siblings",
                                    "some cold siblings", "stalled LPs",
-                                   "every warm answer rejected", "corrupted warm starts"])
+                                   "stalled warm LPs", "every warm answer rejected",
+                                   "corrupted warm starts"])
 def test_search_stays_exact_on_every_simplex_path(monkeypatch, patch):
     # the dual Bland rule may take over at any pivot; siblings start from the
     # slack basis once the stack's tableaux exceed their budget; with every
     # LP stalled the search enumerates under coefficient-sum bounds, every
     # child starts cold, and a node with every column fixed is judged by its
     # one point; a warm answer that fails its check against A is solved
-    # again from the slack basis
+    # again from the slack basis, and counted in `guard_rejections`, while a
+    # warm LP that stalls is solved again too but not counted
     if patch == "Bland from the start":
         monkeypatch.setattr(solve_mod, "BLAND_AFTER", -1)
     elif patch == "cold siblings":
@@ -351,17 +434,30 @@ def test_search_stays_exact_on_every_simplex_path(monkeypatch, patch):
         monkeypatch.setattr(solve_mod, "STACK_TABLEAU_BYTES", 8 << 10)
     elif patch == "stalled LPs":
         monkeypatch.setattr(solve_mod, "MAX_PIVOTS", 0)
+    elif patch == "stalled warm LPs":
+        fix = solve_mod._Lp.fix
+
+        def fix_then_stall(lp, j, v):
+            fix(lp, j, v)
+            lp.run = lambda deadline=None: ("stalled", 0)
+        monkeypatch.setattr(solve_mod._Lp, "fix", fix_then_stall)
     elif patch == "every warm answer rejected":
         monkeypatch.setattr(solve_mod._Lp, "holds", lambda lp, ar, status: False)
     else:
-        _corrupt_after_rebound(monkeypatch)
+        _corrupt_after_fix(monkeypatch)
     rng = random.Random(6464)
+    rejected = 0
     for k in range(120):
         p = random_problem(rng, max_vars=8)
         s, b = solve(p), brute_force(p)
         assert s.status == b.status, k
         if s.status == "optimal":
             assert s.objective_value == pytest.approx(b.objective_value, abs=1e-9), k
+        rejected += s.stats["guard_rejections"]
+    if patch in ("every warm answer rejected", "corrupted warm starts"):
+        assert rejected > 0
+    else:
+        assert rejected == 0
 
 
 def test_sense_duality():
@@ -456,7 +552,7 @@ def _check_pivot(T, i, j):
     expected = _dense_pivot(T, i, j)
     untouched = [r for r in range(len(T)) if r != i and T[r, j] == 0]
     before = T.copy()
-    solve_mod._pivot(T, i, j)
+    solve_mod._pivot(T, i, T[:, j].copy())
     assert np.array_equal(T, expected)
     # rows with a zero factor are not written at all, not even a zero's sign
     assert T[untouched].tobytes() == before[untouched].tobytes()
