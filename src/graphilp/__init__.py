@@ -6,11 +6,9 @@ whose variables are rule matches; solve it exactly; apply the selected
 matches back to the graph.
 """
 
-from .encode import (GenerationError, IlpProblem, LinearTerm, MappingTable,
-                     ObjectiveFunc, Row, Variable, apply_solution,
-                     build_objective, dump_problem, generate)
+from .encode import (GenerationError, IlpProblem, MappingTable, ObjectiveFunc, Row,
+                     Variable, apply_solution, dump_problem, generate)
 from .lang.parser import DslSyntaxError, parse, parse_expression
-from .lang.printer import pretty, pretty_expr
 from .lang.typecheck import TypecheckError, TypedSpec, typecheck
 from .lpformat import LpParseError, export_lp, import_lp, problems_equal
 from .model import (ConformanceError, Edge, Graph, GraphDelta, Metamodel,

@@ -12,7 +12,8 @@ write, an unreadable or non-UTF-8 input file, or an unwritable output path;
 error), never a traceback. A usage error, such as a missing flag or a time
 limit that is not a finite number of seconds >= 0, also exits 1, after
 argparse's usage line and `error:` message. A syntax or type error names its
-file: `error: PATH:LINE:COL: message`.
+file: `error: PATH:LINE:COL: message`; so does a model that parses but does
+not conform, and any error in a scenario config: `error: PATH: message`.
 
 `build_parser` builds the argument parser once per process, on first use, and
 every later `main` call reuses it. That saves only in-process callers (tests,
@@ -34,8 +35,8 @@ from .lang.parser import DslSyntaxError, parse
 from .lang.typecheck import TypecheckError, typecheck
 from .lpformat import LpExportError, export_lp
 # unused here, but perfbench/tracing.py wraps apply_rule and apply_delta by these names
-from .model import (ModelError, ModelParseError, apply_delta,  # noqa: F401
-                    load_model, serialize_model)
+from .model import (ConformanceError, ModelError, ModelParseError,  # noqa: F401
+                    apply_delta, load_model, serialize_model)
 from .pattern import PatternError, apply_rule  # noqa: F401
 from .solve import solve
 from .vne_model import embedding_spec
@@ -49,7 +50,8 @@ REPORT_FORMAT = "graphilp-solve-report/1"
 
 
 class InputError(Exception):
-    """An input file that cannot be read as text."""
+    """An input file that cannot be read as text, or whose text a loader
+    rejects; the message names the file."""
 
 
 def _read(path: str) -> str:
@@ -85,8 +87,17 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _load(path: str, reader, *errors: type[Exception]):
+    """`reader` applied to the text of `path`; any of `errors` it raises is an
+    InputError that names the file."""
+    try:
+        return reader(_read(path))
+    except errors as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _load_inputs(args):
-    mm, graph = load_model(_read(args.model))
+    mm, graph = _load(args.model, load_model, ConformanceError)
     spec = typecheck(parse(_read(args.spec)), mm)
     return mm, graph, spec
 
@@ -148,11 +159,10 @@ def cmd_export_lp(args) -> int:
 
 
 def cmd_vne(args) -> int:
-    cfg = vne_mod.parse_scenario_config(_read(args.config)) if args.config \
-        else vne_mod.ScenarioConfig()
+    cfg = _load(args.config, vne_mod.parse_scenario_config, vne_mod.ScenarioError) \
+        if args.config else vne_mod.ScenarioConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-    cfg.validate()
     spec = embedding_spec()
     substrate, vnrs = vne_mod.generate_scenario(cfg)
     report = vne_mod.embed_incremental(substrate, vnrs, spec,

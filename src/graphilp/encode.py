@@ -35,6 +35,7 @@ from .pattern import apply_rule, find_matches
 
 BINARY = "binary"
 AUX_BINARY = "auxiliary-binary"
+AUX_PREFIX = "aux_"  # the id prefix of auxiliary indicators, and of no other variable
 
 REAL_EPS = 1e-6
 
@@ -46,10 +47,14 @@ class GenerationError(Exception):
 @dataclass(frozen=True)
 class Variable:
     """A 0/1 variable: a mapping variable (BINARY) or an auxiliary indicator
-    (AUX_BINARY). Programs have no other variables."""
+    (AUX_BINARY). Programs have no other variables. The kind follows the id,
+    here as in LP text: an id starting with AUX_PREFIX is an indicator's."""
 
     id: str
-    kind: str = BINARY
+
+    @property
+    def kind(self) -> str:
+        return AUX_BINARY if self.id.startswith(AUX_PREFIX) else BINARY
 
 
 def _clean(coeffs: dict) -> dict:
@@ -244,7 +249,7 @@ class _Alloc:
         return a
 
     def aux(self) -> str:
-        name = f"aux_{self.aux_index}"
+        name = f"{AUX_PREFIX}{self.aux_index}"
         self.aux_index += 1
         return name
 
@@ -682,7 +687,7 @@ def linearize(cnf: Cnf, alloc: _Alloc) -> tuple[list[Row], list[Variable]]:
             v_le = alloc.aux()
             v_ge = alloc.aux()
             v_eq = alloc.aux()
-            aux.extend(Variable(v, AUX_BINARY) for v in (v_le, v_ge, v_eq))
+            aux.extend(Variable(v) for v in (v_le, v_ge, v_eq))
             rows.extend(_indicator_rows(atom.term, v_le))
             rows.extend(_indicator_rows(atom.term.scale(-1), v_ge))
             rows.append(Row({v_eq: 1, v_le: -1}, "<=", 0))
@@ -691,7 +696,7 @@ def linearize(cnf: Cnf, alloc: _Alloc) -> tuple[list[Row], list[Variable]]:
             indicator[atom.index] = v_eq
             return v_eq
         v = alloc.aux()
-        aux.append(Variable(v, AUX_BINARY))
+        aux.append(Variable(v))
         rows.extend(_indicator_rows(f, v, upper=atom.index in positive,
                                     lower=atom.index in negative))
         indicator[atom.index] = v
@@ -744,7 +749,7 @@ def instantiate_mappings(spec: TypedSpec,
     for m in spec.mappings:
         for k, match in enumerate(matches_by_rule.get(m.rule, [])):
             vid = f"m_{m.name}_{k}"
-            variables.append(Variable(vid, BINARY))
+            variables.append(Variable(vid))
             table.add(vid, m.name, match)
     return variables, table
 

@@ -4,8 +4,8 @@ builds directly and the typechecker checks in place.
 
 Nodes are plain slotted dataclasses, neither frozen nor hashable: the parser
 builds them and no later stage writes to one. Position fields never take part
-in equality or repr, so structural comparison (and the parse/pretty-print
-round-trip) ignores source locations.
+in equality or repr, so structural comparison (and the tests' parse/print
+round trip) ignores source locations.
 """
 
 from __future__ import annotations

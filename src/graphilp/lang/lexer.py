@@ -5,7 +5,10 @@ from __future__ import annotations
 import re
 
 
-class LexError(Exception):
+class LocatedError(Exception):
+    """An error at a line and column of a text; each text reader raises its
+    own subclass (the spec's `DslSyntaxError`, the model's `ModelParseError`)."""
+
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
         self.message = message
@@ -76,13 +79,15 @@ def is_word(s: str) -> bool:
     return _IS_WORD.fullmatch(s) is not None and (s[0].isalpha() or s[0] == "_")
 
 
-def tokenize(text: str, keywords: frozenset[str] = frozenset()) -> list[Token]:
+def tokenize(text: str, error: type[LocatedError],
+             keywords: frozenset[str] = frozenset()) -> list[Token]:
     """Split `text` into tokens. `//` starts a comment running to end of line.
 
     Identifiers listed in `keywords` are emitted with their own kind so the
     parser can match them directly. Only `\\n` ends a line. Lines and columns
-    count from 1, columns in characters. See docs/grammar.md, "Lexical
-    structure".
+    count from 1, columns in characters. A lexical error raises
+    `error(message, line, col)`, the calling reader's own error class. See
+    docs/grammar.md, "Lexical structure".
     """
     tokens: list[Token] = []
     append = tokens.append
@@ -103,22 +108,22 @@ def tokenize(text: str, keywords: frozenset[str] = frozenset()) -> list[Token]:
                 after = line[m.end():m.end() + 2]
                 if after[:1] in ("e", "E") and after[1:].isdigit() and "e" not in lexeme.lower():
                     # `1e²`: an exponent whose digit is not decimal, so not a word `e²` either
-                    raise LexError(f"unexpected character {after[1]!r}", lineno,
-                                   col + len(lexeme) + 1)
+                    raise error(f"unexpected character {after[1]!r}", lineno,
+                                col + len(lexeme) + 1)
                 try:
                     value = float(lexeme) if kind == "REAL" else int(lexeme)
                 except ValueError:  # more digits than the interpreter converts
-                    raise LexError("integer literal too long", lineno, col) from None
+                    raise error("integer literal too long", lineno, col) from None
                 append(Token(kind, value, lineno, col))
             elif kind == "STRING":
                 value = _UNESCAPE.sub(lambda e: _ESCAPES[e[1]], lexeme[1:-1])
                 append(Token("STRING", value, lineno, col))
             elif kind == "BADSTRING":
                 if line.startswith("\\", m.end()):
-                    raise LexError("bad escape in string", lineno, m.end() + 1)
-                raise LexError("unterminated string", lineno, col)
+                    raise error("bad escape in string", lineno, m.end() + 1)
+                raise error("unterminated string", lineno, col)
             else:
-                raise LexError(f"unexpected character {lexeme[0]!r}", lineno, col)
+                raise error(f"unexpected character {lexeme[0]!r}", lineno, col)
     append(Token("EOF", None, len(lines), len(lines[-1]) + 1))
     return tokens
 
@@ -127,7 +132,7 @@ class TokenStream:
     """Cursor over a token list; `current` is the token under it. `expect`
     raises `error(message, line, col)`."""
 
-    def __init__(self, tokens: list[Token], error: type[Exception]):
+    def __init__(self, tokens: list[Token], error: type[LocatedError]):
         self._tokens = tokens
         self._pos = 0
         self.current = tokens[0]

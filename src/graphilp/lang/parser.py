@@ -16,7 +16,7 @@ from .ast import (AttrRef, Binary, BoolLit, ConstraintDecl, CreateEdgeAction,
                   GlobalObjectiveDecl, MappingDecl, Name, NodesNav, Num,
                   ObjectiveDecl, Pos, Rel, SelfRef, SetAttrAction, SetSum, SpecAst,
                   StrLit, Unary)
-from .lexer import LexError, Token, TokenStream, tokenize
+from .lexer import LocatedError, Token, TokenStream, tokenize
 
 KEYWORDS = frozenset({
     "rule", "nodes", "edges", "condition", "actions",
@@ -41,12 +41,8 @@ _LEVELS = {"|": 1, "&": 2, "+": 4, "-": 4, "*": 5, "/": 5,
 MAX_DEPTH = 100
 
 
-class DslSyntaxError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
+class DslSyntaxError(LocatedError):
+    pass
 
 
 def _pos(tok: Token) -> Pos:
@@ -55,11 +51,7 @@ def _pos(tok: Token) -> Pos:
 
 class _Parser(TokenStream):
     def __init__(self, text: str):
-        try:
-            tokens = tokenize(text, KEYWORDS)
-        except LexError as e:
-            raise DslSyntaxError(e.message, e.line, e.col) from None
-        super().__init__(tokens, DslSyntaxError)
+        super().__init__(tokenize(text, DslSyntaxError, KEYWORDS), DslSyntaxError)
         self.depth = 0  # levels open above the token being read
         self.height = 0  # the height of the expression parsed last
 
@@ -350,7 +342,7 @@ def parse(text: str) -> SpecAst:
 
 
 def parse_expression(text: str):
-    """Parse a single expression (exported from `graphilp`; the tests use it)."""
+    """Parse a single expression: the API's way to build a `Pattern` condition."""
     p = _Parser(text)
     expr = p.expression()
     p.expect("EOF")

@@ -221,8 +221,6 @@ class _Checker:
     def _check_assignable(self, ty: Ty, kind: str, pos: A.Pos, attr: str):
         if ty is ERROR:
             return
-        if ty.varbearing:
-            self.error(pos, f"value for {attr!r} must not involve mapping variables")
         if kind in NUMERIC:
             if not ty.numeric():
                 self.error(pos, f"attribute {attr!r} expects a number")
@@ -352,16 +350,11 @@ class _Checker:
                 pt = self.expr(e.filter_pred, inner, allow_sets=False)
                 if pt is not ERROR and pt.kind != "bool":
                     self.error(e.pos, "filter predicate must be boolean")
-                if pt.varbearing:
-                    self.error(e.pos, "filter predicate must not involve mapping "
-                                      "variables")
             inner = dict(scope)
             inner[e.sum_var] = match_ty
             bt = self.expr(e.sum_body, inner, allow_sets=False)
             if bt is not ERROR and not bt.numeric():
                 self.error(e.pos, "sum body must be numeric")
-            if bt.varbearing:
-                self.error(e.pos, "sum body must not involve mapping variables")
             return Ty(bt.kind if bt.numeric() else "real", varbearing=True)
         return self.error(getattr(e, "pos", A.Pos()), f"cannot type {type(e).__name__}")
 

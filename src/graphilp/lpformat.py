@@ -10,10 +10,11 @@ always does.
 
 Every variable is binary: the writer lists each one under `Binary` and leaves
 `Bounds` empty, and the reader rejects a `Bounds` entry, a `General` section
-and any name used without being listed under `Binary`. Variable kinds on
-import follow the id scheme: names starting with `aux_` come back as
-auxiliary binaries, the others as mapping variables. The writer refuses a
-variable that would not read back as itself (see `export_lp`).
+and any name used without being listed under `Binary`. A variable's kind
+follows its id, in memory as in LP text (`encode.Variable.kind`): names
+starting with `aux_` are auxiliary binaries, the others mapping variables, so
+export and import cannot disagree on a kind. The writer refuses a variable
+that would not read back as itself (see `export_lp`).
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import math
 import re
 import string
 
-from .encode import (AUX_BINARY, BINARY, GenerationError, IlpProblem, MappingTable,
-                     ObjectiveFunc, Row, Variable)
+from .encode import GenerationError, IlpProblem, MappingTable, ObjectiveFunc, Row, Variable
 
 
 class LpParseError(Exception):
@@ -286,7 +286,7 @@ def import_lp(text: str) -> IlpProblem:
             raise LpParseError(f"expected a variable name, got {word!r}", line)
         if word in declared:
             raise LpParseError(f"variable {word!r} is declared binary twice", line)
-        declared[word] = Variable(word, AUX_BINARY if word.startswith("aux_") else BINARY)
+        declared[word] = Variable(word)
     for name, line in seen.items():
         if name not in declared:
             raise LpParseError(f"variable {name!r} is not declared binary", line)
@@ -295,7 +295,7 @@ def import_lp(text: str) -> IlpProblem:
 
 def problems_equal(a: IlpProblem, b: IlpProblem, tol: float = 1e-9) -> bool:
     """Row-for-row equality of two problems within `tol`."""
-    if [(v.id, v.kind) for v in a.variables] != [(v.id, v.kind) for v in b.variables]:
+    if [v.id for v in a.variables] != [v.id for v in b.variables]:
         return False
     if len(a.constraints) != len(b.constraints):
         return False

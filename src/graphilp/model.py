@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .lang.lexer import LexError, TokenStream, is_word, quote, tokenize
+from .lang.lexer import LocatedError, TokenStream, is_word, quote, tokenize
 
 if TYPE_CHECKING:
     from .pattern import Pattern
@@ -39,12 +39,8 @@ class ModelError(Exception):
     pass
 
 
-class ModelParseError(ModelError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
+class ModelParseError(ModelError, LocatedError):
+    pass
 
 
 class ConformanceError(ModelError):
@@ -435,10 +431,7 @@ def _parse_record(ts: TokenStream, keyword: str, allowed, required) -> dict:
 
 
 def _parse_document(text: str):
-    try:
-        ts = TokenStream(tokenize(text, _KEYWORDS), ModelParseError)
-    except LexError as e:
-        raise ModelParseError(e.message, e.line, e.col) from None
+    ts = TokenStream(tokenize(text, ModelParseError, _KEYWORDS), ModelParseError)
     records: dict[str, list[dict]] = {section: [] for section in _RECORDS}
     while ts.current.kind != "EOF":
         section = ts.expect(*_RECORDS).kind

@@ -4,7 +4,7 @@ brute-force enumeration oracle used by the test suite.
 Every variable of a program is binary (the encoder makes no other kind and
 the LP reader rejects any other), so the relaxation bounds each column to
 [0, 1] and the search may branch on every column. The program is read once
-into `_Arrays`, which holds its rows as CSR triplets and keeps no dense copy
+into `_Arrays`, which holds its rows as COO triplets and keeps no dense copy
 of A. Each LP is solved by a self-contained dense bounded-variable dual
 simplex (`_Lp`). Its tableau, filled from the triplets, is
 B^-1 [A | I | b]: one logical column per row, bounded to [0, inf) for a `<=`
@@ -292,10 +292,10 @@ class _Lp:
 
 class _Arrays:
     """A program as numpy arrays, built once: column ids, the objective
-    (`c`, in minimization sense), and the rows as CSR triplets. Row i holds
-    `data[indptr[i]:indptr[i+1]]` in the columns `indices[...]` (`rowidx`
-    repeats i for each of them), with right-hand side `b[i]` and relation
-    `ge`/`eq` (neither: `<=`). No dense matrix of the rows is kept."""
+    (`c`, in minimization sense), and the rows as coordinate triplets in row
+    order: coefficient `data[k]` sits in row `rowidx[k]` and column
+    `indices[k]`. Row i has right-hand side `b[i]` and relation `ge`/`eq`
+    (neither: `<=`). No dense matrix of the rows is kept."""
 
     def __init__(self, p: IlpProblem):
         self.ids = [v.id for v in p.variables]
@@ -313,7 +313,6 @@ class _Arrays:
         self.sign = sign
         rows = p.constraints
         counts = np.array([len(row.coeffs) for row in rows], dtype=np.intp)
-        self.indptr = np.concatenate([[0], counts.cumsum()])
         self.indices = np.array([index[v] for row in rows for v in row.coeffs], dtype=np.intp)
         self.data = np.array([a for row in rows for a in row.coeffs.values()], dtype=float)
         self.rowidx = np.repeat(np.arange(len(rows)), counts)

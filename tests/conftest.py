@@ -14,7 +14,6 @@ import pytest
 
 from graphilp import (Edge, Graph, IlpProblem, Metamodel, Node, ObjectiveFunc,
                       Row, Variable, load_model)
-from graphilp.encode import BINARY
 from graphilp.lang.eval import compile_expr
 from graphilp.lang.parser import parse
 from graphilp.lang.typecheck import typecheck
@@ -187,7 +186,7 @@ def random_problem(rng: random.Random, max_vars: int = 12, max_rows: int = 15,
     variable."""
     n = rng.randint(min_vars, max_vars)
     m = rng.randint(0, max_rows)
-    variables = [Variable(f"x{i}", BINARY) for i in range(n)]
+    variables = [Variable(f"x{i}") for i in range(n)]
     rows = []
     for _ in range(m):
         picked = rng.sample(range(n), rng.randint(1, min(n, max_row_vars or n)))

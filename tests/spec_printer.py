@@ -1,16 +1,16 @@
-"""Canonical printer for specification ASTs.
+"""Canonical printer for specification ASTs, for the parser's round-trip tests.
 
-`parse(pretty(spec))` reproduces the AST structurally; tests rely on that.
+`parse(pretty(spec))` reproduces the AST structurally.
 """
 
 from __future__ import annotations
 
-from ..pattern import Rule
-from .ast import (AttrRef, Binary, BoolLit, CreateEdgeAction, CreateNodeAction,
-                  DeleteEdgeAction, DeleteNodeAction, Name, NodesNav, Num, Rel,
-                  SelfRef, SetSum, SpecAst, StrLit, Unary)
-from .lexer import quote
-from .parser import _LEVELS, _REL_LEVEL, _TIGHTEST
+from graphilp.lang.ast import (AttrRef, Binary, BoolLit, CreateEdgeAction, CreateNodeAction,
+                               DeleteEdgeAction, DeleteNodeAction, Name, NodesNav, Num, Rel,
+                               SelfRef, SetSum, SpecAst, StrLit, Unary)
+from graphilp.lang.lexer import quote
+from graphilp.lang.parser import _LEVELS, _REL_LEVEL, _TIGHTEST
+from graphilp.pattern import Rule
 
 _UNARY_PREC = _TIGHTEST + 1
 

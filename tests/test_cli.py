@@ -66,8 +66,8 @@ def test_non_finite_real_exits_1(tmp_path, capsys):
     model.write_text(REAL_DOC.replace("1e300", "1e999"))
     spec.write_text("global objective : min { 0 }\n")
     assert main(["check", "--model", str(model), "--spec", str(spec)]) == 1
-    assert capsys.readouterr().err == "error: node 'n' attribute 'x' is not a real\n"
-    # an action that overflows the attribute ends the same way
+    assert capsys.readouterr().err == f"error: {model}: node 'n' attribute 'x' is not a real\n"
+    # an action that overflows the attribute ends the same way, but is not the file's fault
     model.write_text(REAL_DOC)
     spec.write_text("rule grow { nodes { a: N }  actions { set a.x := a.x * 1e300 } }\n"
                     "mapping g with grow;\n"
@@ -151,6 +151,17 @@ def test_check_model_ending_inside_a_record_names_the_end(two_links, tmp_path, c
     model.write_text("nodes { node { id: a")
     assert main(["check", "--model", str(model), "--spec", str(spec)]) == 1
     assert capsys.readouterr().err == f"error: {model}:1:21: unexpected end of input in node\n"
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_nonconforming_model_names_the_file(command, two_links, tmp_path, capsys):
+    _, spec = two_links
+    model = tmp_path / "bad.model"
+    model.write_text(TWO_LINKS_MODEL.replace("id: sl1  type: SubstrateLink ",
+                                             "id: sl1  type: SubstrateLinkX "))
+    assert main([command, "--model", str(model), "--spec", str(spec)]) == 1
+    assert capsys.readouterr().err == (f"error: {model}: node 'sl1' has undeclared "
+                                       "type 'SubstrateLinkX'\n")
 
 
 def test_check_spec_ending_inside_a_body_names_the_end(two_links, tmp_path, capsys):
@@ -451,7 +462,7 @@ def test_vne_config_non_field_key_is_unknown(key, tmp_path, capsys):
     config.write_text(f"{key} = 3\n")
     assert main(["vne", "--config", str(config)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: line 1: unknown key {key!r}"]
+    assert err == [f"error: {config}: line 1: unknown key {key!r}"]
 
 
 @pytest.mark.parametrize("argv", [

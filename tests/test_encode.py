@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import pathlib
 import random
@@ -8,13 +9,15 @@ import re
 import numpy as np
 import pytest
 
+import graphilp
 import graphilp.encode as encode_mod
+import graphilp.lang.lexer as lexer
 from graphilp import (Edge, Graph, Node, StaleMatchError, apply_solution, brute_force,
                       dump_problem, find_matches, full_scale_config, generate,
                       generate_scenario, load_graph, load_model, parse,
                       parse_scenario_config, solve, typecheck)
-from graphilp.encode import (AUX_BINARY, BINARY, Atom, GenerationError,
-                             LinearTerm, Literal, MappingTable, Row, _Alloc, _Lowerer,
+from graphilp.encode import (AUX_BINARY, BINARY, Atom, GenerationError, LinearTerm,
+                             Literal, MappingTable, Row, Variable, _Alloc, _Lowerer,
                              _lower_bool, _negate, build_objective, collect_matches,
                              expand_contexts, instantiate_mappings, linearize, to_cnf)
 from graphilp.lang import ast as A
@@ -30,6 +33,24 @@ from conftest import TASK_DOC, TASK_SPEC, perfbench_placement
 def task_problem(task_model, task_spec):
     _, g = task_model
     return generate(task_spec, g)
+
+
+# --- package surface ------------------------------------------------------------
+
+def test_package_root_leaves_out_test_helpers_and_encoder_internals():
+    for name in ("pretty", "pretty_expr", "LinearTerm", "build_objective"):
+        assert name not in graphilp.__all__, name
+    # documented in README, "Library in five lines"
+    for name in ("parse_expression", "brute_force", "lp_relaxation", "problems_equal"):
+        assert name in graphilp.__all__, name
+    assert importlib.util.find_spec("graphilp.lang.printer") is None
+    assert not hasattr(lexer, "LexError")
+
+
+def test_a_variables_kind_follows_its_id():
+    assert [f.name for f in dataclasses.fields(Variable)] == ["id"]
+    assert [Variable(v).kind for v in ("aux_0", "aux_x", "m_put_0", "y", "x_aux_")] == \
+        [AUX_BINARY, AUX_BINARY, BINARY, BINARY, BINARY]
 
 
 # --- instantiate_mappings ---------------------------------------------------------

@@ -4,20 +4,20 @@ import types
 
 import pytest
 
-from graphilp import load_metamodel, load_model, parse, pretty, typecheck
+from graphilp import load_metamodel, load_model, parse, typecheck
 from graphilp.lang import ast as A
 from graphilp.lang.eval import EvalError, compile_expr
-from graphilp.lang.lexer import LexError, is_word, quote, tokenize
+from graphilp.lang.lexer import LocatedError, is_word, quote, tokenize
 from graphilp.lang.parser import KEYWORDS as SPEC_KEYWORDS
 from graphilp.lang.parser import MAX_DEPTH, DslSyntaxError, parse_expression
-from graphilp.lang.printer import pretty_expr
 from graphilp.lang.typecheck import TypecheckError
 from graphilp.model import _KEYWORDS as MODEL_KEYWORDS
-from graphilp.model import ModelError, Node
+from graphilp.model import ModelError, ModelParseError, Node
 from graphilp.pattern import Match, Pattern
 from graphilp.vne_model import EMBEDDING_SPEC, TWO_LINKS_MODEL, TWO_LINKS_SPEC, VNE_SCHEMA
 
 from conftest import TASK_DOC, TASK_SPEC
+from spec_printer import pretty, pretty_expr
 
 GLUE = """
 rule server2server {
@@ -286,21 +286,37 @@ LEX_ERROR_CASES = [
 
 @pytest.mark.parametrize("text, tokens", LEX_CASES, ids=[ascii(c[0]) for c in LEX_CASES])
 def test_tokenize_edge_cases(text, tokens):
-    assert [(t.kind, t.value, t.line, t.col) for t in tokenize(text)] == tokens
+    assert [(t.kind, t.value, t.line, t.col)
+            for t in tokenize(text, LocatedError)] == tokens
 
 
 @pytest.mark.parametrize("text, message, line, col", LEX_ERROR_CASES,
                          ids=[ascii(c[0])[:16] for c in LEX_ERROR_CASES])
 def test_tokenize_errors_are_located(text, message, line, col):
-    with pytest.raises(LexError) as info:
-        tokenize(text)
-    assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
+    for error in (DslSyntaxError, ModelParseError):
+        with pytest.raises(LocatedError) as info:
+            tokenize(text, error)
+        assert type(info.value) is error
+        assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize("text, message, line, col", LEX_ERROR_CASES,
+                         ids=[ascii(c[0])[:16] for c in LEX_ERROR_CASES])
+def test_lexical_errors_surface_as_each_readers_error(text, message, line, col):
+    # each reader tokenizes its whole text before it parses
+    for error, read in ((DslSyntaxError, parse), (ModelParseError, load_model)):
+        with pytest.raises(LocatedError) as info:
+            read(text)
+        assert type(info.value) is error
+        assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
+        assert str(info.value) == f"{line}:{col}: {message}"
 
 
 @pytest.mark.parametrize("s", ["", "plain", "tab\there", 'q"uote', "back\\slash",
                                "new\nline", "\\n", "\u00e9\u00b2"])
 def test_quote_reads_back(s):
-    assert [(t.kind, t.value) for t in tokenize(quote(s))] == [("STRING", s), ("EOF", None)]
+    assert [(t.kind, t.value) for t in tokenize(quote(s), LocatedError)] == \
+        [("STRING", s), ("EOF", None)]
 
 
 @pytest.mark.parametrize("s, word", [("a", True), ("_1", True), ("\u00e9x\u00b2", True),
@@ -312,8 +328,8 @@ def test_quote_reads_back(s):
 def test_is_word_agrees_with_tokenize(s, word):
     assert is_word(s) == word
     try:
-        tokens = [(t.kind, t.value) for t in tokenize(s)]
-    except LexError:
+        tokens = [(t.kind, t.value) for t in tokenize(s, LocatedError)]
+    except LocatedError:
         tokens = None
     assert (tokens == [("IDENT", s), ("EOF", None)]) == word
 
@@ -353,12 +369,12 @@ def test_token_positions_point_at_their_lexemes():
         source, keywords = rng.choice(sources)
         text = _mutate(rng, source)
         try:
-            tokens = tokenize(text, keywords)
-        except LexError:
+            tokens = tokenize(text, LocatedError, keywords)
+        except LocatedError:
             continue
         lines = text.split("\n")
         for tok in tokens[:-1]:
-            first = tokenize(lines[tok.line - 1][tok.col - 1:], keywords)[0]
+            first = tokenize(lines[tok.line - 1][tok.col - 1:], LocatedError, keywords)[0]
             assert (first.kind, first.value, first.line, first.col) == (tok.kind, tok.value, 1, 1)
         assert (tokens[-1].line, tokens[-1].col) == (len(lines), len(lines[-1]) + 1)
         checked += len(tokens)
@@ -412,6 +428,33 @@ def test_filter_predicate_with_mapping_sum_rejected():
     with pytest.raises(TypecheckError, match="not allowed here"):
         check_body("mappings.srv2srv->filter(m | mappings.srv2srv->sum(k | 1) >= 1)"
                    "->sum(m | 1) >= 0")
+
+
+NESTED_SUM = "mappings.lnk2lnk->sum(k | 1)"
+
+
+@pytest.mark.parametrize("condition, value, predicate, body", [
+    (f"{NESTED_SUM} >= 1", "1", "true", "1"),
+    ("true", NESTED_SUM, "true", "1"),
+    ("true", "1", f"{NESTED_SUM} >= 1", "1"),
+    ("true", "1", "true", NESTED_SUM),
+], ids=["rule-condition", "action-value", "filter-predicate", "sum-body"])
+def test_mapping_sum_where_none_is_allowed_is_one_diagnostic(condition, value, predicate,
+                                                             body):
+    # such a place is typed without mapping sums, so the sum is the one error there,
+    # and no name in scope carries mapping variables into it
+    text = (f"rule r {{ nodes {{ vl: VirtualLink  sl: SubstrateLink }}  "
+            f"condition {{ {condition} }}  actions {{ set sl.resBw := {value} }} }}\n"
+            f"mapping lnk2lnk with r;\n"
+            f"constraint -> class::SubstrateLink {{ mappings.lnk2lnk->filter(m | {predicate})"
+            f"->sum(m | {body}) <= self.resBw }}\n"
+            f"global objective : min {{ 0 }}\n")
+    line = next(i for i, ln in enumerate(text.split("\n"), 1) if NESTED_SUM in ln)
+    col = text.split("\n")[line - 1].index(NESTED_SUM) + 1
+    with pytest.raises(TypecheckError) as err:
+        typecheck(parse(text), vne_mm())
+    assert [(d.line, d.col, d.message) for d in err.value.diagnostics] == \
+        [(line, col, "mapping sums are not allowed here")]
 
 
 def test_nonlinear_product_rejected():

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from graphilp import export_lp, generate, import_lp, problems_equal
-from graphilp.encode import BINARY, IlpProblem, ObjectiveFunc, Row, Variable
+from graphilp.encode import AUX_BINARY, BINARY, IlpProblem, ObjectiveFunc, Row, Variable
 from graphilp.lpformat import LpExportError, LpParseError
 from graphilp.vne_model import two_links_model, two_links_spec
 
@@ -12,7 +12,7 @@ from conftest import random_problem
 
 
 def test_minimal_export_has_all_sections():
-    p = IlpProblem([Variable("x", BINARY)],
+    p = IlpProblem([Variable("x")],
                    [Row({"x": 1}, "<=", 1)],
                    ObjectiveFunc("min", {"x": 1}))
     text = export_lp(p)
@@ -58,7 +58,7 @@ def test_export_is_a_fixed_point_of_import():
 
 def test_negative_coefficients_and_constant_round_trip():
     p = IlpProblem(
-        [Variable("a", BINARY), Variable("b", BINARY)],
+        [Variable("a"), Variable("b")],
         [Row({"a": -3, "b": 2}, ">=", -1), Row({"a": 1}, "=", 0)],
         ObjectiveFunc("max", {"a": -0.5, "b": 7}, -2.25))
     q = import_lp(export_lp(p))
@@ -113,17 +113,41 @@ def test_finite_numbers_summing_past_the_float_range_are_rejected():
 
 def test_aux_binaries_keep_their_kind():
     p = IlpProblem(
-        [Variable("m_put_0", BINARY), Variable("aux_0", "auxiliary-binary")],
+        [Variable("m_put_0"), Variable("aux_0")],
         [Row({"m_put_0": 1, "aux_0": 5}, "<=", 5)],
         ObjectiveFunc("min", {"m_put_0": 1}))
     q = import_lp(export_lp(p))
     kind = {v.id: v.kind for v in q.variables}
-    assert kind["aux_0"] == "auxiliary-binary"
+    assert kind["aux_0"] == AUX_BINARY
     assert kind["m_put_0"] == BINARY
 
 
+def test_round_trip_keeps_every_kind_under_any_naming():
+    # a kind follows the id, in memory as in LP text, so no column name can make
+    # export and import disagree (a kind set apart from the id could: `aux_x`
+    # built as a mapping variable read back auxiliary)
+    rng = random.Random(2424)
+    kinds = set()
+    for k in range(150):
+        p = random_problem(rng)
+        name = {v.id: rng.choice(("aux_", "x")) + str(j) for j, v in enumerate(p.variables)}
+
+        def renamed(coeffs):
+            return {name[v]: c for v, c in coeffs.items()}
+
+        p = IlpProblem([Variable(name[v.id]) for v in p.variables],
+                       [Row(renamed(r.coeffs), r.rel, r.rhs) for r in p.constraints],
+                       ObjectiveFunc(p.objective.sense, renamed(p.objective.terms),
+                                     p.objective.constant))
+        q = import_lp(export_lp(p))
+        assert problems_equal(p, q), k
+        assert [v.kind for v in q.variables] == [v.kind for v in p.variables], k
+        kinds.update(v.kind for v in p.variables)
+    assert kinds == {BINARY, AUX_BINARY}
+
+
 def test_twelve_significant_digits():
-    p = IlpProblem([Variable("x", BINARY)],
+    p = IlpProblem([Variable("x")],
                    [Row({"x": 1 / 3}, "<=", 2 / 3)],
                    ObjectiveFunc("min", {"x": 1}))
     text = export_lp(p)
@@ -190,7 +214,7 @@ def test_case_insensitive_keywords_accepted():
 
 
 def _program(sense, rows, binaries=("x", "y"), terms=None, constant=0.0):
-    return IlpProblem([Variable(v, BINARY) for v in binaries], rows,
+    return IlpProblem([Variable(v) for v in binaries], rows,
                       ObjectiveFunc(sense, {"x": 2} if terms is None else terms, constant))
 
 
@@ -336,7 +360,7 @@ def test_reader_rejects(text, message, line):
     (["x"], {"x": 1}, {"z": 1}, "z"),
 ])
 def test_export_refuses_what_import_cannot_read_back(names, row, objective, refused):
-    p = IlpProblem([Variable(v, BINARY) for v in names], [Row(row, "<=", 1)],
+    p = IlpProblem([Variable(v) for v in names], [Row(row, "<=", 1)],
                    ObjectiveFunc("min", objective))
     with pytest.raises(LpExportError, match=f"variable {re.escape(repr(refused))}"):
         export_lp(p)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from graphilp import brute_force, generate, lp_relaxation, solve
-from graphilp.encode import BINARY, IlpProblem, ObjectiveFunc, Row, Variable
+from graphilp.encode import IlpProblem, ObjectiveFunc, Row, Variable
 from graphilp.vne_model import two_links_model, two_links_spec
 from graphilp.solve import BruteForceTooLarge
 
@@ -18,7 +18,7 @@ from conftest import highs_optimum, random_problem
 
 
 def simple(rows, obj_terms, sense="min", n=2, constant=0.0):
-    variables = [Variable(f"x{i}", BINARY) for i in range(n)]
+    variables = [Variable(f"x{i}") for i in range(n)]
     return IlpProblem(variables, rows, ObjectiveFunc(sense, obj_terms, constant))
 
 
@@ -43,7 +43,7 @@ def test_empty_problem_is_optimal_constant():
 
 
 def test_contradictory_constant_row_is_infeasible():
-    p = IlpProblem([Variable("x0", BINARY)], [Row({}, ">=", 1)],
+    p = IlpProblem([Variable("x0")], [Row({}, ">=", 1)],
                    ObjectiveFunc("min", {"x0": 1}))
     assert solve(p).status == "infeasible"
     assert brute_force(p).status == "infeasible"
@@ -110,7 +110,7 @@ def test_root_relaxation_bounds_integer_optimum():
 
 
 def test_program_form_matches_the_row_dicts():
-    # the solver reads rows only from `_Arrays`' CSR triplets and from the
+    # the solver reads rows only from `_Arrays`' row triplets and from the
     # tableau filled from them: both must say what the Row dicts say, entry
     # by entry, on random programs with fractional and zero coefficients,
     # both senses, and the variable-free row `0 <= -1`
@@ -130,14 +130,14 @@ def test_program_form_matches_the_row_dicts():
         assert ar.sense == p.objective.sense and ar.constant == p.objective.constant, k
         sign = 1.0 if p.objective.sense == "min" else -1.0
         assert ar.c.tolist() == [sign * p.objective.terms.get(v, 0) for v in ids], k
-        assert ar.indptr[0] == 0 and len(ar.indptr) == m + 1, k
+        assert ar.rowidx.size == ar.indices.size == ar.data.size, k
+        assert (np.diff(ar.rowidx) >= 0).all(), k  # row order
         dense = np.zeros((m, n))
         for i, row in enumerate(rows):
-            span = slice(ar.indptr[i], ar.indptr[i + 1])
+            span = ar.rowidx == i
             assert {ids[j]: a for j, a in zip(ar.indices[span], ar.data[span])} == \
                 {v: float(c) for v, c in row.coeffs.items()}, (k, i)
             assert ar.indices[span].size == len(row.coeffs), (k, i)
-            assert ar.rowidx[span].tolist() == [i] * len(row.coeffs), (k, i)
             rel = "=" if ar.eq[i] else ">=" if ar.ge[i] else "<="
             assert (rel, ar.b[i]) == (row.rel, float(row.rhs)), (k, i)
             for v, c in row.coeffs.items():
@@ -155,15 +155,15 @@ def test_program_form_matches_the_row_dicts():
 
 def test_lp_relaxation_memory_is_its_tableau(monkeypatch):
     # an 800 x 600 program with four nonzeros a row, whose root LP takes
-    # hundreds of pivots that fill its columns in. The rows are kept as CSR
-    # triplets, not as a dense copy, and each pivot updates its rows in
+    # hundreds of pivots that fill its columns in. The rows are kept as
+    # coordinate triplets, not as a dense copy, and each pivot updates its rows in
     # bounded blocks, so the peak stays near the one m x (n + m + 1) tableau
     rng = random.Random(2)
     m, n = 800, 600
     ids = [f"x{j:03d}" for j in range(n)]
     rows = [Row({ids[j]: rng.randint(1, 9) for j in rng.sample(range(n), 4)}, "<=",
                 rng.randint(4, 48)) for _ in range(m)]
-    p = IlpProblem([Variable(v, BINARY) for v in ids], rows,
+    p = IlpProblem([Variable(v) for v in ids], rows,
                    ObjectiveFunc("max", {v: rng.randint(1, 10) for v in ids}))
     calls = itertools.count()
     real = solve_mod._pivot
@@ -482,7 +482,7 @@ def test_brute_force_lexicographic_tie_break():
 
 
 def test_brute_force_rejects_oversized_problems():
-    p = IlpProblem([Variable(f"x{i}", BINARY) for i in range(23)], [],
+    p = IlpProblem([Variable(f"x{i}") for i in range(23)], [],
                    ObjectiveFunc("min", {}))
     with pytest.raises(BruteForceTooLarge):
         brute_force(p)
