@@ -5,8 +5,10 @@ body is compiled once per `generate` call into closures, which then run per
 context element against the call's one lowering context (`_Lowerer`): mapping
 sums are lowered to linear terms with generation-time coefficients (filters
 that start with key comparisons are served from a hash index over the
-matches, which constraints and objective share), and the remaining Boolean
-structure is put into conjunctive normal form and linearized:
+matches, which constraints and objective share). `!` is resolved when a body
+is compiled, so the remaining Boolean structure comes out in negation normal
+form, over literals of relational atoms, and is distributed into conjunctive
+normal form and linearized:
 
 * a conjunction of bare relations becomes one inequality per relation
   (the fast path, no auxiliary variables);
@@ -229,9 +231,6 @@ class Atom:
 class Literal:
     atom: Atom
     positive: bool = True
-
-    def negate(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
 
 
 _TRUE = ("const", True)
@@ -508,98 +507,62 @@ def _disjoin(left, right):
     return ("or", left, right)
 
 
-def _lower_bool(e):
-    """Closure lowering a Boolean body to ('const', bool), a Literal tree, or
-    nodes ('and', a, b) / ('or', a, b)."""
+def _lower_bool(e, positive=True):
+    """Closure lowering a Boolean body, or its negation when `positive` is
+    false, to ('const', bool), a Literal, or nodes ('and', a, b) /
+    ('or', a, b) over literals: negation normal form, resolved here. `!`
+    flips the polarity, under which `&` and `|` swap (De Morgan, operands in
+    order), and `!=` is `==` with the polarity flipped."""
     if not _has_sum(e):
         value = compile_expr(e)
 
         def run(env, low):
             v = value(env, low.g)
             if v is True or v is False:
-                return ("const", v)
+                return ("const", v is positive)
             raise GenerationError("constraint body did not evaluate to a boolean")
         return run
     if isinstance(e, A.Unary) and e.op == "!":
-        operand = _lower_bool(e.operand)
-        return lambda env, low: _negate(operand(env, low))
+        return _lower_bool(e.operand, not positive)
     if isinstance(e, A.Binary) and e.op in ("&", "|"):
-        left, right = _lower_bool(e.left), _lower_bool(e.right)
-        join = _conjoin if e.op == "&" else _disjoin
+        left, right = _lower_bool(e.left, positive), _lower_bool(e.right, positive)
+        join = _conjoin if (e.op == "&") == positive else _disjoin
         return lambda env, low: join(left(env, low), right(env, low))
     if not isinstance(e, A.Rel):
         return _misplaced_sum(e)
     left, right, op = _lower_term(e.left), _lower_term(e.right), e.op
+    if op == "!=":
+        op, positive = "==", not positive
 
     def run(env, low):
         diff = left(env, low).sub(right(env, low))
         if diff.is_constant():
-            return ("const", compare(op, diff.constant, 0))
-        if op == "!=":
-            return Literal(low.alloc.atom("==", diff), positive=False)
-        return Literal(low.alloc.atom(op, diff))
+            return ("const", compare(op, diff.constant, 0) == positive)
+        return Literal(low.alloc.atom(op, diff), positive)
     return run
 
 
-def _negate(node):
-    if node == _TRUE:
-        return _FALSE
-    if node == _FALSE:
-        return _TRUE
+def to_cnf(lowered) -> Cnf:
+    """Distribute a lowered Boolean tree, in negation normal form, into CNF.
+
+    `true` gives an empty CNF; `false` gives one empty clause. The result
+    needs no clean-up: every relation a body evaluates gets an atom of its
+    own, allocated left to right, so every clause lists its literals in atom
+    order, no clause repeats an atom, and no two clauses are equal.
+    """
+    return Cnf(_clauses(lowered))
+
+
+def _clauses(node) -> tuple:
     if isinstance(node, Literal):
-        return node.negate()
+        return ((node,),)
+    if node[0] == "const":
+        return () if node[1] else ((),)
     kind, a, b = node
     if kind == "and":
-        return ("or", _negate(a), _negate(b))
-    return ("and", _negate(a), _negate(b))
-
-
-def to_cnf(lowered) -> Cnf:
-    """Distribute a lowered Boolean tree into CNF; atoms pass through unchanged.
-
-    `true` gives an empty CNF; `false` gives one empty clause. Tautological
-    clauses are dropped, duplicate literals and clauses are merged. A lone
-    literal is its own one clause.
-    """
-    if isinstance(lowered, Literal):
-        return Cnf(((lowered,),))
-
-    def clauses_of(node) -> list[tuple[Literal, ...]]:
-        if node == _TRUE:
-            return []
-        if node == _FALSE:
-            return [()]
-        if isinstance(node, Literal):
-            return [(node,)]
-        kind, a, b = node
-        if kind == "and":
-            return clauses_of(a) + clauses_of(b)
-        left, right = clauses_of(a), clauses_of(b)
-        if not left or not right:  # a disjunction with an always-true side
-            return []
-        return [ca + cb for ca in left for cb in right]
-
-    raw = clauses_of(lowered)
-    cleaned: list[tuple[Literal, ...]] = []
-    seen_clauses = set()
-    for clause in raw:
-        by_atom: dict[int, Literal] = {}
-        tautology = False
-        for lit in clause:
-            prev = by_atom.get(lit.atom.index)
-            if prev is not None and prev.positive != lit.positive:
-                tautology = True
-                break
-            by_atom[lit.atom.index] = lit
-        if tautology:
-            continue
-        normalized = tuple(by_atom[i] for i in sorted(by_atom))
-        key = tuple((lit.atom.index, lit.positive) for lit in normalized)
-        if key in seen_clauses:
-            continue
-        seen_clauses.add(key)
-        cleaned.append(normalized)
-    return Cnf(tuple(cleaned))
+        return _clauses(a) + _clauses(b)
+    left, right = _clauses(a), _clauses(b)
+    return tuple([ca + cb for ca in left for cb in right])
 
 
 def _leq_form(atom: Atom) -> LinearTerm:
@@ -659,20 +622,21 @@ def _one_signed(term: LinearTerm) -> LinearTerm | None:
 def linearize(cnf: Cnf, alloc: _Alloc) -> tuple[list[Row], list[Variable]]:
     """Lower a CNF to rows plus the auxiliary indicator variables it needs.
 
-    Singleton positive clauses whose atom occurs nowhere else are emitted as
-    bare inequalities. Every other atom gets an indicator `v` for `f <= 0`
-    (an equality over a one-signed term is one such atom) with only the
-    implications its literals use: `v = 1 => f <= 0` if it occurs positively,
-    `v = 0 => f >= eps` if it occurs negatively. An equality over a term of
-    either sign conjoins two fully tied indicators. Clauses become
-    `sum of literals >= 1`.
+    A singleton positive clause is emitted as a bare inequality: in a CNF of
+    `to_cnf` its atom occurs in no other clause. Every other atom gets an
+    indicator `v` for `f <= 0` (an equality over a one-signed term is one
+    such atom) with only the implications its literals use: `v = 1 => f <= 0`
+    if it occurs positively, `v = 0 => f >= eps` if it occurs negatively. An
+    equality over a term of either sign conjoins two fully tied indicators.
+    Clauses become `sum of literals >= 1`, which stays sound on any CNF: a
+    clause holding an atom and its negation reduces to `0 >= 0`, a repeated
+    literal to `2v >= 1`.
     """
-    positive: dict[int, int] = {}
-    negative: dict[int, int] = {}
+    positive: set[int] = set()
+    negative: set[int] = set()
     for clause in cnf.clauses:
         for lit in clause:
-            seen = positive if lit.positive else negative
-            seen[lit.atom.index] = seen.get(lit.atom.index, 0) + 1
+            (positive if lit.positive else negative).add(lit.atom.index)
 
     rows: list[Row] = []
     aux: list[Variable] = []
@@ -706,9 +670,7 @@ def linearize(cnf: Cnf, alloc: _Alloc) -> tuple[list[Row], list[Variable]]:
         if not clause:
             rows.append(Row({}, "<=", -1))  # unsatisfiable body
             continue
-        if (len(clause) == 1 and clause[0].positive
-                and positive[clause[0].atom.index] == 1
-                and clause[0].atom.index not in negative):
+        if len(clause) == 1 and clause[0].positive:
             rows.extend(_direct_rows(clause[0].atom))
             continue
         coeffs: dict[str, float] = {}

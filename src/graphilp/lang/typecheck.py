@@ -153,6 +153,7 @@ class _Checker:
                       scope: dict[str, Ty]):
         lhs_nodes = set(node_types)
         lhs_edges = {e.name for e in rule.lhs.edges}
+        deleted_edges = set()
         for action in rule.actions:
             if isinstance(action, A.CreateNodeAction):
                 if action.type not in self.mm.node_types:
@@ -195,6 +196,9 @@ class _Checker:
             elif isinstance(action, A.DeleteEdgeAction):
                 if action.name not in lhs_edges:
                     self.error(action.pos, f"no LHS edge named {action.name!r}")
+                elif action.name in deleted_edges:
+                    self.error(action.pos, f"edge {action.name!r} is deleted twice")
+                deleted_edges.add(action.name)
             elif isinstance(action, A.DeleteNodeAction):
                 if action.name not in lhs_nodes:
                     self.error(action.pos, f"no LHS node named {action.name!r}")
@@ -258,9 +262,7 @@ class _Checker:
                 return self.error(e.pos, "nodes() cannot be used in a class context")
             if base.kind != "match":
                 return self.error(e.pos, "nodes() applies to a match")
-            node_types = self.node_types.get(base.of)
-            if node_types is None:
-                return self.error(e.pos, f"unknown rule {base.of!r}")
+            node_types = self.node_types[base.of]
             if e.node not in node_types:
                 return self.error(e.pos, f"rule {base.of!r} has no pattern node "
                                          f"{e.node!r}")
@@ -334,29 +336,26 @@ class _Checker:
                     return self.error(e.pos, "comparison operands must not "
                                              "involve mapping variables")
                 return Ty("bool")
-            if not lt.numeric() or not rt.numeric():
-                return self.error(e.pos, f"{e.op!r} applies to numbers")
-            return Ty("bool", varbearing=lt.varbearing or rt.varbearing)
-        if isinstance(e, A.SetSum):
-            if not allow_sets:
-                return self.error(e.pos, "mapping sums are not allowed here")
-            mapping = self.mappings.get(e.mapping)
-            if mapping is None:
-                return self.error(e.pos, f"unknown mapping {e.mapping!r}")
-            match_ty = Ty("match", mapping.rule)
-            if e.filter_pred is not None:
-                inner = dict(scope)
-                inner[e.filter_var] = match_ty
-                pt = self.expr(e.filter_pred, inner, allow_sets=False)
-                if pt is not ERROR and pt.kind != "bool":
-                    self.error(e.pos, "filter predicate must be boolean")
+            return Ty("bool", varbearing=lt.varbearing or rt.varbearing)  # two numbers
+        # a mapping sum, the one expression left
+        if not allow_sets:
+            return self.error(e.pos, "mapping sums are not allowed here")
+        mapping = self.mappings.get(e.mapping)
+        if mapping is None:
+            return self.error(e.pos, f"unknown mapping {e.mapping!r}")
+        match_ty = Ty("match", mapping.rule)
+        if e.filter_pred is not None:
             inner = dict(scope)
-            inner[e.sum_var] = match_ty
-            bt = self.expr(e.sum_body, inner, allow_sets=False)
-            if bt is not ERROR and not bt.numeric():
-                self.error(e.pos, "sum body must be numeric")
-            return Ty(bt.kind if bt.numeric() else "real", varbearing=True)
-        return self.error(getattr(e, "pos", A.Pos()), f"cannot type {type(e).__name__}")
+            inner[e.filter_var] = match_ty
+            pt = self.expr(e.filter_pred, inner, allow_sets=False)
+            if pt is not ERROR and pt.kind != "bool":
+                self.error(e.pos, "filter predicate must be boolean")
+        inner = dict(scope)
+        inner[e.sum_var] = match_ty
+        bt = self.expr(e.sum_body, inner, allow_sets=False)
+        if bt is not ERROR and not bt.numeric():
+            self.error(e.pos, "sum body must be numeric")
+        return Ty(bt.kind if bt.numeric() else "real", varbearing=True)
 
     # -- declarations ------------------------------------------------------------
 

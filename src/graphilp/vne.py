@@ -125,6 +125,8 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
                 setattr(cfg, key, Range(int(lo), int(hi)))
             except ValueError:
                 raise ScenarioError(f"line {ln}: bad range {value!r}") from None
+            except ScenarioError as exc:
+                raise ScenarioError(f"line {ln}: {exc}") from None
         else:
             try:
                 setattr(cfg, key, int(value))

@@ -1,12 +1,10 @@
 """Acceptance suite: one test per release criterion, each printing a PASS/FAIL
 line with its runtime (run with `pytest -s tests/test_acceptance.py`)."""
 
-import itertools
 import random
 import time
 
 import numpy as np
-import pytest
 
 from graphilp import (brute_force, export_lp, find_matches, generate, import_lp,
                       load_graph, load_metamodel, parse, problems_equal, solve,

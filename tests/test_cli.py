@@ -5,7 +5,7 @@ import pytest
 import graphilp.cli as cli
 from graphilp.cli import build_parser, main
 from graphilp.lang.parser import MAX_DEPTH, DslSyntaxError, parse
-from graphilp.vne_model import TWO_LINKS_MODEL, TWO_LINKS_SPEC, VNE_SCHEMA
+from graphilp.vne_model import TWO_LINKS_MODEL, TWO_LINKS_SPEC
 
 from conftest import TASK_DOC, TASK_SPEC
 
@@ -142,6 +142,51 @@ def test_action_on_a_deleted_node_is_a_located_error(command, actions, col, tmp_
     assert main([command, *args] + (["--out", str(out)] if command == "solve" else [])) == 1
     assert capsys.readouterr().err == (f"error: {spec}:1:{col}: node 'a' is used after "
                                        "an action deletes it\n")
+    assert not out.exists()
+
+
+CUT_DOC = """
+nodetypes { nodetype { name: N  attrs { r: real } } }
+edgetypes { edgetype { name: link  src: N  tgt: N } }
+nodes {
+  node { id: a  type: N  attrs { r: 1.0 } }
+  node { id: b  type: N  attrs { r: 2.0 } }
+}
+edges {
+  edge { id: ab  type: link  src: a  tgt: b }
+  edge { id: ba  type: link  src: b  tgt: a }
+}
+"""
+
+
+def cut_spec(actions: str) -> str:
+    return (f"rule cut {{ nodes {{ x: N  y: N }}  edges {{ e: link(x -> y) }}  "
+            f"actions {{ {actions} }} }}\n"
+            "mapping c with cut;\n"
+            "constraint -> class::N { mappings.c->sum(m | 1) <= 1 }\n"
+            "objective o -> mapping::c { self.nodes().x.r }\n"
+            "global objective : max { o }\n")
+
+
+def test_solve_deletes_a_matched_edge(tmp_path, capsys):
+    # the chosen match is x=b, y=a: its edge `ba` goes, and `ab` stays
+    model, spec, out = tmp_path / "m.model", tmp_path / "s.gipsl", tmp_path / "out.model"
+    model.write_text(CUT_DOC)
+    spec.write_text(cut_spec("delete edge e"))
+    code = main(["solve", "--model", str(model), "--spec", str(spec), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert [line.strip() for line in out.read_text().splitlines() if "edge {" in line] == [
+        "edge { id: ab  type: link  src: a  tgt: b }"]
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_deleting_an_edge_twice_is_a_located_error(command, tmp_path, capsys):
+    model, spec, out = tmp_path / "m.model", tmp_path / "s.gipsl", tmp_path / "out.model"
+    model.write_text(CUT_DOC)
+    spec.write_text(cut_spec("delete edge e  delete edge e"))
+    args = ["--model", str(model), "--spec", str(spec)]
+    assert main([command, *args] + (["--out", str(out)] if command == "solve" else [])) == 1
+    assert capsys.readouterr().err == f"error: {spec}:1:86: edge 'e' is deleted twice\n"
     assert not out.exists()
 
 
@@ -463,6 +508,17 @@ def test_vne_config_non_field_key_is_unknown(key, tmp_path, capsys):
     assert main(["vne", "--config", str(config)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {config}: line 1: unknown key {key!r}"]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("vnr_cpu = 5..3", "empty range 5..3"),
+    ("vnr_cpu = 5..x", "bad range '5..x'"),
+], ids=["empty", "not-a-number"])
+def test_vne_config_bad_range_names_its_line(line, message, tmp_path, capsys):
+    config = tmp_path / "range.cfg"
+    config.write_text(f"{line}\n")
+    assert main(["vne", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {config}: line 1: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

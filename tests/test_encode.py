@@ -12,19 +12,19 @@ import pytest
 import graphilp
 import graphilp.encode as encode_mod
 import graphilp.lang.lexer as lexer
-from graphilp import (Edge, Graph, Node, StaleMatchError, apply_solution, brute_force,
-                      dump_problem, find_matches, full_scale_config, generate,
+from graphilp import (Graph, Node, StaleMatchError, apply_solution, brute_force,
+                      dump_problem, full_scale_config, generate,
                       generate_scenario, load_graph, load_model, parse,
                       parse_scenario_config, solve, typecheck)
-from graphilp.encode import (AUX_BINARY, BINARY, Atom, GenerationError, LinearTerm,
+from graphilp.encode import (AUX_BINARY, BINARY, GenerationError, LinearTerm,
                              Literal, MappingTable, Row, Variable, _Alloc, _Lowerer,
-                             _lower_bool, _negate, build_objective, collect_matches,
+                             _lower_bool, collect_matches,
                              expand_contexts, instantiate_mappings, linearize, to_cnf)
 from graphilp.lang import ast as A
 from graphilp.lang.parser import parse_expression
 from graphilp.vne import merge_graphs
-from graphilp.vne_model import (TWO_LINKS_MODEL, TWO_LINKS_SPEC, VNE_SCHEMA, two_links_model,
-                                two_links_spec, vne_metamodel, embedding_spec)
+from graphilp.vne_model import (TWO_LINKS_SPEC, two_links_model, two_links_spec,
+                                vne_metamodel, embedding_spec)
 
 from conftest import TASK_DOC, TASK_SPEC, perfbench_placement
 
@@ -222,7 +222,6 @@ def test_filter_eliminating_all_matches_gives_constant(task_model, task_spec):
     _, g = task_model
     matches = collect_matches(task_spec, g)
     _, table = instantiate_mappings(task_spec, matches)
-    from graphilp.lang.parser import parse_expression
     body = parse_expression(
         "mappings.put->filter(m | m.nodes().t.cpu >= 99)->sum(m | 1) <= 0")
     lowered = lower_sets(body, g.nodes["s1"], task_spec, g, table)
@@ -338,14 +337,24 @@ def cnf_truth(cnf, atoms):
     return rows
 
 
-def test_demorgan_example_against_truth_table():
-    alloc = _Alloc()
-    p, q, r = (atom(alloc, coeffs={n: 1}) for n in "pqr")
-    node = ("and", _negate(("or", Literal(p), Literal(q))), Literal(r))
+def test_demorgan_example_against_truth_table(task_model, task_spec):
+    # !(p | !(q & r != 1)) & s lowers to !p & (q & !(r == 1)) & s: negation
+    # sits on literals only, with the atoms in body order
+    _, g = task_model
+    _, table = instantiate_mappings(task_spec, collect_matches(task_spec, g))
+    count = "mappings.put->filter(m | m.nodes().s == self)->sum(m | 1)"
+    body = parse_expression(f"!({count} >= 1 | !({count} <= 2 & {count} != 1))"
+                            f" & {count} < 2")
+    node = lower_sets(body, g.nodes["s1"], task_spec, g, table)
+    lits = [(lit.atom.index, lit.atom.op, lit.positive)
+            for lit in (node[1][1], node[1][2][1], node[1][2][2], node[2])]
+    assert (node[0], node[1][0], node[1][2][0]) == ("and", "and", "and")
+    assert lits == [(0, ">=", False), (1, "<=", True), (2, "==", False), (3, "<", True)]
     cnf = to_cnf(node)
-    lits = {tuple((l.atom.index, l.positive) for l in c) for c in cnf.clauses}
-    assert lits == {((p.index, False),), ((q.index, False),), ((r.index, True),)}
-    assert truth_table(node, [p, q, r]) == cnf_truth(cnf, [p, q, r])
+    assert [[(l.atom.index, l.positive) for l in c] for c in cnf.clauses] == [
+        [(0, False)], [(1, True)], [(2, False)], [(3, True)]]
+    atoms = [lit.atom for [lit] in cnf.clauses]
+    assert truth_table(node, atoms) == cnf_truth(cnf, atoms)
 
 
 def test_cnf_equivalence_on_random_trees():
@@ -356,10 +365,7 @@ def test_cnf_equivalence_on_random_trees():
         def tree(depth):
             if depth > 3 or rng.random() < 0.35:
                 return Literal(rng.choice(atoms), positive=rng.random() < 0.7)
-            roll = rng.random()
-            if roll < 0.25:
-                return _negate(tree(depth + 1))
-            return ("and" if roll < 0.6 else "or", tree(depth + 1), tree(depth + 1))
+            return ("and" if rng.random() < 0.5 else "or", tree(depth + 1), tree(depth + 1))
         node = tree(0)
         cnf = to_cnf(node)
         assert truth_table(node, atoms) == cnf_truth(cnf, atoms)
@@ -469,15 +475,15 @@ def test_indicator_rows_follow_literal_polarity():
         f = alloc.atom("<=", LinearTerm({"x": 2, "y": 1}, -1))
         g = Literal(alloc.atom("<=", LinearTerm({"z": 1}, -1)))
         h = Literal(alloc.atom("<=", LinearTerm({"w": 1}, -1)))
-        rows, aux = linearize(to_cnf(make_body(Literal(f), g, h)), alloc)
+        rows, aux = linearize(to_cnf(make_body(Literal(f), Literal(f, False), g, h)), alloc)
         return _rows_with(rows, "x")
 
     upper = Row({"x": 2, "y": 1, "aux_0": 2}, "<=", 3)  # v = 1 => f <= 0
     lower = Row({"x": 2, "y": 1, "aux_0": 2}, ">=", 2)  # v = 0 => f >= 1
-    assert rows_of_f(lambda f, g, h: ("or", f, g)) == [upper]
-    assert rows_of_f(lambda f, g, h: ("or", f.negate(), g)) == [lower]
-    assert rows_of_f(lambda f, g, h: ("and", ("or", f, g),
-                                      ("or", f.negate(), h))) == [upper, lower]
+    assert rows_of_f(lambda f, not_f, g, h: ("or", f, g)) == [upper]
+    assert rows_of_f(lambda f, not_f, g, h: ("or", not_f, g)) == [lower]
+    assert rows_of_f(lambda f, not_f, g, h: ("and", ("or", f, g),
+                                             ("or", not_f, h))) == [upper, lower]
 
 
 def test_two_signed_equality_keeps_per_side_big_m():
@@ -505,20 +511,15 @@ def random_lowered_tree(rng, alloc, n_vars, max_atoms, eq_budget=2):
             ops = ["<", "<=", ">=", ">"]
             if eq_left[0] > 0 and rng.random() < 0.3:
                 eq_left[0] -= 1
-                op = rng.choice(["==", "!="])
+                op = "=="
             else:
                 op = rng.choice(ops)
             nv = rng.randint(1, n_vars)
             coeffs = {f"x{i}": rng.randint(-10, 10)
                       for i in rng.sample(range(n_vars), nv)}
             term = LinearTerm(coeffs, rng.randint(-10, 10))
-            if op == "!=":
-                return Literal(alloc.atom("==", term), positive=False)
-            return Literal(alloc.atom(op, term))
-        roll = rng.random()
-        if roll < 0.2:
-            return _negate(gen(depth + 1))
-        return ("and" if roll < 0.6 else "or", gen(depth + 1), gen(depth + 1))
+            return Literal(alloc.atom(op, term), positive=rng.random() < 0.7)
+        return ("and" if rng.random() < 0.5 else "or", gen(depth + 1), gen(depth + 1))
 
     return gen(0)
 

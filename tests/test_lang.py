@@ -680,6 +680,74 @@ def test_a_fault_gives_one_diagnostic(old, new, message):
     assert [d.message for d in err.value.diagnostics] == [message]
 
 
+_RM = "rule r { nodes { t: Task } } mapping m with r; "
+
+
+# the smallest spec for each diagnostic, over TASK_DOC's metamodel, and the one
+# diagnostic it gives; a spec without a global objective gets `min { 0 }`
+@pytest.mark.parametrize("text, diagnostic", [
+    ("rule r { } rule r { }", "1:12: duplicate rule 'r'"),
+    ("rule r { nodes { a: Task  a: Task } }", "1:27: duplicate pattern node 'a'"),
+    ("rule r { nodes { t: Task  s: Server }  edges { e: host(t -> s)  e: host(t -> s) } }",
+     "1:65: duplicate pattern edge 'e'"),
+    ("rule r { nodes { s: Server }  edges { e: host(s -> s) } }",
+     "1:39: edge 'e': node 's' of type 'Server' can never conform to 'Task'"),
+    ("rule r { actions { create node a: Ghost { } } }", "1:20: unknown node type 'Ghost'"),
+    ("rule r { nodes { t: Task }  actions { create node t: Element { } } }",
+     "1:39: node name 't' already in use"),
+    ("rule r { actions { create node a: Element { x := 1 } } }",
+     "1:20: 'Element' has no attribute 'x'"),
+    ("rule r { actions { create node a: Task { cpu := 1 } } }",
+     "1:20: created node 'a' misses attribute 'placed'"),
+    ("rule r { nodes { t: Task }  actions { create edge ghost(t -> t) } }",
+     "1:39: unknown edge type 'ghost'"),
+    ("rule r { nodes { t: Task }  actions { create edge host(t -> t) } }",
+     "1:39: node 't' of type 'Task' does not conform to 'Server'"),
+    ("rule r { actions { delete edge e } }", "1:20: no LHS edge named 'e'"),
+    ("rule r { actions { delete node a } }", "1:20: no LHS node named 'a'"),
+    ("rule r { nodes { t: Task }  actions { set t.cpu := true } }",
+     "1:39: attribute 'cpu' expects a number"),
+    ("rule r { nodes { t: Task }  actions { set t.placed := 1 } }",
+     "1:39: attribute 'placed' expects bool"),
+    ("rule r { nodes { t: Task }  condition { self.cpu > 1 } }",
+     "1:41: 'self' is not available here"),
+    ("constraint -> class::Server { self.cpu.nodes().t == self }",
+     "1:39: nodes() applies to a match"),
+    ("constraint -> class::Server { !self.cpu }", "1:31: '!' applies to a boolean"),
+    ("constraint -> class::Task { -self.placed < 1 }", "1:29: '-' applies to a number"),
+    ("constraint -> class::Server { self.cpu & true }", "1:40: '&' applies to booleans"),
+    ("constraint -> class::Task { self.placed + 1 > 0 }", "1:41: '+' applies to numbers"),
+    ("constraint -> class::Task { self.placed < true }", "1:41: '<' applies to numbers"),
+    ('constraint -> class::Task { self.placed == "a" }',
+     "1:41: cannot compare a boolean with a string"),
+    (_RM + "constraint -> class::Task { (mappings.m->sum(x | 1) >= 1) == true }",
+     "1:106: comparison operands must not involve mapping variables"),
+    (_RM + "constraint -> class::Task { mappings.m->filter(x | 1)->sum(x | 1) >= 0 }",
+     "1:76: filter predicate must be boolean"),
+    (_RM + "constraint -> class::Task { mappings.m->sum(x | true) >= 0 }",
+     "1:76: sum body must be numeric"),
+    ("constraint -> pattern::ghost { true }", "1:1: unknown rule 'ghost'"),
+    ("rule r { } mapping m with r; mapping m with r;", "1:30: duplicate mapping 'm'"),
+    ("constraint -> class::Task { 1 }", "1:1: constraint body must be boolean"),
+    ("objective o -> class::Task { 1 } objective o -> class::Task { 1 }",
+     "1:34: duplicate objective 'o'"),
+    ("objective o -> class::Task { true }", "1:1: objective body must be numeric"),
+    ("objective o -> class::Task { 1 } global objective : min { sin(o) }",
+     "1:59: sin requires a constant subexpression"),
+    ("objective o -> class::Task { 1 } global objective : min { 1 / o }",
+     "1:61: objective weight is not constant"),
+    ("global objective : min { 1 / 0 }", "1:28: division by zero in global objective"),
+    ("global objective : min { true }",
+     "1:26: global objective combines objective names with constant weights"),
+])
+def test_each_diagnostic_from_its_smallest_spec(text, diagnostic):
+    if "global" not in text:
+        text += " global objective : min { 0 }"
+    with pytest.raises(TypecheckError) as err:
+        typecheck(parse(text), load_model(TASK_DOC)[0])
+    assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+
+
 def test_rule_with_unknown_node_and_edge_types_gives_located_diagnostics():
     text = """
 rule r {

@@ -11,8 +11,7 @@ from graphilp.vne_model import two_links_model, two_links_spec, vne_metamodel
 from graphilp.pattern import (Match, Pattern, PatternEdge, PatternError, PatternNode,
                               StaleMatchError)
 
-from conftest import (TASK_DOC, TASK_SPEC, brute_matches, random_graph,
-                      random_pattern)
+from conftest import TASK_SPEC, brute_matches, random_graph, random_pattern
 
 
 def binding_set(matches):

@@ -213,3 +213,70 @@ constraint -> class::Server {
 """), mm)
     feasible = assert_program_means_spec(spec, g)
     assert 0 < feasible.sum() < len(feasible)
+
+
+# --- seeded random Boolean bodies --------------------------------------------------
+
+BODY_DOC = """
+nodetypes {
+  nodetype { name: Server  attrs { cpu: int } }
+  nodetype { name: Task  attrs { cpu: int  w: real } }
+}
+nodes {
+  node { id: s1  type: Server  attrs { cpu: 32 } }
+  node { id: s2  type: Server  attrs { cpu: 16 } }
+  node { id: t1  type: Task  attrs { cpu: 4  w: 0.5 } }
+  node { id: t2  type: Task  attrs { cpu: 7  w: 1.25 } }
+  node { id: t3  type: Task  attrs { cpu: 2  w: -0.75 } }
+}
+"""
+
+BODY_SPEC = """
+rule place { nodes { t: Task  s: Server } }
+mapping put with place;
+constraint -> class::Server { BODY }
+objective o -> mapping::put { self.nodes().t.w - self.nodes().s.cpu / 16 }
+global objective : min { o }
+"""
+
+# each sum with right-hand sides near its values; the last one's filter never
+# holds, so a relation over it alone is a constant
+BODY_SUMS = (("mappings.put->sum(m | 1)", (0, 1, 2, 4)),
+             ("mappings.put->filter(m | m.nodes().s == self)->sum(m | m.nodes().t.cpu)",
+              (0, 4, 7, 11)),
+             ("mappings.put->filter(m | m.nodes().t.cpu >= 4)->sum(m | m.nodes().t.w)",
+              (0, 0.5, 1.25, 1.75)),
+             ("mappings.put->filter(m | m.nodes().t.cpu >= 99)->sum(m | 1)", (-1, 0, 1)))
+RELATIONS = ("==", "!=", "<", "<=", ">=", ">")
+
+
+def random_body(rng, depth=0) -> str:
+    """A constraint body of `&`, `|` and `!` nested up to three deep over
+    relations between sums and numbers, and sum-free leaves."""
+    roll = rng.random()
+    if depth < 3 and roll < 0.55:
+        if roll < 0.15:
+            return f"!({random_body(rng, depth + 1)})"
+        op = "&" if roll < 0.35 else "|"
+        return f"({random_body(rng, depth + 1)}) {op} ({random_body(rng, depth + 1)})"
+    if roll > 0.9:
+        return rng.choice(("true", "false", "self.cpu >= 32"))
+    left, bounds = rng.choice(BODY_SUMS)
+    if rng.random() < 0.2:
+        left = f"{left} - {rng.choice(BODY_SUMS)[0]}"
+    return f"{left} {rng.choice(RELATIONS)} {rng.choice(bounds)}"
+
+
+def test_random_boolean_bodies_mean_what_they_say():
+    rng = random.Random(25)
+    mm, g = load_model(BODY_DOC)
+    bodies = [random_body(rng) for _ in range(150)]
+    for body in bodies:
+        spec = typecheck(parse(BODY_SPEC.replace("BODY", body)), mm)
+        try:
+            assert_program_means_spec(spec, g)
+        except AssertionError as exc:
+            raise AssertionError(f"body: {body}") from exc
+    text = " ".join(bodies)
+    assert all(f" {op} " in text for op in RELATIONS + ("&", "|"))
+    assert all(leaf in text for leaf in ("!(", "true", "false", "self.cpu", ">= 99"))

@@ -5,8 +5,7 @@ import pytest
 import graphilp.vne as vne
 from graphilp import (Graph, GraphDelta, apply_delta, embed_incremental,
                       generate_scenario, load_model, lp_relaxation, parse_scenario_config,
-                      full_scale_config, scenario_text, serialize_model,
-                      verify_embedding)
+                      full_scale_config, scenario_text, verify_embedding)
 from graphilp.vne_model import embedding_spec, vne_metamodel
 from graphilp.vne import Range, ScenarioConfig, ScenarioError
 
@@ -263,7 +262,7 @@ def test_config_parser_rejects_unknown_keys_and_bad_ranges():
         parse_scenario_config("rackz = 3")
     with pytest.raises(ScenarioError, match="range"):
         parse_scenario_config("vnr_cpu = 5")
-    with pytest.raises(ScenarioError, match="empty range"):
+    with pytest.raises(ScenarioError, match="^line 1: empty range 5..3$"):
         parse_scenario_config("vnr_cpu = 5..3")
     with pytest.raises(ScenarioError, match="exceeds server capacity"):
         parse_scenario_config("server_cpu = 4\nvnr_cpu = 1..8")
