@@ -619,12 +619,68 @@ def _one_signed(term: LinearTerm) -> LinearTerm | None:
     return None
 
 
+def _atom_form(atom: Atom) -> LinearTerm | None:
+    """The atom as `f <= 0`; None for an equality over a two-signed term."""
+    return _one_signed(atom.term) if atom.op == "==" else _leq_form(atom)
+
+
+def _any_or_none(f: LinearTerm) -> tuple[bool, tuple] | None:
+    """For an atom `f <= 0` over binaries x_i: (True, S) when it holds iff
+    some x_i of S is 1 ("any of S": `c > 0` and every `a_i <= -c`), (False,
+    S) when it holds iff every x_i of S is 0 ("none of S": `c == 0` and every
+    `a_i > 0`), None otherwise."""
+    c, a = f.constant, f.coeffs.values()
+    if c > 0 and all(ai <= -c for ai in a):
+        return True, tuple(f.coeffs)
+    if c == 0 and all(ai > 0 for ai in a):
+        return False, tuple(f.coeffs)
+    return None
+
+
+def _mapping_set(lit: Literal, sets: dict) -> tuple | None:
+    """`_any_or_none` of the literal, "any" and "none" swapped if negative;
+    `sets` keeps each atom's."""
+    index = lit.atom.index
+    if index not in sets:
+        f = _atom_form(lit.atom)
+        sets[index] = None if f is None else _any_or_none(f)
+    s = sets[index]
+    return s if s is None or lit.positive else (not s[0], s[1])
+
+
+def _clause_plan(clause: tuple, sets: dict) -> tuple:
+    """(parts, none, f) for a clause of two or more literals: the clause row's
+    parts, each a literal through its indicator or the S of an "any" literal;
+    the S of the one "none" literal, or None; and the `f <= 0` form of the
+    rest when that is one positive atom with no "any" or "none" form, which
+    then has no parts."""
+    found = [(lit, _mapping_set(lit, sets)) for lit in clause]
+    nones = [s[1] for _, s in found if s is not None and not s[0]]
+    none = nones[0] if len(nones) == 1 else None  # two or more keep indicators
+    parts = []
+    for lit, s in found:
+        if s is None or (none is None and not s[0]):
+            parts.append(lit)
+        elif s[0]:
+            parts.append(s[1])
+    if none is not None and len(parts) == 1 and isinstance(parts[0], Literal) \
+            and parts[0].positive:
+        f = _atom_form(parts[0].atom)
+        if f is not None:
+            return [], none, f
+    return parts, none, None
+
+
 def linearize(cnf: Cnf, alloc: _Alloc) -> tuple[list[Row], list[Variable]]:
     """Lower a CNF to rows plus the auxiliary indicator variables it needs.
 
     A singleton positive clause is emitted as a bare inequality: in a CNF of
-    `to_cnf` its atom occurs in no other clause. Every other atom gets an
-    indicator `v` for `f <= 0` (an equality over a one-signed term is one
+    `to_cnf` its atom occurs in no other clause. In a clause of two or more
+    literals, a literal that says "some x of S is 1" adds S to the clause
+    row, and one literal that says "every x of S is 0" turns the clause into
+    one row per x of S, the rest of the clause or `1 - x`; if the rest is one
+    positive atom `f <= 0`, that row is `f + M x <= M`. Every other atom gets
+    an indicator `v` for `f <= 0` (an equality over a one-signed term is one
     such atom) with only the implications its literals use: `v = 1 => f <= 0`
     if it occurs positively, `v = 0 => f >= eps` if it occurs negatively. An
     equality over a term of either sign conjoins two fully tied indicators.
@@ -632,11 +688,18 @@ def linearize(cnf: Cnf, alloc: _Alloc) -> tuple[list[Row], list[Variable]]:
     clause holding an atom and its negation reduces to `0 >= 0`, a repeated
     literal to `2v >= 1`.
     """
+    sets: dict[int, tuple | None] = {}
+    plans = []  # of the clauses of two or more literals, in order
     positive: set[int] = set()
     negative: set[int] = set()
     for clause in cnf.clauses:
-        for lit in clause:
-            (positive if lit.positive else negative).add(lit.atom.index)
+        if len(clause) > 1:
+            plans.append(_clause_plan(clause, sets))
+            for part in plans[-1][0]:
+                if isinstance(part, Literal):
+                    (positive if part.positive else negative).add(part.atom.index)
+        elif clause and not clause[0].positive:
+            negative.add(clause[0].atom.index)
 
     rows: list[Row] = []
     aux: list[Variable] = []
@@ -646,7 +709,7 @@ def linearize(cnf: Cnf, alloc: _Alloc) -> tuple[list[Row], list[Variable]]:
         have = indicator.get(atom.index)
         if have is not None:
             return have
-        f = _one_signed(atom.term) if atom.op == "==" else _leq_form(atom)
+        f = _atom_form(atom)
         if f is None:
             v_le = alloc.aux()
             v_ge = alloc.aux()
@@ -666,21 +729,40 @@ def linearize(cnf: Cnf, alloc: _Alloc) -> tuple[list[Row], list[Variable]]:
         indicator[atom.index] = v
         return v
 
+    plans = iter(plans)
     for clause in cnf.clauses:
         if not clause:
             rows.append(Row({}, "<=", -1))  # unsatisfiable body
             continue
-        if len(clause) == 1 and clause[0].positive:
-            rows.extend(_direct_rows(clause[0].atom))
+        if len(clause) == 1:
+            if clause[0].positive:
+                rows.extend(_direct_rows(clause[0].atom))
+            else:
+                rows.append(Row({ensure_indicator(clause[0].atom): -1}, ">=", 0))
+            continue
+        parts, none, f = next(plans)
+        if f is not None:
+            # x = 1 => f <= 0; coefficients add, as x may occur in f
+            m = max(f.bounds()[1], 0)
+            for x in none:
+                g = f.add(LinearTerm({x: m}, -m))
+                rows.append(Row(g.coeffs, "<=", -g.constant))
             continue
         coeffs: dict[str, float] = {}
         negated = 0
-        for lit in clause:
-            v = ensure_indicator(lit.atom)
-            coeffs[v] = coeffs.get(v, 0) + (1 if lit.positive else -1)
-            if not lit.positive:
-                negated += 1
-        rows.append(Row(coeffs, ">=", 1 - negated))
+        for part in parts:
+            if isinstance(part, Literal):
+                v = ensure_indicator(part.atom)
+                coeffs[v] = coeffs.get(v, 0) + (1 if part.positive else -1)
+                negated += not part.positive
+            else:
+                for x in part:
+                    coeffs[x] = coeffs.get(x, 0) + 1
+        if none is None:
+            rows.append(Row(coeffs, ">=", 1 - negated))
+        else:  # the rest of the clause, or 1 - x, for each x of S
+            rows.extend(Row({**coeffs, x: coeffs.get(x, 0) - 1}, ">=", -negated)
+                        for x in none)
     return rows, aux
 
 

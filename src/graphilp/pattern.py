@@ -1,8 +1,9 @@
 """Graph patterns, rewrite rules, batch subgraph matching, rule application.
 
 A match (`model.Match`) binds pattern nodes to graph nodes injectively;
-every pattern edge must be realized by a graph edge of the declared type and
-the attribute condition must hold under the binding. `find_matches` is the
+every pattern edge must be realized by a graph edge of the declared type,
+k parallel pattern edges of one type by k distinct graph edges, and the
+attribute condition must hold under the binding. `find_matches` is the
 only maker of matches; it is exhaustive and deterministic: results come back
 sorted by their bound id sets. A pattern compiles its condition, and a rule
 its action values, once, on first use. An error while evaluating either is a
@@ -13,6 +14,7 @@ part in equality.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,6 +62,13 @@ class Pattern:
         """The condition as a closure `f(env, graph)`; None without one."""
         return None if self.condition is None else compile_expr(self.condition)
 
+    @cached_property
+    def parallel_edges(self) -> tuple:
+        """`(type, src, tgt, k)` for every k >= 2 edges of one type from `src`
+        to `tgt`, which a match must realize by k distinct graph edges."""
+        counts = Counter((pe.type, pe.src, pe.tgt) for pe in self.edges)
+        return tuple((*key, k) for key, k in counts.items() if k > 1)
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -100,6 +109,13 @@ def _condition_holds(g: Graph, p: Pattern, binding: dict[str, str]) -> bool:
     if not isinstance(result, bool):
         raise PatternError(f"pattern {p.name!r}: condition is not boolean")
     return result
+
+
+def _parallel_realized(g: Graph, p: Pattern, binding: dict[str, str]) -> bool:
+    """Whether `g` has as many edges as `p` between each bound pair of nodes
+    that `p` joins by parallel edges."""
+    return all(sum(e.tgt == binding[tgt] for e in g.out_edges(binding[src], t)) >= k
+               for t, src, tgt, k in p.parallel_edges)
 
 
 def _search_order(p: Pattern, pool_size: dict[str, int]) -> list[tuple]:
@@ -152,8 +168,11 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
     Backtracking assignment in one search order fixed per call (see
     `_search_order`): a node adjacent to bound nodes takes its candidates
     from the adjacency index, along the edge that gives the fewest, and a
-    candidate is kept only if it realizes the step's edges. An EvalError in
-    the condition becomes a PatternError naming the rule and the binding.
+    candidate is kept only if it realizes the step's edges. A complete
+    binding must also realize each group of parallel pattern edges by as
+    many distinct graph edges (`Pattern.parallel_edges`) before its
+    condition is evaluated. An EvalError in the condition becomes a
+    PatternError naming the rule and the binding.
     """
     pools: dict[str, list[str]] = {}
     for pn in p.nodes:
@@ -166,6 +185,7 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
     binding: dict[str, str] = {}
     used: set[str] = set()
     complete = len(steps)
+    parallel = p.parallel_edges
 
     def candidates(name: str, anchors: tuple) -> list[str]:
         best: list[str] | None = None
@@ -182,7 +202,8 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
 
     def backtrack(depth: int):
         if depth == complete:
-            if _condition_holds(g, p, binding):
+            if (not parallel or _parallel_realized(g, p, binding)) \
+                    and _condition_holds(g, p, binding):
                 results.append(Match(p, dict(sorted(binding.items()))))
             return
         name, anchors, checks = steps[depth]
@@ -223,6 +244,8 @@ def revalidate(g: Graph, m: Match) -> bool:
         if node is None or not g.mm.conforms(node.type, pn.type):
             return False
     if not all(g.has_edge(pe.type, binding[pe.src], binding[pe.tgt]) for pe in p.edges):
+        return False
+    if p.parallel_edges and not _parallel_realized(g, p, binding):
         return False
     try:
         return _condition_holds(g, p, binding)

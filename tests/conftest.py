@@ -8,6 +8,7 @@ import itertools
 import pathlib
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -156,10 +157,20 @@ def random_pattern(rng: random.Random, mm: Metamodel, max_nodes: int = 3) -> Pat
     return Pattern(f"rp{rng.randint(0, 999)}", tuple(pnodes), tuple(pedges), condition)
 
 
+def realizes(realized: Counter, p: Pattern, binding: dict) -> bool:
+    """Whether `realized`, a graph's edge count by (type, src, tgt), holds as
+    many edges as `p` has between every two nodes bound in `binding`."""
+    need = Counter((pe.type, binding[pe.src], binding[pe.tgt]) for pe in p.edges
+                   if pe.src in binding and pe.tgt in binding)
+    return all(realized[key] >= k for key, k in need.items())
+
+
 def brute_matches(g: Graph, p: Pattern) -> set:
-    """Oracle: enumerate every injective typed binding, filter edges + condition."""
+    """Oracle: enumerate every injective typed binding, filter edges (k
+    parallel pattern edges need k graph edges) + condition."""
     names = [n.name for n in p.nodes]
     condition = None if p.condition is None else compile_expr(p.condition)
+    realized = Counter((e.type, e.src, e.tgt) for e in g.edges.values())
     out = set()
     for combo in itertools.permutations(sorted(g.nodes), len(names)):
         binding = dict(zip(names, combo))
@@ -167,8 +178,7 @@ def brute_matches(g: Graph, p: Pattern) -> set:
                  for pn in p.nodes)
         if not ok:
             continue
-        if not all(g.has_edge(pe.type, binding[pe.src], binding[pe.tgt])
-                   for pe in p.edges):
+        if not realizes(realized, p, binding):
             continue
         if condition is not None:
             env = {name: g.nodes[gid] for name, gid in binding.items()}

@@ -179,6 +179,24 @@ def test_solve_deletes_a_matched_edge(tmp_path, capsys):
         "edge { id: ab  type: link  src: a  tgt: b }"]
 
 
+@pytest.mark.parametrize("parallel", [True, False], ids=["two-edges", "one-edge"])
+def test_solve_deletes_parallel_edges_only_where_there_are_two(parallel, tmp_path, capsys):
+    # two pattern edges a -> b need two graph edges a -> b: with `ab2` the
+    # match x=a, y=b deletes both; without it nothing matches, where once
+    # the match passed `check` and failed at apply time
+    model, spec, out = tmp_path / "m.model", tmp_path / "s.gipsl", tmp_path / "out.model"
+    model.write_text(CUT_DOC.replace("edges {\n", "edges {\n  edge { id: ab2  type: link  "
+                                     "src: a  tgt: b }\n") if parallel else CUT_DOC)
+    spec.write_text(cut_spec("delete edge e  delete edge f").replace(
+        "e: link(x -> y)", "e: link(x -> y)  f: link(x -> y)"))
+    code = main(["solve", "--model", str(model), "--spec", str(spec), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert capsys.readouterr().out.startswith(
+        f"optimal objective {1 if parallel else 0}, {int(parallel)} match(es) applied")
+    assert [line.split()[3] for line in out.read_text().splitlines() if "edge {" in line] == \
+        (["ba"] if parallel else ["ab", "ba"])
+
+
 @pytest.mark.parametrize("command", ["check", "solve"])
 def test_deleting_an_edge_twice_is_a_located_error(command, tmp_path, capsys):
     model, spec, out = tmp_path / "m.model", tmp_path / "s.gipsl", tmp_path / "out.model"

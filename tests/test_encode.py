@@ -5,6 +5,7 @@ import itertools
 import pathlib
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from graphilp import (Graph, Node, StaleMatchError, apply_solution, brute_force,
                       dump_problem, full_scale_config, generate,
                       generate_scenario, load_graph, load_model, parse,
                       parse_scenario_config, solve, typecheck)
-from graphilp.encode import (AUX_BINARY, BINARY, GenerationError, LinearTerm,
+from graphilp.encode import (AUX_BINARY, BINARY, Cnf, GenerationError, LinearTerm,
                              Literal, MappingTable, Row, Variable, _Alloc, _Lowerer,
                              _lower_bool, collect_matches,
                              expand_contexts, instantiate_mappings, linearize, to_cnf)
@@ -430,14 +431,19 @@ def test_forced_disjunction_enumeration():
 
 
 def test_equality_atom_uses_conjoined_indicators():
-    # x - y takes both signs, so == 0 needs both sides tied
-    alloc = _Alloc()
-    eq = Literal(alloc.atom("==", LinearTerm({"x": 1, "y": -1})))
-    other = Literal(alloc.atom("<=", LinearTerm({"x": 1})))
-    rows, aux = linearize(to_cnf(("or", eq, other)), alloc)
-    assert len(aux) == 4  # le + ge + eq indicators, plus one for the <= atom
-    kinds = {v.kind for v in aux}
-    assert kinds == {AUX_BINARY}
+    # x - y takes both signs, so == 0 needs both sides tied. `x <= 0` says
+    # "none of {x}" and needs no indicator; `x - z <= 0` gets one
+    for other, n_aux in [(LinearTerm({"x": 1}), 3), (LinearTerm({"x": 1, "z": -1}), 4)]:
+        alloc = _Alloc()
+        eq = Literal(alloc.atom("==", LinearTerm({"x": 1, "y": -1})))
+        body = ("or", eq, Literal(alloc.atom("<=", other)))
+        rows, aux = linearize(to_cnf(body), alloc)
+        assert len(aux) == n_aux  # le + ge + eq indicators, and one for x - z <= 0
+        kinds = {v.kind for v in aux}
+        assert kinds == {AUX_BINARY}
+        for x, y, z in itertools.product([0, 1], repeat=3):
+            xs = {"x": x, "y": y, "z": z}
+            assert rows_feasible(rows, aux, xs) == lowered_truth(body, xs)
 
 
 def test_strict_comparison_on_integer_terms_is_exact():
@@ -447,18 +453,24 @@ def test_strict_comparison_on_integer_terms_is_exact():
     assert rows[0].rel == "<=" and rows[0].rhs == -1
 
 
+# the <= atom, `z - 1 <= 0`, is neither "any" nor "none". x + 2y == 0 and
+# -x - 2y == 0 say "none of {x, y}": the clause becomes one row per x of S,
+# `f + M x <= M` over the <= atom, and the negative literal "any of {x, y}"
+# joins the clause row beside the <= atom's indicator. 3x + y + 1 and
+# x - y + 1 keep one sign but are neither, so each keeps its indicator
 @pytest.mark.parametrize("positive", [True, False], ids=["eq", "ne"])
-@pytest.mark.parametrize("term", [LinearTerm({"x": 1, "y": 2}),
-                                  LinearTerm({"x": -1, "y": -2}, 0),
-                                  LinearTerm({"x": 3, "y": 1}, 1)],
-                         ids=["non-negative", "non-positive", "positive"])
-def test_one_signed_equality_gets_one_indicator(term, positive):
+@pytest.mark.parametrize("term, n_aux", [(LinearTerm({"x": 1, "y": 2}), (0, 1)),
+                                         (LinearTerm({"x": -1, "y": -2}, 0), (0, 1)),
+                                         (LinearTerm({"x": 3, "y": 1}, 1), (2, 2)),
+                                         (LinearTerm({"x": 1, "y": -1}, 1), (2, 2))],
+                         ids=["non-negative", "non-positive", "positive", "mixed"])
+def test_one_signed_equality_gets_one_indicator(term, n_aux, positive):
     alloc = _Alloc()
     eq = Literal(alloc.atom("==", term), positive)
     other = Literal(alloc.atom("<=", LinearTerm({"z": 1}, -1)))
     body = ("or", eq, other)
     rows, aux = linearize(to_cnf(body), alloc)
-    assert len(aux) == 2  # one for the equality, one for the <= atom
+    assert len(aux) == n_aux[not positive]  # at most one for the equality
     for x, y, z in itertools.product([0, 1], repeat=3):
         xs = {"x": x, "y": y, "z": z}
         assert rows_feasible(rows, aux, xs) == lowered_truth(body, xs)
@@ -550,6 +562,37 @@ def indicator_atoms(cnf):
             if not (len(u) == 1 and u[0][0].positive and u[0][1] == 1)]
 
 
+def feasible_points(rows, aux, n_vars):
+    """For every 0/1 point of x0..x{n_vars-1}, in product order, the point
+    and whether some auxiliary assignment satisfies every row there."""
+    names = [f"x{i}" for i in range(n_vars)] + [v.id for v in aux]
+    idx = {v: j for j, v in enumerate(names)}
+    A = np.zeros((len(rows), len(names)))
+    b = np.zeros(len(rows))
+    rels = []
+    for i, r in enumerate(rows):
+        for v, c in r.coeffs.items():
+            A[i, idx[v]] = c
+        b[i] = r.rhs
+        rels.append(r.rel)
+    n_aux = len(aux)
+    aux_combos = (np.array(list(itertools.product([0., 1.], repeat=n_aux)))
+                  if n_aux else np.zeros((1, 0)))
+    for bits in itertools.product([0, 1], repeat=n_vars):
+        X = np.hstack([np.tile(np.array(bits, float), (len(aux_combos), 1)),
+                       aux_combos])
+        lhs = X @ A.T if len(rows) else np.zeros((len(X), 0))
+        feas = np.ones(len(X), dtype=bool)
+        for i, rel in enumerate(rels):
+            if rel == "<=":
+                feas &= lhs[:, i] <= b[i] + 1e-9
+            elif rel == ">=":
+                feas &= lhs[:, i] >= b[i] - 1e-9
+            else:
+                feas &= np.abs(lhs[:, i] - b[i]) <= 1e-9
+        yield bits, bool(feas.any())
+
+
 def check_semantic_preservation(seed, trials, n_vars_max=6, atoms_max=6):
     """Linearize random bodies and compare, on every 0/1 point, whether some
     auxiliary assignment satisfies the rows with the body's truth value.
@@ -567,41 +610,114 @@ def check_semantic_preservation(seed, trials, n_vars_max=6, atoms_max=6):
             one_signed += a.op == "==" and (lo >= 0 or hi <= 0)
             single_polarity += len(signs) == 1
         rows, aux = linearize(cnf, alloc)
-        names = [f"x{i}" for i in range(n_vars)] + [v.id for v in aux]
-        idx = {v: j for j, v in enumerate(names)}
-        A = np.zeros((len(rows), len(names)))
-        b = np.zeros(len(rows))
-        rels = []
-        for i, r in enumerate(rows):
-            for v, c in r.coeffs.items():
-                A[i, idx[v]] = c
-            b[i] = r.rhs
-            rels.append(r.rel)
-        n_aux = len(aux)
-        aux_combos = (np.array(list(itertools.product([0., 1.], repeat=n_aux)))
-                      if n_aux else np.zeros((1, 0)))
-        for bits in itertools.product([0, 1], repeat=n_vars):
+        for bits, got in feasible_points(rows, aux, n_vars):
             xs = {f"x{i}": bits[i] for i in range(n_vars)}
-            expect = lowered_truth(tree, xs)
-            X = np.hstack([np.tile(np.array(bits, float), (len(aux_combos), 1)),
-                           aux_combos])
-            lhs = X @ A.T if len(rows) else np.zeros((len(X), 0))
-            feas = np.ones(len(X), dtype=bool)
-            for i, rel in enumerate(rels):
-                if rel == "<=":
-                    feas &= lhs[:, i] <= b[i] + 1e-9
-                elif rel == ">=":
-                    feas &= lhs[:, i] >= b[i] - 1e-9
-                else:
-                    feas &= np.abs(lhs[:, i] - b[i]) <= 1e-9
-            got = bool(feas.any())
-            assert got == expect, (bits, tree)
+            assert got == lowered_truth(tree, xs), (bits, tree)
     assert one_signed > 0 and single_polarity > 0
     return one_signed, single_polarity
 
 
 def test_semantic_preservation_sample():
     check_semantic_preservation(seed=99, trials=150)
+
+
+def random_set_atom(rng, alloc, n_vars, kind):
+    """An atom that holds iff some variable of S is 1 (kind "any"), iff every
+    one is 0 ("none"), or neither ("general"), in one of the forms that
+    lowering gives, over a random S of x0..x{n_vars-1}."""
+    xs = [f"x{i}" for i in rng.sample(range(n_vars), rng.randint(1, min(3, n_vars)))]
+    k = rng.randint(1, 3)
+    w = {x: rng.randint(k, 5) for x in xs}
+    neg = {x: -c for x, c in w.items()}
+    if kind == "any":  # c > 0 and every a_i <= -c in the `f <= 0` form
+        op, term = rng.choice([(">=", LinearTerm(w, -k)), (">", LinearTerm(w, 1 - k)),
+                               ("<=", LinearTerm(neg, k)), ("<", LinearTerm(neg, k - 1)),
+                               ("==", LinearTerm({xs[0]: 1}, -1)),
+                               ("==", LinearTerm({xs[0]: -1}, 1))])
+    elif kind == "none":  # c == 0 and every a_i > 0
+        op, term = rng.choice([("<=", LinearTerm(w)), ("<", LinearTerm(w, -1)),
+                               (">=", LinearTerm(neg)), (">", LinearTerm(neg, 1)),
+                               ("==", LinearTerm(w)), ("==", LinearTerm(neg))])
+    else:  # mixed signs or a constant that fits neither rule
+        coeffs = {x: rng.choice([-1, 1]) * rng.randint(1, 5) for x in xs}
+        op = rng.choice(["<", "<=", "==", ">=", ">"])
+        term = LinearTerm(coeffs, rng.randint(-4, 4))
+    return alloc.atom(op, term), kind
+
+
+def test_clause_rows_are_sound_on_random_clauses():
+    """Clauses that mix "any", "none" and general literals of both
+    polarities, over at most 6 binaries: on every 0/1 point the rows admit
+    some indicator values exactly when every clause holds. The draws must
+    include a "none" literal beside one positive general atom whose `f`
+    mentions a variable of S (its coefficient and `M` add), a clause with two
+    "none" literals (they keep their indicators) and an atom shared by two
+    clauses, as distribution makes."""
+    rng = random.Random(2615)
+    overwrite = two_nones = shared = 0
+    for _ in range(400):
+        n_vars = rng.randint(1, 6)
+        alloc = _Alloc()
+        pool = [random_set_atom(rng, alloc, n_vars,
+                                rng.choice(["any", "none", "general"]))
+                for _ in range(rng.randint(2, 4))]
+        kinds = {atom.index: kind for atom, kind in pool}
+        if rng.random() < 0.3:  # (a & b) | (c & d), distributed by to_cnf
+            a, b, c, d = (Literal(atom, rng.random() < 0.6)
+                          for atom, _ in rng.choices(pool, k=4))
+            cnf = to_cnf(("or", ("and", a, b), ("and", c, d)))
+        else:
+            cnf = Cnf(tuple(tuple(Literal(atom, rng.random() < 0.6) for atom, _ in
+                                  sorted(rng.sample(pool, rng.randint(2, min(3, len(pool)))),
+                                         key=lambda p: p[0].index))
+                            for _ in range(rng.randint(1, 3))))
+        uses = Counter(lit.atom.index for clause in cnf.clauses for lit in clause)
+        shared += any(n > 1 and kinds[i] != "general" for i, n in uses.items())
+        for clause in cnf.clauses:
+            said = [("any" if (kinds[lit.atom.index] == "any") == lit.positive else "none")
+                    if kinds[lit.atom.index] != "general" else lit for lit in clause]
+            nones = [lit for lit, k in zip(clause, said) if k == "none"]
+            two_nones += len(nones) > 1
+            rest = [lit for lit, k in zip(clause, said) if k != "none"]
+            if len(nones) == 1 and len(rest) == 1 and rest[0].positive \
+                    and kinds[rest[0].atom.index] == "general":
+                overwrite += bool(set(nones[0].atom.term.coeffs) & set(rest[0].atom.term.coeffs))
+        rows, aux = linearize(cnf, alloc)
+        for bits, got in feasible_points(rows, aux, n_vars):
+            xs = {f"x{i}": bits[i] for i in range(n_vars)}
+            expect = all(any(lowered_truth(lit, xs) for lit in clause)
+                         for clause in cnf.clauses)
+            assert got == expect, (bits, cnf)
+    assert overwrite > 0 and two_nones > 0 and shared > 0, (overwrite, two_nones, shared)
+
+
+def test_any_and_none_literals_need_no_indicator():
+    # the disjunctive server rule: the server empty, or loaded to minLoad 4.
+    # Each x of S gets `f + M x <= M` with f = 4 - (3x + 2y), M = 4, so x's
+    # coefficient is 4 - 3 = 1, not 4
+    alloc = _Alloc()
+    empty = Literal(alloc.atom("==", LinearTerm({"x": 1, "y": 1})))
+    loaded = Literal(alloc.atom(">=", LinearTerm({"x": 3, "y": 2}, -4)))
+    rows, aux = linearize(to_cnf(("or", empty, loaded)), alloc)
+    assert aux == []
+    assert rows == [Row({"x": 1, "y": -2}, "<=", 0), Row({"x": -3, "y": 2}, "<=", 0)]
+    # a pair's zones: (a in z0 & b in z0) | (a in z1 & b in z1), every
+    # relation "sum of S >= 1"
+    alloc = _Alloc()
+    a0, b0, a1, b1 = (Literal(alloc.atom(">=", LinearTerm({x: 1, y: 1}, -1)))
+                      for x, y in [("a0", "c0"), ("b0", "d0"), ("a1", "c1"), ("b1", "d1")])
+    rows, aux = linearize(to_cnf(("or", ("and", a0, b0), ("and", a1, b1))), alloc)
+    assert aux == [] and len(rows) == 4
+    assert rows[0] == Row({"a0": 1, "c0": 1, "a1": 1, "c1": 1}, ">=", 1)
+    # "none of S" beside two literals: one row per x of S, 1 - x added
+    alloc = _Alloc()
+    none = Literal(alloc.atom("<=", LinearTerm({"x": 1, "y": 2})))
+    anyof = Literal(alloc.atom(">", LinearTerm({"x": 1, "z": 1})))
+    general = Literal(alloc.atom("<=", LinearTerm({"z": 1, "w": -1})), False)
+    rows, aux = linearize(to_cnf(("or", ("or", none, anyof), general)), alloc)
+    assert [v.id for v in aux] == ["aux_0"]
+    assert rows[1:] == [Row({"z": 1, "aux_0": -1}, ">=", -1),
+                        Row({"x": 1, "z": 1, "aux_0": -1, "y": -1}, ">=", -1)]
 
 
 # the exact-solving demo's domain: the or-body of its third constraint keeps
@@ -761,8 +877,8 @@ def _sha256_of_dump(spec, g) -> str:
 def test_dump_problem_golden_hashes(monkeypatch):
     """The programs of the `fullscale-compile` benchmark workload (the first
     two-server request of full_scale_config(1) on the fresh substrate) and of
-    the `disjunctive` workload's instance 0 for seed 1 (indicator rows),
-    pinned byte for byte."""
+    the `disjunctive` workload's instance 0 for seed 1 (clause rows, no
+    indicators), pinned byte for byte."""
     substrate, vnrs = generate_scenario(full_scale_config(1))
     vnr = next(v for v in vnrs if len(v.nodes) == 5)
     assert _sha256_of_dump(embedding_spec(), merge_graphs(substrate, vnr)) == \
@@ -770,7 +886,7 @@ def test_dump_problem_golden_hashes(monkeypatch):
     placement = perfbench_placement(monkeypatch)
     mm, g = load_model(placement.model_text(placement.make_instance(random.Random(1))))
     assert _sha256_of_dump(typecheck(parse(placement.spec_text()), mm), g) == \
-        "38df21f716202cc9311937e14001e7a075a1f9b73cf6004288e24f2be7a747a2"
+        "ab8bb447e881ffd58b74fc01d1f854e5af095c0e7db17c5ca0aa1b05527c02e2"
 
 
 def test_variable_term_divided_by_constant_is_linear(task_model, task_spec):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,7 @@ from graphilp.vne_model import two_links_model, two_links_spec, vne_metamodel
 from graphilp.pattern import (Match, Pattern, PatternEdge, PatternError, PatternNode,
                               StaleMatchError)
 
-from conftest import TASK_SPEC, brute_matches, random_graph, random_pattern
+from conftest import TASK_SPEC, brute_matches, random_graph, random_pattern, realizes
 
 
 def binding_set(matches):
@@ -233,6 +234,31 @@ global objective : min { 0 }
     assert d3.created_nodes[0].id == "spawn_shadow_1"
 
 
+PARALLEL_DOC = """
+nodetypes { nodetype { name: N } }
+edgetypes { edgetype { name: link  src: N  tgt: N } }
+nodes { node { id: a  type: N }  node { id: b  type: N } }
+edges {
+  edge { id: l1  type: link  src: a  tgt: b }
+  edge { id: l2  type: link  src: a  tgt: b }
+}
+"""
+
+
+def test_parallel_pattern_edges_need_distinct_graph_edges():
+    mm, g = load_model(PARALLEL_DOC)
+    p = Pattern("two", (PatternNode("x", "N"), PatternNode("y", "N")),
+                (PatternEdge("e", "link", "x", "y"), PatternEdge("f", "link", "x", "y")))
+    assert p.parallel_edges == (("link", "x", "y", 2),)
+    [m] = find_matches(g, p)
+    assert m.binding == {"x": "a", "y": "b"} and revalidate(g, m)
+    single = apply_delta(g, GraphDelta(deleted_edges=("l2",)))
+    assert find_matches(single, p) == [] and not revalidate(single, m)
+    one_edge = Pattern("one", p.nodes, p.edges[:1])
+    assert one_edge.parallel_edges == ()
+    assert [m.binding for m in find_matches(single, one_edge)] == [{"x": "a", "y": "b"}]
+
+
 def test_delete_actions_use_single_pushout(task_model):
     mm, g = task_model
     g = apply_delta(g, GraphDelta(created_edges=(
@@ -325,6 +351,7 @@ def rescored_bindings(g: Graph, p: Pattern) -> list[dict]:
     every branch (most edges to bound nodes, then smallest pool, then name)
     and tries candidates by id."""
     pools = {pn.name: [n.id for n in g.nodes_of_type(pn.type)] for pn in p.nodes}
+    realized = Counter((e.type, e.src, e.tgt) for e in g.edges.values())
 
     def score(name, binding):
         anchored = sum((pe.src == name and pe.tgt in binding)
@@ -341,8 +368,7 @@ def rescored_bindings(g: Graph, p: Pattern) -> list[dict]:
             if gid in binding.values():
                 continue
             binding[name] = gid
-            if all(g.has_edge(pe.type, binding[pe.src], binding[pe.tgt])
-                   for pe in p.edges if pe.src in binding and pe.tgt in binding):
+            if realizes(realized, p, binding):
                 yield from extend(binding)
             del binding[name]
     return list(extend({}))

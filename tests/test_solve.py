@@ -150,6 +150,14 @@ def test_program_form_matches_the_row_dicts():
         y = np.array([rng.uniform(-2, 2) for _ in rows])
         assert ar.row_sums(x) == pytest.approx(dense @ x, abs=1e-12), k
         assert ar.col_sums(y) == pytest.approx(y @ dense, abs=1e-12), k
+        assert ar.col_sums(y, n + m).tolist() == ar.col_sums(y).tolist() + [0.0] * m, k
+        # the guard's residuals, one bincount, equal the separate sums bit for bit
+        xs = np.concatenate([x, [rng.uniform(-3, 3) for _ in rows]])
+        d = np.array([rng.uniform(-1, 1) for _ in range(n + m)])
+        cost = np.concatenate([ar.c, np.zeros(m)])
+        written_out = np.concatenate([np.concatenate([ar.col_sums(y), y]) - cost + d,
+                                      ar.row_sums(x) + xs[n:] - ar.b])
+        assert np.array_equal(ar.residuals(y, xs, d), written_out), k
     assert senses == {"min", "max"}
 
 
