@@ -889,6 +889,52 @@ def test_dump_problem_golden_hashes(monkeypatch):
         "ab8bb447e881ffd58b74fc01d1f854e5af095c0e7db17c5ca0aa1b05527c02e2"
 
 
+INDICATOR_SPEC = TASK_SPEC[:TASK_SPEC.index("constraint")] + """
+constraint -> class::Server {
+  mappings.put->filter(m | m.nodes().s == self)->sum(m | m.nodes().t.cpu) <= 6
+    | mappings.put->filter(m | m.nodes().s == self)->sum(m | 1) >= 2
+}
+constraint -> class::Task {
+  !(mappings.put->filter(m | m.nodes().t == self)->sum(m | m.nodes().s.resCpu) > 9)
+}
+constraint -> class::Task {
+  mappings.put->filter(m | m.nodes().t == self)->sum(m | m.nodes().s.resCpu) != 7
+    | mappings.put->filter(m | m.nodes().t == self)->sum(m | 1) >= 1
+}
+constraint -> class::Server {
+  mappings.put->filter(m | m.nodes().s == self)->sum(m | 1) == 0
+    | !(mappings.put->filter(m | m.nodes().t.cpu > 5)->sum(m | 1) >= 1)
+}
+constraint -> class::Server {
+  mappings.put->filter(m | m.nodes().s == self)->sum(m | 1) == 0
+    | mappings.put->filter(m | m.nodes().s == self)->sum(m | m.nodes().t.cpu) >= 5
+}
+constraint -> class::Server {
+  mappings.put->filter(m | m.nodes().s == self)->sum(m | 1) <= 0
+    | !(mappings.put->filter(m | m.nodes().s == self)->sum(m | m.nodes().t.cpu) <= 3)
+    | mappings.put->filter(m | m.nodes().t.cpu > 5)->sum(m | 1) >= 1
+}
+objective packObj -> mapping::put { self.nodes().s.resCpu / self.nodes().s.cpu }
+global objective : min { packObj }
+"""
+
+
+def test_indicator_path_dump_golden_hash(task_model):
+    """A program through every indicator path of `linearize`, pinned byte for
+    byte: indicators with only their `v = 1` row (constraint 1), a negated
+    relation as a singleton clause, with only the `v = 0` row (2), a
+    two-signed `!=` as three tied indicators beside an "any" literal (3), a
+    clause of two "none" literals, one a negated "any" (4), one "none"
+    literal beside one positive general atom, `f + M x <= M` (5), and one
+    "none" literal beside a negated general atom and an "any" literal (6)."""
+    mm, g = task_model
+    spec = typecheck(parse(INDICATOR_SPEC), mm)
+    problem, _ = generate(spec, g)
+    assert sum(v.kind == AUX_BINARY for v in problem.variables) == 18
+    assert _sha256_of_dump(spec, g) == \
+        "1cc3d50c4d1c0fcfdcb78bfb94708eecefad239816c48e8a5f6f76c9f3ecfa0a"
+
+
 def test_variable_term_divided_by_constant_is_linear(task_model, task_spec):
     mm, g = task_model
     spec = typecheck(parse(TASK_SPEC.replace(
