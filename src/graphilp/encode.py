@@ -12,11 +12,15 @@ normal form and linearized:
 
 * a conjunction of bare relations becomes one inequality per relation
   (the fast path, no auxiliary variables);
+* in a clause of two or more literals, a literal that says "some mapping
+  variable of S is 1" puts S itself in the clause row, and a lone literal
+  that says "every one of S is 0" turns the clause into one row per x of S
+  (the clause rows, no auxiliary variables);
 * every other atom gets an auxiliary binary indicator tied to the relation
-  by big-M rows, each side with its own M from the term's bounds and only
-  the implications the atom's literal polarities need, and each clause
-  becomes `sum of literals >= 1` with negated literals contributing
-  `(1 - v)`. An equality over a term that keeps one sign is one such atom.
+  by big-M rows, each side with its own M from the term's bounds and
+  written when a literal first needs it, and each clause becomes `sum of
+  literals >= 1` with negated literals contributing `(1 - v)`. An equality
+  over a term that keeps one sign is one such atom.
 
 Strict comparisons over integer-valued terms are exact (`< 0` becomes
 `<= -1`); real-valued terms use a 1e-6 separation margin. See
@@ -226,11 +230,57 @@ class Atom:
     term: LinearTerm
     index: int  # creation order; fixes output determinism
 
+    @cached_property
+    def form(self) -> LinearTerm | None:
+        """The atom as `f <= 0`, a strict op with its exactness margin. An
+        equality has that form when its term keeps one sign over the 0/1 box,
+        and None when the term can take both signs."""
+        term, op = self.term, self.op
+        if op == "==":
+            lo, hi = term.bounds()
+            if lo >= 0:
+                return term
+            return term.scale(-1) if hi <= 0 else None
+        if op in (">=", ">"):
+            term = term.scale(-1)
+        if op in ("<", ">"):
+            term = term.add(LinearTerm.const(_margin(term)))
+        return term
+
+    @cached_property
+    def any_of(self) -> tuple | None:
+        """S when `f <= 0` holds iff some x of S is 1: `c > 0` and every
+        `a_i <= -c`, for `f = sum a_i x_i + c` over binaries."""
+        f = self.form
+        if f is not None and f.constant > 0 \
+                and all(a <= -f.constant for a in f.coeffs.values()):
+            return tuple(f.coeffs)
+        return None
+
+    @cached_property
+    def none_of(self) -> tuple | None:
+        """S when `f <= 0` holds iff every x of S is 0: `c == 0` and every
+        `a_i > 0`."""
+        f = self.form
+        if f is not None and f.constant == 0 and all(a > 0 for a in f.coeffs.values()):
+            return tuple(f.coeffs)
+        return None
+
 
 @dataclass(frozen=True)
 class Literal:
     atom: Atom
     positive: bool = True
+
+    @property
+    def any_of(self) -> tuple | None:
+        """S when the literal holds iff some x of S is 1."""
+        return self.atom.any_of if self.positive else self.atom.none_of
+
+    @property
+    def none_of(self) -> tuple | None:
+        """S when the literal holds iff every x of S is 0."""
+        return self.atom.none_of if self.positive else self.atom.any_of
 
 
 _TRUE = ("const", True)
@@ -565,15 +615,9 @@ def _clauses(node) -> tuple:
     return tuple([ca + cb for ca in left for cb in right])
 
 
-def _leq_form(atom: Atom) -> LinearTerm:
-    """Rewrite the atom as `f <= 0`; strict ops gain an exactness margin."""
-    term = atom.term
-    if atom.op in (">=", ">"):
-        term = term.scale(-1)
-    if atom.op in ("<", ">"):
-        margin = 1 if term.int_valued() else REAL_EPS
-        term = term.add(LinearTerm.const(margin))
-    return term
+def _margin(term: LinearTerm):
+    """The exactness margin of a strict comparison over `term`."""
+    return 1 if term.int_valued() else REAL_EPS
 
 
 _DIRECT_REL = {"==": "=", "<=": "<=", "<": "<=", ">=": ">=", ">": ">="}
@@ -585,9 +629,9 @@ def _direct_rows(atom: Atom) -> list[Row]:
     term, op = atom.term, atom.op
     rhs = -term.constant
     if op == "<":
-        rhs = -(term.constant + (1 if term.int_valued() else REAL_EPS))
+        rhs = -(term.constant + _margin(term))
     elif op == ">":
-        rhs = -term.constant + (1 if term.int_valued() else REAL_EPS)
+        rhs = -term.constant + _margin(term)
     return [Row(dict(term.coeffs), _DIRECT_REL[op], rhs)]
 
 
@@ -595,121 +639,50 @@ def _indicator_rows(f: LinearTerm, v: str, upper: bool = True,
                     lower: bool = True) -> list[Row]:
     """Rows tying binary `v` to `f <= 0`, each side with its own big-M from
     the bounds of `f`: the upper row makes `v = 1` imply `f <= 0`, the lower
-    row makes `v = 0` imply `f >= eps`."""
+    row makes `v = 0` imply `f >= eps`. `v` may occur in `f`; its
+    coefficients add."""
     lo, hi = f.bounds()
-    eps = 1 if f.int_valued() else REAL_EPS
     rows = []
     if upper:
         m = max(hi, 0)
-        rows.append(Row({**f.coeffs, v: m}, "<=", m - f.constant))
+        rows.append(Row({**f.coeffs, v: f.coeffs.get(v, 0) + m}, "<=", m - f.constant))
     if lower:
+        eps = _margin(f)
         m = max(eps - lo, 0)
-        rows.append(Row({**f.coeffs, v: m}, ">=", eps - f.constant))
+        rows.append(Row({**f.coeffs, v: f.coeffs.get(v, 0) + m}, ">=", eps - f.constant))
     return rows
 
 
-def _one_signed(term: LinearTerm) -> LinearTerm | None:
-    """`f` with `term == 0` exactly when `f <= 0`, for a term that keeps one
-    sign over the 0/1 box; None for a term that can take both signs."""
-    lo, hi = term.bounds()
-    if lo >= 0:
-        return term
-    if hi <= 0:
-        return term.scale(-1)
-    return None
-
-
-def _atom_form(atom: Atom) -> LinearTerm | None:
-    """The atom as `f <= 0`; None for an equality over a two-signed term."""
-    return _one_signed(atom.term) if atom.op == "==" else _leq_form(atom)
-
-
-def _any_or_none(f: LinearTerm) -> tuple[bool, tuple] | None:
-    """For an atom `f <= 0` over binaries x_i: (True, S) when it holds iff
-    some x_i of S is 1 ("any of S": `c > 0` and every `a_i <= -c`), (False,
-    S) when it holds iff every x_i of S is 0 ("none of S": `c == 0` and every
-    `a_i > 0`), None otherwise."""
-    c, a = f.constant, f.coeffs.values()
-    if c > 0 and all(ai <= -c for ai in a):
-        return True, tuple(f.coeffs)
-    if c == 0 and all(ai > 0 for ai in a):
-        return False, tuple(f.coeffs)
-    return None
-
-
-def _mapping_set(lit: Literal, sets: dict) -> tuple | None:
-    """`_any_or_none` of the literal, "any" and "none" swapped if negative;
-    `sets` keeps each atom's."""
-    index = lit.atom.index
-    if index not in sets:
-        f = _atom_form(lit.atom)
-        sets[index] = None if f is None else _any_or_none(f)
-    s = sets[index]
-    return s if s is None or lit.positive else (not s[0], s[1])
-
-
-def _clause_plan(clause: tuple, sets: dict) -> tuple:
-    """(parts, none, f) for a clause of two or more literals: the clause row's
-    parts, each a literal through its indicator or the S of an "any" literal;
-    the S of the one "none" literal, or None; and the `f <= 0` form of the
-    rest when that is one positive atom with no "any" or "none" form, which
-    then has no parts."""
-    found = [(lit, _mapping_set(lit, sets)) for lit in clause]
-    nones = [s[1] for _, s in found if s is not None and not s[0]]
-    none = nones[0] if len(nones) == 1 else None  # two or more keep indicators
-    parts = []
-    for lit, s in found:
-        if s is None or (none is None and not s[0]):
-            parts.append(lit)
-        elif s[0]:
-            parts.append(s[1])
-    if none is not None and len(parts) == 1 and isinstance(parts[0], Literal) \
-            and parts[0].positive:
-        f = _atom_form(parts[0].atom)
-        if f is not None:
-            return [], none, f
-    return parts, none, None
-
-
 def linearize(cnf: Cnf, alloc: _Alloc) -> tuple[list[Row], list[Variable]]:
-    """Lower a CNF to rows plus the auxiliary indicator variables it needs.
+    """Lower a CNF to rows plus the auxiliary indicator variables it needs,
+    in one pass over the clauses.
 
     A singleton positive clause is emitted as a bare inequality: in a CNF of
     `to_cnf` its atom occurs in no other clause. In a clause of two or more
     literals, a literal that says "some x of S is 1" adds S to the clause
     row, and one literal that says "every x of S is 0" turns the clause into
     one row per x of S, the rest of the clause or `1 - x`; if the rest is one
-    positive atom `f <= 0`, that row is `f + M x <= M`. Every other atom gets
-    an indicator `v` for `f <= 0` (an equality over a one-signed term is one
-    such atom) with only the implications its literals use: `v = 1 => f <= 0`
-    if it occurs positively, `v = 0 => f >= eps` if it occurs negatively. An
+    positive atom `f <= 0`, that row is `f + M x <= M`, the upper indicator
+    row with `x` as the indicator. Every other atom gets an indicator `v` for
+    `f <= 0` (an equality over a one-signed term is one such atom), and each
+    side of it is written the first time a literal needs it: `v = 1 => f <=
+    0` for a positive literal, `v = 0 => f >= eps` for a negative one. An
     equality over a term of either sign conjoins two fully tied indicators.
     Clauses become `sum of literals >= 1`, which stays sound on any CNF: a
     clause holding an atom and its negation reduces to `0 >= 0`, a repeated
     literal to `2v >= 1`.
     """
-    sets: dict[int, tuple | None] = {}
-    plans = []  # of the clauses of two or more literals, in order
-    positive: set[int] = set()
-    negative: set[int] = set()
-    for clause in cnf.clauses:
-        if len(clause) > 1:
-            plans.append(_clause_plan(clause, sets))
-            for part in plans[-1][0]:
-                if isinstance(part, Literal):
-                    (positive if part.positive else negative).add(part.atom.index)
-        elif clause and not clause[0].positive:
-            negative.add(clause[0].atom.index)
-
     rows: list[Row] = []
     aux: list[Variable] = []
-    indicator: dict[int, str] = {}
+    sides: dict[tuple[int, bool], str] = {}  # (atom, polarity) written -> indicator
 
-    def ensure_indicator(atom: Atom) -> str:
-        have = indicator.get(atom.index)
-        if have is not None:
-            return have
-        f = _atom_form(atom)
+    def indicator(lit: Literal) -> str:
+        """The indicator of the literal's atom, its side for the literal's
+        polarity written."""
+        atom, key = lit.atom, (lit.atom.index, lit.positive)
+        if key in sides:
+            return sides[key]
+        f, other = atom.form, (atom.index, not lit.positive)
         if f is None:
             v_le = alloc.aux()
             v_ge = alloc.aux()
@@ -720,16 +693,16 @@ def linearize(cnf: Cnf, alloc: _Alloc) -> tuple[list[Row], list[Variable]]:
             rows.append(Row({v_eq: 1, v_le: -1}, "<=", 0))
             rows.append(Row({v_eq: 1, v_ge: -1}, "<=", 0))
             rows.append(Row({v_eq: 1, v_le: -1, v_ge: -1}, ">=", -1))
-            indicator[atom.index] = v_eq
+            sides[key] = sides[other] = v_eq
             return v_eq
-        v = alloc.aux()
-        aux.append(Variable(v))
-        rows.extend(_indicator_rows(f, v, upper=atom.index in positive,
-                                    lower=atom.index in negative))
-        indicator[atom.index] = v
+        v = sides.get(other)
+        if v is None:
+            v = alloc.aux()
+            aux.append(Variable(v))
+        rows.extend(_indicator_rows(f, v, upper=lit.positive, lower=not lit.positive))
+        sides[key] = v
         return v
 
-    plans = iter(plans)
     for clause in cnf.clauses:
         if not clause:
             rows.append(Row({}, "<=", -1))  # unsatisfiable body
@@ -738,26 +711,29 @@ def linearize(cnf: Cnf, alloc: _Alloc) -> tuple[list[Row], list[Variable]]:
             if clause[0].positive:
                 rows.extend(_direct_rows(clause[0].atom))
             else:
-                rows.append(Row({ensure_indicator(clause[0].atom): -1}, ">=", 0))
+                rows.append(Row({indicator(clause[0]): -1}, ">=", 0))
             continue
-        parts, none, f = next(plans)
-        if f is not None:
-            # x = 1 => f <= 0; coefficients add, as x may occur in f
-            m = max(f.bounds()[1], 0)
-            for x in none:
-                g = f.add(LinearTerm({x: m}, -m))
-                rows.append(Row(g.coeffs, "<=", -g.constant))
-            continue
+        nones = [lit for lit in clause if lit.none_of is not None]
+        none = None  # two or more "none" literals keep their indicators
+        if len(nones) == 1:
+            none = nones[0].none_of
+            clause = [lit for lit in clause if lit is not nones[0]]
+            rest = clause[0]
+            if len(clause) == 1 and rest.positive and rest.any_of is None \
+                    and rest.atom.form is not None:
+                for x in none:
+                    rows.extend(_indicator_rows(rest.atom.form, x, lower=False))
+                continue
         coeffs: dict[str, float] = {}
         negated = 0
-        for part in parts:
-            if isinstance(part, Literal):
-                v = ensure_indicator(part.atom)
-                coeffs[v] = coeffs.get(v, 0) + (1 if part.positive else -1)
-                negated += not part.positive
-            else:
-                for x in part:
+        for lit in clause:
+            if lit.any_of is not None:
+                for x in lit.any_of:
                     coeffs[x] = coeffs.get(x, 0) + 1
+            else:
+                v = indicator(lit)
+                coeffs[v] = coeffs.get(v, 0) + (1 if lit.positive else -1)
+                negated += not lit.positive
         if none is None:
             rows.append(Row(coeffs, ">=", 1 - negated))
         else:  # the rest of the clause, or 1 - x, for each x of S

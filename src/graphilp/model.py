@@ -162,7 +162,7 @@ class Match:
         return self.pattern.name == other.pattern.name and self.binding == other.binding
 
     def __hash__(self):
-        return hash((self.pattern.name, tuple(self.binding.items())))
+        return hash((self.pattern.name, frozenset(self.binding.items())))
 
 
 @dataclass(frozen=True)

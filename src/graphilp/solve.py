@@ -178,19 +178,18 @@ class _Lp:
         binv = self.T[:, n:-1]
         if status == "infeasible":
             y = binv[self.row]
-            g = ar.col_sums(y, n + len(y))
-            g[n:] = y  # (yᵀA, y), the row over every column
+            g = np.concatenate([ar.col_sums(y), y])
             rhs = float(y @ ar.b)
-            lo, hi = ar.farkas_box
-            lo[:n] = self.lo[:n]
-            hi[:n] = self.hi[:n]
-            up, g_lo, g_hi = g > 0, g * lo, g * hi
-            low = float(np.where(up, g_lo, g_hi).sum())
-            high = float(np.where(up, g_hi, g_lo).sum())
+            slack_lo, slack_hi = ar.slack_box
+            lo = np.concatenate([self.lo[:n], slack_lo])
+            hi = np.concatenate([self.hi[:n], slack_hi])
+            low = float(np.where(g > 0, g * lo, g * hi).sum())
+            high = float(np.where(g > 0, g * hi, g * lo).sum())
             return low > rhs + FEAS_TOL or high < rhs - FEAS_TOL
         y = self.cost[self.basis] @ binv
-        r = ar.residuals(y, self.x, self.d)
-        return np.abs(r, out=r).max(initial=0.0) <= GUARD_TOL
+        dual = np.concatenate([ar.col_sums(y), y]) - self.cost + self.d
+        primal = ar.row_sums(self.x[:n]) + self.x[n:] - ar.b
+        return np.abs(np.concatenate([dual, primal])).max() <= GUARD_TOL  # NaN fails
 
     def _refresh(self):
         """Recompute the reduced costs from the tableau, and return the basic
@@ -326,50 +325,18 @@ class _Arrays:
         """A x, for one point `x`."""
         return np.bincount(self.rowidx, self.data * x[self.indices], len(self.b))
 
-    def col_sums(self, y, size=None):
-        """yᵀA, for one weight `y` per row, padded with zeros to `size`."""
-        return np.bincount(self.indices, self.data * y[self.rowidx], size or self.n)
-
-    def residuals(self, y, x, d):
-        """The dual residual (yᵀA, y) - cost + d of row weights `y` and reduced
-        costs `d`, then the primal one A x + s - b of a point `x` with its
-        logicals `s`, in one array. One `bincount` sums both; each entry adds
-        the same terms in the same order as those sums written out."""
-        bins, w = self._residual_weights
-        n, m, nnz = self.n, len(self.b), len(self.data)
-        np.multiply(self.data, y[self.rowidx], out=w[:nnz])
-        np.multiply(self.data, x[self.indices], out=w[nnz:2 * nnz])
-        at = 2 * nnz + n  # after -c
-        w[at:at + n + m] = d
-        w[at + n + m:at + n + 2 * m] = y
-        w[at + n + 2 * m:at + n + 3 * m] = x[n:]
-        return np.bincount(bins, w, n + 2 * m)
+    def col_sums(self, y):
+        """yᵀA, for one weight `y` per row."""
+        return np.bincount(self.indices, self.data * y[self.rowidx], self.n)
 
     @cached_property
-    def _residual_weights(self):
-        """The bin of each weight `residuals` sums, and a buffer for the
-        weights with the constant ones, -c and -b, in place."""
-        n, m, nnz = self.n, len(self.b), len(self.data)
-        k = n + m
-        bins = np.concatenate([self.indices, k + self.rowidx,  # yᵀA, A x
-                               np.arange(n), np.arange(k),      # -c, d
-                               n + np.arange(m), k + np.arange(m), k + np.arange(m)])  # y, s, -b
-        w = np.empty(len(bins))
-        w[2 * nnz:2 * nnz + n] = -self.c
-        w[len(w) - m:] = -self.b
-        return bins, w
-
-    @cached_property
-    def farkas_box(self):
-        """Lower and upper bounds on every column, for the Farkas test of
-        `_Lp.holds`, which writes the structural ones of its node: finite
-        bounds on each row's logical b - A x over the 0/1 box follow them."""
+    def slack_box(self):
+        """Finite bounds on each row's logical b - A x over the 0/1 box."""
         m = len(self.b)
         most = np.bincount(self.rowidx, np.maximum(self.data, 0), m)  # the largest A x
         least = np.bincount(self.rowidx, np.minimum(self.data, 0), m)
-        return (np.concatenate([np.zeros(self.n), np.where(self.ge, self.b - most, 0.0)]),
-                np.concatenate([np.ones(self.n),
-                                np.where(self.ge | self.eq, 0.0, self.b - least)]))
+        return (np.where(self.ge, self.b - most, 0.0),
+                np.where(self.ge | self.eq, 0.0, self.b - least))
 
     def satisfied(self, lhs):
         """Whether row activities `lhs` (A x) meet every row; for a batch (one

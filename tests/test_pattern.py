@@ -3,8 +3,8 @@ from collections import Counter
 
 import pytest
 
-from graphilp import (Edge, Graph, GraphDelta, Node, apply_delta, apply_rule,
-                      find_matches, generate, load_model, revalidate)
+from graphilp import (Edge, Graph, GraphDelta, MappingTable, Node, apply_delta,
+                      apply_rule, find_matches, generate, load_model, revalidate)
 from graphilp.lang.eval import EvalError, compile_expr
 from graphilp.lang.parser import parse, parse_expression
 from graphilp.lang.typecheck import typecheck
@@ -91,6 +91,15 @@ def test_matches_are_equal_by_rule_and_binding(task_model, task_spec):
     # a match from another call finds its variable
     _, table = generate(task_spec, g)
     assert [table.var_of("put", m) for m in b] == [v for v, _ in table.pairs("put")]
+
+
+def test_equal_matches_hash_equal_whatever_their_binding_order(task_spec):
+    lhs = task_spec.rules["place"].lhs
+    st, ts = Match(lhs, {"s": "s1", "t": "t2"}), Match(lhs, {"t": "t2", "s": "s1"})
+    assert st == ts and hash(st) == hash(ts) and len({st, ts}) == 1
+    table = MappingTable()
+    table.add("m_put_0", "put", st)
+    assert table.var_of("put", ts) == "m_put_0"
 
 
 def test_matcher_equals_brute_force_on_random_graphs(match_mm):
