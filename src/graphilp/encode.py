@@ -283,10 +283,6 @@ class Literal:
         return self.atom.none_of if self.positive else self.atom.any_of
 
 
-_TRUE = ("const", True)
-_FALSE = ("const", False)
-
-
 class _Alloc:
     def __init__(self):
         self.atom_index = 0
@@ -537,24 +533,18 @@ def _lower_term(e):
     return lambda env, low: combine(left(env, low), right(env, low))
 
 
-def _conjoin(left, right):
-    if left == _FALSE or right == _FALSE:
-        return _FALSE
-    if left == _TRUE:
+def _join(kind, left, right):
+    """(kind, left, right) for kind 'and' or 'or', with constants folded:
+    false absorbs a conjunction and true a disjunction; the other is
+    neutral."""
+    absorbing, neutral = ("const", kind == "or"), ("const", kind == "and")
+    if left == absorbing or right == absorbing:
+        return absorbing
+    if left == neutral:
         return right
-    if right == _TRUE:
+    if right == neutral:
         return left
-    return ("and", left, right)
-
-
-def _disjoin(left, right):
-    if left == _TRUE or right == _TRUE:
-        return _TRUE
-    if left == _FALSE:
-        return right
-    if right == _FALSE:
-        return left
-    return ("or", left, right)
+    return (kind, left, right)
 
 
 def _lower_bool(e, positive=True):
@@ -576,8 +566,8 @@ def _lower_bool(e, positive=True):
         return _lower_bool(e.operand, not positive)
     if isinstance(e, A.Binary) and e.op in ("&", "|"):
         left, right = _lower_bool(e.left, positive), _lower_bool(e.right, positive)
-        join = _conjoin if (e.op == "&") == positive else _disjoin
-        return lambda env, low: join(left(env, low), right(env, low))
+        kind = "and" if (e.op == "&") == positive else "or"
+        return lambda env, low: _join(kind, left(env, low), right(env, low))
     if not isinstance(e, A.Rel):
         return _misplaced_sum(e)
     left, right, op = _lower_term(e.left), _lower_term(e.right), e.op

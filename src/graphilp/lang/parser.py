@@ -113,13 +113,8 @@ class _Parser(TokenStream):
                     n = self.ident("pattern edge name")
                     self.expect(":")
                     t = self.ident("edge type")
-                    self.expect("(")
-                    src = self.ident("source pattern node")
-                    self.expect("->")
-                    tgt = self.ident("target pattern node")
-                    self.expect(")")
-                    edges.append(PatternEdge(n.value, t.value, src.value, tgt.value,
-                                             _pos(n)))
+                    src, tgt = self.endpoints("pattern node")
+                    edges.append(PatternEdge(n.value, t.value, src, tgt, _pos(n)))
             elif section.kind == "condition":
                 condition = self.expression()
                 self.expect("}")
@@ -136,12 +131,7 @@ class _Parser(TokenStream):
             kind = self.expect("edge", "node")
             if kind.kind == "edge":
                 t = self.ident("edge type")
-                self.expect("(")
-                src = self.ident("source node")
-                self.expect("->")
-                tgt = self.ident("target node")
-                self.expect(")")
-                return CreateEdgeAction(t.value, src.value, tgt.value, _pos(tok))
+                return CreateEdgeAction(t.value, *self.endpoints("node"), _pos(tok))
             name = self.ident("new node name")
             self.expect(":")
             t = self.ident("node type")
@@ -164,6 +154,15 @@ class _Parser(TokenStream):
         self.expect(":=")
         return SetAttrAction(node.value, attr.value, self.expression(), _pos(tok))
 
+    def endpoints(self, what: str) -> tuple[str, str]:
+        """An edge's `(src -> tgt)`, each end a `what`."""
+        self.expect("(")
+        src = self.ident(f"source {what}")
+        self.expect("->")
+        tgt = self.ident(f"target {what}")
+        self.expect(")")
+        return src.value, tgt.value
+
     def mapping_decl(self) -> MappingDecl:
         start = self.expect("mapping")
         name = self.ident("mapping name")
@@ -182,30 +181,28 @@ class _Parser(TokenStream):
         start = self.expect("constraint")
         self.expect("->")
         kind, target = self.context()
-        self.expect("{")
-        body = self.expression()
-        self.expect("}")
-        return ConstraintDecl(kind, target, body, _pos(start))
+        return ConstraintDecl(kind, target, self.body(), _pos(start))
 
     def objective_decl(self) -> ObjectiveDecl:
         start = self.expect("objective")
         name = self.ident("objective name")
         self.expect("->")
         kind, target = self.context()
-        self.expect("{")
-        body = self.expression()
-        self.expect("}")
-        return ObjectiveDecl(name.value, kind, target, body, _pos(start))
+        return ObjectiveDecl(name.value, kind, target, self.body(), _pos(start))
 
     def global_objective_decl(self) -> GlobalObjectiveDecl:
         start = self.expect("global")
         self.expect("objective")
         self.expect(":")
         sense = self.expect("min", "max")
+        return GlobalObjectiveDecl(sense.kind, self.body(), _pos(start))
+
+    def body(self):
+        """The `{ expression }` body of a constraint or an objective."""
         self.expect("{")
         expr = self.expression()
         self.expect("}")
-        return GlobalObjectiveDecl(sense.kind, expr, _pos(start))
+        return expr
 
     # -- expressions ------------------------------------------------------------
 

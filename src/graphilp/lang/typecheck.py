@@ -402,32 +402,25 @@ class _Checker:
             except EvalError as exc:
                 self.error(e.pos, f"{exc} in global objective")
                 return {}, 0.0
-        if isinstance(e, A.Binary) and e.op in ("+", "-"):
+        if isinstance(e, A.Binary) and e.op in ("+", "-", "*", "/"):
             lw, lc = self.fold_global(e.left, objective_names)
             rw, rc = self.fold_global(e.right, objective_names)
-            sign = 1.0 if e.op == "+" else -1.0
-            out = dict(lw)
-            for k, v in rw.items():
-                out[k] = out.get(k, 0.0) + sign * v
-            return out, lc + sign * rc
-        if isinstance(e, A.Binary) and e.op == "*":
-            lw, lc = self.fold_global(e.left, objective_names)
-            rw, rc = self.fold_global(e.right, objective_names)
-            if lw and rw:
+            if e.op in ("+", "-"):
+                sign = 1.0 if e.op == "+" else -1.0
+                out = dict(lw)
+                for k, v in rw.items():
+                    out[k] = out.get(k, 0.0) + sign * v
+                return out, lc + sign * rc
+            if rw and (lw or e.op == "/"):
                 self.error(e.pos, "objective weight is not constant")
                 return {}, 0.0
-            if lw:
-                return {k: v * rc for k, v in lw.items()}, lc * rc
-            return {k: v * lc for k, v in rw.items()}, rc * lc
-        if isinstance(e, A.Binary) and e.op == "/":
-            lw, lc = self.fold_global(e.left, objective_names)
-            rw, rc = self.fold_global(e.right, objective_names)
-            if rw:
-                self.error(e.pos, "objective weight is not constant")
-                return {}, 0.0
-            if rc == 0:
+            if e.op == "/" and rc == 0:
                 self.error(e.pos, "division by zero in global objective")
                 return {}, 0.0
+            if rw:  # a constant times weights: scale the weights
+                lw, lc, rw, rc = rw, rc, lw, lc
+            if e.op == "*":
+                return {k: v * rc for k, v in lw.items()}, lc * rc
             return {k: v / rc for k, v in lw.items()}, lc / rc
         self.error(getattr(e, "pos", A.Pos()),
                    "global objective combines objective names with constant weights")

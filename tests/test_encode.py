@@ -374,29 +374,6 @@ def test_cnf_equivalence_on_random_trees():
 
 # --- linearize ----------------------------------------------------------------------
 
-def rows_feasible(rows, aux, assignment):
-    """Exists an auxiliary assignment satisfying all rows under `assignment`."""
-    names = sorted({v for r in rows for v in r.coeffs} - set(assignment))
-    assert set(names) == {v.id for v in aux} & set(names)
-    for bits in itertools.product([0, 1], repeat=len(names)):
-        env = dict(assignment)
-        env.update(zip(names, bits))
-        ok = True
-        for r in rows:
-            val = sum(c * env[v] for v, c in r.coeffs.items())
-            if r.rel == "<=" and val > r.rhs + 1e-9:
-                ok = False
-            if r.rel == ">=" and val < r.rhs - 1e-9:
-                ok = False
-            if r.rel == "=" and abs(val - r.rhs) > 1e-9:
-                ok = False
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
-
-
 def test_fig7_fast_path_two_rows_no_auxiliaries():
     alloc = _Alloc()
     a = Literal(alloc.atom("<=", LinearTerm({"x1": 3}, -2)))
@@ -424,9 +401,8 @@ def test_forced_disjunction_enumeration():
     a = Literal(alloc.atom("==", LinearTerm({"x1": 1}, -1)))
     b = Literal(alloc.atom("==", LinearTerm({"x2": 1}, -1)))
     rows, aux = linearize(to_cnf(("or", a, b)), alloc)
-    outcomes = {}
-    for x1, x2 in itertools.product([0, 1], repeat=2):
-        outcomes[(x1, x2)] = rows_feasible(rows, aux, {"x1": x1, "x2": x2})
+    outcomes = {(xs["x1"], xs["x2"]): got
+                for xs, got in feasible_points(rows, aux, ["x1", "x2"])}
     assert outcomes == {(0, 0): False, (0, 1): True, (1, 0): True, (1, 1): True}
 
 
@@ -441,9 +417,8 @@ def test_equality_atom_uses_conjoined_indicators():
         assert len(aux) == n_aux  # le + ge + eq indicators, and one for x - z <= 0
         kinds = {v.kind for v in aux}
         assert kinds == {AUX_BINARY}
-        for x, y, z in itertools.product([0, 1], repeat=3):
-            xs = {"x": x, "y": y, "z": z}
-            assert rows_feasible(rows, aux, xs) == lowered_truth(body, xs)
+        for xs, got in feasible_points(rows, aux, "xyz"):
+            assert got == lowered_truth(body, xs)
 
 
 def test_strict_comparison_on_integer_terms_is_exact():
@@ -471,9 +446,8 @@ def test_one_signed_equality_gets_one_indicator(term, n_aux, positive):
     body = ("or", eq, other)
     rows, aux = linearize(to_cnf(body), alloc)
     assert len(aux) == n_aux[not positive]  # at most one for the equality
-    for x, y, z in itertools.product([0, 1], repeat=3):
-        xs = {"x": x, "y": y, "z": z}
-        assert rows_feasible(rows, aux, xs) == lowered_truth(body, xs)
+    for xs, got in feasible_points(rows, aux, "xyz"):
+        assert got == lowered_truth(body, xs)
 
 
 def _rows_with(rows, var):
@@ -562,12 +536,12 @@ def indicator_atoms(cnf):
             if not (len(u) == 1 and u[0][0].positive and u[0][1] == 1)]
 
 
-def feasible_points(rows, aux, n_vars):
-    """For every 0/1 point of x0..x{n_vars-1}, in product order, the point
-    and whether some auxiliary assignment satisfies every row there."""
-    names = [f"x{i}" for i in range(n_vars)] + [v.id for v in aux]
-    idx = {v: j for j, v in enumerate(names)}
-    A = np.zeros((len(rows), len(names)))
+def feasible_points(rows, aux, names):
+    """For every 0/1 point of the variables `names`, in product order, the
+    point as a name -> bit dict and whether some auxiliary assignment
+    satisfies every row there."""
+    idx = {v: j for j, v in enumerate([*names, *(v.id for v in aux)])}
+    A = np.zeros((len(rows), len(idx)))
     b = np.zeros(len(rows))
     rels = []
     for i, r in enumerate(rows):
@@ -578,7 +552,7 @@ def feasible_points(rows, aux, n_vars):
     n_aux = len(aux)
     aux_combos = (np.array(list(itertools.product([0., 1.], repeat=n_aux)))
                   if n_aux else np.zeros((1, 0)))
-    for bits in itertools.product([0, 1], repeat=n_vars):
+    for bits in itertools.product([0, 1], repeat=len(names)):
         X = np.hstack([np.tile(np.array(bits, float), (len(aux_combos), 1)),
                        aux_combos])
         lhs = X @ A.T if len(rows) else np.zeros((len(X), 0))
@@ -590,7 +564,7 @@ def feasible_points(rows, aux, n_vars):
                 feas &= lhs[:, i] >= b[i] - 1e-9
             else:
                 feas &= np.abs(lhs[:, i] - b[i]) <= 1e-9
-        yield bits, bool(feas.any())
+        yield dict(zip(names, bits)), bool(feas.any())
 
 
 def check_semantic_preservation(seed, trials, n_vars_max=6, atoms_max=6):
@@ -610,9 +584,8 @@ def check_semantic_preservation(seed, trials, n_vars_max=6, atoms_max=6):
             one_signed += a.op == "==" and (lo >= 0 or hi <= 0)
             single_polarity += len(signs) == 1
         rows, aux = linearize(cnf, alloc)
-        for bits, got in feasible_points(rows, aux, n_vars):
-            xs = {f"x{i}": bits[i] for i in range(n_vars)}
-            assert got == lowered_truth(tree, xs), (bits, tree)
+        for xs, got in feasible_points(rows, aux, [f"x{i}" for i in range(n_vars)]):
+            assert got == lowered_truth(tree, xs), (xs, tree)
     assert one_signed > 0 and single_polarity > 0
     return one_signed, single_polarity
 
@@ -683,11 +656,10 @@ def test_clause_rows_are_sound_on_random_clauses():
                     and kinds[rest[0].atom.index] == "general":
                 overwrite += bool(set(nones[0].atom.term.coeffs) & set(rest[0].atom.term.coeffs))
         rows, aux = linearize(cnf, alloc)
-        for bits, got in feasible_points(rows, aux, n_vars):
-            xs = {f"x{i}": bits[i] for i in range(n_vars)}
+        for xs, got in feasible_points(rows, aux, [f"x{i}" for i in range(n_vars)]):
             expect = all(any(lowered_truth(lit, xs) for lit in clause)
                          for clause in cnf.clauses)
-            assert got == expect, (bits, cnf)
+            assert got == expect, (xs, cnf)
     assert overwrite > 0 and two_nones > 0 and shared > 0, (overwrite, two_nones, shared)
 
 
@@ -1222,19 +1194,6 @@ def test_index_matches_scan_smoke_full_scale_request(monkeypatch):
     assert 0 < 4 * indexed < sum(examined)
 
 
-PLACEMENT_SCHEMA = """
-nodetypes {
-  nodetype { name: Element }
-  nodetype { name: Server  supertype: Element
-             attrs { cpu: int  resCpu: int  minLoad: int  zone: int  cost: int } }
-  nodetype { name: Task  supertype: Element  attrs { cpu: int  placed: bool } }
-}
-edgetypes {
-  edgetype { name: host  src: Task  tgt: Server }
-  edgetype { name: aff  src: Task  tgt: Task }
-}
-"""
-
 PLACEMENT_SPEC = """
 rule place {
   nodes { t: Task  s: Server }
@@ -1284,23 +1243,6 @@ ZONE_FILTERS = {
 }
 
 
-def _placement_model(rng):
-    lines = [PLACEMENT_SCHEMA, "nodes {"]
-    for i in range(3):
-        cpu = rng.randint(8, 16)
-        lines.append(f"  node {{ id: s{i}  type: Server  attrs {{ cpu: {cpu}  resCpu: {cpu}"
-                     f"  minLoad: {rng.randint(4, cpu // 2 + 2)}  zone: {i % 2}"
-                     f"  cost: {rng.randint(1, 9)} }} }}")
-    for i in range(4):
-        lines.append(f"  node {{ id: t{i}  type: Task  attrs {{ cpu: {rng.randint(1, 8)}"
-                     f"  placed: false }} }}")
-    lines += ["}", "edges {"]
-    for k, (a, b) in enumerate(rng.sample(list(itertools.combinations(range(4), 2)), 2)):
-        lines.append(f"  edge {{ id: w{k}  type: aff  src: t{a}  tgt: t{b} }}")
-    lines.append("}")
-    return load_model("\n".join(lines) + "\n")
-
-
 @pytest.mark.parametrize("variant", sorted(ZONE_FILTERS))
 def test_index_matches_scan_disjunctive_specs(variant, monkeypatch):
     zone_filter = ZONE_FILTERS[variant]
@@ -1309,9 +1251,10 @@ def test_index_matches_scan_disjunctive_specs(variant, monkeypatch):
         for zone in (0, 1):
             text = text.replace(f"{{{end}{zone}}}",
                                 zone_filter.format(end=end.lower(), zone=zone))
+    placement = perfbench_placement(monkeypatch)
     rng = random.Random(7)
     for _ in range(6):
-        mm, g = _placement_model(rng)
+        mm, g = load_model(placement.model_text(placement.make_instance(rng)))
         _assert_same(typecheck(parse(text), mm), g, monkeypatch)
 
 
