@@ -867,16 +867,16 @@ def _fmt_terms(coeffs: dict) -> str:
     return " ".join(parts)
 
 
-def dump_problem(p: IlpProblem, table: MappingTable | None = None) -> str:
-    """Human-readable problem listing, one constraint per line."""
+def dump_problem(p: IlpProblem, table: MappingTable) -> str:
+    """Human-readable problem listing, one constraint per line, then the
+    variables and the (mapping, match) pair of each mapping variable."""
     lines = [f"{p.objective.sense}: {_fmt_terms(p.objective.terms)}"
              + (f" + {fmt_num(p.objective.constant)}" if p.objective.constant else "")]
     for i, row in enumerate(p.constraints):
         lines.append(f"c{i}: {_fmt_terms(row.coeffs)} {row.rel} {fmt_num(row.rhs)}")
     for v in p.variables:
         lines.append(f"var {v.id} {v.kind}")
-    if table is not None:
-        for var_id, (mapping, match) in table.items():
-            binding = " ".join(f"{k}={v}" for k, v in match.binding.items())
-            lines.append(f"map {var_id} -> {mapping}[{binding}]")
+    for var_id, (mapping, match) in table.items():
+        binding = " ".join(f"{k}={v}" for k, v in match.binding.items())
+        lines.append(f"map {var_id} -> {mapping}[{binding}]")
     return "\n".join(lines) + "\n"

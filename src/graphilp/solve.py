@@ -5,46 +5,58 @@ Every variable of a program is binary (the encoder makes no other kind and
 the LP reader rejects any other), so the relaxation bounds each column to
 [0, 1] and the search may branch on every column. The program is read once
 into `_Arrays`, which holds its rows as COO triplets and keeps no dense copy
-of A. Each LP is solved by a self-contained dense bounded-variable dual
-simplex (`_Lp`). Its tableau, filled from the triplets, is
-B^-1 [A | I | b]: one logical column per row, bounded to [0, inf) for a `<=`
-row, (-inf, 0] for a `>=` row and [0, 0] for an `=` row, while the
-structural columns carry the node's bounds. There are no `x <= 1` rows, no
-artificial columns and no phase 1. The root starts from the slack basis
-(every logical basic, every structural column at its upper bound where its
-cost is negative and at its lower bound otherwise), which is dual feasible.
-A child continues from its parent's final tableau (a warm start), from which
-it differs in the one column it branched on, so `_Lp.fix` fixes only that
-column: a nonbasic one moves onto its value, shifting the basic values by its
-tableau column times the move, and a basic one keeps its value and leaves in
-the next dual pivots if that is now off. Fixing a column keeps the basis
-dual feasible, so only dual pivots are needed. The first child takes the
-tableau over and its sibling gets a copy, unless the tableaux waiting on the
-search stack would pass `STACK_TABLEAU_BYTES`; then the sibling starts from
-the slack basis. A tableau carried from node to node is never rebuilt from
-A, so every warm answer is checked against the original rows, read from the
-triplets by sparse products (`_Lp.holds`); a node whose warm answer fails
-the check, or whose warm LP stalls, is solved again from the slack basis, and
-the failed checks are counted in `Solution.stats["guard_rejections"]`. The
-simplex keeps the basic values and their bounds in row order while it runs
-and writes them back into `x` when it returns. The leaving variable is the
-basic one farthest outside its bounds (one `argmax` over the row-ordered
-values), the entering column wins the dual ratio test (ties to the largest
-pivot entry); after 30 consecutive degenerate pivots the rules switch to the
-dual analogue of Bland's (the smallest-index infeasible basic variable, the
-first-index ratio tie), so the simplex is deterministic and cannot cycle. A
-pivot reads its entering column once, for the step, the basic-value update
-and the row multipliers, and updates only the rows with a nonzero entry in
-it, in blocks of `PIVOT_BLOCK_BYTES` bytes, so its temporaries stay small.
+of A (only `brute_force`, at most 22 columns, densifies its own). Each LP is
+solved by a self-contained dense bounded-variable dual simplex (`_Lp`). Its
+tableau, filled from the triplets, is B^-1 [A | I | b]: one logical column
+per row, bounded to [0, inf) for a `<=` row, (-inf, 0] for a `>=` row and
+[0, 0] for an `=` row, while the structural columns carry the node's bounds.
+There are no `x <= 1` rows, no artificial columns and no phase 1. The root
+starts from the slack basis (every logical basic, every structural column at
+its upper bound where its cost is negative and at its lower bound
+otherwise), which is dual feasible; the simplex runs until every basic value
+lies within its bounds, and finds the LP infeasible when its ratio test has
+no entering column. A child continues from its parent's final tableau (a
+warm start), from which it differs in the one column it branched on, so
+`_Lp.fix` fixes only that column: a nonbasic one moves onto its value,
+shifting the basic values by its tableau column times the move, and a basic
+one keeps its value and leaves in the next dual pivots if that is now off.
+Fixing a column keeps the basis dual feasible, so only dual pivots are
+needed. The first child takes the tableau over and its sibling gets a copy,
+unless the tableaux waiting on the search stack would pass
+`STACK_TABLEAU_BYTES`; then the sibling starts from the slack basis.
+
+A tableau carried from node to node is never rebuilt from A, so every warm
+answer is checked against the original rows before it prunes anything
+(`_Lp.holds`): an optimum's basic values and reduced costs, recomputed from
+the triplets (A x and yᵀA as sparse products) with B^-1 (the tableau's
+logical block), must match the tableau's within `GUARD_TOL`, and an
+infeasible verdict's row, recomputed the same way, must admit no point of
+the column bounds (a Farkas certificate). A node whose warm answer fails the
+check, or whose warm LP stalls, is solved again from the slack basis; the
+failed checks, not the stalls, are counted in
+`Solution.stats["guard_rejections"]`.
+
+The simplex keeps the basic values and their bounds in row order while it
+runs, as a bounded dual simplex usually does (Koberstein, *The Dual Simplex
+Method*, 2005), and writes them back into `x` when it returns. The leaving
+variable is the basic one farthest outside its bounds (one `argmax` over the
+row-ordered values), the entering column wins the dual ratio test (ties to
+the largest pivot entry); after 30 consecutive degenerate pivots the rules
+switch to the dual analogue of Bland's (the smallest-index infeasible basic
+variable, the first-index ratio tie), so the simplex is deterministic and
+cannot cycle. A pivot reads its entering column once, for the step, the
+basic-value update and the row multipliers, and updates only the rows with a
+nonzero entry in it, in blocks of `PIVOT_BLOCK_BYTES` bytes, so its
+temporaries stay small; every entry gets the same `x - a*b` in any block.
 If the simplex gives up within its iteration budget from the slack basis
 too, the node falls back to a coefficient-sum bound and its children start
 from the slack basis, which keeps the search exact, only slower. A node
 rounds its LP point once, and checks the rounded point against the rows only
-if it would improve the incumbent or if the LP point is integral. Branching
-is most-fractional-first with a lexicographic tie-break on variable id; with
-a nonnegative minimization objective the 1-branch is explored first,
-otherwise the 0-branch. A time limit is checked before every node and before
-every simplex pivot.
+if it would improve the incumbent or if the LP point is integral, the two
+cases where its feasibility matters. Branching is most-fractional-first with
+a lexicographic tie-break on variable id; with a nonnegative minimization
+objective the 1-branch is explored first, otherwise the 0-branch. A time
+limit is checked before every node and before every simplex pivot.
 """
 
 from __future__ import annotations

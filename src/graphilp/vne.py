@@ -232,7 +232,6 @@ class VnrRecord:
 @dataclass
 class EmbeddingReport:
     records: list[VnrRecord]
-    substrate_before: Graph
     final: Graph
 
     def embedded(self) -> list[VnrRecord]:
@@ -288,7 +287,7 @@ def embed_incremental(substrate: Graph, vnrs: list[Graph], spec: TypedSpec,
         rec.objective = sol.objective_value
         records.append(rec)
         working = applied
-    return EmbeddingReport(records, substrate, working)
+    return EmbeddingReport(records, working)
 
 
 def _check_all_mapped(g: Graph, vnr: Graph):

@@ -156,6 +156,37 @@ def test_twelve_significant_digits():
     assert problems_equal(p, q, tol=1e-11)
 
 
+ROW_LE, ROW_EQ = ({"x": 1, "y": 2}, "<=", 3), ({"x": 1, "y": -1}, "=", 0)
+
+
+def _small_problem(ids=("x", "y"), rows=(ROW_LE, ROW_EQ), sense="min",
+                   terms=(("x", 1), ("y", 1)), constant=1.0):
+    return IlpProblem([Variable(v) for v in ids],
+                      [Row(dict(c), rel, rhs) for c, rel, rhs in rows],
+                      ObjectiveFunc(sense, dict(terms), constant))
+
+
+# each case differs from _small_problem() in one compared field, by more
+# than the tolerance
+@pytest.mark.parametrize("change", [
+    dict(ids=("x", "z")),
+    dict(rows=(ROW_LE,)),
+    dict(rows=(ROW_LE, ({"x": 1, "y": -1}, "<=", 0))),
+    dict(rows=(ROW_LE, ({"x": 1}, "=", 0))),
+    dict(rows=(ROW_LE, ({"x": 1, "y": -1}, "=", 1e-6))),
+    dict(rows=(ROW_LE, ({"x": 1, "y": -1 + 1e-6}, "=", 0))),
+    dict(sense="max"),
+    dict(terms=(("x", 1),)),
+    dict(constant=1 + 1e-6),
+    dict(terms=(("x", 1), ("y", 1 + 1e-6))),
+], ids=["variable-ids", "row-count", "relation", "coefficient-set", "rhs",
+        "coefficient-value", "sense", "objective-term-set", "constant", "term-value"])
+def test_problems_equal_refuses_each_difference(change):
+    assert problems_equal(_small_problem(), _small_problem(constant=1 + 1e-10))
+    assert not problems_equal(_small_problem(), _small_problem(**change))
+    assert not problems_equal(_small_problem(**change), _small_problem())
+
+
 def test_hand_written_exactly_once_file():
     text = """\
 Minimize

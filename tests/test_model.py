@@ -303,6 +303,36 @@ def test_apply_delta_rejects_missing_ids(task_model):
         apply_delta(g, GraphDelta(deleted_nodes=("ghost",)))
 
 
+WIRE = Edge("w", "wire", "s1", "s2")
+
+
+@pytest.mark.parametrize("build, message, offender", [
+    (lambda mm, g: Graph(mm, [*g.nodes.values(), g.nodes["s1"]]),
+     "duplicate node id 's1'", "s1"),
+    (lambda mm, g: Graph(mm, g.nodes.values(), [WIRE, Edge("w", "wire", "s2", "s1")]),
+     "duplicate edge id 'w'", "w"),
+    (lambda mm, g: apply_delta(g, GraphDelta(attr_updates=(("s1", "ram", 3),))),
+     "node 's1' has undeclared attribute 'ram'", "s1"),
+    (lambda mm, g: Graph(mm, g.nodes.values(), [Edge("e", "link", "s1", "s2")]),
+     "edge 'e' has undeclared type 'link'", "e"),
+    (lambda mm, g: apply_delta(g, GraphDelta(created_nodes=(g.nodes["t1"],))),
+     "delta creates node with taken id 't1'", "t1"),
+    (lambda mm, g: apply_delta(Graph(mm, g.nodes.values(), [WIRE]),
+                               GraphDelta(created_edges=(WIRE,))),
+     "delta creates edge with taken id 'w'", "w"),
+    (lambda mm, g: apply_delta(g, GraphDelta(deleted_edges=("ghost",))),
+     "delta deletes missing edge 'ghost'", "ghost"),
+    (lambda mm, g: apply_delta(g, GraphDelta(attr_updates=(("ghost", "cpu", 1),))),
+     "delta updates attribute of missing node 'ghost'", "ghost"),
+], ids=["duplicate-node", "duplicate-edge", "undeclared-attribute", "undeclared-edge-type",
+        "taken-node-id", "taken-edge-id", "missing-edge", "missing-node-update"])
+def test_conformance_error_names_its_offender(task_model, build, message, offender):
+    mm, g = task_model
+    with pytest.raises(ConformanceError, match=f"^{message}$") as err:
+        build(mm, g)
+    assert err.value.offender == offender
+
+
 def test_two_links_model_loads_and_validates():
     mm, g = load_model(TWO_LINKS_MODEL)
     validate_graph(g)

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 import graphilp.vne as vne
-from graphilp import (Graph, GraphDelta, apply_delta, embed_incremental,
+from graphilp import (Edge, Graph, GraphDelta, Violation, apply_delta, embed_incremental,
                       generate_scenario, load_model, lp_relaxation, parse_scenario_config,
                       full_scale_config, scenario_text, verify_embedding)
 from graphilp.vne_model import embedding_spec, vne_metamodel
@@ -182,13 +182,18 @@ def test_removed_host_edge_breaks_exactly_once(spec):
     assert any(v.kind == "exactly-once" for v in violations)
 
 
-def test_contiguity_violation_detected(spec):
-    # rehost a virtual link onto a different substrate link than its endpoints
-    from graphilp import Edge
+def _two_rack_embedding(spec):
+    """One request (a server, a switch and the link between them) embedded on
+    two racks of one server each: vnr0_lnk0 on lnk_path_0_0_0."""
     cfg = ScenarioConfig(racks=2, servers_per_rack=1, vnr_count=1, seed=5,
                          vnr_servers=Range(1, 1))
     sub, vnrs = generate_scenario(cfg)
-    report = embed_incremental(sub, vnrs, spec)
+    return sub, embed_incremental(sub, vnrs, spec)
+
+
+def test_contiguity_violation_detected(spec):
+    # rehost a virtual link onto a different substrate link than its endpoints
+    sub, report = _two_rack_embedding(spec)
     g = report.final
     link_host = next(e for e in g.edges.values()
                      if e.type == "host" and g.nodes[e.src].type == "VirtualLink")
@@ -199,7 +204,22 @@ def test_contiguity_violation_detected(spec):
         created_edges=(Edge("h_moved", "host", link_host.src, other),),
         deleted_edges=(link_host.id,)))
     violations = verify_embedding(report, sub, moved)
-    assert any(v.kind in ("contiguity", "residual") for v in violations)
+    assert any(v.kind == "contiguity" and v.element == "vnr0_lnk0" for v in violations)
+
+
+@pytest.mark.parametrize("delta, alarm", [
+    (GraphDelta(attr_updates=(("vnr0_srv0", "mapped", False),)),
+     Violation("exactly-once", "vnr0_srv0", "vnr0_srv0 is present but not mapped")),
+    (GraphDelta(attr_updates=(("srv_0_0", "resCpu", -1),)),
+     Violation("residual", "srv_0_0", "srv_0_0.resCpu is negative")),
+    (GraphDelta(deleted_edges=("e_lnk_path_0_0_0_s",)),
+     Violation("contiguity", "vnr0_lnk0",
+               "vnr0_lnk0 or lnk_path_0_0_0 lacks endpoint edges")),
+], ids=["unmapped", "negative-residual", "link-without-endpoint"])
+def test_verifier_alarm(spec, delta, alarm):
+    sub, report = _two_rack_embedding(spec)
+    assert verify_embedding(report, sub, report.final) == []
+    assert alarm in verify_embedding(report, sub, apply_delta(report.final, delta))
 
 
 def test_desk_run_agrees_with_highs_along_its_trajectory(spec, monkeypatch):
