@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .lang.lexer import LocatedError, TokenStream, is_word, quote, tokenize
@@ -195,53 +196,47 @@ class Graph:
             if e.id in self.edges:
                 raise ConformanceError(f"duplicate edge id {e.id!r}", e.id)
             self.edges[e.id] = e
-        # edge type -> node id -> its outgoing / incoming edges, by edge id
-        self._out: dict[str, dict[str, list[Edge]]] | None = None
-        self._in: dict[str, dict[str, list[Edge]]] | None = None
-        # node type -> the nodes conforming to it, by id
-        self._pools: dict[str, tuple[Node, ...]] | None = None
         if validate:
             validate_graph(self)
 
     def attr(self, node_id: str, name: str):
         return self.nodes[node_id].attrs[name]
 
+    @cached_property
+    def _pools(self) -> dict[str, tuple[Node, ...]]:
+        """Node type -> the nodes conforming to it, by id."""
+        pools: dict[str, list[Node]] = {}
+        for i in sorted(self.nodes):
+            for t in self.mm._chain[self.nodes[i].type]:
+                pools.setdefault(t, []).append(self.nodes[i])
+        return {t: tuple(pool) for t, pool in pools.items()}
+
     def nodes_of_type(self, type_name: str) -> tuple[Node, ...]:
-        """Nodes whose type conforms to `type_name`, sorted by id. The pools of
-        every type are built together on the first call."""
-        if self._pools is None:
-            pools: dict[str, list[Node]] = {}
-            for i in sorted(self.nodes):
-                nd = self.nodes[i]
-                for t in self.mm._chain[nd.type]:
-                    pools.setdefault(t, []).append(nd)
-            self._pools = {t: tuple(pool) for t, pool in pools.items()}
+        """Nodes whose type conforms to `type_name`, sorted by id."""
         return self._pools.get(type_name, ())
 
-    def _index(self):
-        if self._out is None:
-            out: dict[str, dict[str, list[Edge]]] = {t: {} for t in self.mm.edge_types}
-            inc: dict[str, dict[str, list[Edge]]] = {t: {} for t in self.mm.edge_types}
-            for eid in sorted(self.edges):
-                e = self.edges[eid]
-                out[e.type].setdefault(e.src, []).append(e)
-                inc[e.type].setdefault(e.tgt, []).append(e)
-            self._out = out
-            self._in = inc
-        return self._out, self._in
+    @cached_property
+    def _adjacency(self) -> tuple[dict[str, dict[str, list[Edge]]], ...]:
+        """(outgoing, incoming): edge type -> node id -> its edges, by edge id."""
+        out: dict[str, dict[str, list[Edge]]] = {t: {} for t in self.mm.edge_types}
+        inc: dict[str, dict[str, list[Edge]]] = {t: {} for t in self.mm.edge_types}
+        for eid in sorted(self.edges):
+            e = self.edges[eid]
+            out[e.type].setdefault(e.src, []).append(e)
+            inc[e.type].setdefault(e.tgt, []).append(e)
+        return out, inc
 
     def out_edges(self, node_id: str, edge_type: str) -> list[Edge]:
         """The edges of type `edge_type` leaving `node_id`, by edge id."""
-        by_node = self._index()[0].get(edge_type)
-        return by_node.get(node_id, []) if by_node else []
+        return self._adjacency[0].get(edge_type, {}).get(node_id, [])
 
     def in_edges(self, node_id: str, edge_type: str) -> list[Edge]:
         """The edges of type `edge_type` entering `node_id`, by edge id."""
-        by_node = self._index()[1].get(edge_type)
-        return by_node.get(node_id, []) if by_node else []
+        return self._adjacency[1].get(edge_type, {}).get(node_id, [])
 
-    def has_edge(self, edge_type: str, src: str, tgt: str) -> bool:
-        return any(e.tgt == tgt for e in self.out_edges(src, edge_type))
+    def edge_count(self, edge_type: str, src: str, tgt: str) -> int:
+        """How many edges of type `edge_type` go from `src` to `tgt`."""
+        return sum(e.tgt == tgt for e in self.out_edges(src, edge_type))
 
     def structurally_equal(self, other: "Graph") -> bool:
         return self.nodes == other.nodes and self.edges == other.edges

@@ -1,15 +1,15 @@
 """Graph patterns, rewrite rules, batch subgraph matching, rule application.
 
-A match (`model.Match`) binds pattern nodes to graph nodes injectively;
-every pattern edge must be realized by a graph edge of the declared type,
-k parallel pattern edges of one type by k distinct graph edges, and the
-attribute condition must hold under the binding. `find_matches` is the
-only maker of matches; it is exhaustive and deterministic: results come back
-sorted by their bound id sets. A pattern compiles its condition, and a rule
-its action values, once, on first use. An error while evaluating either is a
-PatternError that names the rule and the binding. The parser builds rules
-directly; their `pos` fields locate diagnostics and, as in the AST, take no
-part in equality.
+A match (`model.Match`) binds pattern nodes to graph nodes injectively,
+and the attribute condition holds under the binding. Its one structural
+rule: where the pattern has k edges of a type from one node to another
+(`Pattern.edge_counts`), the graph has at least k edges of that type
+between the bound nodes. `find_matches` is the only maker of matches; it
+is exhaustive and deterministic: results come back sorted by their bound id
+sets. A pattern compiles its condition, and a rule its action values, once,
+on first use. An error while evaluating either is a PatternError that names
+the rule and the binding. The parser builds rules directly; their `pos`
+fields locate diagnostics and, as in the AST, take no part in equality.
 """
 
 from __future__ import annotations
@@ -63,11 +63,10 @@ class Pattern:
         return None if self.condition is None else compile_expr(self.condition)
 
     @cached_property
-    def parallel_edges(self) -> tuple:
-        """`(type, src, tgt, k)` for every k >= 2 edges of one type from `src`
-        to `tgt`, which a match must realize by k distinct graph edges."""
-        counts = Counter((pe.type, pe.src, pe.tgt) for pe in self.edges)
-        return tuple((*key, k) for key, k in counts.items() if k > 1)
+    def edge_counts(self) -> Counter:
+        """How many edges of each `(type, src, tgt)` the pattern has, in edge
+        order; a match must realize each by as many distinct graph edges."""
+        return Counter((pe.type, pe.src, pe.tgt) for pe in self.edges)
 
 
 @dataclass(frozen=True)
@@ -111,13 +110,6 @@ def _condition_holds(g: Graph, p: Pattern, binding: dict[str, str]) -> bool:
     return result
 
 
-def _parallel_realized(g: Graph, p: Pattern, binding: dict[str, str]) -> bool:
-    """Whether `g` has as many edges as `p` between each bound pair of nodes
-    that `p` joins by parallel edges."""
-    return all(sum(e.tgt == binding[tgt] for e in g.out_edges(binding[src], t)) >= k
-               for t, src, tgt, k in p.parallel_edges)
-
-
 def _search_order(p: Pattern, pool_size: dict[str, int]) -> list[tuple]:
     """The order in which `find_matches` binds the nodes of `p`, most
     constrained first: the node with the most pattern edges to nodes already
@@ -125,40 +117,40 @@ def _search_order(p: Pattern, pool_size: dict[str, int]) -> list[tuple]:
     is depends only on which nodes are bound, so every branch of the search
     binds the nodes in this one order.
 
-    Each step is `(name, anchors, checks)`: `anchors` are the edges to bound
-    nodes that can supply candidates, as `(edge type, outgoing, other node)`
-    in edge order; `checks` are the edges a candidate must realize once it
-    is bound, as `(edge type, source, target)`: every edge between it and a
-    node bound before it, and its self-loops. A step with one anchor takes
-    its candidates along that edge, so the edge is not checked again.
+    Each step is `(name, anchors, checks)`, read from `Pattern.edge_counts`:
+    `anchors` are the kinds of edge to bound nodes that can supply
+    candidates, as `(edge type, outgoing, other node)`; `checks` are the
+    kinds a candidate must realize once it is bound, as `(edge type, source,
+    target, k)`: every kind between it and a node bound before it, and its
+    self-loops. A step with one anchor of k = 1 takes its candidates along
+    that edge, so the edge is not checked again.
     """
-    neighbors: dict[str, list[tuple[PatternEdge, bool]]] = {n.name: [] for n in p.nodes}
-    for pe in p.edges:
-        neighbors[pe.src].append((pe, True))   # outgoing from this node
-        neighbors[pe.tgt].append((pe, False))
-
-    def other(pe: PatternEdge, outgoing: bool) -> str:
-        return pe.tgt if outgoing else pe.src
-
     bound: set[str] = set()
 
+    def anchors(name: str) -> list[tuple]:
+        """`((edge type, outgoing, other node), k)` per kind of edge between
+        `name` and a bound node."""
+        out = []
+        for (edge_type, src, tgt), k in p.edge_counts.items():
+            far = tgt if src == name else src
+            if name in (src, tgt) and far in bound:
+                out.append(((edge_type, src == name, far), k))
+        return out
+
     def score(name: str):
-        anchored = sum(1 for pe, outgoing in neighbors[name] if other(pe, outgoing) in bound)
-        return (-anchored, pool_size[name], name)
+        return (-sum(k for _, k in anchors(name)), pool_size[name], name)
 
     steps = []
     for _ in p.nodes:
         name = min((n.name for n in p.nodes if n.name not in bound), key=score)
-        anchors = tuple((pe.type, outgoing, other(pe, outgoing))
-                        for pe, outgoing in neighbors[name] if other(pe, outgoing) in bound)
+        given = anchors(name)
         bound.add(name)
-        checks = [(pe.type, pe.src, pe.tgt) for pe in p.edges
-                  if name in (pe.src, pe.tgt) and pe.src in bound and pe.tgt in bound]
-        if len(anchors) == 1:
-            edge_type, outgoing, far = anchors[0]
-            given = (edge_type, name, far) if outgoing else (edge_type, far, name)
-            checks = [c for c in checks if c != given]
-        steps.append((name, anchors, tuple(checks)))
+        checks = [(*key, k) for key, k in p.edge_counts.items()
+                  if name in key[1:] and key[1] in bound and key[2] in bound]
+        if len(given) == 1 and given[0][1] == 1:
+            (edge_type, outgoing, far), _ = given[0]
+            checks.remove((edge_type, name, far, 1) if outgoing else (edge_type, far, name, 1))
+        steps.append((name, tuple(anchor for anchor, _ in given), tuple(checks)))
     return steps
 
 
@@ -168,10 +160,10 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
     Backtracking assignment in one search order fixed per call (see
     `_search_order`): a node adjacent to bound nodes takes its candidates
     from the adjacency index, along the edge that gives the fewest, and a
-    candidate is kept only if it realizes the step's edges. A complete
-    binding must also realize each group of parallel pattern edges by as
-    many distinct graph edges (`Pattern.parallel_edges`) before its
-    condition is evaluated. An EvalError in the condition becomes a
+    candidate is kept only if the graph has, for each kind of pattern edge
+    the step checks, at least as many edges as `Pattern.edge_counts` says.
+    A complete binding then realizes every pattern edge and is tested
+    against the condition. An EvalError in the condition becomes a
     PatternError naming the rule and the binding.
     """
     pools: dict[str, list[str]] = {}
@@ -185,7 +177,6 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
     binding: dict[str, str] = {}
     used: set[str] = set()
     complete = len(steps)
-    parallel = p.parallel_edges
 
     def candidates(name: str, anchors: tuple) -> list[str]:
         best: list[str] | None = None
@@ -202,8 +193,7 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
 
     def backtrack(depth: int):
         if depth == complete:
-            if (not parallel or _parallel_realized(g, p, binding)) \
-                    and _condition_holds(g, p, binding):
+            if _condition_holds(g, p, binding):
                 results.append(Match(p, dict(sorted(binding.items()))))
             return
         name, anchors, checks = steps[depth]
@@ -211,7 +201,7 @@ def find_matches(g: Graph, p: Pattern) -> list[Match]:
             if gid in used:
                 continue
             binding[name] = gid
-            if all(g.has_edge(t, binding[s], binding[u]) for t, s, u in checks):
+            if all(g.edge_count(t, binding[s], binding[u]) >= k for t, s, u, k in checks):
                 used.add(gid)
                 backtrack(depth + 1)
                 used.discard(gid)
@@ -243,9 +233,8 @@ def revalidate(g: Graph, m: Match) -> bool:
         node = g.nodes.get(gid)
         if node is None or not g.mm.conforms(node.type, pn.type):
             return False
-    if not all(g.has_edge(pe.type, binding[pe.src], binding[pe.tgt]) for pe in p.edges):
-        return False
-    if p.parallel_edges and not _parallel_realized(g, p, binding):
+    if not all(g.edge_count(t, binding[s], binding[u]) >= k
+               for (t, s, u), k in p.edge_counts.items()):
         return False
     try:
         return _condition_holds(g, p, binding)
@@ -322,12 +311,12 @@ def apply_rule(g: Graph, r: Rule, m: Match) -> GraphDelta:
             if pe is None:
                 raise PatternError(f"rule {r.name!r}: no LHS edge {action.name!r}")
             src, tgt = node_of(pe.src).id, node_of(pe.tgt).id
-            matching = sorted(e.id for e in g.out_edges(src, pe.type)
-                              if e.tgt == tgt and e.id not in deleted_edges)
-            if not matching:
+            eid = next((e.id for e in g.out_edges(src, pe.type)
+                        if e.tgt == tgt and e.id not in deleted_edges), None)
+            if eid is None:
                 raise StaleMatchError(
                     f"rule {r.name!r}: edge {action.name!r} vanished before deletion")
-            deleted_edges.append(matching[0])
+            deleted_edges.append(eid)
         elif isinstance(action, A.DeleteNodeAction):
             deleted_nodes.append(node_of(action.name).id)
         elif isinstance(action, A.SetAttrAction):
