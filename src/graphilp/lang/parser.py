@@ -16,6 +16,7 @@ from .ast import (AttrRef, Binary, BoolLit, ConstraintDecl, CreateEdgeAction,
                   GlobalObjectiveDecl, MappingDecl, Name, NodesNav, Num,
                   ObjectiveDecl, Pos, Rel, SelfRef, SetAttrAction, SetSum, SpecAst,
                   StrLit, Unary)
+from .eval import _FUNCTIONS
 from .lexer import LocatedError, Token, TokenStream, tokenize
 
 KEYWORDS = frozenset({
@@ -23,8 +24,7 @@ KEYWORDS = frozenset({
     "create", "delete", "set", "node", "edge",
     "mapping", "with", "constraint", "objective", "global",
     "class", "pattern", "min", "max",
-    "true", "false", "self", "mappings",
-    "sin", "cos", "sqrt",
+    "true", "false", "self", "mappings", *_FUNCTIONS,
 })
 
 
@@ -250,7 +250,7 @@ class _Parser(TokenStream):
         if tok.kind == "!" or tok.kind == "-":
             self.advance()
             return Unary(tok.kind, self.nested(tok, self.unary), _pos(tok))
-        if tok.kind in ("sin", "cos", "sqrt"):
+        if tok.kind in _FUNCTIONS:
             self.advance()
             self.expect("(")
             arg = self.nested(tok, self.expression)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from ..model import Metamodel
 from ..pattern import Rule
 from . import ast as A
-from .eval import EvalError, apply_function
+from .eval import _FUNCTIONS, EvalError, apply_function
 
 NUMERIC = ("int", "real")
 _KIND_NAMES = {"node": "a node", "match": "a match", "int": "a number",
@@ -335,8 +335,7 @@ class _Checker:
                 if lt.varbearing or rt.varbearing:
                     return self.error(e.pos, "comparison operands must not "
                                              "involve mapping variables")
-                return Ty("bool")
-            return Ty("bool", varbearing=lt.varbearing or rt.varbearing)  # two numbers
+            return Ty("bool", varbearing=lt.varbearing or rt.varbearing)
         # a mapping sum, the one expression left
         if not allow_sets:
             return self.error(e.pos, "mapping sums are not allowed here")
@@ -392,7 +391,7 @@ class _Checker:
         if isinstance(e, A.Unary) and e.op == "-":
             w, c = self.fold_global(e.operand, objective_names)
             return {k: -v for k, v in w.items()}, -c
-        if isinstance(e, A.Unary) and e.op in ("sin", "cos", "sqrt"):
+        if isinstance(e, A.Unary) and e.op in _FUNCTIONS:
             w, c = self.fold_global(e.operand, objective_names)
             if w:
                 self.error(e.pos, f"{e.op} requires a constant subexpression")

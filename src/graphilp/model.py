@@ -336,13 +336,6 @@ def apply_delta(g: Graph, d: GraphDelta) -> Graph:
 
 # --- text format -------------------------------------------------------------
 
-_KEYWORDS = frozenset({
-    "nodetypes", "edgetypes", "nodes", "edges", "nodetype", "edgetype",
-    "node", "edge", "name", "supertype", "attrs", "id", "type", "src", "tgt",
-    "true", "false",
-})
-
-
 def _parse_value(ts: TokenStream):
     tok = ts.current
     if tok.kind in ("INT", "REAL", "STRING"):
@@ -396,6 +389,8 @@ _RECORDS = {
     "nodes": ("node", ("id", "type", "attrs"), ("id", "type")),
     "edges": ("edge", ("id", "type", "src", "tgt"), ("id", "type", "src", "tgt")),
 }
+_KEYWORDS = frozenset({"true", "false"}.union(
+    *((section, keyword, *keys) for section, (keyword, keys, _) in _RECORDS.items())))
 
 
 def _parse_record(ts: TokenStream, keyword: str, allowed, required) -> dict:

@@ -229,6 +229,10 @@ class VnrRecord:
     nodes_explored: int = 0
 
 
+# residual attribute of a substrate element -> the demand attribute that uses it up
+_DEMAND = {"resCpu": "cpu", "resMem": "mem", "resStorage": "storage", "resBw": "bw"}
+
+
 @dataclass
 class EmbeddingReport:
     records: list[VnrRecord]
@@ -241,14 +245,13 @@ class EmbeddingReport:
         return sum(r.objective or 0.0 for r in self.embedded())
 
     def residuals(self) -> dict[str, dict[str, object]]:
+        """Each substrate element's residual attributes, by id."""
         out: dict[str, dict[str, object]] = {}
         for nid in sorted(self.final.nodes):
             node = self.final.nodes[nid]
-            if self.final.mm.conforms(node.type, "SubstrateServer"):
-                out[nid] = {k: node.attrs[k] for k in ("resCpu", "resMem",
-                                                       "resStorage")}
-            elif self.final.mm.conforms(node.type, "SubstrateLink"):
-                out[nid] = {"resBw": node.attrs["resBw"]}
+            res = {k: node.attrs[k] for k in _DEMAND if k in node.attrs}
+            if res and self.final.mm.conforms(node.type, "SubstrateElement"):
+                out[nid] = res
         return out
 
 
@@ -332,15 +335,13 @@ def verify_embedding(report: EmbeddingReport, substrate_before: Graph,
             violations.append(Violation("exactly-once", nid,
                                         f"{nid} has {len(hosts)} host edges"))
 
-    demand = {"resCpu": "cpu", "resMem": "mem", "resStorage": "storage",
-              "resBw": "bw"}
     hosted: dict[str, dict[str, int]] = {}
     for e in g.edges.values():
         if e.type != "host":
             continue
         src = g.nodes[e.src]
         sums = hosted.setdefault(e.tgt, {})
-        for res_attr, dem_attr in demand.items():
+        for res_attr, dem_attr in _DEMAND.items():
             if dem_attr in src.attrs:
                 sums[res_attr] = sums.get(res_attr, 0) + src.attrs[dem_attr]
     for nid in sorted(g.nodes):
@@ -348,7 +349,7 @@ def verify_embedding(report: EmbeddingReport, substrate_before: Graph,
         if not mm.conforms(node.type, "SubstrateElement"):
             continue
         before = substrate_before.nodes.get(nid)
-        for res_attr in demand:
+        for res_attr in _DEMAND:
             if res_attr not in node.attrs:
                 continue
             start = before.attrs[res_attr] if before is not None else node.attrs[res_attr]
@@ -388,7 +389,7 @@ def verify_embedding(report: EmbeddingReport, substrate_before: Graph,
     return violations
 
 
-def render_report(report: EmbeddingReport, violations: list[Violation] | None = None) -> str:
+def render_report(report: EmbeddingReport, violations: list[Violation]) -> str:
     lines = [f"requests: {len(report.records)}  embedded: {len(report.embedded())}"
              f"  rejected: {len(report.records) - len(report.embedded())}"]
     for r in report.records:
@@ -398,14 +399,13 @@ def render_report(report: EmbeddingReport, violations: list[Violation] | None = 
                      f"  rows={r.rows}  generate_ms={r.generate_ms:.1f}"
                      f"  solve_ms={r.solve_ms:.1f}")
     lines.append(f"total objective: {report.total_objective():.6g}")
-    if violations is not None:
-        lines.append(f"violations: {len(violations)}")
-        for v in violations:
-            lines.append(f"  [{v.kind}] {v.message}")
+    lines.append(f"violations: {len(violations)}")
+    for v in violations:
+        lines.append(f"  [{v.kind}] {v.message}")
     return "\n".join(lines) + "\n"
 
 
-def report_json(report: EmbeddingReport, violations: list[Violation] | None = None) -> str:
+def report_json(report: EmbeddingReport, violations: list[Violation]) -> str:
     payload = {
         "format": REPORT_FORMAT,
         "records": [
@@ -416,9 +416,7 @@ def report_json(report: EmbeddingReport, violations: list[Violation] | None = No
             for r in report.records],
         "total_objective": report.total_objective(),
         "residuals": report.residuals(),
+        "violations": [{"kind": v.kind, "element": v.element, "message": v.message}
+                       for v in violations],
     }
-    if violations is not None:
-        payload["violations"] = [
-            {"kind": v.kind, "element": v.element, "message": v.message}
-            for v in violations]
     return json.dumps(payload, indent=2) + "\n"

@@ -209,6 +209,26 @@ def random_problem(rng: random.Random, max_vars: int = 12, max_rows: int = 15,
     return IlpProblem(variables, rows, obj)
 
 
+def row_check(rows: list[Row], ids: list[str]):
+    """A function from points (the rows of an array, one column per id of
+    `ids`) to whether each satisfies every row of `rows` to within 1e-9: a
+    dense check that uses nothing of `graphilp.solve`."""
+    idx = {vid: j for j, vid in enumerate(ids)}
+    A = np.zeros((len(rows), len(ids)))
+    for i, row in enumerate(rows):
+        for vid, c in row.coeffs.items():
+            A[i, idx[vid]] = c
+    b = np.array([row.rhs for row in rows], dtype=float)
+    rel = np.array([row.rel for row in rows], dtype=str)
+
+    def holds(X: np.ndarray) -> np.ndarray:
+        lhs = X @ A.T
+        return np.where(rel == "<=", lhs <= b + 1e-9,
+                        np.where(rel == ">=", lhs >= b - 1e-9,
+                                 np.abs(lhs - b) <= 1e-9)).all(axis=1)
+    return holds
+
+
 def highs_optimum(p: IlpProblem, relaxed: bool = False, lb=0.0, ub=1.0):
     """HiGHS, through scipy, as an oracle independent of graphilp's solver:
     `scipy.optimize.milp` on the 0/1 program, or with `relaxed`, `linprog` on

@@ -10,12 +10,14 @@ from graphilp import (brute_force, export_lp, find_matches, generate, import_lp,
                       load_graph, load_metamodel, parse, problems_equal, solve,
                       typecheck)
 from graphilp.encode import BINARY
-from graphilp.vne_model import VNE_SCHEMA, two_links_model, two_links_spec, embedding_spec
+from graphilp.vne_model import (EMBEDDING_SPEC, VNE_SCHEMA, embedding_spec, two_links_model,
+                                two_links_spec)
 from graphilp.vne import ScenarioConfig, embed_incremental, generate_scenario, \
     verify_embedding
 
-from conftest import brute_matches, random_graph, random_pattern, random_problem
+from conftest import brute_matches, random_graph, random_pattern, random_problem, row_check
 from test_encode import check_semantic_preservation
+from test_lang import GLUE, SNIPPET_CAPACITY, SNIPPET_GLOBAL, SNIPPET_MAPPING, SNIPPET_OBJECTIVE
 
 
 def _stamp(name: str, started: float, budget: float):
@@ -152,41 +154,17 @@ def test_lp_round_trip_over_generated_corpus():
     _stamp(f"LP round-trip over {len(corpus)} generated problems", started, 60.0)
 
 
-SNIPPET_MAPPING = "mapping srv2srv with server2server;"
-SNIPPET_CAPACITY = """constraint -> class::SubstrateServer {
-    mappings.srv2srv->filter(m | m.nodes().ssrv == self)->sum(m |
-    m.nodes().vsrv.cpu) <= self.resCpu
-}"""
-SNIPPET_OBJECTIVE = """objective srvObj -> mapping::srv2srv {
-    self.nodes().ssrv.resCpu / self.nodes().ssrv.cpu
-}"""
-SNIPPET_GLOBAL = """global objective : min {
-    srvObj
-}"""
-
-SNIPPET_RULE = """
-rule server2server {
-  nodes { vsrv: VirtualServer  ssrv: SubstrateServer }
-  condition { !vsrv.mapped & ssrv.resCpu >= vsrv.cpu }
-  actions {
-    create edge host(vsrv -> ssrv)
-    set ssrv.resCpu := ssrv.resCpu - vsrv.cpu
-    set vsrv.mapped := true
-  }
-}
-"""
-
-
 def test_grammar_fidelity_snippets_parse_and_typecheck():
     started = time.perf_counter()
     mm = load_metamodel(VNE_SCHEMA)
-    text = "\n".join([SNIPPET_RULE, SNIPPET_MAPPING, SNIPPET_CAPACITY, SNIPPET_OBJECTIVE, SNIPPET_GLOBAL])
+    text = "\n".join([GLUE, SNIPPET_MAPPING, SNIPPET_CAPACITY, SNIPPET_OBJECTIVE, SNIPPET_GLOBAL])
     spec = typecheck(parse(text), mm)
     assert [m.name for m in spec.mappings] == ["srv2srv"]
+    assert spec.constraints[0].context_kind == "class"
     assert spec.constraints[0].context_target == "SubstrateServer"
     assert spec.objectives[0].name == "srvObj"
     assert spec.global_objective.sense == "min"
-    from graphilp.vne_model import EMBEDDING_SPEC
+    assert spec.global_objective.weights == {"srvObj": 1.0}
     for snippet in (SNIPPET_MAPPING, SNIPPET_CAPACITY, SNIPPET_OBJECTIVE, SNIPPET_GLOBAL):
         assert snippet in EMBEDDING_SPEC, "shipped spec embeds the snippet verbatim"
     _stamp("grammar fidelity (four spec snippets, verbatim)", started, 10.0)
@@ -197,32 +175,13 @@ def _enumerate_optima(problem):
     ids = [v.id for v in problem.variables]
     n = len(ids)
     assert n <= 18
-    idx = {vid: j for j, vid in enumerate(ids)}
-    A = np.zeros((len(problem.constraints), n))
-    b = np.zeros(len(problem.constraints))
-    rels = []
-    for i, r in enumerate(problem.constraints):
-        for vid, c in r.coeffs.items():
-            A[i, idx[vid]] = c
-        b[i] = r.rhs
-        rels.append(r.rel)
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
     ks = np.arange(1 << n, dtype=np.uint32)
     X = ((ks[:, None] >> shifts[None, :]) & 1).astype(float)
-    feas = np.ones(len(X), dtype=bool)
-    lhs = X @ A.T if len(rels) else np.zeros((len(X), 0))
-    for i, rel in enumerate(rels):
-        if rel == "<=":
-            feas &= lhs[:, i] <= b[i] + 1e-9
-        elif rel == ">=":
-            feas &= lhs[:, i] >= b[i] - 1e-9
-        else:
-            feas &= np.abs(lhs[:, i] - b[i]) <= 1e-9
+    feas = row_check(problem.constraints, ids)(X)
     if not feas.any():
         return None, set()
-    c = np.zeros(n)
-    for vid, coeff in problem.objective.terms.items():
-        c[idx[vid]] = coeff
+    c = np.array([problem.objective.terms.get(vid, 0) for vid in ids], dtype=float)
     objs = X @ c + problem.objective.constant
     sense_min = problem.objective.sense == "min"
     masked = np.where(feas, objs, np.inf if sense_min else -np.inf)

@@ -25,6 +25,25 @@ def test_check_ok_on_shipped_fixture(two_links, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_check_prints_each_warning_then_ok(tmp_path, capsys):
+    model, spec = tmp_path / "t.model", tmp_path / "t.gipsl"
+    model.write_text(TASK_DOC)
+    decls = ["objective load -> class::Server { self.resCpu }",
+             "objective size -> pattern::place { self.nodes().t.cpu }"]
+    text = TASK_SPEC.replace("global objective : min { packObj }",
+                             "\n".join([*decls, "global objective : min { packObj + load + size }"]))
+    spec.write_text(text)
+    assert main(["check", "--model", str(model), "--spec", str(spec)]) == 0
+    out = capsys.readouterr()
+    assert out.out == "ok\n"
+    lines = [text.splitlines().index(decl) + 1 for decl in decls]
+    assert out.err.splitlines() == [
+        f"warning: {spec}:{lines[0]}:1: objective 'load' contributes only generation-time "
+        f"constants (a class context carries no decision variable)",
+        f"warning: {spec}:{lines[1]}:1: objective 'size' contributes only generation-time "
+        f"constants (a pattern context carries no decision variable)"]
+
+
 def test_check_reports_unknown_attribute(two_links, tmp_path, capsys):
     model, _ = two_links
     bad = tmp_path / "bad.gipsl"

@@ -27,7 +27,7 @@ from graphilp.vne import merge_graphs
 from graphilp.vne_model import (TWO_LINKS_SPEC, two_links_model, two_links_spec,
                                 vne_metamodel, embedding_spec)
 
-from conftest import TASK_DOC, TASK_SPEC, perfbench_placement
+from conftest import TASK_DOC, TASK_SPEC, perfbench_placement, row_check
 
 
 @pytest.fixture
@@ -540,31 +540,12 @@ def feasible_points(rows, aux, names):
     """For every 0/1 point of the variables `names`, in product order, the
     point as a name -> bit dict and whether some auxiliary assignment
     satisfies every row there."""
-    idx = {v: j for j, v in enumerate([*names, *(v.id for v in aux)])}
-    A = np.zeros((len(rows), len(idx)))
-    b = np.zeros(len(rows))
-    rels = []
-    for i, r in enumerate(rows):
-        for v, c in r.coeffs.items():
-            A[i, idx[v]] = c
-        b[i] = r.rhs
-        rels.append(r.rel)
-    n_aux = len(aux)
-    aux_combos = (np.array(list(itertools.product([0., 1.], repeat=n_aux)))
-                  if n_aux else np.zeros((1, 0)))
+    holds = row_check(rows, [*names, *(v.id for v in aux)])
+    aux_combos = np.array(list(itertools.product([0., 1.], repeat=len(aux))))
     for bits in itertools.product([0, 1], repeat=len(names)):
         X = np.hstack([np.tile(np.array(bits, float), (len(aux_combos), 1)),
                        aux_combos])
-        lhs = X @ A.T if len(rows) else np.zeros((len(X), 0))
-        feas = np.ones(len(X), dtype=bool)
-        for i, rel in enumerate(rels):
-            if rel == "<=":
-                feas &= lhs[:, i] <= b[i] + 1e-9
-            elif rel == ">=":
-                feas &= lhs[:, i] >= b[i] - 1e-9
-            else:
-                feas &= np.abs(lhs[:, i] - b[i]) <= 1e-9
-        yield dict(zip(names, bits)), bool(feas.any())
+        yield dict(zip(names, bits)), bool(holds(X).any())
 
 
 def check_semantic_preservation(seed, trials, n_vars_max=6, atoms_max=6):
@@ -998,6 +979,25 @@ global objective : min { 0 }
         generate(spec, g)
 
 
+def test_a_sum_divided_by_zero_is_a_generation_error(task_model):
+    mm, g = task_model
+    spec = typecheck(parse(TASK_SPEC.replace("m.nodes().t.cpu) <= self.resCpu",
+                                             "m.nodes().t.cpu) / 0 <= self.resCpu")), mm)
+    with pytest.raises(GenerationError) as err:
+        generate(spec, g)
+    assert str(err.value) == "constraint 1 (class::Server), s1: division by zero"
+
+
+def test_an_objective_of_weight_zero_is_never_evaluated(task_model, task_spec):
+    mm, g = task_model
+    spec = typecheck(parse(TASK_SPEC.replace(
+        "global objective : min { packObj }",
+        "objective bad -> class::Server { self.cpu / 0 }\n"
+        "global objective : min { packObj + 0 * bad }")), mm)
+    assert spec.global_objective.weights == {"packObj": 1.0, "bad": 0.0}
+    assert generate(spec, g)[0].objective == generate(task_spec, g)[0].objective
+
+
 def test_sum_free_and_or_short_circuit_as_in_filters(task_model):
     # a sum-free body is evaluated whole: `&` skips its right operand after a
     # false left one, `|` still evaluates its left operand first
@@ -1156,6 +1156,23 @@ def test_index_plan_recognises_leading_key_conjuncts(pred, fields, rest):
 def test_index_matches_scan_two_links(monkeypatch):
     _, g = two_links_model()
     assert _assert_same(two_links_spec(), g, monkeypatch) == TWO_LINKS_DUMP_GOLDEN
+
+
+def test_a_key_that_raises_falls_back_to_the_scan(task_model, task_spec, monkeypatch):
+    # `self.nodes()` raises on a server (a spec built in code; the typechecker
+    # refuses it). No task fits s0, so the scan never reaches the second key
+    # there, and both runs blame s1, the first server with a match
+    mm, g = task_model
+    g = Graph(mm, [Node("s0", "Server", {"cpu": 32, "resCpu": 3}), *g.nodes.values()])
+    body = parse_expression("mappings.put->filter(m | m.nodes().s == self"
+                            " & m.nodes().t == self.nodes().t)->sum(m | 1) <= 1")
+    server, *rest = task_spec.constraints
+    assert server.context_target == "Server"
+    spec = dataclasses.replace(task_spec,
+                               constraints=[dataclasses.replace(server, body=body), *rest])
+    indexed, scanned = _generate_both(spec, g, monkeypatch)
+    assert indexed == scanned == ("GenerationError: constraint 1 (class::Server), s1: "
+                                  "nodes() applies to a match")
 
 
 def test_index_matches_scan_desk_requests(monkeypatch):

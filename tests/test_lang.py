@@ -51,25 +51,6 @@ def vne_mm():
     return load_metamodel(VNE_SCHEMA)
 
 
-def test_canonical_snippets_parse_verbatim_and_typecheck():
-    text = "\n".join([GLUE, SNIPPET_MAPPING, SNIPPET_CAPACITY,
-                      SNIPPET_OBJECTIVE, SNIPPET_GLOBAL])
-    spec = typecheck(parse(text), vne_mm())
-    assert [m.name for m in spec.mappings] == ["srv2srv"]
-    assert spec.constraints[0].context_kind == "class"
-    assert spec.constraints[0].context_target == "SubstrateServer"
-    assert spec.objectives[0].name == "srvObj"
-    assert spec.global_objective.sense == "min"
-    assert spec.global_objective.weights == {"srvObj": 1.0}
-
-
-def test_shipped_specs_contain_snippet_text_verbatim():
-    assert SNIPPET_MAPPING in EMBEDDING_SPEC
-    assert SNIPPET_CAPACITY in EMBEDDING_SPEC
-    assert SNIPPET_OBJECTIVE in EMBEDDING_SPEC
-    assert SNIPPET_GLOBAL in EMBEDDING_SPEC
-
-
 def test_mapping_parse_shape():
     spec = parse(SNIPPET_MAPPING + "\nglobal objective : min { 0 }")
     assert spec.mappings[0] == A.MappingDecl("srv2srv", "server2server")
@@ -669,9 +650,11 @@ def test_bad_filter_comparison_gives_one_diagnostic(predicate, message):
     ("self.mapped |", "self.mapped.x.x.x |", "attribute 'x' read on a non-node value"),
     ("self.mapped |", "!(-ghost * 2 > 1) |", "unknown name 'ghost'"),
     ("self.mapped |", "self == 1 |", "cannot compare a node with a number"),
+    ("self.mapped |", "ghost.nodes().x.cpu > 0 |", "unknown name 'ghost'"),
     ("m.nodes().vl.bw)", "m.nodes().vl.x.y)", "type 'VirtualLink' has no attribute 'x'"),
     ("sl.resBw / self", "sl.ghost.x / self", "type 'SubstrateLink' has no attribute 'ghost'"),
-], ids=["attribute-chain", "unknown-name", "bad-comparison", "sum-body", "objective"])
+], ids=["attribute-chain", "unknown-name", "bad-comparison", "nodes-of-unknown-name",
+        "sum-body", "objective"])
 def test_a_fault_gives_one_diagnostic(old, new, message):
     # the expression's type after its diagnostic is accepted by every later check
     assert old in TWO_LINKS_SPEC

@@ -28,6 +28,17 @@ def test_link2link_finds_two_matches_on_two_links():
     assert [m.binding["sl"] for m in matches] == ["sl1", "sl2"]
 
 
+def test_a_bool_compared_with_false_matches_as_its_negation(task_model):
+    mm, g = task_model
+    g = apply_delta(g, GraphDelta(attr_updates=(("t2", "placed", True),)))
+    negated = typecheck(parse(TASK_SPEC), mm).rules["place"].lhs
+    compared = typecheck(parse(TASK_SPEC.replace("!t.placed &", "t.placed == false &")),
+                         mm).rules["place"].lhs
+    expected = [m.binding for m in find_matches(g, negated)]
+    assert [m.binding for m in find_matches(g, compared)] == expected
+    assert expected == [{"s": "s1", "t": "t1"}, {"s": "s2", "t": "t1"}]
+
+
 def test_empty_graph_yields_no_matches(task_spec):
     mm = vne_metamodel()
     empty = Graph(mm, [], [])
@@ -118,6 +129,40 @@ def test_every_match_revalidates_on_unchanged_graph(match_mm):
         p = random_pattern(rng, match_mm)
         for m in find_matches(g, p):
             assert revalidate(g, m)
+
+
+def doubled(rng: random.Random, g: Graph, p: Pattern) -> tuple[Graph, Pattern]:
+    """`g` and `p` with some edges drawn twice, and self-loops on some `a`
+    ends of `p`, some of them twice."""
+    extra = [Edge(f"d{k}", e.type, e.src, e.tgt)
+             for k, e in enumerate(e for e in g.edges.values() if rng.random() < 0.3)]
+    edges = [*p.edges, *(pe for pe in p.edges if rng.random() < 0.4)]
+    for pn in p.nodes:
+        if pn.type != "T2" and rng.random() < 0.25:
+            edges += [PatternEdge("", "a", pn.name, pn.name)] * rng.choice([1, 2])
+    edges = tuple(PatternEdge(f"q{k}", pe.type, pe.src, pe.tgt) for k, pe in enumerate(edges))
+    return (Graph(g.mm, list(g.nodes.values()), [*g.edges.values(), *extra]),
+            Pattern(p.name, p.nodes, edges, p.condition))
+
+
+def test_matcher_equals_brute_force_on_random_multigraphs(match_mm):
+    # the k parallel edges of a pattern need k graph edges, in the search and
+    # in `revalidate`; on the graph before doubling, a match revalidates
+    # exactly when the oracle finds its binding there
+    rng = random.Random(4242)
+    parallel = loops = 0
+    for _ in range(400):
+        single = random_graph(rng, match_mm)
+        g, p = doubled(rng, single, random_pattern(rng, match_mm))
+        matches = find_matches(g, p)
+        assert binding_set(matches) == brute_matches(g, p)
+        on_single = brute_matches(single, p)
+        for m in matches:
+            assert revalidate(g, m)
+            assert revalidate(single, m) == (tuple(m.binding.items()) in on_single)
+        parallel += max(p.edge_counts.values(), default=1) > 1
+        loops += any(src == tgt for _, src, tgt in p.edge_counts)
+    assert parallel >= 60 and loops >= 60, (parallel, loops)
 
 
 def test_condition_tightening_never_enlarges_matches(match_mm):
