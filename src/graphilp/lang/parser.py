@@ -17,7 +17,7 @@ from .ast import (AttrRef, Binary, BoolLit, ConstraintDecl, CreateEdgeAction,
                   ObjectiveDecl, Pos, Rel, SelfRef, SetAttrAction, SetSum, SpecAst,
                   StrLit, Unary)
 from .eval import _FUNCTIONS
-from .lexer import LocatedError, Token, TokenStream, tokenize
+from .lexer import LocatedError, TokenStream
 
 KEYWORDS = frozenset({
     "rule", "nodes", "edges", "condition", "actions",
@@ -45,49 +45,49 @@ class DslSyntaxError(LocatedError):
     pass
 
 
-def _pos(tok: Token) -> Pos:
-    return Pos(tok.line, tok.col)
-
-
 class _Parser(TokenStream):
     def __init__(self, text: str):
-        super().__init__(tokenize(text, DslSyntaxError, KEYWORDS), DslSyntaxError)
+        super().__init__(text, DslSyntaxError, KEYWORDS)
         self.depth = 0  # levels open above the token being read
         self.height = 0  # the height of the expression parsed last
 
-    def ident(self, what: str = "identifier") -> Token:
-        tok = self.current
-        if tok.kind != "IDENT":
-            raise DslSyntaxError(f"expected {what}, got {tok.shown()}", tok.line, tok.col)
-        return self.advance()
+    def pos(self, i: int) -> Pos:
+        """Where token i starts, as a syntax tree node records it."""
+        return Pos(*self.position(i))
+
+    def ident(self, what: str = "identifier") -> str:
+        """The identifier under the cursor, which moves past it."""
+        if self.kind != "IDENT":
+            raise self.error_at(self.i, f"expected {what}, got {self.shown(self.i)}")
+        return self.values[self.advance()]
 
     # -- declarations ---------------------------------------------------------
 
     def spec(self) -> SpecAst:
         rules, mappings, constraints, objectives = [], [], [], []
         global_obj: GlobalObjectiveDecl | None = None
-        while self.current.kind != "EOF":
-            tok = self.current
-            if tok.kind == "rule":
+        while self.kind != "EOF":
+            kind = self.kind
+            if kind == "rule":
                 rules.append(self.rule_decl())
-            elif tok.kind == "mapping":
+            elif kind == "mapping":
                 mappings.append(self.mapping_decl())
-            elif tok.kind == "constraint":
+            elif kind == "constraint":
                 constraints.append(self.constraint_decl())
-            elif tok.kind == "objective":
+            elif kind == "objective":
                 objectives.append(self.objective_decl())
-            elif tok.kind == "global":
+            elif kind == "global":
+                start = self.i
                 decl = self.global_objective_decl()
                 if global_obj is not None:
-                    raise DslSyntaxError("duplicate global objective", tok.line, tok.col)
+                    raise self.error_at(start, "duplicate global objective")
                 global_obj = decl
             else:
-                raise DslSyntaxError(
-                    f"expected 'rule', 'mapping', 'constraint', 'objective' or "
-                    f"'global', got {tok.shown()}", tok.line, tok.col)
+                raise self.error_at(
+                    self.i, f"expected 'rule', 'mapping', 'constraint', 'objective' or "
+                    f"'global', got {self.shown(self.i)}")
         if global_obj is None:
-            end = self.current
-            raise DslSyntaxError("missing global objective", end.line, end.col)
+            raise self.error_at(self.i, "missing global objective")
         return SpecAst(tuple(rules), tuple(mappings), tuple(constraints),
                        tuple(objectives), global_obj)
 
@@ -100,38 +100,39 @@ class _Parser(TokenStream):
         condition = None
         actions: list[object] = []
         while not self.accept("}"):
-            section = self.expect("nodes", "edges", "condition", "actions")
+            section = self.kinds[self.expect("nodes", "edges", "condition", "actions")]
             self.expect("{")
-            if section.kind == "nodes":
+            if section == "nodes":
                 while not self.accept("}"):
+                    at = self.i
                     n = self.ident("pattern node name")
                     self.expect(":")
                     t = self.ident("node type")
-                    nodes.append(PatternNode(n.value, t.value, _pos(n)))
-            elif section.kind == "edges":
+                    nodes.append(PatternNode(n, t, self.pos(at)))
+            elif section == "edges":
                 while not self.accept("}"):
+                    at = self.i
                     n = self.ident("pattern edge name")
                     self.expect(":")
                     t = self.ident("edge type")
                     src, tgt = self.endpoints("pattern node")
-                    edges.append(PatternEdge(n.value, t.value, src, tgt, _pos(n)))
-            elif section.kind == "condition":
+                    edges.append(PatternEdge(n, t, src, tgt, self.pos(at)))
+            elif section == "condition":
                 condition = self.expression()
                 self.expect("}")
             else:
                 while not self.accept("}"):
                     actions.append(self.action())
-        return Rule(name.value,
-                    Pattern(name.value, tuple(nodes), tuple(edges), condition),
-                    tuple(actions), _pos(start))
+        return Rule(name, Pattern(name, tuple(nodes), tuple(edges), condition),
+                    tuple(actions), self.pos(start))
 
     def action(self):
-        tok = self.expect("create", "delete", "set")
-        if tok.kind == "create":
-            kind = self.expect("edge", "node")
-            if kind.kind == "edge":
+        at = self.expect("create", "delete", "set")
+        verb = self.kinds[at]
+        if verb == "create":
+            if self.kinds[self.expect("edge", "node")] == "edge":
                 t = self.ident("edge type")
-                return CreateEdgeAction(t.value, *self.endpoints("node"), _pos(tok))
+                return CreateEdgeAction(t, *self.endpoints("node"), self.pos(at))
             name = self.ident("new node name")
             self.expect(":")
             t = self.ident("node type")
@@ -140,19 +141,19 @@ class _Parser(TokenStream):
             while not self.accept("}"):
                 attr = self.ident("attribute name")
                 self.expect(":=")
-                inits.append((attr.value, self.expression()))
-            return CreateNodeAction(name.value, t.value, tuple(inits), _pos(tok))
-        if tok.kind == "delete":
-            kind = self.expect("edge", "node")
+                inits.append((attr, self.expression()))
+            return CreateNodeAction(name, t, tuple(inits), self.pos(at))
+        if verb == "delete":
+            edge = self.kinds[self.expect("edge", "node")] == "edge"
             name = self.ident()
-            if kind.kind == "edge":
-                return DeleteEdgeAction(name.value, _pos(tok))
-            return DeleteNodeAction(name.value, _pos(tok))
+            if edge:
+                return DeleteEdgeAction(name, self.pos(at))
+            return DeleteNodeAction(name, self.pos(at))
         node = self.ident("pattern node")
         self.expect(".")
         attr = self.ident("attribute name")
         self.expect(":=")
-        return SetAttrAction(node.value, attr.value, self.expression(), _pos(tok))
+        return SetAttrAction(node, attr, self.expression(), self.pos(at))
 
     def endpoints(self, what: str) -> tuple[str, str]:
         """An edge's `(src -> tgt)`, each end a `what`."""
@@ -161,7 +162,7 @@ class _Parser(TokenStream):
         self.expect("->")
         tgt = self.ident(f"target {what}")
         self.expect(")")
-        return src.value, tgt.value
+        return src, tgt
 
     def mapping_decl(self) -> MappingDecl:
         start = self.expect("mapping")
@@ -169,33 +170,32 @@ class _Parser(TokenStream):
         self.expect("with")
         rule = self.ident("rule name")
         self.expect(";")
-        return MappingDecl(name.value, rule.value, _pos(start))
+        return MappingDecl(name, rule, self.pos(start))
 
     def context(self) -> tuple[str, str]:
-        kind = self.expect("class", "pattern", "mapping")
+        kind = self.kinds[self.expect("class", "pattern", "mapping")]
         self.expect("::")
-        target = self.ident("context target")
-        return kind.kind, target.value
+        return kind, self.ident("context target")
 
     def constraint_decl(self) -> ConstraintDecl:
         start = self.expect("constraint")
         self.expect("->")
         kind, target = self.context()
-        return ConstraintDecl(kind, target, self.body(), _pos(start))
+        return ConstraintDecl(kind, target, self.body(), self.pos(start))
 
     def objective_decl(self) -> ObjectiveDecl:
         start = self.expect("objective")
         name = self.ident("objective name")
         self.expect("->")
         kind, target = self.context()
-        return ObjectiveDecl(name.value, kind, target, self.body(), _pos(start))
+        return ObjectiveDecl(name, kind, target, self.body(), self.pos(start))
 
     def global_objective_decl(self) -> GlobalObjectiveDecl:
         start = self.expect("global")
         self.expect("objective")
         self.expect(":")
-        sense = self.expect("min", "max")
-        return GlobalObjectiveDecl(sense.kind, self.body(), _pos(start))
+        sense = self.kinds[self.expect("min", "max")]
+        return GlobalObjectiveDecl(sense, self.body(), self.pos(start))
 
     def body(self):
         """The `{ expression }` body of a constraint or an objective."""
@@ -206,20 +206,20 @@ class _Parser(TokenStream):
 
     # -- expressions ------------------------------------------------------------
 
-    def limit(self, height: int, tok: Token) -> int:
-        """`height`, unless an expression that high at `tok` is too deep."""
+    def limit(self, height: int, at: int) -> int:
+        """`height`, unless an expression that high at token `at` is too deep."""
         if height > MAX_DEPTH:
-            raise DslSyntaxError(f"expression nests more than {MAX_DEPTH} levels deep",
-                                 tok.line, tok.col)
+            raise self.error_at(at, f"expression nests more than {MAX_DEPTH} levels deep")
         return height
 
-    def nested(self, tok: Token, parse):
-        """`parse()` one level below `tok`. The level counts on the way down,
-        which bounds the parser's recursion, and in the height of the result."""
-        self.depth = self.limit(self.depth + 1, tok)
+    def nested(self, at: int, parse):
+        """`parse()` one level below token `at`. The level counts on the way
+        down, which bounds the parser's recursion, and in the height of the
+        result."""
+        self.depth = self.limit(self.depth + 1, at)
         node = parse()
         self.depth -= 1
-        self.height = self.limit(self.height + 1, tok)
+        self.height = self.limit(self.height + 1, at)
         return node
 
     def expression(self, min_level: int = 1):
@@ -232,76 +232,71 @@ class _Parser(TokenStream):
         left = self.unary()
         height, max_level = self.height, _TIGHTEST
         while True:
-            op = self.current
-            level = _LEVELS.get(op.kind, 0)
+            op = self.kind
+            level = _LEVELS.get(op, 0)
             if not min_level <= level <= max_level:
                 self.height = height
                 return left
-            self.advance()
+            at = self.advance()
             right = self.expression(level + 1)
-            height = self.limit(max(height, self.height) + 1, op)
+            height = self.limit(max(height, self.height) + 1, at)
             if level == _REL_LEVEL:
-                left, max_level = Rel(op.kind, left, right, _pos(op)), level - 1
+                left, max_level = Rel(op, left, right, self.pos(at)), level - 1
             else:
-                left, max_level = Binary(op.kind, left, right, _pos(op)), level
+                left, max_level = Binary(op, left, right, self.pos(at)), level
 
     def unary(self):
-        tok = self.current
-        if tok.kind == "!" or tok.kind == "-":
-            self.advance()
-            return Unary(tok.kind, self.nested(tok, self.unary), _pos(tok))
-        if tok.kind in _FUNCTIONS:
-            self.advance()
+        kind = self.kind
+        if kind == "!" or kind == "-":
+            at = self.advance()
+            return Unary(kind, self.nested(at, self.unary), self.pos(at))
+        if kind in _FUNCTIONS:
+            at = self.advance()
             self.expect("(")
-            arg = self.nested(tok, self.expression)
+            arg = self.nested(at, self.expression)
             self.expect(")")
-            return Unary(tok.kind, arg, _pos(tok))
+            return Unary(kind, arg, self.pos(at))
         return self.postfix()
 
     def postfix(self):
         expr = self.primary()
-        while self.current.kind == ".":
+        while self.kind == ".":
             dot = self.advance()
             self.height = self.limit(self.height + 1, dot)
-            if self.current.kind == "nodes" and self.peek().kind == "(":
+            if self.kind == "nodes" and self.peek() == "(":
                 self.advance()
                 self.expect("(")
                 self.expect(")")
                 self.expect(".")
-                node = self.ident("pattern node name")
-                expr = NodesNav(expr, node.value, _pos(dot))
+                expr = NodesNav(expr, self.ident("pattern node name"), self.pos(dot))
             else:
-                attr = self.ident("attribute name")
-                expr = AttrRef(expr, attr.value, _pos(dot))
+                expr = AttrRef(expr, self.ident("attribute name"), self.pos(dot))
         return expr
 
     def primary(self):
-        tok = self.current
+        kind = self.kind
         self.height = 0
-        if tok.kind == "INT" or tok.kind == "REAL":
-            self.advance()
-            return Num(tok.value, _pos(tok))
-        if tok.kind == "true" or tok.kind == "false":
-            self.advance()
-            return BoolLit(tok.kind == "true", _pos(tok))
-        if tok.kind == "STRING":
-            self.advance()
-            return StrLit(tok.value, _pos(tok))
-        if tok.kind == "(":
-            self.advance()
-            inner = self.nested(tok, self.expression)
+        if kind == "INT" or kind == "REAL":
+            at = self.advance()
+            return Num(self.values[at], self.pos(at))
+        if kind == "true" or kind == "false":
+            return BoolLit(kind == "true", self.pos(self.advance()))
+        if kind == "STRING":
+            at = self.advance()
+            return StrLit(self.values[at], self.pos(at))
+        if kind == "(":
+            at = self.advance()
+            inner = self.nested(at, self.expression)
             self.expect(")")
             return inner
-        if tok.kind == "self":
-            self.advance()
-            return SelfRef(_pos(tok))
-        if tok.kind == "mappings":
+        if kind == "self":
+            return SelfRef(self.pos(self.advance()))
+        if kind == "mappings":
             return self.set_sum()
-        if tok.kind == "IDENT":
-            self.advance()
-            return Name(tok.value, _pos(tok))
-        raise DslSyntaxError(f"expected an expression, got {tok.shown()}",
-                             tok.line, tok.col)
+        if kind == "IDENT":
+            at = self.advance()
+            return Name(self.values[at], self.pos(at))
+        raise self.error_at(self.i, f"expected an expression, got {self.shown(self.i)}")
 
     def set_sum(self) -> SetSum:
         start = self.expect("mappings")
@@ -310,27 +305,27 @@ class _Parser(TokenStream):
         filter_var = filter_pred = None
         filter_height = 0
         self.expect("->")
+        at = self.i
         head = self.ident("'filter' or 'sum'")
-        if head.value == "filter":
+        if head == "filter":
             self.expect("(")
-            var = self.ident("filter variable")
+            filter_var = self.ident("filter variable")
             self.expect("|")
-            filter_var, filter_pred = var.value, self.nested(start, self.expression)
+            filter_pred = self.nested(start, self.expression)
             filter_height = self.height
             self.expect(")")
             self.expect("->")
+            at = self.i
             head = self.ident("'sum'")
-        if head.value != "sum":
-            raise DslSyntaxError(f"expected 'sum', got {head.value!r}",
-                                 head.line, head.col)
+        if head != "sum":
+            raise self.error_at(at, f"expected 'sum', got {head!r}")
         self.expect("(")
         var = self.ident("sum variable")
         self.expect("|")
         body = self.nested(start, self.expression)
         self.height = max(self.height, filter_height)
         self.expect(")")
-        return SetSum(mapping.value, filter_var, filter_pred, var.value, body,
-                      _pos(start))
+        return SetSum(mapping, filter_var, filter_pred, var, body, self.pos(start))
 
 
 def parse(text: str) -> SpecAst:

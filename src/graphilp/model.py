@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .lang.lexer import LocatedError, TokenStream, is_word, quote, tokenize
+from .lang.lexer import LocatedError, TokenStream, is_word, quote
 
 if TYPE_CHECKING:
     from .pattern import Pattern
@@ -216,7 +216,7 @@ class Graph:
         return self._pools.get(type_name, ())
 
     @cached_property
-    def _adjacency(self) -> tuple[dict[str, dict[str, list[Edge]]], ...]:
+    def _adjacency(self) -> tuple[dict[str, dict[str, tuple[Edge, ...]]], ...]:
         """(outgoing, incoming): edge type -> node id -> its edges, by edge id."""
         out: dict[str, dict[str, list[Edge]]] = {t: {} for t in self.mm.edge_types}
         inc: dict[str, dict[str, list[Edge]]] = {t: {} for t in self.mm.edge_types}
@@ -224,15 +224,16 @@ class Graph:
             e = self.edges[eid]
             out[e.type].setdefault(e.src, []).append(e)
             inc[e.type].setdefault(e.tgt, []).append(e)
-        return out, inc
+        return tuple({t: {n: tuple(es) for n, es in by_node.items()}
+                      for t, by_node in index.items()} for index in (out, inc))
 
-    def out_edges(self, node_id: str, edge_type: str) -> list[Edge]:
+    def out_edges(self, node_id: str, edge_type: str) -> tuple[Edge, ...]:
         """The edges of type `edge_type` leaving `node_id`, by edge id."""
-        return self._adjacency[0].get(edge_type, {}).get(node_id, [])
+        return self._adjacency[0].get(edge_type, {}).get(node_id, ())
 
-    def in_edges(self, node_id: str, edge_type: str) -> list[Edge]:
+    def in_edges(self, node_id: str, edge_type: str) -> tuple[Edge, ...]:
         """The edges of type `edge_type` entering `node_id`, by edge id."""
-        return self._adjacency[1].get(edge_type, {}).get(node_id, [])
+        return self._adjacency[1].get(edge_type, {}).get(node_id, ())
 
     def edge_count(self, edge_type: str, src: str, tgt: str) -> int:
         """How many edges of type `edge_type` go from `src` to `tgt`."""
@@ -337,46 +338,40 @@ def apply_delta(g: Graph, d: GraphDelta) -> Graph:
 # --- text format -------------------------------------------------------------
 
 def _parse_value(ts: TokenStream):
-    tok = ts.current
-    if tok.kind in ("INT", "REAL", "STRING"):
+    kind = ts.kind
+    if kind in ("INT", "REAL", "STRING"):
+        return ts.values[ts.advance()]
+    if kind == "true" or kind == "false":
         ts.advance()
-        return tok.value
-    if tok.kind == "true":
+        return kind == "true"
+    if kind == "-":
         ts.advance()
-        return True
-    if tok.kind == "false":
-        ts.advance()
-        return False
-    if tok.kind == "-":
-        ts.advance()
-        num = ts.expect("INT", "REAL")
-        return -num.value
-    raise ModelParseError(f"expected attribute value, got {tok.shown()}", tok.line, tok.col)
+        return -ts.values[ts.expect("INT", "REAL")]
+    raise ts.error_at(ts.i, f"expected attribute value, got {ts.shown(ts.i)}")
 
 
 def _parse_name(ts: TokenStream) -> str:
-    tok = ts.current
-    if tok.kind in ("IDENT", "STRING") or tok.kind in _KEYWORDS:
-        ts.advance()
-        return str(tok.value)
-    raise ModelParseError(f"expected a name, got {tok.shown()}", tok.line, tok.col)
+    kind = ts.kind
+    if kind in ("IDENT", "STRING") or kind in _KEYWORDS:
+        return str(ts.values[ts.advance()])
+    raise ts.error_at(ts.i, f"expected a name, got {ts.shown(ts.i)}")
 
 
 def _parse_attr_block(ts: TokenStream, parse_kind: bool):
     out = {}
     ts.expect("{")
     while not ts.accept("}"):
-        name_tok = ts.current
+        at = ts.i
         name = _parse_name(ts)
         if name in out:
-            raise ModelParseError(f"duplicate attribute {name!r}", name_tok.line, name_tok.col)
+            raise ts.error_at(at, f"duplicate attribute {name!r}")
         ts.expect(":")
         if parse_kind:
-            kind_tok = ts.expect("IDENT")
-            if kind_tok.value not in ATTR_KINDS:
-                raise ModelParseError(f"unknown attribute kind {kind_tok.value!r}",
-                                      kind_tok.line, kind_tok.col)
-            out[name] = kind_tok.value
+            at = ts.expect("IDENT")
+            kind = ts.values[at]
+            if kind not in ATTR_KINDS:
+                raise ts.error_at(at, f"unknown attribute kind {kind!r}")
+            out[name] = kind
         else:
             out[name] = _parse_value(ts)
     return out
@@ -398,17 +393,14 @@ def _parse_record(ts: TokenStream, keyword: str, allowed, required) -> dict:
     ts.expect("{")
     rec: dict = {}
     while not ts.accept("}"):
-        key_tok = ts.advance()
-        if key_tok.kind == "EOF":
-            raise ModelParseError(f"unexpected end of input in {keyword}", key_tok.line,
-                                  key_tok.col)
-        key = str(key_tok.value)
+        at = ts.advance()
+        if ts.kinds[at] == "EOF":
+            raise ts.error_at(at, f"unexpected end of input in {keyword}")
+        key = str(ts.values[at])
         if key not in allowed:
-            raise ModelParseError(f"unexpected key {key!r} in {keyword}", key_tok.line,
-                                  key_tok.col)
+            raise ts.error_at(at, f"unexpected key {key!r} in {keyword}")
         if key in rec:
-            raise ModelParseError(f"duplicate key {key!r} in {keyword}", key_tok.line,
-                                  key_tok.col)
+            raise ts.error_at(at, f"duplicate key {key!r} in {keyword}")
         if key == "attrs":
             rec[key] = _parse_attr_block(ts, parse_kind=(keyword == "nodetype"))
         else:
@@ -416,15 +408,15 @@ def _parse_record(ts: TokenStream, keyword: str, allowed, required) -> dict:
             rec[key] = _parse_name(ts)
     for key in required:
         if key not in rec:
-            raise ModelParseError(f"{keyword} needs {key!r}", start.line, start.col)
+            raise ts.error_at(start, f"{keyword} needs {key!r}")
     return rec
 
 
 def _parse_document(text: str):
-    ts = TokenStream(tokenize(text, ModelParseError, _KEYWORDS), ModelParseError)
+    ts = TokenStream(text, ModelParseError, _KEYWORDS)
     records: dict[str, list[dict]] = {section: [] for section in _RECORDS}
-    while ts.current.kind != "EOF":
-        section = ts.expect(*_RECORDS).kind
+    while ts.kind != "EOF":
+        section = ts.kinds[ts.expect(*_RECORDS)]
         ts.expect("{")
         while not ts.accept("}"):
             records[section].append(_parse_record(ts, *_RECORDS[section]))

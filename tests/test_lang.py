@@ -7,7 +7,7 @@ import pytest
 from graphilp import load_metamodel, load_model, parse, typecheck
 from graphilp.lang import ast as A
 from graphilp.lang.eval import EvalError, compile_expr
-from graphilp.lang.lexer import LocatedError, is_word, quote, tokenize
+from graphilp.lang.lexer import LocatedError, TokenStream, is_word, quote
 from graphilp.lang.parser import KEYWORDS as SPEC_KEYWORDS
 from graphilp.lang.parser import MAX_DEPTH, DslSyntaxError, parse_expression
 from graphilp.lang.typecheck import TypecheckError
@@ -245,6 +245,17 @@ LEX_CASES = [
     ('"\x85\u2028" x', [("STRING", "\x85\u2028", 1, 1), ("IDENT", "x", 1, 6),
                        ("EOF", None, 1, 7)]),
     ("x  \t\r", [("IDENT", "x", 1, 1), ("EOF", None, 1, 6)]),
+    # where one scan of the whole text could go wrong: its ends, a comment or a
+    # string touching other lexemes, and a number running into a word
+    ("", [("EOF", None, 1, 1)]),
+    ("a//b", [("IDENT", "a", 1, 1), ("EOF", None, 1, 5)]),
+    ('// "x', [("EOF", None, 1, 6)]),
+    ("a\n", [("IDENT", "a", 1, 1), ("EOF", None, 2, 1)]),
+    ("\n\n", [("EOF", None, 3, 1)]),
+    ('a"b" c', [("IDENT", "a", 1, 1), ("STRING", "b", 1, 2), ("IDENT", "c", 1, 6),
+                ("EOF", None, 1, 7)]),
+    ("1.5e3x", [("REAL", 1500.0, 1, 1), ("IDENT", "x", 1, 6), ("EOF", None, 1, 7)]),
+    ("x\r", [("IDENT", "x", 1, 1), ("EOF", None, 1, 3)]),
 ]
 
 LEX_ERROR_CASES = [
@@ -265,10 +276,16 @@ LEX_ERROR_CASES = [
 ]
 
 
+def lex(text: str, keywords: frozenset[str] = frozenset()) -> list[tuple]:
+    """The (kind, value, line, col) of each token of `text`."""
+    ts = TokenStream(text, LocatedError, keywords)
+    return [(kind, value, *ts.position(i))
+            for i, (kind, value) in enumerate(zip(ts.kinds, ts.values))]
+
+
 @pytest.mark.parametrize("text, tokens", LEX_CASES, ids=[ascii(c[0]) for c in LEX_CASES])
 def test_tokenize_edge_cases(text, tokens):
-    assert [(t.kind, t.value, t.line, t.col)
-            for t in tokenize(text, LocatedError)] == tokens
+    assert lex(text) == tokens
 
 
 @pytest.mark.parametrize("text, message, line, col", LEX_ERROR_CASES,
@@ -276,7 +293,7 @@ def test_tokenize_edge_cases(text, tokens):
 def test_tokenize_errors_are_located(text, message, line, col):
     for error in (DslSyntaxError, ModelParseError):
         with pytest.raises(LocatedError) as info:
-            tokenize(text, error)
+            TokenStream(text, error)
         assert type(info.value) is error
         assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
 
@@ -296,8 +313,7 @@ def test_lexical_errors_surface_as_each_readers_error(text, message, line, col):
 @pytest.mark.parametrize("s", ["", "plain", "tab\there", 'q"uote', "back\\slash",
                                "new\nline", "\\n", "\u00e9\u00b2"])
 def test_quote_reads_back(s):
-    assert [(t.kind, t.value) for t in tokenize(quote(s), LocatedError)] == \
-        [("STRING", s), ("EOF", None)]
+    assert [tok[:2] for tok in lex(quote(s))] == [("STRING", s), ("EOF", None)]
 
 
 @pytest.mark.parametrize("s, word", [("a", True), ("_1", True), ("\u00e9x\u00b2", True),
@@ -309,7 +325,7 @@ def test_quote_reads_back(s):
 def test_is_word_agrees_with_tokenize(s, word):
     assert is_word(s) == word
     try:
-        tokens = [(t.kind, t.value) for t in tokenize(s, LocatedError)]
+        tokens = [tok[:2] for tok in lex(s)]
     except LocatedError:
         tokens = None
     assert (tokens == [("IDENT", s), ("EOF", None)]) == word
@@ -341,25 +357,33 @@ def _mutate(rng: random.Random, text: str) -> str:
 
 def test_token_positions_point_at_their_lexemes():
     """Each token of a mutated text reads back as itself from its (line, col),
-    and EOF sits just past the last character."""
+    and EOF sits just past the last character. A mutation that the tokenizer
+    rejects fails the same way in both readers, each with its own error."""
     rng = random.Random(14)
     sources = ((TWO_LINKS_SPEC, SPEC_KEYWORDS), (EMBEDDING_SPEC, SPEC_KEYWORDS),
                (TWO_LINKS_MODEL, MODEL_KEYWORDS))
-    checked = 0
+    checked = rejected = 0
     for _ in range(300):
         source, keywords = rng.choice(sources)
         text = _mutate(rng, source)
         try:
-            tokens = tokenize(text, LocatedError, keywords)
-        except LocatedError:
+            tokens = lex(text, keywords)
+        except LocatedError as exc:
+            where = (exc.message, exc.line, exc.col)
+            for error, read in ((DslSyntaxError, parse), (ModelParseError, load_model)):
+                with pytest.raises(LocatedError) as info:
+                    read(text)
+                assert type(info.value) is error
+                assert (info.value.message, info.value.line, info.value.col) == where
+            rejected += 1
             continue
         lines = text.split("\n")
-        for tok in tokens[:-1]:
-            first = tokenize(lines[tok.line - 1][tok.col - 1:], LocatedError, keywords)[0]
-            assert (first.kind, first.value, first.line, first.col) == (tok.kind, tok.value, 1, 1)
-        assert (tokens[-1].line, tokens[-1].col) == (len(lines), len(lines[-1]) + 1)
+        for kind, value, line, col in tokens[:-1]:
+            first = lex(lines[line - 1][col - 1:], keywords)[0]
+            assert first == (kind, value, 1, 1)
+        assert tokens[-1][2:] == (len(lines), len(lines[-1]) + 1)
         checked += len(tokens)
-    assert checked > 10_000
+    assert checked > 10_000 and rejected > 30
 
 
 def test_front_end_fuzz_raises_only_diagnostics():

@@ -103,7 +103,7 @@ def test_adjacency_is_by_edge_type_in_edge_id_order(task_model):
     assert [e.id for e in g.in_edges("s1", "host")] == ["h1", "h2"]
     assert [e.id for e in g.out_edges("t1", "wire")] == ["w1"]
     assert [e.id for e in g.in_edges("t1", "wire")] == ["w0"]
-    assert g.out_edges("s1", "host") == [] and g.in_edges("s2", "wire") == []
+    assert g.out_edges("s1", "host") == () and g.in_edges("s2", "wire") == ()
     assert g.edge_count("wire", "s1", "t1") == 1 and g.edge_count("host", "s1", "t1") == 0
 
 
@@ -370,6 +370,18 @@ def test_nodes_of_type_cannot_be_changed_through_its_result():
     as_list.append(g.nodes["s1"])
     as_list.reverse()
     assert [n.id for n in g.nodes_of_type("Task")] == ["t1", "t2"]
+
+
+def test_adjacency_cannot_be_changed_through_its_result(task_model):
+    mm, g = task_model
+    g = Graph(mm, list(g.nodes.values()), [Edge("w1", "wire", "t1", "s1")])
+    for edges in (g.out_edges("t1", "wire"), g.in_edges("s1", "wire"),
+                  g.out_edges("s1", "wire")):
+        assert isinstance(edges, tuple)
+        with pytest.raises(AttributeError):
+            edges.append(Edge("w1", "wire", "t1", "s1"))
+    assert g.edge_count("wire", "t1", "s1") == 1 and len(g.edges) == 1
+    assert [e.id for e in g.in_edges("s1", "wire")] == ["w1"]
 
 
 def test_a_delta_that_creates_or_deletes_a_node_gets_its_own_pools():
